@@ -8,8 +8,10 @@ Subcommands:
   selftest   quick internal consistency checks, no instance needed
 
 Exit codes: 0 success/pass, 1 fail, 2 invalid input or convergence not
-established, 3 inconclusive.  Set MDZETA_OUTPUT_DIR to also write the JSON
-report into that directory.
+established, 3 inconclusive.  Box sizes --M and --M-outer below 1 are
+invalid input.  --threads is still accepted and validated but has no
+effect: the direct side runs in one thread.  Set MDZETA_OUTPUT_DIR to also
+write the JSON report into that directory.
 """
 
 from __future__ import annotations
@@ -22,8 +24,11 @@ import sys
 from fractions import Fraction
 
 from . import evaluator, exact, genfun, mpseries, mtoracle
-from .evaluator import ConvergenceNotEstablished
+from .evaluator import ConvergenceNotEstablished, _cnum, _fnum
 from .model import SpecError, convergence_check, load_spec, parse_spec, spec_to_dict
+
+
+THREADS_HELP = "accepted and validated ('N' >= 1 or 'auto') but has no effect"
 
 
 def _thread_count(value: str) -> int:
@@ -35,12 +40,11 @@ def _thread_count(value: str) -> int:
     return n
 
 
-def _fnum(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _cnum(z: complex) -> dict:
-    return {"re": _fnum(z.real), "im": _fnum(z.imag)}
+def _box_size(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"box size must be >= 1, got {n}")
+    return n
 
 
 def _write_report(command: str, payload: dict) -> None:
@@ -119,7 +123,7 @@ def cmd_eval(args) -> int:
     if not verdict.established:
         print(f"error: convergence not established: {verdict.reason}", file=sys.stderr)
         return 2
-    refined = evaluator.zeta_refined(spec, args.M, threads=args.threads)
+    refined = evaluator.zeta_refined(spec, args.M)
     payload = {
         "spec": spec_to_dict(spec),
         "parameters": {"M": args.M},
@@ -168,7 +172,6 @@ def cmd_verify(args) -> int:
             M=args.M,
             M_outer=args.M_outer,
             tol=args.tol,
-            threads=args.threads,
             rho_variant=args.rho_variant,
             assume_convergence=args.assert_convergence,
         )
@@ -230,24 +233,12 @@ def cmd_reduce(args) -> int:
         print(f"error: convergence not established: {verdict.reason}", file=sys.stderr)
         return 2
     rhs = evaluator.rhs_total(spec, args.M_outer, rho_variant=args.rho_variant)
-    refined = evaluator.zeta_refined(spec, args.M, threads=args.threads)
-    parity_sign = -1 if (spec.weight + spec.r + 1) % 2 else 1
-    if parity_sign == 1:
-        series_side = refined.value.real
-        reduced_side = rhs.total / 2
-        case = "real-part"
-    else:
-        series_side = refined.value.imag
-        reduced_side = rhs.total / 2j
-        case = "imag-part"
+    refined = evaluator.zeta_refined(spec, args.M)
+    cor = evaluator.corollary(spec, refined.value, rhs.total)
     terms_payload = []
     sample_text = []
     for t in rhs.terms:
-        plan = genfun.GeneratingFunctionPlan(spec, t.J, rho_variant=args.rho_variant)
-        sample = {j: 1 for j in plan.ctx.Jbar}
-        series = plan.evaluate(sample)
-        raw = mpseries.coefficient(series, plan.caps)
-        dval = raw * math.prod(math.factorial(c) for c in plan.caps)
+        dval = t.unit_D
         terms_payload.append(
             {
                 "J": list(t.J),
@@ -273,12 +264,7 @@ def cmd_reduce(args) -> int:
         "terms": terms_payload,
         "rhs_total": _cnum(rhs.total),
         "tails_total": _fnum(rhs.tails_total),
-        "corollary": {
-            "case": case,
-            "series_side": _fnum(series_side),
-            "reduced_side": _cnum(reduced_side),
-            "delta": _fnum(abs(complex(series_side, 0.0) - reduced_side)),
-        },
+        "corollary": evaluator.corollary_json(cor),
     }
     text = [
         _spec_line(spec),
@@ -286,9 +272,9 @@ def cmd_reduce(args) -> int:
         *sample_text,
         f"rhs total = {rhs.total.real:.15g} + {rhs.total.imag:.15g}i  "
         f"(tails +- {rhs.tails_total:.3g})",
-        f"corollary [{case}]: series side = {series_side:.15g}, "
-        f"reduced side = {reduced_side.real:.15g} + {reduced_side.imag:.15g}i, "
-        f"delta = {abs(complex(series_side, 0.0) - reduced_side):.3g}",
+        f"corollary [{cor['case']}]: series side = {cor['series_side']:.15g}, "
+        f"reduced side = {cor['reduced_side'].real:.15g} + "
+        f"{cor['reduced_side'].imag:.15g}i, delta = {cor['delta']:.3g}",
     ]
     csv = ["J,I,sign,T_re,T_im,tail,D_ones_re,D_ones_im"]
     for t, tp in zip(rhs.terms, terms_payload):
@@ -406,24 +392,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate the series directly")
     add_common(p)
-    p.add_argument("--M", type=int, default=400, help="box size (default 400)")
-    p.add_argument("--threads", type=_thread_count, default=1, help="worker threads or 'auto'")
+    p.add_argument("--M", type=_box_size, default=400, help="box size (default 400)")
+    p.add_argument("--threads", type=_thread_count, default=1, help=THREADS_HELP)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="verify the parity identity")
     add_common(p)
-    p.add_argument("--M", type=int, default=400, help="direct-side box size")
-    p.add_argument("--M-outer", type=int, default=400, help="reduced-side box size")
+    p.add_argument("--M", type=_box_size, default=400, help="direct-side box size")
+    p.add_argument("--M-outer", type=_box_size, default=400, help="reduced-side box size")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--threads", type=_thread_count, default=1, help="worker threads or 'auto'")
+    p.add_argument("--threads", type=_thread_count, default=1, help=THREADS_HELP)
     p.add_argument("--rho-variant", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("reduce", help="tabulate the reduced side")
     add_common(p)
-    p.add_argument("--M", type=int, default=400, help="box size for the corollary check")
-    p.add_argument("--M-outer", type=int, default=400)
-    p.add_argument("--threads", type=_thread_count, default=1, help="worker threads or 'auto'")
+    p.add_argument("--M", type=_box_size, default=400, help="box size for the corollary check")
+    p.add_argument("--M-outer", type=_box_size, default=400)
+    p.add_argument("--threads", type=_thread_count, default=1, help=THREADS_HELP)
     p.add_argument("--rho-variant", type=int, default=0)
     p.set_defaults(fn=cmd_reduce)
 

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import mpseries
 from .genfun import GeneratingFunctionPlan
 from .model import (
     ConvergenceVerdict,
@@ -31,7 +29,7 @@ from .model import (
     subset_context,
     wt,
 )
-from .phase import phase_table, unit_phase
+from .phase import phase_table
 
 
 class ConvergenceNotEstablished(RuntimeError):
@@ -73,6 +71,7 @@ class TermSummary:
     refined: RefinedSum
     rho: tuple[int, ...]
     exact: bool  # True when J is everything: no outer sum, no tail
+    unit_D: complex  # D = top coefficient times factorials at m = (1, ..., 1)
 
     @property
     def value(self) -> complex:
@@ -149,14 +148,9 @@ def _shell_term_sums(n: int, spec: SeriesSpec, tables) -> tuple[complex, float]:
     return total, abs_total
 
 
-def _zeta_shells(spec: SeriesSpec, M: int, threads: int = 1):
+def _zeta_shells(spec: SeriesSpec, M: int):
     tables = _weight_tables(spec, M)
-    job = lambda n: _shell_term_sums(n, spec, tables)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pairs = list(pool.map(job, range(1, M + 1)))
-    else:
-        pairs = [job(n) for n in range(1, M + 1)]
+    pairs = [_shell_term_sums(n, spec, tables) for n in range(1, M + 1)]
     shells = [p[0] for p in pairs]
     abs_shells = [p[1] for p in pairs]
     return shells, abs_shells
@@ -169,11 +163,11 @@ def _tail_heuristic(abs_shells, w) -> tuple[float, bool]:
     return last, True
 
 
-def zeta_direct(spec: SeriesSpec, M: int, threads: int = 1) -> PartialSum:
+def zeta_direct(spec: SeriesSpec, M: int) -> PartialSum:
     """Compensated sum of the series over the box [1, M]^r."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    shells, abs_shells = _zeta_shells(spec, M, threads)
+    shells, abs_shells = _zeta_shells(spec, M)
     w = spec.weight - spec.r + 1
     est, slow = _tail_heuristic(abs_shells, w)
     return PartialSum(
@@ -252,9 +246,9 @@ def fit_tail(shells, w=None, band: float = 0.0):
     return complex(corr_re, corr_im), uncertainty, fitted
 
 
-def zeta_refined(spec: SeriesSpec, M: int, threads: int = 1) -> RefinedSum:
+def zeta_refined(spec: SeriesSpec, M: int) -> RefinedSum:
     """Direct sum plus fitted tail; the honest estimate of the series value."""
-    shells, abs_shells = _zeta_shells(spec, M, threads)
+    shells, abs_shells = _zeta_shells(spec, M)
     w = spec.weight - spec.r + 1
     est, slow = _tail_heuristic(abs_shells, w)
     partial = PartialSum(
@@ -271,25 +265,55 @@ def zeta_refined(spec: SeriesSpec, M: int, threads: int = 1) -> RefinedSum:
 # --------------------------------------------------------------- reduced side
 
 
+# Outer tuples are evaluated in blocks of at most this many rows.
+_OUTER_BLOCK = 256
+
+
+def _shell_array(f: int, n: int) -> np.ndarray:
+    """Rows of [1, n]^f with max coordinate exactly n, lexicographically."""
+    if f == 1:
+        return np.array([[n]], dtype=np.int64)
+    inner = _shell_array(f - 1, n)
+    cube = np.indices((n,) * (f - 1)).reshape(f - 1, -1).T + 1
+    low = np.column_stack([np.repeat(np.arange(1, n), len(inner)), np.tile(inner, (n - 1, 1))])
+    high = np.column_stack([np.full(len(cube), n), cube])
+    return np.concatenate([low, high]).astype(np.int64)
+
+
 def _shell_tuples(f: int, n: int):
     """Tuples in [1, n]^f with max coordinate exactly n, lexicographically."""
-    if f == 1:
-        yield (n,)
-        return
-    for tup in itertools.product(range(1, n + 1), repeat=f):
-        if max(tup) == n:
-            yield tup
+    return map(tuple, _shell_array(f, n).tolist())
 
 
-def _outer_weight(spec: SeriesSpec, ctx, m: dict[int, int]) -> complex:
-    out = 1.0 + 0.0j
-    for j in ctx.Jbar:
-        y = spec.y[j - 1]
-        phase = unit_phase(-m[j] * y) if y != 0 else 1.0
-        out *= phase / m[j] ** spec.h[j - 1]
+def _outer_blocks(f: int, M_outer: int):
+    """[1, M_outer]^f shell by shell, cut into blocks of at most _OUTER_BLOCK rows.
+
+    Yields (shell index per row, rows); a shell larger than a block spans
+    consecutive blocks.
+    """
+    labels, rows, size = [], [], 0
+    for n in range(1, M_outer + 1):
+        shell = _shell_array(f, n)
+        for start in range(0, len(shell), _OUTER_BLOCK):
+            chunk = shell[start:start + _OUTER_BLOCK]
+            if size + len(chunk) > _OUTER_BLOCK:
+                yield np.concatenate(labels), np.concatenate(rows)
+                labels, rows, size = [], [], 0
+            labels.append(np.full(len(chunk), n))
+            rows.append(chunk)
+            size += len(chunk)
+    if rows:
+        yield np.concatenate(labels), np.concatenate(rows)
+
+
+def _outer_weights(spec: SeriesSpec, ctx, tables, rows) -> np.ndarray:
+    """e(-<m, y>) / prod m_j^h_j / prod over Ibar of form^k_i, per row m."""
+    out = np.ones(len(rows), dtype=complex)
+    for col, j in enumerate(ctx.Jbar):
+        out = out * tables[j - 1][rows[:, col]]
     for i in ctx.Ibar:
-        s = sum(spec.a(i, j) * m[j] for j in ctx.Jbar)
-        out /= float(s) ** spec.k[i - 1]
+        s = sum(spec.a(i, j) * rows[:, col] for col, j in enumerate(ctx.Jbar))
+        out = out / np.asarray(s, dtype=float) ** spec.k[i - 1]
     return out
 
 
@@ -308,23 +332,35 @@ def term_T(
         plan = GeneratingFunctionPlan(spec, tuple(J), rho_variant=rho_variant)
     ctx = plan.ctx
     sign = term_sign(spec, ctx)
+    factorials = math.prod(math.factorial(c) for c in plan.caps)
     if not ctx.Jbar:
-        series = plan.evaluate({})
-        value = mpseries.coefficient(series, plan.caps)
+        value = complex(plan.evaluate_batch(np.zeros((1, 0), dtype=np.int64))[0, plan.top])
         partial = PartialSum(value=value, M=0, terms=1, tail_estimate=0.0, slow=False)
         refined = RefinedSum(partial, 0.0 + 0.0j, 0.0, True)
-        return TermSummary(ctx.J, ctx.I, sign, refined, plan.rho.coords, True)
+        return TermSummary(
+            ctx.J, ctx.I, sign, refined, plan.rho.coords, True, value * factorials
+        )
+    if M_outer < 1:
+        raise ValueError("M_outer must be >= 1")
     f = len(ctx.Jbar)
+    tables = _weight_tables(spec.negated_twist(), M_outer)
     shells = []
     abs_shells = []
-    for n in range(1, M_outer + 1):
-        pieces = []
-        for tup in _shell_tuples(f, n):
-            m = dict(zip(ctx.Jbar, tup))
-            raw = mpseries.coefficient(plan.evaluate(m), plan.caps)
-            pieces.append(_outer_weight(spec, ctx, m) * raw)
-        shells.append(_kahan_sum(pieces))
-        abs_shells.append(sum(abs(p) for p in pieces))
+    pieces = []  # of the shell being summed, in lexicographic order
+    unit_raw = None
+    for labels, rows in _outer_blocks(f, M_outer):
+        raw = plan.evaluate_batch(rows)[:, plan.top]
+        if unit_raw is None:
+            unit_raw = complex(raw[0])  # the first row is (1, ..., 1)
+        values = _outer_weights(spec, ctx, tables, rows) * raw
+        for n, value in zip(labels.tolist(), values.tolist()):
+            if n > len(shells) + 1:  # shell n - 1 is complete
+                shells.append(_kahan_sum(pieces))
+                abs_shells.append(sum(abs(p) for p in pieces))
+                pieces = []
+            pieces.append(value)
+    shells.append(_kahan_sum(pieces))
+    abs_shells.append(sum(abs(p) for p in pieces))
     w = _power_estimate(abs_shells)
     est, slow = _tail_heuristic(abs_shells, w)
     partial = PartialSum(
@@ -336,7 +372,9 @@ def term_T(
     )
     correction, uncertainty, fitted = fit_tail(shells, w=w, band=est)
     refined = RefinedSum(partial, correction, uncertainty, fitted)
-    return TermSummary(ctx.J, ctx.I, sign, refined, plan.rho.coords, False)
+    return TermSummary(
+        ctx.J, ctx.I, sign, refined, plan.rho.coords, False, unit_raw * factorials
+    )
 
 
 def rhs_total(
@@ -352,6 +390,46 @@ def rhs_total(
 
 
 # --------------------------------------------------------------- verification
+
+
+def parity_sign(spec: SeriesSpec) -> int:
+    """The sign (-1)^(wt + r + 1) pairing zeta(y) with zeta(-y)."""
+    return -1 if (spec.weight + spec.r + 1) % 2 else 1
+
+
+def corollary(spec: SeriesSpec, series_value: complex, reduced_total: complex) -> dict:
+    """The one-sided consequence: Re (or Im) of the series from the RHS."""
+    if parity_sign(spec) == 1:
+        series_side = series_value.real
+        reduced_side = reduced_total / 2
+        case = "real-part"
+    else:
+        series_side = series_value.imag
+        reduced_side = reduced_total / 2j
+        case = "imag-part"
+    return {
+        "case": case,
+        "series_side": series_side,
+        "reduced_side": reduced_side,
+        "delta": abs(complex(series_side, 0.0) - reduced_side),
+    }
+
+
+def _fnum(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _cnum(z: complex) -> dict:
+    return {"re": _fnum(z.real), "im": _fnum(z.imag)}
+
+
+def corollary_json(cor: dict) -> dict:
+    return {
+        "case": cor["case"],
+        "series_side": _fnum(cor["series_side"]),
+        "reduced_side": _cnum(cor["reduced_side"]),
+        "delta": _fnum(cor["delta"]),
+    }
 
 
 @dataclass(frozen=True)
@@ -380,35 +458,15 @@ class VerificationReport:
 
     def corollary(self) -> dict:
         """The one-sided consequence: Re (or Im) of the series from the RHS."""
-        if self.parity_sign == 1:
-            lhs_scalar = self.zeta_plus.value.real
-            rhs_side = self.rhs.total / 2
-            name = "real-part"
-        else:
-            lhs_scalar = self.zeta_plus.value.imag
-            rhs_side = self.rhs.total / 2j
-            name = "imag-part"
-        return {
-            "case": name,
-            "series_side": lhs_scalar,
-            "reduced_side": rhs_side,
-            "delta": abs(complex(lhs_scalar, 0.0) - rhs_side),
-        }
+        return corollary(self.spec, self.zeta_plus.value, self.rhs.total)
 
     def to_json_dict(self) -> dict:
-        def fnum(x: float) -> str:
-            return f"{x:.17g}"
-
-        def cnum(z: complex) -> dict:
-            return {"re": fnum(z.real), "im": fnum(z.imag)}
-
-        corollary = self.corollary()
         return {
             "spec": spec_to_dict(self.spec),
             "parameters": {
                 "M": self.M,
                 "M_outer": self.M_outer,
-                "tol": fnum(self.tol),
+                "tol": _fnum(self.tol),
                 "rho_variant": self.rho_variant,
             },
             "convergence": {
@@ -418,36 +476,31 @@ class VerificationReport:
             "lhs": {
                 "parity_sign": self.parity_sign,
                 "case": self.parity_case,
-                "zeta_plus": cnum(self.zeta_plus.value),
-                "zeta_plus_tail": fnum(self.zeta_plus.uncertainty),
-                "zeta_minus": cnum(self.zeta_minus.value),
-                "zeta_minus_tail": fnum(self.zeta_minus.uncertainty),
-                "value": cnum(self.lhs_value),
+                "zeta_plus": _cnum(self.zeta_plus.value),
+                "zeta_plus_tail": _fnum(self.zeta_plus.uncertainty),
+                "zeta_minus": _cnum(self.zeta_minus.value),
+                "zeta_minus_tail": _fnum(self.zeta_minus.uncertainty),
+                "value": _cnum(self.lhs_value),
             },
             "rhs": {
-                "total": cnum(self.rhs.total),
+                "total": _cnum(self.rhs.total),
                 "per_J": [
                     {
                         "J": list(t.J),
                         "I": list(t.I),
                         "sign": t.sign,
                         "rho": list(t.rho),
-                        "value_re": fnum(t.value.real),
-                        "value_im": fnum(t.value.imag),
-                        "tail": fnum(t.refined.uncertainty),
+                        "value_re": _fnum(t.value.real),
+                        "value_im": _fnum(t.value.imag),
+                        "tail": _fnum(t.refined.uncertainty),
                     }
                     for t in self.rhs.terms
                 ],
             },
-            "residual": fnum(self.residual),
-            "tails_total": fnum(self.tails_total),
+            "residual": _fnum(self.residual),
+            "tails_total": _fnum(self.tails_total),
             "verdict": self.verdict,
-            "corollary": {
-                "case": corollary["case"],
-                "series_side": fnum(corollary["series_side"]),
-                "reduced_side": cnum(corollary["reduced_side"]),
-                "delta": fnum(corollary["delta"]),
-            },
+            "corollary": corollary_json(self.corollary()),
         }
 
 
@@ -456,7 +509,6 @@ def verify_parity(
     M: int,
     M_outer: int,
     tol: float = 1e-6,
-    threads: int = 1,
     rho_variant: int = 0,
     assume_convergence: bool = False,
 ) -> VerificationReport:
@@ -469,11 +521,11 @@ def verify_parity(
     verdict_conv = convergence_check(spec, user_asserted=assume_convergence)
     if not verdict_conv.established:
         raise ConvergenceNotEstablished(verdict_conv.reason)
-    zp = zeta_refined(spec, M, threads=threads)
-    zm = zeta_refined(spec.negated_twist(), M, threads=threads)
-    parity_sign = -1 if (spec.weight + spec.r + 1) % 2 else 1
+    zp = zeta_refined(spec, M)
+    zm = zeta_refined(spec.negated_twist(), M)
+    sign = parity_sign(spec)
     rhs = rhs_total(spec, M_outer, rho_variant=rho_variant)
-    lhs = zp.value + parity_sign * zm.value
+    lhs = zp.value + sign * zm.value
     residual = abs(lhs - rhs.total)
     tails_total = zp.uncertainty + zm.uncertainty + rhs.tails_total
     if residual <= tol:
@@ -491,7 +543,7 @@ def verify_parity(
         convergence=verdict_conv,
         zeta_plus=zp,
         zeta_minus=zm,
-        parity_sign=parity_sign,
+        parity_sign=sign,
         rhs=rhs,
         residual=residual,
         tails_total=tails_total,

@@ -21,11 +21,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
+import numpy as np
+
 from . import exact, mpseries
 from .exact import RationalMatrix
 from .model import SeriesSpec, SubsetContext, subset_context
 from .mpseries import MultiSeries, SingularConfiguration
-from .phase import unit_phase
+from .phase import phase_table, unit_phase
+
+
+# Relative size below which a sum over bases counts as an exact cancellation:
+# about 450 roundings of the summed magnitudes, above the few roundings of
+# noise the matrix products leave where bases cancel, and below any
+# coefficient the data resolve (1e-11 of the terms is kept).
+_CANCELLED = 1e-13
 
 
 @dataclass(frozen=True)
@@ -111,9 +120,11 @@ class GeneratingFunctionPlan:
     Bases, dual bases, coset representatives, the certified direction rho,
     the rho-directed fractional parts, the Bernoulli factor products per
     (basis, coset), the linear forms L_g with their normalizations, and the
-    d_g as linear functions of the outer tuple.  evaluate() then does only
-    per-tuple work: evaluate the d_g, pick the regular or the singular
-    assembly, and scale cached series by roots of unity.
+    d_g and the coset phases as integer forms in the outer tuple, and the
+    series t_g L_g^n of the geometric factors, all dense over the plan's
+    space.  evaluate_batch() then does only per-batch work: evaluate the d_g
+    and the phases for every row, group rows by which d_g vanish, and
+    combine the cached series with per-row scalars.
     """
 
     def __init__(self, spec: SeriesSpec, J, rho_variant: int = 0):
@@ -194,13 +205,42 @@ class GeneratingFunctionPlan:
             self.l_weights.append(lw)
             self.l_normal.append(ln)
             self.d_linear.append(dl)
-        self._narrow_bprods = self._build_bprods(self.caps, self.total_cap)
-        self._wide_cache: dict[int, dict] = {}
-
-    def _build_bprods(self, caps, total_cap) -> dict:
-        out = {}
+        self.space = mpseries.dense_space(self.caps, self.total_cap)
+        self.top = int(self.space.locate([self.caps])[0])
+        # every (basis, complement member) pair, with its d_g as an integer
+        # form in the outer tuple over one common denominator
+        self.pairs = tuple(
+            (bi, gpos) for bi in range(len(self.bases)) for gpos in self.complements[bi]
+        )
+        self._d_den = math.lcm(
+            1, *(c.denominator for dl in self.d_linear for co in dl.values() for c in co.values())
+        )
+        self._d_num = np.zeros((len(ctx.Jbar), len(self.pairs)), dtype=np.int64)
+        for k, (bi, gpos) in enumerate(self.pairs):
+            for col, j in enumerate(ctx.Jbar):
+                self._d_num[col, k] = int(self.d_linear[bi][gpos].get(j, 0) * self._d_den)
+        # the coset phases e(-<dots, c>) per basis: the member dots are
+        # integer forms in the outer tuple, so each phase is the entry of a
+        # table of q-th roots of unity at an integer form mod q
+        self._phase_data = []
         for bi, basis in enumerate(self.bases):
-            for wi, cs in enumerate(self.frac_parts[bi]):
+            reps = self.frac_parts[bi]
+            q = math.lcm(1, *(c.denominator for cs in reps for c in cs))
+            coef = np.zeros((len(ctx.Jbar), len(reps)), dtype=np.int64)
+            for col, j in enumerate(ctx.Jbar):
+                for wi, cs in enumerate(reps):
+                    coef[col, wi] = int(-q * sum(
+                        self.dot_coeffs[fpos].get(j, 0) * cs[fi] for fi, fpos in enumerate(basis)
+                    ))
+            self._phase_data.append((q, coef, np.array(phase_table(q), dtype=complex)))
+        self._tables_cache: dict[frozenset, _Tables] = {}
+
+    def _bernoulli_products(self, caps, total_cap) -> list:
+        """Per basis: the Bernoulli factor product of each coset rep."""
+        out = []
+        for bi, basis in enumerate(self.bases):
+            products = []
+            for cs in self.frac_parts[bi]:
                 series = mpseries.constant(1.0, self.variables, caps, total_cap)
                 for fi, fpos in enumerate(basis):
                     series = mpseries.series_mul(
@@ -210,74 +250,40 @@ class GeneratingFunctionPlan:
                             self.variables[fpos], cs[fi],
                         ),
                     )
-                out[(bi, wi)] = series
+                products.append(series)
+            out.append(products)
         return out
 
-    def member_dots(self, m_outer) -> tuple[Fraction, ...]:
-        return tuple(
-            sum((Fraction(c * m_outer[j]) for j, c in coeffs.items()), Fraction(0))
-            for coeffs in self.dot_coeffs
+    def _geometric_rows(self, space, bi, gpos) -> np.ndarray:
+        """Rows t_g L_g^n for n < total_cap: -t_g/(d - L_g) = -sum_n d^-(n+1) t_g L_g^n."""
+        caps, total_cap = space.caps, space.total_cap
+        lf = mpseries.linear_form(
+            {name: float(w) for name, w in self.l_weights[bi][gpos].items()},
+            self.variables, caps, total_cap,
         )
+        series = mpseries.monomial(self.variables, caps, self._unit_key(gpos), total_cap=total_cap)
+        rows = [space.dense(series)]
+        for _ in range(total_cap - 1):
+            series = mpseries.series_mul(series, lf)
+            rows.append(space.dense(series))
+        return np.array(rows)
 
-    def _coset_sum(self, bi, dots, bprods) -> MultiSeries:
-        basis = self.bases[bi]
-        acc = None
-        for wi, cs in enumerate(self.frac_parts[bi]):
-            scalar = complex(1.0)
-            for fi, fpos in enumerate(basis):
-                if dots[fpos] != 0 and cs[fi] != 0:
-                    scalar *= unit_phase(-dots[fpos] * cs[fi])
-            piece = mpseries.series_scale(bprods[(bi, wi)], scalar)
-            acc = piece if acc is None else mpseries.series_add(acc, piece)
-        return mpseries.series_scale(acc, 1.0 / self.cosets[bi].group_order)
+    def _unit_key(self, pos: int) -> tuple[int, ...]:
+        return tuple(1 if p == pos else 0 for p in range(len(self.variables)))
 
-    def evaluate(self, m_outer=None) -> MultiSeries:
-        """G for one outer tuple, truncated to the target caps."""
-        m_outer = dict(m_outer or {})
-        if set(m_outer) != set(self.ctx.Jbar):
-            raise exact.ExactError(
-                f"outer tuple must cover Jbar = {self.ctx.Jbar}, got {sorted(m_outer)}"
-            )
-        dots = self.member_dots(m_outer)
-        dvals = {}
-        singular = []
-        for bi in range(len(self.bases)):
-            for gpos in self.complements[bi]:
-                d = sum(
-                    (c * m_outer[j] for j, c in self.d_linear[bi][gpos].items()),
-                    Fraction(0),
-                )
-                dvals[(bi, gpos)] = d
-                if d == 0:
-                    singular.append((bi, gpos))
-        if not singular:
-            return self._assemble_regular(dots, dvals)
-        return self._assemble_singular(dots, dvals, set(singular))
+    def _tables(self, pattern: frozenset) -> "_Tables":
+        """Tables for the tuples whose vanishing d_g are the pairs in pattern.
 
-    def _assemble_regular(self, dots, dvals) -> MultiSeries:
-        total = mpseries.zero(self.variables, self.caps, self.total_cap)
-        for bi in range(len(self.bases)):
-            term = self._coset_sum(bi, dots, self._narrow_bprods)
-            for gpos in self.complements[bi]:
-                term = mpseries.series_mul(
-                    term,
-                    mpseries.rational_factor(
-                        self.variables, self.caps, self.total_cap,
-                        self.variables[gpos], dvals[(bi, gpos)],
-                        self.l_weights[bi][gpos],
-                    ),
-                )
-            total = mpseries.series_add(total, term)
-        return total
-
-    def _wide_bprods(self, total_cap) -> dict:
-        if total_cap not in self._wide_cache:
-            caps = (total_cap,) * len(self.variables)
-            self._wide_cache[total_cap] = self._build_bprods(caps, total_cap)
-        return self._wide_cache[total_cap]
-
-    def _assemble_singular(self, dots, dvals, singular) -> MultiSeries:
-        # multiplicity of each primitive form per basis, and its max overall
+        The empty pattern is the regular path, in the plan's own space.
+        Otherwise each basis term is put over the common denominator: its
+        singular factors -t_g/(0 - L_g) become t_g/(scale * primitive form),
+        and it is multiplied by the primitive forms it lacks, so the
+        numerator is a polynomial to be divided by every form at its largest
+        multiplicity, in a space wide enough for the full simplex.
+        """
+        if pattern in self._tables_cache:
+            return self._tables_cache[pattern]
+        singular = {self.pairs[k] for k in pattern}
         per_basis = []
         max_mult: dict[tuple, int] = {}
         for bi in range(len(self.bases)):
@@ -289,58 +295,146 @@ class GeneratingFunctionPlan:
             per_basis.append(cnt)
             for form, mult in cnt.items():
                 max_mult[form] = max(max_mult.get(form, 0), mult)
-        extra = sum(max_mult.values())
-        total_cap = self.total_cap + extra
-        caps = (total_cap,) * len(self.variables)
-        bprods = self._wide_bprods(total_cap)
+        total_cap = self.total_cap + sum(max_mult.values())
+        caps = (total_cap,) * len(self.variables) if pattern else self.caps
+        space = mpseries.dense_space(caps, total_cap)
         form_series = {
             form: mpseries.linear_form(
                 dict(zip(self.variables, map(float, form))), self.variables, caps, total_cap
             )
             for form in max_mult
         }
-        numer = mpseries.zero(self.variables, caps, total_cap)
+        bernoulli = self._bernoulli_products(caps, total_cap)
+        bprods, geometric = [], []
         for bi in range(len(self.bases)):
-            term = self._coset_sum(bi, dots, bprods)
+            fixed = mpseries.constant(1.0, self.variables, caps, total_cap)
             scale = Fraction(1)
+            regular = []
             for gpos in self.complements[bi]:
-                name = self.variables[gpos]
                 if (bi, gpos) in singular:
-                    # -t_g/(0 - L) = t_g/(scale * primitive form)
-                    term = mpseries.series_mul(
-                        term,
+                    fixed = mpseries.series_mul(
+                        fixed,
                         mpseries.monomial(
-                            self.variables, caps,
-                            tuple(1 if v == name else 0 for v in self.variables),
-                            total_cap=total_cap,
+                            self.variables, caps, self._unit_key(gpos), total_cap=total_cap
                         ),
                     )
                     scale /= self.l_normal[bi][gpos][1]
                 else:
-                    term = mpseries.series_mul(
-                        term,
-                        mpseries.rational_factor(
-                            self.variables, caps, total_cap,
-                            name, dvals[(bi, gpos)], self.l_weights[bi][gpos],
-                        ),
+                    regular.append(
+                        (self.pairs.index((bi, gpos)), self._geometric_rows(space, bi, gpos))
                     )
-            if scale != 1:
-                term = mpseries.series_scale(term, float(scale))
             for form, mult in max_mult.items():
                 for _ in range(mult - per_basis[bi].get(form, 0)):
-                    term = mpseries.series_mul(term, form_series[form])
-            numer = mpseries.series_add(numer, term)
-        threshold = 1e-8 * max(1.0, mpseries.max_abs(numer))
-        for form, mult in max_mult.items():
-            weights = dict(zip(self.variables, form))
+                    fixed = mpseries.series_mul(fixed, form_series[form])
+            fixed = mpseries.series_scale(fixed, float(scale))
+            bprods.append(
+                np.array([space.dense(mpseries.series_mul(p, fixed)) for p in bernoulli[bi]])
+            )
+            geometric.append(tuple(regular))
+        tables = _Tables(
+            space, bprods, tuple(geometric), tuple(max_mult.items()), space.locate(self.space.keys)
+        )
+        self._tables_cache[pattern] = tables
+        return tables
+
+    def evaluate_batch(self, tuples) -> np.ndarray:
+        """G for a batch of outer tuples, as a (B, N) array over self.space.
+
+        tuples is a (B, |Jbar|) integer array, columns in Jbar order; it has
+        one empty row when J = [r].  Rows are grouped by the set of d_g that
+        vanish and each group is assembled in one pass.
+        """
+        tuples = np.asarray(tuples, dtype=np.int64)
+        if tuples.ndim != 2 or tuples.shape[1] != len(self.ctx.Jbar):
+            raise exact.ExactError(
+                f"outer tuples must be rows over Jbar = {self.ctx.Jbar}, got shape {tuples.shape}"
+            )
+        dnum = tuples @ self._d_num
+        if np.all(dnum):
+            return self._assemble_regular(tuples, dnum)
+        patterns, inverse = np.unique(dnum == 0, axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+        out = np.empty((len(tuples), self.space.size), dtype=complex)
+        for p, pattern in enumerate(patterns):
+            rows = np.flatnonzero(inverse == p)
+            if pattern.any():
+                key = frozenset(np.flatnonzero(pattern).tolist())
+                out[rows] = self._assemble_singular(key, tuples[rows], dnum[rows])
+            else:
+                out[rows] = self._assemble_regular(tuples[rows], dnum[rows])
+        return out
+
+    def evaluate(self, m_outer=None) -> MultiSeries:
+        """G for one outer tuple, truncated to the target caps."""
+        m_outer = dict(m_outer or {})
+        if set(m_outer) != set(self.ctx.Jbar):
+            raise exact.ExactError(
+                f"outer tuple must cover Jbar = {self.ctx.Jbar}, got {sorted(m_outer)}"
+            )
+        row = np.array([[m_outer[j] for j in self.ctx.Jbar]], dtype=np.int64)
+        return self.space.series(self.variables, self.evaluate_batch(row)[0])
+
+    def _numerator(self, tables, tuples, dnum) -> np.ndarray:
+        """Sum over bases of coset sum times the geometric factors, per row.
+
+        Real and imaginary parts that cancel between bases to within
+        rounding (_CANCELLED of their summed magnitudes) are set to an exact
+        zero, so a vanishing coefficient reads 0 rather than rounding noise.
+        """
+        space = tables.space
+        total = np.zeros((len(tuples), space.size), dtype=complex)
+        scale = np.zeros((len(tuples), space.size, 2))
+        for bi, (q, coef, table) in enumerate(self._phase_data):
+            phases = table[(tuples @ coef) % q]
+            term = (phases @ tables.bprods[bi]) * (1.0 / self.cosets[bi].group_order)
+            for k, rows in tables.geometric[bi]:
+                inv = self._d_den / dnum[:, k]
+                scalars = -(inv[:, None] ** np.arange(1, len(rows) + 1))
+                term = space.mul(term, scalars @ rows)
+            total += term
+            scale += np.abs(term.view(float).reshape(scale.shape))
+        parts = total.view(float).reshape(scale.shape)
+        parts[np.abs(parts) <= _CANCELLED * scale] = 0.0
+        return total
+
+    def _assemble_regular(self, tuples, dnum) -> np.ndarray:
+        return self._numerator(self._tables(frozenset()), tuples, dnum)
+
+    def _assemble_singular(self, pattern, tuples, dnum) -> np.ndarray:
+        tables = self._tables(pattern)
+        numer = self._numerator(tables, tuples, dnum)
+        # per row: a pole cancels when what division leaves is negligible
+        # against that row's own numerator
+        threshold = 1e-8 * np.maximum(1.0, np.abs(numer).max(axis=1))
+        for form, mult in tables.forms:
             for _ in range(mult):
-                numer, leftover = mpseries.divide_linear(numer, weights)
-                if leftover > threshold:
+                numer, leftover = tables.space.divide(numer, form)
+                bad = np.flatnonzero(leftover > threshold)
+                if bad.size:
+                    weights = {v: c for v, c in zip(self.variables, form) if c}
                     raise SingularConfiguration(
-                        f"pole along {dict((v, c) for v, c in weights.items() if c)} "
-                        f"does not cancel (remainder {leftover:.3e}) for J = {self.ctx.J}"
+                        f"pole along {weights} does not cancel (remainder "
+                        f"{leftover[bad[0]]:.3e}) for J = {self.ctx.J}, outer tuple "
+                        f"{dict(zip(self.ctx.Jbar, tuples[bad[0]].tolist()))}"
                     )
-        return mpseries.truncated(numer, caps=self.caps, total_cap=self.total_cap)
+        return numer[:, tables.narrow]
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """Tuple-independent series of one assembly path, dense over its space.
+
+    bprods[bi] holds one Bernoulli-product row per coset rep (times the
+    fixed singular factors); geometric[bi] pairs each nonvanishing d_g's
+    pair index with its rows t_g L_g^n; forms lists the primitive forms to
+    divide out, with multiplicity; narrow picks the plan space's keys.
+    """
+
+    space: mpseries.DenseSpace
+    bprods: list
+    geometric: tuple
+    forms: tuple
+    narrow: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -182,16 +182,15 @@ def convergence_check(spec: SeriesSpec, user_asserted: bool = False) -> Converge
             "proved-sufficient",
             "single all-ones form: converges for all rational twists",
         )
-    if all(ki >= 1 for ki in spec.k):
-        heavy = all(
-            sum(spec.k[i - 1] for i in range(1, spec.ell + 1) if spec.a(i, j) != 0) >= 2
-            for j in range(1, spec.r + 1)
+    heavy = all(
+        sum(spec.k[i - 1] for i in range(1, spec.ell + 1) if spec.a(i, j) != 0) >= 2
+        for j in range(1, spec.r + 1)
+    )
+    if heavy:
+        return ConvergenceVerdict(
+            "proved-sufficient",
+            "every variable is covered by forms of total exponent >= 2",
         )
-        if heavy:
-            return ConvergenceVerdict(
-                "proved-sufficient",
-                "every variable is covered by forms of total exponent >= 2",
-            )
     if user_asserted:
         return ConvergenceVerdict("user-asserted", "convergence asserted by caller")
     return ConvergenceVerdict(

@@ -8,15 +8,24 @@ assembly needs -- Bernoulli-polynomial factors for basis members and
 geometric factors for the complementary members -- plus exact truncated
 division by an integer linear form, which is what makes removable
 singularities computable.
+
+The dense layout (DenseSpace) holds a batch of series in one space as a
+(B, N) complex array over the space's admissible keys; it carries the
+batched product, per-row linear combinations, and exact division by an
+integer form, which the generating-function layer uses to evaluate many
+outer tuples at once.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
-import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 
 class SeriesError(ValueError):
@@ -52,21 +61,18 @@ class BernoulliTable:
 
     def __init__(self) -> None:
         self._numbers = [Fraction(1)]
-        self._lock = threading.Lock()
 
     def number(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("negative Bernoulli index")
-        if n >= len(self._numbers):
-            with self._lock:
-                while len(self._numbers) <= n:
-                    m = len(self._numbers)
-                    # sum_{k<=m} C(m+1, k) B_k = 0
-                    acc = sum(
-                        Fraction(math.comb(m + 1, k)) * self._numbers[k]
-                        for k in range(m)
-                    )
-                    self._numbers.append(-acc / (m + 1))
+        while len(self._numbers) <= n:
+            m = len(self._numbers)
+            # sum_{k<=m} C(m+1, k) B_k = 0
+            acc = sum(
+                Fraction(math.comb(m + 1, k)) * self._numbers[k]
+                for k in range(m)
+            )
+            self._numbers.append(-acc / (m + 1))
         return self._numbers[n]
 
     def poly_eval(self, n: int, x: Fraction) -> Fraction:
@@ -308,8 +314,6 @@ def divide_linear(numer: MultiSeries, weights) -> tuple[MultiSeries, float]:
     decreasing (pivot exponent, key) order, which strictly decreases at each
     reduction step, so the loop terminates.
     """
-    import heapq
-
     vec = tuple(int(weights.get(name, 0)) for name in numer.variables)
     if all(w == 0 for w in vec):
         raise SeriesError("division by the zero form")
@@ -355,3 +359,138 @@ def divide_linear(numer: MultiSeries, weights) -> tuple[MultiSeries, float]:
                     active[nk] = -q * w
                     heapq.heappush(heap, (order(nk), nk))
     return MultiSeries(numer.variables, numer.caps, numer.total_cap, quotient), remainder
+
+
+# ------------------------------------------------------------ dense batches
+
+
+class DenseSpace:
+    """The admissible keys of a (caps, total_cap) space, lexicographically.
+
+    A batch of B series in the space is a (B, N) complex array with one
+    column per key, so per-row linear combinations of K fixed series are
+    the matrix product of (B, K) scalars with their (K, N) rows.  Keys are
+    the rows of an (N, nvars) array, located by their codes in base
+    2 * max cap + 1, which increase with the lexicographic order and stay
+    distinct for sums of two keys.  Index,
+    product and division tables depend only on the space, so dense_space()
+    shares one instance per space.
+    """
+
+    def __init__(self, caps: tuple[int, ...], total_cap: int):
+        self._names = tuple(f"x{i}" for i in range(len(caps)))
+        _check_space(self._names, caps, total_cap)
+        self.caps = caps
+        self.total_cap = total_cap
+        radix = 2 * max(caps, default=0) + 1
+        if radix ** len(caps) >= 2**62:
+            raise SeriesError("space too large to index")
+        self._weights = radix ** np.arange(len(caps), dtype=np.int64)[::-1]
+        keys = np.zeros((1, 0), dtype=np.int64)
+        for c in caps:
+            keys = np.concatenate([np.column_stack([keys, np.full(len(keys), e)]) for e in range(c + 1)])
+            keys = keys[keys.sum(axis=1) <= total_cap]
+        codes = keys @ self._weights
+        order = np.argsort(codes)
+        self.keys = keys[order]
+        self._codes = codes[order]
+        self.size = len(self.keys)
+        self._product_table = None
+        self._division_maps: dict[tuple[int, ...], tuple] = {}
+
+    def locate(self, keys) -> np.ndarray:
+        """Column index of each key (rows of an array or a list of tuples)."""
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, len(self.caps))
+        codes = keys @ self._weights
+        index = np.searchsorted(self._codes, codes)
+        if not np.array_equal(self._codes[np.minimum(index, self.size - 1)], codes):
+            raise CapExceeded("key outside the space")
+        return index
+
+    def dense(self, series: MultiSeries) -> np.ndarray:
+        if series.caps != self.caps or series.total_cap != self.total_cap:
+            raise CapMismatch("series lives in a different space")
+        row = np.zeros(self.size, dtype=complex)
+        if series.coeffs:
+            row[self.locate(list(series.coeffs))] = list(series.coeffs.values())
+        return row
+
+    def series(self, variables, row) -> MultiSeries:
+        out = zero(variables, self.caps, self.total_cap)
+        nonzero = np.flatnonzero(row)
+        out.coeffs.update(zip(map(tuple, self.keys[nonzero].tolist()), row[nonzero].tolist()))
+        return out
+
+    def _products(self):
+        """Per key i: (keys j with i + j admissible, index of i + j)."""
+        if self._product_table is None:
+            caps = np.array(self.caps, dtype=np.int64)
+            table = []
+            for i in range(self.size):
+                sums = self.keys[i] + self.keys
+                src = np.flatnonzero(
+                    np.all(sums <= caps, axis=1) & (sums.sum(axis=1) <= self.total_cap)
+                )
+                table.append((src, np.searchsorted(self._codes, sums[src] @ self._weights)))
+            self._product_table = table
+        return self._product_table
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row-wise truncated product of two (B, N) batches."""
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+        table = self._products()
+        for i in np.flatnonzero(np.any(a != 0, axis=tuple(range(a.ndim - 1)))):
+            src, tgt = table[i]
+            out[..., tgt] += a[..., i, None] * b[..., src]
+        return out
+
+    def _divide_maps(self, form: tuple[int, ...]):
+        """Quotient map and remainder map of division by the integer form.
+
+        Column k of the quotient map is divide_linear applied to the k-th
+        key; the remainder map is identity minus form times quotient, kept
+        on the keys free of the pivot variable, which is where divide_linear
+        leaves what it cannot divide.
+        """
+        if form not in self._division_maps:
+            weights = dict(zip(self._names, form))
+            quotient = np.zeros((self.size, self.size), dtype=complex)
+            for k, key in enumerate(self.keys.tolist()):
+                q, _ = divide_linear(
+                    monomial(self._names, self.caps, key, total_cap=self.total_cap), weights
+                )
+                quotient[:, k] = self.dense(q)
+            linear = self.dense(linear_form(weights, self._names, self.caps, self.total_cap))
+            remainder = np.eye(self.size, dtype=complex) - self.mul(linear, quotient.T).T
+            pivot = next(i for i, w in enumerate(form) if w != 0)
+            free = self.keys[:, pivot] == 0
+            self._division_maps[form] = (quotient.T.copy(), remainder[free].T.copy())
+        return self._division_maps[form]
+
+    def divide(self, numer: np.ndarray, form) -> tuple[np.ndarray, np.ndarray]:
+        """Row-wise exact division by an integer linear form.
+
+        Returns (quotient batch, per-row remainder bound), matching
+        divide_linear on every row.  A batch with fewer rows than the space
+        has keys is divided row by row, so the N x N division maps are only
+        built, and only ever applied, where they are no larger than the batch
+        and memory stays O(B * N).  Building maps for every space instead
+        costs N divide_linear calls and an N x N product per (space, form):
+        verify plus reduce of root_a2 at M=300, M_outer=400 (N up to about
+        1300) then takes 19 s and 3.4 GB on a 2-core machine, against 0.3 s
+        and 35 MB with this split.
+        """
+        form = tuple(int(w) for w in form)
+        if len(numer) < self.size:
+            weights = dict(zip(self._names, form))
+            rows = [divide_linear(self.series(self._names, row), weights) for row in numer]
+            quotient = np.array([self.dense(q) for q, _ in rows]).reshape(numer.shape)
+            return quotient, np.array([rem for _, rem in rows])
+        quotient, remainder = self._divide_maps(form)
+        return numer @ quotient, np.abs(numer @ remainder).max(axis=1, initial=0.0)
+
+
+@functools.lru_cache(maxsize=256)
+def dense_space(caps: tuple[int, ...], total_cap: int) -> DenseSpace:
+    """The shared DenseSpace for (caps, total_cap)."""
+    return DenseSpace(tuple(caps), total_cap)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from mdzeta import cli, evaluator, model
+from mdzeta import cli, evaluator, genfun, model
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 MT_PATH = str(SPECS / "mt_r2.json")
@@ -183,3 +183,38 @@ def test_threads_option(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--threads", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--spec", MT_PATH, "--M", "0", "--M-outer", "0"],
+        ["verify", "--spec", MT_PATH, "--M", "50", "--M-outer", "0"],
+        ["eval", "--spec", MT_PATH, "--M", "-5"],
+        ["reduce", "--spec", MT_PATH, "--M", "0", "--M-outer", "50"],
+        ["reduce", "--spec", MT_PATH, "--M", "50", "--M-outer", "-1"],
+    ],
+)
+def test_empty_or_negative_boxes_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "box size must be >= 1" in capsys.readouterr().err
+
+
+def test_reduce_reports_unit_outer_d_and_shared_corollary(capsys):
+    code, out, _ = _run(
+        capsys,
+        ["reduce", "--spec", MT_PATH, "--M", "120", "--M-outer", "120", "--output", "json"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    spec = model.load_spec(MT_PATH)
+    for term in payload["terms"]:
+        J = tuple(term["J"])
+        Jbar = [j for j in range(1, spec.r + 1) if j not in J]
+        want = genfun.extract_D(genfun.compute_G(spec, J, {j: 1 for j in Jbar}))
+        got = complex(float(term["D_at_unit_outer"]["re"]), float(term["D_at_unit_outer"]["im"]))
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    report = evaluator.verify_parity(spec, M=120, M_outer=120, tol=1e-2)
+    assert payload["corollary"] == evaluator.corollary_json(report.corollary())

@@ -9,9 +9,11 @@ Subcommands:
 
 Exit codes: 0 success/pass, 1 fail, 2 invalid input or convergence not
 established, 3 inconclusive.  Box sizes --M and --M-outer below 1 are
-invalid input.  --threads is still accepted and validated but has no
-effect: the direct side runs in one thread.  Set MDZETA_OUTPUT_DIR to also
-write the JSON report into that directory.
+invalid input, and so are boxes over the work budget: more than WORK_BUDGET
+direct terms (M**r) or outer tuples per subset (M_outer**(r-1)).  --threads
+is still accepted and validated but has no effect: the direct side runs in
+one thread.  Set MDZETA_OUTPUT_DIR to also write the JSON report into that
+directory.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from .model import SpecError, convergence_check, load_spec, parse_spec, spec_to_
 
 
 THREADS_HELP = "accepted and validated ('N' >= 1 or 'auto') but has no effect"
+
+# eval, verify and reduce refuse, before any summation, a box of more direct
+# terms or outer tuples than this.
+WORK_BUDGET = 10**7
 
 
 def _thread_count(value: str) -> int:
@@ -76,6 +82,22 @@ def _spec_line(spec) -> str:
     )
 
 
+def _within_budget(spec, M: int, M_outer: int | None = None) -> bool:
+    """True when the boxes fit WORK_BUDGET; otherwise print why and return False."""
+    boxes = [("--M", M, spec.r, "direct terms")]
+    if M_outer is not None:
+        boxes.append(("--M-outer", M_outer, spec.r - 1, "outer tuples per subset"))
+    for flag, size, dims, what in boxes:
+        if size**dims > WORK_BUDGET:
+            print(
+                f"error: {flag} {size} at r={spec.r} gives {size}^{dims} = {size**dims} "
+                f"{what}, over the work budget of {WORK_BUDGET}",
+                file=sys.stderr,
+            )
+            return False
+    return True
+
+
 def _load(path: str):
     try:
         return load_spec(path)
@@ -117,7 +139,7 @@ def cmd_validate(args) -> int:
 
 def cmd_eval(args) -> int:
     spec = _load(args.spec)
-    if spec is None:
+    if spec is None or not _within_budget(spec, args.M):
         return 2
     verdict = convergence_check(spec, user_asserted=args.assert_convergence)
     if not verdict.established:
@@ -164,7 +186,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _load(args.spec)
-    if spec is None:
+    if spec is None or not _within_budget(spec, args.M, args.M_outer):
         return 2
     try:
         report = evaluator.verify_parity(
@@ -226,7 +248,7 @@ def cmd_verify(args) -> int:
 
 def cmd_reduce(args) -> int:
     spec = _load(args.spec)
-    if spec is None:
+    if spec is None or not _within_budget(spec, args.M, args.M_outer):
         return 2
     verdict = convergence_check(spec, user_asserted=args.assert_convergence)
     if not verdict.established:

@@ -1,20 +1,21 @@
 """Numerical evaluation: direct shell sums, tail control, and verification.
 
-The direct side sums the series over max-norm shells of the integer box,
+The direct side builds the terms of the integer box with numpy, a bounded
+block at a time, buckets them into max-norm shells, and sums the shells
 compensated, with per-shell magnitudes kept for tail work.  Partial sums are
 then refined by fitting the shell decay (a + b log n)/n^w on a trailing
 window and integrating the fit past the box; the fit is attempted only when
 a component is decaying with a fixed sign, and every correction carries its
 own uncertainty.  The reduction side evaluates, per nonempty subset J, the
 outer sums weighted by coefficients of the generating function G, with the
-same shell/tail treatment.  verify_parity ties the two sides together.
+same shell/tail treatment.  verify_parity ties the two sides together; as h,
+k and A are real, it takes zeta(-y) as the conjugate of zeta(y).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,13 @@ class PartialSum:
     terms: int
     tail_estimate: float
     slow: bool
+    # the sum over each shell max(m) = n, n = 1..M, kept for the tail fit
+    shells: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, complex), repr=False, compare=False
+    )
+
+    def conjugate(self) -> PartialSum:
+        return replace(self, value=_conj(self.value), shells=self.shells.conjugate())
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,12 @@ class RefinedSum:
     @property
     def value(self) -> complex:
         return self.partial.value + self.correction
+
+    def conjugate(self) -> RefinedSum:
+        """The same sum over the conjugate terms: value, shells and correction conjugated."""
+        return RefinedSum(
+            self.partial.conjugate(), _conj(self.correction), self.uncertainty, self.fitted
+        )
 
 
 @dataclass(frozen=True)
@@ -96,99 +110,144 @@ def _kahan_sum(values) -> complex:
     return total
 
 
+def _conj(z: complex) -> complex:
+    """The complex conjugate, with a zero imaginary part kept as +0."""
+    return complex(z.real, -z.imag + 0.0)
+
+
+def _partial(shells, abs_shells, M: int, terms: int, w) -> PartialSum:
+    """Compensated total of the shells, with the one-shell tail heuristic.
+
+    The heuristic scales the last shell's magnitude by M / (w - 1) when the
+    decay power w is above 1, and flags the sum as slow otherwise.
+    """
+    last = float(abs_shells[-1]) if len(abs_shells) else 0.0
+    if w is not None and w > 1:
+        est, slow = last * len(abs_shells) / (w - 1), False
+    else:
+        est, slow = last, True
+    return PartialSum(complex(_kahan_sum(shells)), M, terms, est, slow, np.asarray(shells))
+
+
+def _refine(partial: PartialSum, w) -> RefinedSum:
+    correction, uncertainty, fitted = fit_tail(partial.shells, w=w, band=partial.tail_estimate)
+    return RefinedSum(partial, correction, uncertainty, fitted)
+
+
 # ---------------------------------------------------------------- direct side
 
 
-def _weight_tables(spec: SeriesSpec, M: int):
-    """Per-variable arrays w_j[m] = e(m y_j) / m^h_j for m in 0..M."""
-    tables = []
-    for j in range(1, spec.r + 1):
-        m = np.arange(M + 1, dtype=float)
-        m[0] = 1.0
-        inv = m ** (-spec.h[j - 1])
-        inv[0] = 0.0
-        y = spec.y[j - 1]
-        if y == 0:
-            tables.append(inv.astype(complex))
-            continue
-        q = y.denominator
-        residues = (np.arange(M + 1, dtype=np.int64) * y.numerator) % q
-        phases = np.array(phase_table(q), dtype=complex)[residues]
-        tables.append(phases * inv)
-    return tables
+# The direct side walks the box [1, M]^r in blocks of at most this many terms.
+_DIRECT_BLOCK = 2**14
 
 
-def _shell_term_sums(n: int, spec: SeriesSpec, tables) -> tuple[complex, float]:
-    """Sum and abs-sum over the shell max(m) = n of the box [1, M]^r."""
+def _twist_table(y: Fraction, M: int) -> np.ndarray:
+    """e(m y) for m = 0..M, from the conjugation-stable phase table."""
+    q = y.denominator
+    residues = (np.arange(M + 1, dtype=np.int64) * y.numerator) % q
+    return np.array(phase_table(q), dtype=complex)[residues]
+
+
+def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and abs-sum of the terms over each shell max(m) = n of [1, M]^r.
+
+    Returns two arrays indexed by n - 1.  The box is walked in lexicographic
+    order, one block at a time: a block is a run of leading tuples
+    (m_1, ..., m_{r-1}) times a run of the last coordinate, at most
+    _DIRECT_BLOCK terms.  Its terms are products of table entries (1/m_j^h_j,
+    1/form^k_i and e(m_j y_j)) formed by broadcasting the leading part
+    against the last coordinate, and np.bincount adds them by max(m) into the
+    running shell sums.
+    """
     r = spec.r
-    total = 0.0 + 0.0j
-    abs_total = 0.0
-    for size in range(1, r + 1):
-        for pinned in itertools.combinations(range(r), size):
-            free = [j for j in range(r) if j not in pinned]
-            if free and n == 1:
+    m = np.arange(M + 1, dtype=float)
+    m[0] = 1.0  # index 0 is never read
+    inv_h = [m ** -h for h in spec.h]
+    f = np.arange(spec.max_row_sum * M + 1, dtype=float)
+    f[0] = 1.0
+    inv_k = [f ** -k for k in spec.k]
+    twisted = any(spec.y)
+    twist = [_twist_table(v, M) for v in spec.y]
+    if all(v.denominator <= 2 for v in spec.y):
+        twist = [t.real.copy() for t in twist]  # e(m/2) is real
+    real, imag, absolute = np.zeros(M + 1), np.zeros(M + 1), np.zeros(M + 1)
+    cols = min(M, _DIRECT_BLOCK)
+    rows = _DIRECT_BLOCK // cols
+    leading = M ** (r - 1)
+    for start in range(0, leading, rows):
+        index = np.arange(start, min(start + rows, leading), dtype=np.int64)
+        lead = []
+        for _ in range(r - 1):
+            index, digit = np.divmod(index, M)
+            lead.insert(0, digit[:, None] + 1)
+        lead_w = np.ones((len(index), 1))
+        lead_max = np.zeros((len(index), 1), dtype=np.int64)
+        lead_twist = np.ones((len(index), 1), dtype=twist[0].dtype)
+        lead_forms = [np.zeros((len(index), 1), dtype=np.int64) for _ in spec.A]
+        for j, coord in enumerate(lead):
+            lead_w = lead_w * inv_h[j][coord]
+            lead_max = np.maximum(lead_max, coord)
+            lead_twist = lead_twist * twist[j][coord]
+            for form, row in zip(lead_forms, spec.A):
+                form += row[j] * coord
+        for first in range(1, M + 1, cols):
+            last = np.arange(first, min(first + cols, M + 1), dtype=np.int64)
+            weight = lead_w * inv_h[-1][last]
+            for form, row, table in zip(lead_forms, spec.A, inv_k):
+                weight = weight * table[form + row[-1] * last]
+            weight = weight.ravel()
+            shell = np.maximum(lead_max, last).ravel()
+            lo = int(shell.min())
+            shell -= lo
+            part = np.bincount(shell, weights=weight)
+            span = slice(lo, lo + len(part))
+            absolute[span] += part
+            if not twisted:
                 continue
-            coords = []
-            for j in range(r):
-                if j in pinned:
-                    coords.append(np.int64(n))
-                else:
-                    axis = free.index(j)
-                    shape = [1] * len(free)
-                    shape[axis] = n - 1
-                    coords.append(np.arange(1, n, dtype=np.int64).reshape(shape))
-            term = tables[0][coords[0]]
-            for j in range(1, r):
-                term = term * tables[j][coords[j]]
-            for i in range(1, spec.ell + 1):
-                s = sum(spec.a(i, j + 1) * coords[j] for j in range(r))
-                term = term * np.asarray(s, dtype=float) ** (-spec.k[i - 1])
-            total += complex(np.sum(term))
-            abs_total += float(np.sum(np.abs(term)))
-    return total, abs_total
+            term = weight * (lead_twist * twist[-1][last]).ravel()
+            real[span] += np.bincount(shell, weights=term.real)
+            if np.iscomplexobj(term):
+                imag[span] += np.bincount(shell, weights=term.imag)
+    if not twisted:
+        real = absolute
+    shells = np.empty(M, dtype=complex)
+    shells.real, shells.imag = real[1:], imag[1:]
+    return shells, absolute[1:]
 
 
-def _zeta_shells(spec: SeriesSpec, M: int):
-    tables = _weight_tables(spec, M)
-    pairs = [_shell_term_sums(n, spec, tables) for n in range(1, M + 1)]
-    shells = [p[0] for p in pairs]
-    abs_shells = [p[1] for p in pairs]
-    return shells, abs_shells
-
-
-def _tail_heuristic(abs_shells, w) -> tuple[float, bool]:
-    last = abs_shells[-1] if abs_shells else 0.0
-    if w is not None and w > 1:
-        return last * len(abs_shells) / (w - 1), False
-    return last, True
+def _direct_power(spec: SeriesSpec) -> int:
+    """Decay power of the direct shells: wt - r + 1."""
+    return spec.weight - spec.r + 1
 
 
 def zeta_direct(spec: SeriesSpec, M: int) -> PartialSum:
     """Compensated sum of the series over the box [1, M]^r."""
     if M < 1:
         raise ValueError("M must be >= 1")
-    shells, abs_shells = _zeta_shells(spec, M)
-    w = spec.weight - spec.r + 1
-    est, slow = _tail_heuristic(abs_shells, w)
-    return PartialSum(
-        value=_kahan_sum(shells),
-        M=M,
-        terms=M**spec.r,
-        tail_estimate=est,
-        slow=slow,
-    )
+    shells, abs_shells = _direct_shells(spec, M)
+    return _partial(shells, abs_shells, M, M**spec.r, _direct_power(spec))
+
+
+def zeta_refined(spec: SeriesSpec, M: int) -> RefinedSum:
+    """Direct sum plus fitted tail; the honest estimate of the series value."""
+    return _refine(zeta_direct(spec, M), _direct_power(spec))
 
 
 # ------------------------------------------------------------------ tail fits
+
+
+def _fit_window(count: int) -> np.ndarray:
+    """Shell indices n of the trailing window a tail fit uses, for count shells."""
+    window = min(max(16, count // 4), count - 1)
+    return np.arange(count - window + 1, count + 1, dtype=float)
 
 
 def _power_estimate(abs_shells) -> float | None:
     count = len(abs_shells)
     if count < 8:
         return None
-    window = min(max(16, count // 4), count - 1)
-    ns = np.arange(count - window + 1, count + 1, dtype=float)
-    vals = np.array(abs_shells[-window:], dtype=float)
+    ns = _fit_window(count)
+    vals = np.array(abs_shells[-len(ns):], dtype=float)
     mask = vals > 0
     if mask.sum() < 6:
         return None
@@ -228,9 +287,8 @@ def fit_tail(shells, w=None, band: float = 0.0):
     count = len(shells)
     if count < 8:
         return 0.0 + 0.0j, band, False
-    window = min(max(16, count // 4), count - 1)
-    ns = np.arange(count - window + 1, count + 1, dtype=float)
-    vals = np.array(shells[-window:], dtype=complex)
+    ns = _fit_window(count)
+    vals = np.array(shells[-len(ns):], dtype=complex)
     peak = float(np.max(np.abs(vals)))
     if peak == 0.0:
         return 0.0 + 0.0j, 0.0, True
@@ -244,22 +302,6 @@ def fit_tail(shells, w=None, band: float = 0.0):
     fitted = ok_re and ok_im
     uncertainty = unc_re + unc_im + (0.0 if fitted else band)
     return complex(corr_re, corr_im), uncertainty, fitted
-
-
-def zeta_refined(spec: SeriesSpec, M: int) -> RefinedSum:
-    """Direct sum plus fitted tail; the honest estimate of the series value."""
-    shells, abs_shells = _zeta_shells(spec, M)
-    w = spec.weight - spec.r + 1
-    est, slow = _tail_heuristic(abs_shells, w)
-    partial = PartialSum(
-        value=_kahan_sum(shells),
-        M=M,
-        terms=M**spec.r,
-        tail_estimate=est,
-        slow=slow,
-    )
-    correction, uncertainty, fitted = fit_tail(shells, w=w, band=est)
-    return RefinedSum(partial, correction, uncertainty, fitted)
 
 
 # --------------------------------------------------------------- reduced side
@@ -278,11 +320,6 @@ def _shell_array(f: int, n: int) -> np.ndarray:
     low = np.column_stack([np.repeat(np.arange(1, n), len(inner)), np.tile(inner, (n - 1, 1))])
     high = np.column_stack([np.full(len(cube), n), cube])
     return np.concatenate([low, high]).astype(np.int64)
-
-
-def _shell_tuples(f: int, n: int):
-    """Tuples in [1, n]^f with max coordinate exactly n, lexicographically."""
-    return map(tuple, _shell_array(f, n).tolist())
 
 
 def _outer_blocks(f: int, M_outer: int):
@@ -304,6 +341,18 @@ def _outer_blocks(f: int, M_outer: int):
             size += len(chunk)
     if rows:
         yield np.concatenate(labels), np.concatenate(rows)
+
+
+def _weight_tables(spec: SeriesSpec, M: int):
+    """Per-variable arrays w_j[m] = e(m y_j) / m^h_j for m in 0..M."""
+    m = np.arange(M + 1, dtype=float)
+    m[0] = 1.0
+    tables = []
+    for h, y in zip(spec.h, spec.y):
+        inv = m ** -h
+        inv[0] = 0.0
+        tables.append(_twist_table(y, M) * inv)
+    return tables
 
 
 def _outer_weights(spec: SeriesSpec, ctx, tables, rows) -> np.ndarray:
@@ -362,16 +411,7 @@ def term_T(
     shells.append(_kahan_sum(pieces))
     abs_shells.append(sum(abs(p) for p in pieces))
     w = _power_estimate(abs_shells)
-    est, slow = _tail_heuristic(abs_shells, w)
-    partial = PartialSum(
-        value=_kahan_sum(shells),
-        M=M_outer,
-        terms=M_outer**f,
-        tail_estimate=est,
-        slow=slow,
-    )
-    correction, uncertainty, fitted = fit_tail(shells, w=w, band=est)
-    refined = RefinedSum(partial, correction, uncertainty, fitted)
+    refined = _refine(_partial(shells, abs_shells, M_outer, M_outer**f, w), w)
     return TermSummary(
         ctx.J, ctx.I, sign, refined, plan.rho.coords, False, unit_raw * factorials
     )
@@ -522,7 +562,7 @@ def verify_parity(
     if not verdict_conv.established:
         raise ConvergenceNotEstablished(verdict_conv.reason)
     zp = zeta_refined(spec, M)
-    zm = zeta_refined(spec.negated_twist(), M)
+    zm = zp.conjugate()  # h, k and A are real: zeta(-y) is termwise conj(zeta(y))
     sign = parity_sign(spec)
     rhs = rhs_total(spec, M_outer, rho_variant=rho_variant)
     lhs = zp.value + sign * zm.value

@@ -182,12 +182,12 @@ def test_outer_blocks_walk_shells_in_order(monkeypatch):
     assert all(len(rows) <= 5 for _, rows in blocks)
     labels = np.concatenate([lab for lab, _ in blocks])
     rows = [tuple(r) for _, block in blocks for r in block.tolist()]
-    want = [t for n in range(1, 5) for t in evaluator._shell_tuples(2, n)]
+    want = [tuple(t) for n in range(1, 5) for t in evaluator._shell_array(2, n).tolist()]
     assert rows == want
     assert labels.tolist() == [max(t) for t in want]
     # the lexicographic shell order of the per-tuple loop
     assert want[:4] == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    assert len(list(evaluator._shell_tuples(3, 4))) == 4**3 - 3**3
+    assert len(evaluator._shell_array(3, 4)) == 4**3 - 3**3
 
 
 def test_term_does_not_depend_on_block_size(monkeypatch):

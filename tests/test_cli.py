@@ -218,3 +218,36 @@ def test_reduce_reports_unit_outer_d_and_shared_corollary(capsys):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     report = evaluator.verify_parity(spec, M=120, M_outer=120, tol=1e-2)
     assert payload["corollary"] == evaluator.corollary_json(report.corollary())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--spec", MT_PATH, "--M", "100000"],
+        ["verify", "--spec", MT_PATH, "--M", "100000", "--M-outer", "50"],
+        ["verify", "--spec", str(SPECS / "mt_r3.json"), "--M", "50", "--M-outer", "4000"],
+        ["reduce", "--spec", MT_PATH, "--M", "4000", "--M-outer", "50"],
+        ["reduce", "--spec", str(SPECS / "mt_r3.json"), "--M", "50", "--M-outer", "4000"],
+    ],
+)
+def test_oversized_boxes_are_rejected_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("summation started")
+
+    for name in ("zeta_direct", "zeta_refined", "rhs_total", "term_T", "verify_parity"):
+        monkeypatch.setattr(evaluator, name, no_work)
+    monkeypatch.setattr(cli, "convergence_check", no_work)
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --M") and f"work budget of {cli.WORK_BUDGET}" in err
+
+
+def test_work_budget_admits_boxes_up_to_the_limit(capsys, monkeypatch):
+    # the largest sizes the benchmark, demos and tests use fit the real budget
+    assert 3000**2 <= cli.WORK_BUDGET and 2000 ** (3 - 1) <= cli.WORK_BUDGET
+    monkeypatch.setattr(cli, "WORK_BUDGET", 400)
+    argv = ["verify", "--spec", MT_PATH, "--M-outer", "400", "--output", "json"]
+    code, out, err = _run(capsys, argv + ["--M", "20"])  # 20^2 terms, 400^1 tuples
+    assert err == "" and code == {"pass": 0, "inconclusive": 3}[json.loads(out)["verdict"]]
+    code, _, err = _run(capsys, argv + ["--M", "21"])
+    assert code == 2 and "21^2 = 441 direct terms" in err

@@ -1,0 +1,129 @@
+"""The slab-vectorised direct side and zeta(-y) as the conjugate of zeta(y)."""
+
+import json
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from mdzeta import cli, evaluator, model
+from mdzeta.phase import unit_phase
+
+TWISTS = ("0", "1/2", "1/3", "1/4")
+# Shell sums of at most ~1e5 doubles agree far inside this, whatever the order.
+SHELL_RTOL = 1e-12
+
+
+def _reference_shells(spec, M):
+    """Per-shell sums and abs-sums, shell by shell over its own tuples."""
+    phases = [
+        np.array([unit_phase(Fraction(m) * y) for m in range(M + 1)]) for y in spec.y
+    ]
+    sums, abs_sums = [], []
+    for n in range(1, M + 1):
+        rows = evaluator._shell_array(spec.r, n)
+        term = np.ones(len(rows), dtype=complex)
+        for j in range(spec.r):
+            term = term * phases[j][rows[:, j]] / rows[:, j].astype(float) ** spec.h[j]
+        for row, k in zip(spec.A, spec.k):
+            term = term / (rows @ np.array(row)).astype(float) ** k
+        sums.append(term.sum())
+        abs_sums.append(np.abs(term).sum())
+    return np.array(sums), np.array(abs_sums)
+
+
+def _check_against_reference(spec, M):
+    got, got_abs = evaluator._direct_shells(spec, M)
+    want, want_abs = _reference_shells(spec, M)
+    assert got.shape == got_abs.shape == (M,)
+    assert np.all(np.abs(got - want) <= SHELL_RTOL * want_abs)
+    assert np.all(np.abs(got_abs - want_abs) <= SHELL_RTOL * want_abs)
+    # exact zeros (e.g. the imaginary part under real twists) stay exact
+    assert np.array_equal(got.real == 0, want.real == 0)
+    assert np.array_equal(got.imag == 0, want.imag == 0)
+
+
+@st.composite
+def instances(draw):
+    r = draw(st.integers(1, 3))
+    ell = draw(st.integers(1, 2))
+    A = [[draw(st.integers(0, 2)) for _ in range(r)] for _ in range(ell)]
+    for i in range(ell):
+        A[i][draw(st.integers(0, r - 1))] = draw(st.integers(1, 2))  # no zero row
+    for j in range(r):
+        if not any(row[j] for row in A):
+            A[draw(st.integers(0, ell - 1))][j] = draw(st.integers(1, 2))  # no zero column
+    return model.parse_spec({
+        "h": [draw(st.integers(1, 3)) for _ in range(r)],
+        "k": [draw(st.integers(1, 3)) for _ in range(ell)],
+        "y": [draw(st.sampled_from(TWISTS)) for _ in range(r)],
+        "A": A,
+    })
+
+
+@given(instances(), st.integers(1, 13), st.sampled_from([1, 3, 4, 7, 16, 2**14]))
+def test_slab_shells_match_per_shell_sums(spec, M, block):
+    # small blocks cut the box mid-row, and M^(r-1) exceeds them for r >= 2
+    with mock.patch.object(evaluator, "_DIRECT_BLOCK", block):
+        _check_against_reference(spec, M)
+
+
+def test_slab_shells_when_leading_tuples_exceed_a_block():
+    spec = model.parse_spec(
+        {"h": [1, 2, 1], "k": [2, 1], "y": ["1/3", "0", "1/4"], "A": [[1, 1, 1], [0, 2, 1]]}
+    )
+    M = 131  # 131^2 leading tuples > 2^14, and 131 is no divisor of a block
+    assert M ** (spec.r - 1) > evaluator._DIRECT_BLOCK
+    _check_against_reference(spec, M)
+
+
+def test_slab_shells_walk_long_rows_in_pieces():
+    spec = model.parse_spec({"h": [2], "k": [1], "y": ["1/3"], "A": [[1]]})
+    with mock.patch.object(evaluator, "_DIRECT_BLOCK", 64):
+        _check_against_reference(spec, 1000)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"h": [2, 2], "k": [2], "y": ["1/3", "1/4"], "A": [[1, 1]]},  # complex twist
+        {"h": [2, 2], "k": [2], "y": ["1/2", "0"], "A": [[1, 1]]},  # real twist
+        {"h": [1, 1], "k": [1], "y": ["0", "0"], "A": [[1, 1]]},  # y = 0
+    ],
+    ids=["twist-1/3-1/4", "twist-1/2", "untwisted"],
+)
+def test_verify_zeta_minus_matches_independent_negated_twist(capsys, tmp_path, data):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    argv = ["verify", "--spec", str(path), "--M", "150", "--M-outer", "40"]
+    cli.main(argv + ["--output", "json"])
+    lhs = json.loads(capsys.readouterr().out)["lhs"]
+    spec = model.parse_spec(data)
+    independent = evaluator.zeta_refined(spec.negated_twist(), 150)
+    assert lhs["zeta_minus"] == evaluator._cnum(independent.value)
+    assert lhs["zeta_minus_tail"] == evaluator._fnum(independent.uncertainty)
+    plus = evaluator.zeta_refined(spec, 150)
+    assert lhs["zeta_plus"] == evaluator._cnum(plus.value)
+    if any(spec.y[j].denominator > 2 for j in range(spec.r)):
+        assert float(lhs["zeta_minus"]["im"]) == -float(lhs["zeta_plus"]["im"]) != 0
+    else:
+        # a real series prints a zero imaginary part as 0, never -0
+        assert lhs["zeta_minus"]["im"] == lhs["zeta_plus"]["im"] == "0"
+        cli.main(argv)
+        [line] = [x for x in capsys.readouterr().out.splitlines() if "zeta(-y) = " in x]
+        assert " + 0i" in line
+
+
+def test_conjugate_keeps_fit_and_tails():
+    spec = model.parse_spec({"h": [2, 1], "k": [2], "y": ["1/3", "1/4"], "A": [[1, 2]]})
+    plus = evaluator.zeta_refined(spec, 200)
+    minus = plus.conjugate()
+    independent = evaluator.zeta_refined(spec.negated_twist(), 200)
+    assert minus.value == independent.value == plus.value.conjugate()
+    assert minus.correction == independent.correction
+    assert (minus.uncertainty, minus.fitted) == (independent.uncertainty, independent.fitted)
+    assert minus.partial == independent.partial
+    assert np.array_equal(minus.partial.shells, independent.partial.shells)

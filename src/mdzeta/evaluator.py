@@ -30,7 +30,7 @@ from .model import (
     subset_context,
     wt,
 )
-from .phase import phase_table
+from .phase import unit_phase
 
 
 class ConvergenceNotEstablished(RuntimeError):
@@ -89,7 +89,9 @@ class TermSummary:
 
     @property
     def value(self) -> complex:
-        return self.sign * self.refined.value
+        """sign times the refined sum, with an exact zero part read as +0."""
+        v = self.sign * self.refined.value
+        return complex(v.real + 0.0, v.imag + 0.0)
 
 
 @dataclass(frozen=True)
@@ -142,10 +144,15 @@ _DIRECT_BLOCK = 2**14
 
 
 def _twist_table(y: Fraction, M: int) -> np.ndarray:
-    """e(m y) for m = 0..M, from the conjugation-stable phase table."""
+    """e(m y) for m = 0..M, from the conjugation-stable unit_phase.
+
+    e(m y) has period q = denominator of y in m, and m = 0..q-1 give
+    distinct residues, so unit_phase runs at min(q, M + 1) points only.
+    """
     q = y.denominator
-    residues = (np.arange(M + 1, dtype=np.int64) * y.numerator) % q
-    return np.array(phase_table(q), dtype=complex)[residues]
+    m = np.arange(M + 1, dtype=np.int64)
+    period = [unit_phase(Fraction(k * y.numerator, q)) for k in range(min(q, M + 1))]
+    return np.array(period, dtype=complex)[m % q]
 
 
 def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:

@@ -61,6 +61,7 @@ class BernoulliTable:
 
     def __init__(self) -> None:
         self._numbers = [Fraction(1)]
+        self._values: dict[tuple[int, int, int], Fraction] = {}
 
     def number(self, n: int) -> Fraction:
         if n < 0:
@@ -76,13 +77,16 @@ class BernoulliTable:
         return self._numbers[n]
 
     def poly_eval(self, n: int, x: Fraction) -> Fraction:
-        """B_n(x) = sum_k C(n,k) B_k x^(n-k)."""
+        """B_n(x) = sum_k C(n,k) B_k x^(n-k), memoised per (n, x)."""
         x = Fraction(x)
-        return sum(
-            (Fraction(math.comb(n, k)) * self.number(k) * x ** (n - k)
-             for k in range(n + 1)),
-            Fraction(0),
-        )
+        key = (n, x.numerator, x.denominator)  # ints hash far faster than a Fraction
+        if key not in self._values:
+            self._values[key] = sum(
+                (Fraction(math.comb(n, k)) * self.number(k) * x ** (n - k)
+                 for k in range(n + 1)),
+                Fraction(0),
+            )
+        return self._values[key]
 
 
 BERNOULLI = BernoulliTable()
@@ -378,8 +382,7 @@ class DenseSpace:
     """
 
     def __init__(self, caps: tuple[int, ...], total_cap: int):
-        self._names = tuple(f"x{i}" for i in range(len(caps)))
-        _check_space(self._names, caps, total_cap)
+        _check_space(tuple(f"x{i}" for i in range(len(caps))), caps, total_cap)
         self.caps = caps
         self.total_cap = total_cap
         radix = 2 * max(caps, default=0) + 1
@@ -396,7 +399,7 @@ class DenseSpace:
         self._codes = codes[order]
         self.size = len(self.keys)
         self._product_table = None
-        self._division_maps: dict[tuple[int, ...], tuple] = {}
+        self._division_cache: dict[tuple[int, ...], tuple] = {}
 
     def locate(self, keys) -> np.ndarray:
         """Column index of each key (rows of an array or a list of tuples)."""
@@ -444,50 +447,72 @@ class DenseSpace:
             out[..., tgt] += a[..., i, None] * b[..., src]
         return out
 
-    def _divide_maps(self, form: tuple[int, ...]):
-        """Quotient map and remainder map of division by the integer form.
+    def _division_steps(self, form: tuple[int, ...]):
+        """Index arrays of division by the integer form, cached per form.
 
-        Column k of the quotient map is divide_linear applied to the k-th
-        key; the remainder map is identity minus form times quotient, kept
-        on the keys free of the pivot variable, which is where divide_linear
-        leaves what it cannot divide.
+        Returns (pivot weight, free columns, levels).  The pivot p is the
+        first variable of nonzero weight; free columns are the keys without
+        t_p.  Levels run from the highest pivot exponent e down to 1; each
+        holds the columns of its keys, the columns of those keys minus e_p
+        (where the quotient goes), the columns whose quotient would need a
+        key outside the space, and per other variable i of nonzero weight,
+        in decreasing i: (w_i, the columns of key - e_p + e_i, and the
+        quotient columns they come from).
         """
-        if form not in self._division_maps:
-            weights = dict(zip(self._names, form))
-            quotient = np.zeros((self.size, self.size), dtype=complex)
-            for k, key in enumerate(self.keys.tolist()):
-                q, _ = divide_linear(
-                    monomial(self._names, self.caps, key, total_cap=self.total_cap), weights
-                )
-                quotient[:, k] = self.dense(q)
-            linear = self.dense(linear_form(weights, self._names, self.caps, self.total_cap))
-            remainder = np.eye(self.size, dtype=complex) - self.mul(linear, quotient.T).T
+        if form not in self._division_cache:
+            if not any(form):
+                raise SeriesError("division by the zero form")
             pivot = next(i for i, w in enumerate(form) if w != 0)
-            free = self.keys[:, pivot] == 0
-            self._division_maps[form] = (quotient.T.copy(), remainder[free].T.copy())
-        return self._division_maps[form]
+            others = [i for i in range(len(form) - 1, pivot, -1) if form[i]]
+            levels = []
+            for e in range(int(self.keys[:, pivot].max(initial=0)), 0, -1):
+                src = np.flatnonzero(self.keys[:, pivot] == e)
+                qkeys = self.keys[src]
+                qkeys[:, pivot] -= 1
+                qcols = self.locate(qkeys)
+                blocked = np.zeros(len(src), dtype=bool)
+                moves = []
+                for i in others:
+                    inside = qkeys[:, i] < self.caps[i]
+                    blocked |= ~inside
+                    shifted = qkeys[inside]
+                    shifted[:, i] += 1
+                    moves.append((form[i], self.locate(shifted), qcols[inside]))
+                levels.append((src, qcols, src[blocked], moves))
+            free = np.flatnonzero(self.keys[:, pivot] == 0)
+            self._division_cache[form] = (form[pivot], free, levels)
+        return self._division_cache[form]
 
     def divide(self, numer: np.ndarray, form) -> tuple[np.ndarray, np.ndarray]:
         """Row-wise exact division by an integer linear form.
 
-        Returns (quotient batch, per-row remainder bound), matching
-        divide_linear on every row.  A batch with fewer rows than the space
-        has keys is divided row by row, so the N x N division maps are only
-        built, and only ever applied, where they are no larger than the batch
-        and memory stays O(B * N).  Building maps for every space instead
-        costs N divide_linear calls and an N x N product per (space, form):
-        verify plus reduce of root_a2 at M=300, M_outer=400 (N up to about
-        1300) then takes 19 s and 3.4 GB on a 2-core machine, against 0.3 s
-        and 35 MB with this split.
+        Returns (quotient batch, per-row remainder bound), as divide_linear
+        gives on every row, and raises CapExceeded where it would.  The
+        whole batch is divided level by level in the pivot exponent, highest
+        first: a key's quotient is its coefficient over the pivot weight,
+        and w_i times that quotient is taken off the key one t_p lower and
+        one t_i higher, one level down, for every other variable t_i.  Keys
+        at one level never feed each other, and each subtraction is one
+        gather over the batch, so memory is O(B * N) for any batch size.
+        What is left on the keys free of t_p is the remainder.
         """
-        form = tuple(int(w) for w in form)
-        if len(numer) < self.size:
-            weights = dict(zip(self._names, form))
-            rows = [divide_linear(self.series(self._names, row), weights) for row in numer]
-            quotient = np.array([self.dense(q) for q, _ in rows]).reshape(numer.shape)
-            return quotient, np.array([rem for _, rem in rows])
-        quotient, remainder = self._divide_maps(form)
-        return numer @ quotient, np.abs(numer @ remainder).max(axis=1, initial=0.0)
+        pivot_weight, free, levels = self._division_steps(tuple(int(w) for w in form))
+        work = np.array(numer, dtype=complex)
+        quotient = np.zeros_like(work)
+        for src, qcols, blocked, moves in levels:
+            if blocked.size and np.any(work[:, blocked]):
+                raise CapExceeded(
+                    "division needs the full homogeneous simplex; widen the space"
+                )
+            level = work[:, src]
+            level.real /= pivot_weight  # each part on its own, as complex / int does
+            level.imag /= pivot_weight
+            quotient[:, qcols] = level
+            for weight, targets, sources in moves:
+                work[:, targets] -= weight * quotient[:, sources]
+        left = work[:, free]
+        # hypot, as abs() of a Python complex; np.abs differs in the last bit
+        return quotient, np.hypot(left.real, left.imag).max(axis=1, initial=0.0)
 
 
 @functools.lru_cache(maxsize=256)

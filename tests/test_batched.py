@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdzeta import evaluator, exact, genfun, model, mpseries
-from mdzeta.mpseries import SingularConfiguration, dense_space, divide_linear, series_mul
+from mdzeta.mpseries import (
+    CapExceeded, SingularConfiguration, dense_space, divide_linear, series_mul,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_top_coefficients.json"
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -49,23 +51,48 @@ def test_batched_product_matches_series_mul(data):
 
 @given(st.data())
 def test_batched_division_matches_divide_linear(data):
-    variables, caps, total = data.draw(spaces(full_simplex=True))
+    # every batch takes the same path, with fewer rows than the space has
+    # keys or more; outside the full simplex division may need a missing key
+    variables, caps, total = data.draw(spaces(full_simplex=data.draw(st.booleans())))
     space = dense_space(caps, total)
     form = data.draw(
         st.tuples(*[st.integers(-3, 3)] * len(variables)).filter(lambda t: any(t))
     )
-    # a batch as large as the space goes through the cached division maps,
-    # a smaller one row by row
-    rows = space.size if data.draw(st.booleans()) else data.draw(st.integers(1, 3))
-    numer = _batch(data.draw, space, rows)
-    quotient, remainder = space.divide(numer, form)
-    assert quotient.shape == numer.shape and remainder.shape == (rows,)
     weights = dict(zip(variables, form))
-    for r in range(rows):
-        q, rem = divide_linear(space.series(variables, numer[r]), weights)
-        scale = 1e-9 * (1 + np.max(np.abs(numer[r])))
-        assert np.max(np.abs(quotient[r] - space.dense(q)), initial=0.0) <= scale
-        assert abs(remainder[r] - rem) <= scale
+    for rows in (data.draw(st.integers(1, 3)), space.size + data.draw(st.integers(1, 3))):
+        numer = _batch(data.draw, space, rows)
+        try:
+            want = [divide_linear(space.series(variables, row), weights) for row in numer]
+        except CapExceeded:
+            with pytest.raises(CapExceeded):
+                space.divide(numer, form)
+            continue
+        quotient, remainder = space.divide(numer, form)
+        assert quotient.shape == numer.shape and remainder.shape == (rows,)
+        # the same operations in the same order: equal to the last bit
+        for r, (q, rem) in enumerate(want):
+            assert np.array_equal(quotient[r], space.dense(q))
+            assert remainder[r] == rem
+
+
+def test_batched_division_refuses_where_divide_linear_does():
+    # caps (1, 1), total 2: t_a + t_b divides by t_a + t_b; t_a t_b would
+    # need t_b^2, outside the space
+    variables, space = ("a", "b"), dense_space((1, 1), 2)
+    divisible = space.dense(mpseries.linear_form({"a": 1, "b": 1}, variables, (1, 1), 2))
+    product = space.dense(mpseries.monomial(variables, (1, 1), (1, 1), total_cap=2))
+    quotient, remainder = space.divide(np.array([divisible]), (1, 1))
+    assert quotient[0].tolist() == [1, 0, 0, 0] and remainder.tolist() == [0.0]
+    with pytest.raises(CapExceeded):
+        divide_linear(space.series(variables, product), {"a": 1, "b": 1})
+    with pytest.raises(CapExceeded):
+        space.divide(np.array([divisible, product]), (1, 1))
+
+
+def test_batched_division_rejects_the_zero_form():
+    space = dense_space((2, 2), 2)
+    with pytest.raises(mpseries.SeriesError, match="zero form"):
+        space.divide(np.ones((2, space.size), dtype=complex), (0, 0))
 
 
 def test_dense_space_is_shared_per_space():

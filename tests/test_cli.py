@@ -251,3 +251,33 @@ def test_work_budget_admits_boxes_up_to_the_limit(capsys, monkeypatch):
     assert err == "" and code == {"pass": 0, "inconclusive": 3}[json.loads(out)["verdict"]]
     code, _, err = _run(capsys, argv + ["--M", "21"])
     assert code == 2 and "21^2 = 441 direct terms" in err
+
+
+# A term is its sign times the outer sum, so sign -1 on an exact zero part
+# used to print a negative zero.
+
+def test_vanishing_verify_term_prints_zero(capsys):
+    _, out, _ = _run(
+        capsys, ["verify", "--spec", MT_PATH, "--M", "40", "--M-outer", "40", "--output", "json"]
+    )
+    per_J = {tuple(t["J"]): t for t in json.loads(out)["rhs"]["per_J"]}
+    assert per_J[(1, 2)]["sign"] == -1
+    assert (per_J[(1, 2)]["value_re"], per_J[(1, 2)]["value_im"]) == ("0", "0")
+
+
+def test_vanishing_reduce_term_prints_zero(capsys):
+    argv = ["reduce", "--spec", str(SPECS / "root_a2.json"), "--M", "40", "--M-outer", "40",
+            "--output", "json"]
+    _, out, _ = _run(capsys, argv)
+    terms = {tuple(t["J"]): t for t in json.loads(out)["terms"]}
+    assert terms[(1, 2)]["sign"] == -1
+    assert terms[(1, 2)]["T"] == {"re": "0", "im": "0"}
+
+
+def test_real_twisted_terms_print_zero_imaginary_part(capsys):
+    argv = ["verify", "--spec", str(SPECS / "mt_r2_twisted.json"), "--M", "40",
+            "--M-outer", "40", "--output", "text"]
+    _, out, _ = _run(capsys, argv)
+    lines = [line for line in out.splitlines() if line.lstrip().startswith(("J={1}", "J={2}"))]
+    assert len(lines) == 2
+    assert all("sign=-1" in line and " + 0i " in line and "+ -0i" not in line for line in lines)

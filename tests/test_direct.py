@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdzeta import cli, evaluator, model
-from mdzeta.phase import unit_phase
+from mdzeta.phase import phase_table, unit_phase
 
 TWISTS = ("0", "1/2", "1/3", "1/4")
 # Shell sums of at most ~1e5 doubles agree far inside this, whatever the order.
@@ -127,3 +127,39 @@ def test_conjugate_keeps_fit_and_tails():
     assert (minus.uncertainty, minus.fitted) == (independent.uncertainty, independent.fitted)
     assert minus.partial == independent.partial
     assert np.array_equal(minus.partial.shells, independent.partial.shells)
+
+
+def _counting_unit_phase(monkeypatch):
+    calls = []
+
+    def counted(theta):
+        calls.append(theta)
+        return unit_phase(theta)
+
+    monkeypatch.setattr(evaluator, "unit_phase", counted)
+    return calls
+
+
+@pytest.mark.parametrize("y", ["0", "1/2", "2/3", "3/7", "5/12"])
+@pytest.mark.parametrize("M", [1, 4, 11, 30])
+def test_twist_table_is_the_phase_table_read_by_residue(monkeypatch, y, M):
+    y = Fraction(y)
+    want = np.array(phase_table(y.denominator), dtype=complex)[
+        (np.arange(M + 1) * y.numerator) % y.denominator
+    ]
+    calls = _counting_unit_phase(monkeypatch)
+    got = evaluator._twist_table(y, M)
+    assert got.tobytes() == want.tobytes()  # bitwise, zero signs included
+    assert len(calls) == min(y.denominator, M + 1)
+
+
+def test_large_twist_denominator_evaluates_only_the_phases_it_reads(
+    monkeypatch, tmp_path, capsys
+):
+    # q = 10^6: a full table of q-th roots of unity for 10 terms
+    path = tmp_path / "big_q.json"
+    path.write_text('{"h": [2], "k": [1], "y": ["0.123457"], "A": [[1]]}')
+    calls = _counting_unit_phase(monkeypatch)
+    code = cli.main(["eval", "--spec", str(path), "--M", "10", "--output", "json"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["value"]
+    assert 0 < len(calls) <= 11

@@ -84,6 +84,20 @@ def test_bernoulli_polynomial_difference_rule(n, x):
     assert BERNOULLI.poly_eval(n, Fraction(0)) == BERNOULLI.number(n)
 
 
+def test_memoised_bernoulli_values_equal_the_sum():
+    table = mpseries.BernoulliTable()
+    for n in range(9):
+        for x in (Fraction(0), Fraction(1, 3), Fraction(3, 4), Fraction(-5, 2), 2):
+            want = sum(
+                (Fraction(math.comb(n, k)) * helpers.bernoulli_explicit(k)
+                 * Fraction(x) ** (n - k) for k in range(n + 1)),
+                Fraction(0),
+            )
+            first = table.poly_eval(n, x)
+            assert type(first) is Fraction and first == want
+            assert table.poly_eval(n, Fraction(x)) is first  # read from the memo
+
+
 def test_two_pi_i_power_keeps_axis_exact():
     assert two_pi_i_power(0) == 1
     assert two_pi_i_power(2).imag == 0.0

@@ -19,6 +19,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -441,8 +442,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call of main.
+
+    It holds no results and parse_args leaves it unchanged, so calls do
+    not see each other's options.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except SpecError as exc:

@@ -27,7 +27,7 @@ from . import exact, mpseries
 from .exact import RationalMatrix
 from .model import SeriesSpec, SubsetContext, subset_context
 from .mpseries import MultiSeries, SingularConfiguration
-from .phase import phase_table, unit_phase
+from .phase import unit_phase
 
 
 # Relative size below which a sum over bases counts as an exact cancellation:
@@ -220,8 +220,8 @@ class GeneratingFunctionPlan:
             for col, j in enumerate(ctx.Jbar):
                 self._d_num[col, k] = int(self.d_linear[bi][gpos].get(j, 0) * self._d_den)
         # the coset phases e(-<dots, c>) per basis: the member dots are
-        # integer forms in the outer tuple, so each phase is the entry of a
-        # table of q-th roots of unity at an integer form mod q
+        # integer forms in the outer tuple, so each phase is a q-th root of
+        # unity read at an integer form mod q
         self._phase_data = []
         for bi, basis in enumerate(self.bases):
             reps = self.frac_parts[bi]
@@ -232,41 +232,64 @@ class GeneratingFunctionPlan:
                     coef[col, wi] = int(-q * sum(
                         self.dot_coeffs[fpos].get(j, 0) * cs[fi] for fi, fpos in enumerate(basis)
                     ))
-            self._phase_data.append((q, coef, np.array(phase_table(q), dtype=complex)))
+            self._phase_data.append((q, coef))
+        self._phase_memo: dict[int, dict[int, complex]] = {}  # q -> residue -> e(res/q)
         self._tables_cache: dict[frozenset, _Tables] = {}
 
-    def _bernoulli_products(self, caps, total_cap) -> list:
-        """Per basis: the Bernoulli factor product of each coset rep."""
+    def _phases(self, bi: int, tuples) -> np.ndarray:
+        """The coset phases of basis bi, one row per outer tuple, (B, K).
+
+        unit_phase runs once per residue mod q that some tuple reaches and
+        is memoised for the plan, so the work follows the outer tuples, not
+        q, which grows with the twist's denominators.
+        """
+        q, coef = self._phase_data[bi]
+        residues = (tuples @ coef) % q
+        hit, inverse = np.unique(residues, return_inverse=True)
+        memo = self._phase_memo.setdefault(q, {})
+        values = []
+        for res in hit.tolist():
+            if res not in memo:
+                memo[res] = unit_phase(Fraction(res, q))
+            values.append(memo[res])
+        return np.array(values, dtype=complex)[inverse.reshape(residues.shape)]
+
+    def _bernoulli_products(self, space) -> list:
+        """Per basis: the Bernoulli factor product of each coset rep, (K, N).
+
+        Each factor is a series in its own basis variable, so the product's
+        coefficient at a key is the product of one coefficient per factor,
+        read at the key's exponent of that factor's variable, and 0 at keys
+        holding a variable outside the basis.  Factors multiply in basis
+        order.
+        """
+        coefficients: dict[tuple[int, Fraction], list[complex]] = {}
         out = []
         for bi, basis in enumerate(self.bases):
-            products = []
-            for cs in self.frac_parts[bi]:
-                series = mpseries.constant(1.0, self.variables, caps, total_cap)
-                for fi, fpos in enumerate(basis):
-                    series = mpseries.series_mul(
-                        series,
-                        mpseries.bernoulli_factor(
-                            self.variables, caps, total_cap,
-                            self.variables[fpos], cs[fi],
-                        ),
-                    )
-                products.append(series)
-            out.append(products)
+            inside = np.flatnonzero(~space.keys[:, list(self.complements[bi])].any(axis=1))
+            product = None
+            for fi, fpos in enumerate(basis):
+                nmax = min(space.caps[fpos], space.total_cap)
+                factor = []
+                for cs in self.frac_parts[bi]:
+                    if (nmax, cs[fi]) not in coefficients:
+                        coefficients[nmax, cs[fi]] = mpseries.bernoulli_coefficients(nmax, cs[fi])
+                    factor.append(coefficients[nmax, cs[fi]])
+                values = np.array(factor, dtype=complex)[:, space.keys[inside, fpos]]
+                product = values if product is None else product * values
+            table = np.zeros((len(self.frac_parts[bi]), space.size), dtype=complex)
+            table[:, inside] = product
+            out.append(table)
         return out
 
     def _geometric_rows(self, space, bi, gpos) -> np.ndarray:
         """Rows t_g L_g^n for n < total_cap: -t_g/(d - L_g) = -sum_n d^-(n+1) t_g L_g^n."""
-        caps, total_cap = space.caps, space.total_cap
-        lf = mpseries.linear_form(
-            {name: float(w) for name, w in self.l_weights[bi][gpos].items()},
-            self.variables, caps, total_cap,
-        )
-        series = mpseries.monomial(self.variables, caps, self._unit_key(gpos), total_cap=total_cap)
-        rows = [space.dense(series)]
-        for _ in range(total_cap - 1):
-            series = mpseries.series_mul(series, lf)
-            rows.append(space.dense(series))
-        return np.array(rows)
+        weights = [float(self.l_weights[bi][gpos].get(name, 0)) for name in self.variables]
+        rows = np.zeros((space.total_cap, space.size), dtype=complex)
+        rows[0, space.locate([self._unit_key(gpos)])] = 1.0
+        for n in range(1, space.total_cap):
+            rows[n] = space.mul_linear(rows[n - 1], weights)
+        return rows
 
     def _unit_key(self, pos: int) -> tuple[int, ...]:
         return tuple(1 if p == pos else 0 for p in range(len(self.variables)))
@@ -298,26 +321,13 @@ class GeneratingFunctionPlan:
         total_cap = self.total_cap + sum(max_mult.values())
         caps = (total_cap,) * len(self.variables) if pattern else self.caps
         space = mpseries.dense_space(caps, total_cap)
-        form_series = {
-            form: mpseries.linear_form(
-                dict(zip(self.variables, map(float, form))), self.variables, caps, total_cap
-            )
-            for form in max_mult
-        }
-        bernoulli = self._bernoulli_products(caps, total_cap)
         bprods, geometric = [], []
-        for bi in range(len(self.bases)):
-            fixed = mpseries.constant(1.0, self.variables, caps, total_cap)
+        for bi, rows in enumerate(self._bernoulli_products(space)):
             scale = Fraction(1)
             regular = []
             for gpos in self.complements[bi]:
                 if (bi, gpos) in singular:
-                    fixed = mpseries.series_mul(
-                        fixed,
-                        mpseries.monomial(
-                            self.variables, caps, self._unit_key(gpos), total_cap=total_cap
-                        ),
-                    )
+                    rows = space.mul_linear(rows, self._unit_key(gpos))
                     scale /= self.l_normal[bi][gpos][1]
                 else:
                     regular.append(
@@ -325,11 +335,8 @@ class GeneratingFunctionPlan:
                     )
             for form, mult in max_mult.items():
                 for _ in range(mult - per_basis[bi].get(form, 0)):
-                    fixed = mpseries.series_mul(fixed, form_series[form])
-            fixed = mpseries.series_scale(fixed, float(scale))
-            bprods.append(
-                np.array([space.dense(mpseries.series_mul(p, fixed)) for p in bernoulli[bi]])
-            )
+                    rows = space.mul_linear(rows, form)
+            bprods.append(rows * float(scale))
             geometric.append(tuple(regular))
         tables = _Tables(
             space, bprods, tuple(geometric), tuple(max_mult.items()), space.locate(self.space.keys)
@@ -384,8 +391,8 @@ class GeneratingFunctionPlan:
         space = tables.space
         total = np.zeros((len(tuples), space.size), dtype=complex)
         scale = np.zeros((len(tuples), space.size, 2))
-        for bi, (q, coef, table) in enumerate(self._phase_data):
-            phases = table[(tuples @ coef) % q]
+        for bi in range(len(self.bases)):
+            phases = self._phases(bi, tuples)
             term = (phases @ tables.bprods[bi]) * (1.0 / self.cosets[bi].group_order)
             for k, rows in tables.geometric[bi]:
                 inv = self._d_den / dnum[:, k]

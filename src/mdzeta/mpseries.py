@@ -11,9 +11,9 @@ singularities computable.
 
 The dense layout (DenseSpace) holds a batch of series in one space as a
 (B, N) complex array over the space's admissible keys; it carries the
-batched product, per-row linear combinations, and exact division by an
-integer form, which the generating-function layer uses to evaluate many
-outer tuples at once.
+batched product, products with a linear form, per-row linear combinations,
+and exact division by an integer form, which the generating-function layer
+uses to build its tables and to evaluate many outer tuples at once.
 """
 
 from __future__ import annotations
@@ -263,19 +263,26 @@ def exp_2pii_linear(weights, variables, caps, total_cap=None) -> MultiSeries:
     return acc
 
 
+def bernoulli_coefficients(nmax: int, offset) -> list[complex]:
+    """B_n(offset) (2 pi i)^n / n! for n = 0..nmax, exactly 0 where B_n(offset) is."""
+    offset = Fraction(offset)
+    out = []
+    for n in range(nmax + 1):
+        b = BERNOULLI.poly_eval(n, offset)
+        out.append(two_pi_i_power(n) * (float(b) / math.factorial(n)) if b else 0j)
+    return out
+
+
 def bernoulli_factor(variables, caps, total_cap, var, offset, phase=1.0) -> MultiSeries:
     """phase * sum_n B_n(offset) (2 pi i t_var)^n / n! up to the var's cap."""
     base = zero(variables, caps, total_cap)
     pos = base.variables.index(var)
-    nmax = min(base.caps[pos], base.total_cap)
     phase = complex(phase)
-    offset = Fraction(offset)
-    for n in range(nmax + 1):
-        b = BERNOULLI.poly_eval(n, offset)
-        if b == 0:
-            continue
-        key = tuple(n if i == pos else 0 for i in range(len(base.variables)))
-        base.coeffs[key] = phase * two_pi_i_power(n) * (float(b) / math.factorial(n))
+    coefficients = bernoulli_coefficients(min(base.caps[pos], base.total_cap), offset)
+    for n, c in enumerate(coefficients):
+        if c:
+            key = tuple(n if i == pos else 0 for i in range(len(base.variables)))
+            base.coeffs[key] = phase * c
     return base
 
 
@@ -377,8 +384,8 @@ class DenseSpace:
     the rows of an (N, nvars) array, located by their codes in base
     2 * max cap + 1, which increase with the lexicographic order and stay
     distinct for sums of two keys.  Index,
-    product and division tables depend only on the space, so dense_space()
-    shares one instance per space.
+    shift, product and division tables depend only on the space, so
+    dense_space() shares one instance per space.
     """
 
     def __init__(self, caps: tuple[int, ...], total_cap: int):
@@ -399,6 +406,7 @@ class DenseSpace:
         self._codes = codes[order]
         self.size = len(self.keys)
         self._product_table = None
+        self._shift_cache: dict[int, tuple] = {}
         self._division_cache: dict[tuple[int, ...], tuple] = {}
 
     def locate(self, keys) -> np.ndarray:
@@ -445,6 +453,30 @@ class DenseSpace:
         for i in np.flatnonzero(np.any(a != 0, axis=tuple(range(a.ndim - 1)))):
             src, tgt = table[i]
             out[..., tgt] += a[..., i, None] * b[..., src]
+        return out
+
+    def _shift(self, i: int):
+        """(columns of the keys holding t_i, columns of those keys minus e_i), cached."""
+        if i not in self._shift_cache:
+            targets = np.flatnonzero(self.keys[:, i] > 0)
+            lower = self.keys[targets]
+            lower[:, i] -= 1
+            self._shift_cache[i] = (targets, self.locate(lower))
+        return self._shift_cache[i]
+
+    def mul_linear(self, batch: np.ndarray, weights) -> np.ndarray:
+        """Row-wise truncated product of a (..., N) batch with sum_i weights[i] t_i.
+
+        One gather-add per nonzero weight, in increasing i, through the O(N)
+        shift index arrays of the space.  The space is closed downward, so
+        every key of the product that stays inside it comes from a key of
+        the batch, and the keys that leave it are simply never written.
+        """
+        out = np.zeros(np.shape(batch), dtype=complex)
+        for i, w in enumerate(weights):
+            if w:
+                targets, sources = self._shift(i)
+                out[..., targets] += w * batch[..., sources]
         return out
 
     def _division_steps(self, form: tuple[int, ...]):

@@ -1,13 +1,15 @@
 """Oracles shared across the suite, deliberately independent of the library
 code paths they check: a fast exact series for zeta(3), Bernoulli numbers by
 the explicit double sum (no recurrence), Taylor coefficients via the Cauchy
-integral on a roots-of-unity grid, and exact lattice membership by rational
-solve."""
+integral on a roots-of-unity grid, exact lattice membership by rational
+solve, and a generating-function plan's tables built with dict series
+algebra."""
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -85,3 +87,67 @@ def row_lattice_membership(vectors):
         return all(c.denominator == 1 for c in coords)
 
     return member
+
+
+def reference_tables(plan, pattern):
+    """The tables of plan._tables(pattern), built with dict series algebra.
+
+    Every Bernoulli product, fixed singular factor and power of L_g is a
+    series_mul of MultiSeries, read into the dense space at the end.
+    Returns (space, bprods, geometric, forms) in the layout of _Tables.
+    """
+    variables = plan.variables
+    singular = {plan.pairs[k] for k in pattern}
+    per_basis, max_mult = [], {}
+    for bi in range(len(plan.bases)):
+        cnt = Counter(
+            plan.l_normal[bi][gpos][0]
+            for gpos in plan.complements[bi]
+            if (bi, gpos) in singular
+        )
+        per_basis.append(cnt)
+        for form, mult in cnt.items():
+            max_mult[form] = max(max_mult.get(form, 0), mult)
+    total_cap = plan.total_cap + sum(max_mult.values())
+    caps = (total_cap,) * len(variables) if pattern else plan.caps
+    space = mpseries.dense_space(caps, total_cap)
+
+    def linear(weights):
+        return mpseries.linear_form(weights, variables, caps, total_cap)
+
+    def unit(pos):
+        return linear({variables[pos]: 1.0})
+
+    bprods, geometric = [], []
+    for bi, basis in enumerate(plan.bases):
+        fixed = mpseries.constant(1.0, variables, caps, total_cap)
+        scale = Fraction(1)
+        regular = []
+        for gpos in plan.complements[bi]:
+            if (bi, gpos) in singular:
+                fixed = mpseries.series_mul(fixed, unit(gpos))
+                scale /= plan.l_normal[bi][gpos][1]
+                continue
+            lf = linear({name: float(w) for name, w in plan.l_weights[bi][gpos].items()})
+            series = unit(gpos)
+            rows = [space.dense(series)]
+            for _ in range(total_cap - 1):
+                series = mpseries.series_mul(series, lf)
+                rows.append(space.dense(series))
+            regular.append((plan.pairs.index((bi, gpos)), np.array(rows)))
+        for form, mult in max_mult.items():
+            for _ in range(mult - per_basis[bi].get(form, 0)):
+                fixed = mpseries.series_mul(fixed, linear(dict(zip(variables, map(float, form)))))
+        fixed = mpseries.series_scale(fixed, float(scale))
+        rows = []
+        for cs in plan.frac_parts[bi]:
+            product = mpseries.constant(1.0, variables, caps, total_cap)
+            for fi, fpos in enumerate(basis):
+                product = mpseries.series_mul(
+                    product,
+                    mpseries.bernoulli_factor(variables, caps, total_cap, variables[fpos], cs[fi]),
+                )
+            rows.append(space.dense(mpseries.series_mul(product, fixed)))
+        bprods.append(np.array(rows))
+        geometric.append(tuple(regular))
+    return space, bprods, tuple(geometric), tuple(max_mult.items())

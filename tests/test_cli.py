@@ -281,3 +281,26 @@ def test_real_twisted_terms_print_zero_imaginary_part(capsys):
     lines = [line for line in out.splitlines() if line.lstrip().startswith(("J={1}", "J={2}"))]
     assert len(lines) == 2
     assert all("sign=-1" in line and " + 0i " in line and "+ -0i" not in line for line in lines)
+
+
+def test_consecutive_calls_share_the_parser_but_not_their_options(capsys, monkeypatch):
+    seen, verify_parity = [], evaluator.verify_parity
+
+    def record(spec, **kwargs):
+        seen.append(kwargs)
+        return verify_parity(spec, **kwargs)
+
+    monkeypatch.setattr(cli.evaluator, "verify_parity", record)
+    small = ["--M", "20", "--M-outer", "20"]
+    explicit = ["verify", "--spec", MT_PATH, *small, "--tol", "1e-3", "--rho-variant", "1",
+                "--assert-convergence"]
+    assert _run(capsys, explicit)[0] in (0, 3)
+    assert _run(capsys, ["eval", "--spec", MT_PATH, "--M", "20", "--output", "csv"])[0] == 0
+    assert _run(capsys, ["verify", "--spec", MT_PATH, *small])[0] in (0, 3)
+    assert cli._parser() is cli._parser()
+    assert [(kw["tol"], kw["rho_variant"], kw["assume_convergence"]) for kw in seen] == [
+        (1e-3, 1, True), (1e-6, 0, False)
+    ]
+    # the output format of the csv call does not leak into the next call
+    code, out, _ = _run(capsys, ["validate", "--spec", MT_PATH])
+    assert code == 0 and out.startswith("instance:")

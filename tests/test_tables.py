@@ -1,0 +1,171 @@
+"""Plan tables: dense construction against the dict reference, no series
+algebra on the plan path, and coset phases evaluated only where they are read."""
+
+import itertools
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import helpers
+from mdzeta import cli, genfun, model, mpseries
+from mdzeta.phase import phase_table, unit_phase
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+TWISTS = ("0", "1/2", "1/3", "1/4")
+# The dense tables sum products in another order than the dict reference.
+TABLE_RTOL = 1e-14
+
+
+@st.composite
+def instances(draw):
+    """r <= 3, 1..2 forms, A entries in 0..2 (index-2 cosets), no zero row or column."""
+    r = draw(st.integers(1, 3))
+    ell = draw(st.integers(1, 2))
+    A = [[draw(st.integers(0, 2)) for _ in range(r)] for _ in range(ell)]
+    for i in range(ell):
+        A[i][draw(st.integers(0, r - 1))] = draw(st.integers(1, 2))
+    for j in range(r):
+        if not any(row[j] for row in A):
+            A[draw(st.integers(0, ell - 1))][j] = draw(st.integers(1, 2))
+    return model.parse_spec({
+        "h": [draw(st.integers(1, 2)) for _ in range(r)],
+        "k": [draw(st.integers(1, 2)) for _ in range(ell)],
+        "y": [draw(st.sampled_from(TWISTS)) for _ in range(r)],
+        "A": A,
+    })
+
+
+def _outer_tuples(plan, size):
+    rows = list(itertools.product(range(1, size + 1), repeat=len(plan.ctx.Jbar)))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(plan.ctx.Jbar))
+
+
+def _patterns(plan, tuples):
+    """The regular pattern and every singular pattern the tuples reach."""
+    vanishing = np.unique((tuples @ plan._d_num) == 0, axis=0)
+    return {frozenset()} | {frozenset(np.flatnonzero(row).tolist()) for row in vanishing}
+
+
+def _assert_rows_close(got, want):
+    assert got.shape == want.shape
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w), initial=0.0) <= TABLE_RTOL * np.max(np.abs(w), initial=0.0)
+
+
+def _check_tables(plan, pattern):
+    tables = plan._tables(pattern)
+    space, bprods, geometric, forms = helpers.reference_tables(plan, pattern)
+    assert tables.space is space and tables.forms == forms
+    assert np.array_equal(tables.narrow, space.locate(plan.space.keys))
+    assert len(tables.bprods) == len(bprods) == len(plan.bases)
+    for got, want in zip(tables.bprods, bprods):
+        _assert_rows_close(got, want)
+    assert [[k for k, _ in g] for g in tables.geometric] == [[k for k, _ in g] for g in geometric]
+    for got, want in zip(tables.geometric, geometric):
+        for (_, g), (_, w) in zip(got, want):
+            _assert_rows_close(g, w)
+
+
+@given(instances())
+def test_dense_tables_match_the_dict_reference(spec):
+    for J in model.nonempty_subsets(spec.r):
+        plan = genfun.GeneratingFunctionPlan(spec, J)
+        for pattern in _patterns(plan, _outer_tuples(plan, 4)):
+            _check_tables(plan, pattern)
+
+
+def test_dense_tables_cover_singular_patterns_and_index_two_cosets():
+    # the draws above can reach both; this pins one instance that does
+    spec = model.parse_spec({"h": [1, 2], "k": [1, 2], "y": ["1/2", "0"], "A": [[2, 1], [1, 1]]})
+    orders, singular = set(), 0
+    for J in model.nonempty_subsets(spec.r):
+        plan = genfun.GeneratingFunctionPlan(spec, J)
+        orders.update(c.group_order for c in plan.cosets)
+        for pattern in _patterns(plan, _outer_tuples(plan, 4)):
+            singular += bool(pattern)
+            _check_tables(plan, pattern)
+    assert 2 in orders and singular
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("dict series algebra on the plan path")
+
+
+@pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")), ids=lambda p: p.stem)
+def test_plans_make_no_dict_series_calls(monkeypatch, path):
+    spec = model.load_spec(str(path))
+    for name in ("series_mul", "bernoulli_factor", "linear_form"):
+        monkeypatch.setattr(mpseries, name, _refuse)
+    monkeypatch.setattr(mpseries.DenseSpace, "dense", _refuse)
+    for J in model.nonempty_subsets(spec.r):
+        plan = genfun.GeneratingFunctionPlan(spec, J)
+        tuples = _outer_tuples(plan, 5)
+        batch = plan.evaluate_batch(tuples)
+        assert batch.shape == (len(tuples), plan.space.size)
+        assert np.all(np.isfinite(batch))
+
+
+def _counting_unit_phase(monkeypatch):
+    calls = []
+
+    def counted(theta):
+        calls.append(theta)
+        return unit_phase(theta)
+
+    monkeypatch.setattr(genfun, "unit_phase", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"h": [2, 2], "k": [2], "y": ["1/2", "0"], "A": [[1, 1]]},
+        {"h": [1, 2], "k": [1, 2], "y": ["1/3", "1/4"], "A": [[2, 1], [1, 1]]},
+        {"h": [1, 1, 1], "k": [2], "y": ["2/5", "0", "1/6"], "A": [[1, 2, 1]]},
+    ],
+)
+def test_coset_phases_are_the_phase_table_read_by_residue(monkeypatch, data):
+    spec = model.parse_spec(data)
+    calls = _counting_unit_phase(monkeypatch)
+    for J in model.nonempty_subsets(spec.r):
+        plan = genfun.GeneratingFunctionPlan(spec, J)
+        tuples = _outer_tuples(plan, 7)
+        for bi, (q, coef) in enumerate(plan._phase_data):
+            want = np.array(phase_table(q), dtype=complex)[(tuples @ coef) % q]
+            got = plan._phases(bi, tuples)
+            assert got.tobytes() == want.tobytes()  # bitwise, zero signs included
+            # a second read of the same residues evaluates nothing new
+            before = len(calls)
+            assert plan._phases(bi, tuples[::-1]).tobytes() == want[::-1].tobytes()
+            assert len(calls) == before
+    assert calls
+
+
+def test_large_coset_denominator_evaluates_only_the_phases_it_reads(
+    monkeypatch, tmp_path, capsys
+):
+    # q = 10^6 for the coset phases: a full table would hold a million roots
+    data = {"h": [2, 2], "k": [2], "y": ["0.123457", "0"], "A": [[1, 1]]}
+    path = tmp_path / "big_q.json"
+    path.write_text(json.dumps(data))
+    spec = model.parse_spec(data)
+    M_outer = 10
+    bound = 0
+    for J in model.nonempty_subsets(spec.r):
+        plan = genfun.GeneratingFunctionPlan(spec, J)
+        assert max(q for q, _ in plan._phase_data) <= 10**6
+        reps = sum(len(rows) for rows in plan.frac_parts)
+        bound += M_outer ** len(plan.ctx.Jbar) * reps
+    calls = _counting_unit_phase(monkeypatch)
+    code = cli.main([
+        "verify", "--spec", str(path), "--M", "10", "--M-outer", str(M_outer),
+        "--output", "json",
+    ])
+    assert code in (0, 1, 3) and json.loads(capsys.readouterr().out)["verdict"]
+    assert 0 < len(calls) <= bound
+    assert max(Fraction(t).denominator for t in calls) == 10**6

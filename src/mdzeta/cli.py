@@ -10,10 +10,9 @@ Subcommands:
 Exit codes: 0 success/pass, 1 fail, 2 invalid input or convergence not
 established, 3 inconclusive.  Box sizes --M and --M-outer below 1 are
 invalid input, and so are boxes over the work budget: more than WORK_BUDGET
-direct terms (M**r) or outer tuples per subset (M_outer**(r-1)).  --threads
-is still accepted and validated but has no effect: the direct side runs in
-one thread.  Set MDZETA_OUTPUT_DIR to also write the JSON report into that
-directory.
+direct terms (M**r), outer tuples per subset (M_outer**(r-1)) or direct
+form values (the largest row sum of A times M).  Set MDZETA_OUTPUT_DIR to
+also write the JSON report into that directory.
 """
 
 from __future__ import annotations
@@ -31,20 +30,9 @@ from .evaluator import ConvergenceNotEstablished, _cnum, _fnum
 from .model import SpecError, convergence_check, load_spec, parse_spec, spec_to_dict
 
 
-THREADS_HELP = "accepted and validated ('N' >= 1 or 'auto') but has no effect"
-
 # eval, verify and reduce refuse, before any summation, a box of more direct
-# terms or outer tuples than this.
+# terms, outer tuples or direct form values than this.
 WORK_BUDGET = 10**7
-
-
-def _thread_count(value: str) -> int:
-    if value == "auto":
-        return max(1, os.cpu_count() or 1)
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError("threads must be >= 1 or 'auto'")
-    return n
 
 
 def _box_size(value: str) -> int:
@@ -96,6 +84,15 @@ def _within_budget(spec, M: int, M_outer: int | None = None) -> bool:
                 file=sys.stderr,
             )
             return False
+    # the direct side tabulates 1/f^k for every form value f up to this
+    values = spec.max_row_sum * M
+    if values > WORK_BUDGET:
+        print(
+            f"error: --M {M} with a largest row sum of A of {spec.max_row_sum} gives "
+            f"{values} direct form values, over the work budget of {WORK_BUDGET}",
+            file=sys.stderr,
+        )
+        return False
     return True
 
 
@@ -416,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate the series directly")
     add_common(p)
     p.add_argument("--M", type=_box_size, default=400, help="box size (default 400)")
-    p.add_argument("--threads", type=_thread_count, default=1, help=THREADS_HELP)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", help="verify the parity identity")
@@ -424,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=_box_size, default=400, help="direct-side box size")
     p.add_argument("--M-outer", type=_box_size, default=400, help="reduced-side box size")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--threads", type=_thread_count, default=1, help=THREADS_HELP)
     p.add_argument("--rho-variant", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 
@@ -432,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--M", type=_box_size, default=400, help="box size for the corollary check")
     p.add_argument("--M-outer", type=_box_size, default=400)
-    p.add_argument("--threads", type=_thread_count, default=1, help=THREADS_HELP)
     p.add_argument("--rho-variant", type=int, default=0)
     p.set_defaults(fn=cmd_reduce)
 

@@ -400,23 +400,20 @@ def term_T(
         raise ValueError("M_outer must be >= 1")
     f = len(ctx.Jbar)
     tables = _weight_tables(spec.negated_twist(), M_outer)
-    shells = []
-    abs_shells = []
-    pieces = []  # of the shell being summed, in lexicographic order
+    real, imag, absolute = np.zeros((3, M_outer + 1))
     unit_raw = None
     for labels, rows in _outer_blocks(f, M_outer):
         raw = plan.evaluate_batch(rows)[:, plan.top]
         if unit_raw is None:
             unit_raw = complex(raw[0])  # the first row is (1, ..., 1)
         values = _outer_weights(spec, ctx, tables, rows) * raw
-        for n, value in zip(labels.tolist(), values.tolist()):
-            if n > len(shells) + 1:  # shell n - 1 is complete
-                shells.append(_kahan_sum(pieces))
-                abs_shells.append(sum(abs(p) for p in pieces))
-                pieces = []
-            pieces.append(value)
-    shells.append(_kahan_sum(pieces))
-    abs_shells.append(sum(abs(p) for p in pieces))
+        lo = int(labels[0])  # labels never decrease within a block
+        span = slice(lo, int(labels[-1]) + 1)
+        for total, part in ((real, values.real), (imag, values.imag), (absolute, np.abs(values))):
+            total[span] += np.bincount(labels - lo, weights=part)
+    shells = np.empty(M_outer, dtype=complex)
+    shells.real, shells.imag = real[1:], imag[1:]
+    abs_shells = absolute[1:]
     w = _power_estimate(abs_shells)
     refined = _refine(_partial(shells, abs_shells, M_outer, M_outer**f, w), w)
     return TermSummary(

@@ -114,17 +114,31 @@ def _normalize_linear(weights: dict[str, Fraction], order: tuple[str, ...]):
     return prim, Fraction(g, den)
 
 
+def _times_geometric(space, batch, inv, weights, unit) -> np.ndarray:
+    """Each row of batch times -t_g/(d - L_g), with inv = 1/d per row.
+
+    The factor is -(1/d) t_g sum_n (L_g/d)^n, and t_g L_g^n leaves the space
+    once n reaches total_cap, so Horner in L_g/d takes total_cap - 1 steps
+    of mul_linear by the weights of L_g, and one more by t_g (unit).
+    """
+    inv = inv[:, None]
+    acc = batch
+    for _ in range(space.total_cap - 1):
+        acc = batch + inv * space.mul_linear(acc, weights)
+    return -inv * space.mul_linear(acc, unit)
+
+
 class GeneratingFunctionPlan:
     """Everything about (instance, J) that survives across outer tuples.
 
     Bases, dual bases, coset representatives, the certified direction rho,
     the rho-directed fractional parts, the Bernoulli factor products per
-    (basis, coset), the linear forms L_g with their normalizations, and the
-    d_g and the coset phases as integer forms in the outer tuple, and the
-    series t_g L_g^n of the geometric factors, all dense over the plan's
-    space.  evaluate_batch() then does only per-batch work: evaluate the d_g
-    and the phases for every row, group rows by which d_g vanish, and
-    combine the cached series with per-row scalars.
+    (basis, coset) dense over the plan's space, the linear forms L_g with
+    their normalizations, and the d_g and the coset phases as integer forms
+    in the outer tuple.  evaluate_batch() then does only per-batch work:
+    evaluate the d_g and the phases for every row, group rows by which d_g
+    vanish, combine the Bernoulli rows with the phases, and multiply by each
+    geometric factor with per-row scalars.
     """
 
     def __init__(self, spec: SeriesSpec, J, rho_variant: int = 0):
@@ -282,15 +296,6 @@ class GeneratingFunctionPlan:
             out.append(table)
         return out
 
-    def _geometric_rows(self, space, bi, gpos) -> np.ndarray:
-        """Rows t_g L_g^n for n < total_cap: -t_g/(d - L_g) = -sum_n d^-(n+1) t_g L_g^n."""
-        weights = [float(self.l_weights[bi][gpos].get(name, 0)) for name in self.variables]
-        rows = np.zeros((space.total_cap, space.size), dtype=complex)
-        rows[0, space.locate([self._unit_key(gpos)])] = 1.0
-        for n in range(1, space.total_cap):
-            rows[n] = space.mul_linear(rows[n - 1], weights)
-        return rows
-
     def _unit_key(self, pos: int) -> tuple[int, ...]:
         return tuple(1 if p == pos else 0 for p in range(len(self.variables)))
 
@@ -330,9 +335,10 @@ class GeneratingFunctionPlan:
                     rows = space.mul_linear(rows, self._unit_key(gpos))
                     scale /= self.l_normal[bi][gpos][1]
                 else:
-                    regular.append(
-                        (self.pairs.index((bi, gpos)), self._geometric_rows(space, bi, gpos))
+                    weights = tuple(
+                        float(self.l_weights[bi][gpos].get(name, 0)) for name in self.variables
                     )
+                    regular.append((self.pairs.index((bi, gpos)), weights, self._unit_key(gpos)))
             for form, mult in max_mult.items():
                 for _ in range(mult - per_basis[bi].get(form, 0)):
                     rows = space.mul_linear(rows, form)
@@ -394,10 +400,8 @@ class GeneratingFunctionPlan:
         for bi in range(len(self.bases)):
             phases = self._phases(bi, tuples)
             term = (phases @ tables.bprods[bi]) * (1.0 / self.cosets[bi].group_order)
-            for k, rows in tables.geometric[bi]:
-                inv = self._d_den / dnum[:, k]
-                scalars = -(inv[:, None] ** np.arange(1, len(rows) + 1))
-                term = space.mul(term, scalars @ rows)
+            for k, weights, unit in tables.geometric[bi]:
+                term = _times_geometric(space, term, self._d_den / dnum[:, k], weights, unit)
             total += term
             scale += np.abs(term.view(float).reshape(scale.shape))
         parts = total.view(float).reshape(scale.shape)
@@ -429,12 +433,13 @@ class GeneratingFunctionPlan:
 
 @dataclass(frozen=True)
 class _Tables:
-    """Tuple-independent series of one assembly path, dense over its space.
+    """Tuple-independent data of one assembly path, dense over its space.
 
     bprods[bi] holds one Bernoulli-product row per coset rep (times the
-    fixed singular factors); geometric[bi] pairs each nonvanishing d_g's
-    pair index with its rows t_g L_g^n; forms lists the primitive forms to
-    divide out, with multiplicity; narrow picks the plan space's keys.
+    fixed singular factors); geometric[bi] holds, per nonvanishing d_g, its
+    pair index, the weights of L_g and the key of t_g; forms lists the
+    primitive forms to divide out, with multiplicity; narrow picks the plan
+    space's keys.
     """
 
     space: mpseries.DenseSpace

@@ -10,10 +10,11 @@ division by an integer linear form, which is what makes removable
 singularities computable.
 
 The dense layout (DenseSpace) holds a batch of series in one space as a
-(B, N) complex array over the space's admissible keys; it carries the
-batched product, products with a linear form, per-row linear combinations,
-and exact division by an integer form, which the generating-function layer
-uses to build its tables and to evaluate many outer tuples at once.
+(B, N) complex array over the space's admissible keys; it carries products
+with a linear form and exact division by an integer form.  With per-row
+scalars and matrix products these are all the series algebra the
+generating-function layer needs to build its tables and to evaluate many
+outer tuples at once.
 """
 
 from __future__ import annotations
@@ -383,9 +384,9 @@ class DenseSpace:
     the matrix product of (B, K) scalars with their (K, N) rows.  Keys are
     the rows of an (N, nvars) array, located by their codes in base
     2 * max cap + 1, which increase with the lexicographic order and stay
-    distinct for sums of two keys.  Index,
-    shift, product and division tables depend only on the space, so
-    dense_space() shares one instance per space.
+    distinct for sums of two keys.  The O(N) shift and division index
+    arrays depend only on the space, so dense_space() shares one instance
+    per space.
     """
 
     def __init__(self, caps: tuple[int, ...], total_cap: int):
@@ -405,7 +406,6 @@ class DenseSpace:
         self.keys = keys[order]
         self._codes = codes[order]
         self.size = len(self.keys)
-        self._product_table = None
         self._shift_cache: dict[int, tuple] = {}
         self._division_cache: dict[tuple[int, ...], tuple] = {}
 
@@ -430,29 +430,6 @@ class DenseSpace:
         out = zero(variables, self.caps, self.total_cap)
         nonzero = np.flatnonzero(row)
         out.coeffs.update(zip(map(tuple, self.keys[nonzero].tolist()), row[nonzero].tolist()))
-        return out
-
-    def _products(self):
-        """Per key i: (keys j with i + j admissible, index of i + j)."""
-        if self._product_table is None:
-            caps = np.array(self.caps, dtype=np.int64)
-            table = []
-            for i in range(self.size):
-                sums = self.keys[i] + self.keys
-                src = np.flatnonzero(
-                    np.all(sums <= caps, axis=1) & (sums.sum(axis=1) <= self.total_cap)
-                )
-                table.append((src, np.searchsorted(self._codes, sums[src] @ self._weights)))
-            self._product_table = table
-        return self._product_table
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-wise truncated product of two (B, N) batches."""
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-        table = self._products()
-        for i in np.flatnonzero(np.any(a != 0, axis=tuple(range(a.ndim - 1)))):
-            src, tgt = table[i]
-            out[..., tgt] += a[..., i, None] * b[..., src]
         return out
 
     def _shift(self, i: int):

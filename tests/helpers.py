@@ -2,8 +2,8 @@
 code paths they check: a fast exact series for zeta(3), Bernoulli numbers by
 the explicit double sum (no recurrence), Taylor coefficients via the Cauchy
 integral on a roots-of-unity grid, exact lattice membership by rational
-solve, and a generating-function plan's tables built with dict series
-algebra."""
+solve, a generating-function plan's tables built with dict series
+algebra, and the shells of an outer sum summed one tuple at a time."""
 
 from __future__ import annotations
 
@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from mdzeta import mpseries
+from mdzeta import evaluator, genfun, mpseries
 from mdzeta.exact import RationalMatrix
+from mdzeta.phase import unit_phase
 
 
 def apery_zeta3() -> float:
@@ -92,9 +93,10 @@ def row_lattice_membership(vectors):
 def reference_tables(plan, pattern):
     """The tables of plan._tables(pattern), built with dict series algebra.
 
-    Every Bernoulli product, fixed singular factor and power of L_g is a
-    series_mul of MultiSeries, read into the dense space at the end.
-    Returns (space, bprods, geometric, forms) in the layout of _Tables.
+    Every Bernoulli product and fixed singular factor is a series_mul of
+    MultiSeries, read into the dense space at the end; each L_g is a
+    linear_form read back at the keys of the single variables.  Returns
+    (space, bprods, geometric, forms) in the layout of _Tables.
     """
     variables = plan.variables
     singular = {plan.pairs[k] for k in pattern}
@@ -118,6 +120,8 @@ def reference_tables(plan, pattern):
     def unit(pos):
         return linear({variables[pos]: 1.0})
 
+    unit_keys = [tuple(int(p == q) for p in range(len(variables))) for q in range(len(variables))]
+
     bprods, geometric = [], []
     for bi, basis in enumerate(plan.bases):
         fixed = mpseries.constant(1.0, variables, caps, total_cap)
@@ -129,12 +133,8 @@ def reference_tables(plan, pattern):
                 scale /= plan.l_normal[bi][gpos][1]
                 continue
             lf = linear({name: float(w) for name, w in plan.l_weights[bi][gpos].items()})
-            series = unit(gpos)
-            rows = [space.dense(series)]
-            for _ in range(total_cap - 1):
-                series = mpseries.series_mul(series, lf)
-                rows.append(space.dense(series))
-            regular.append((plan.pairs.index((bi, gpos)), np.array(rows)))
+            weights = tuple(mpseries.coefficient(lf, key).real for key in unit_keys)
+            regular.append((plan.pairs.index((bi, gpos)), weights, unit_keys[gpos]))
         for form, mult in max_mult.items():
             for _ in range(mult - per_basis[bi].get(form, 0)):
                 fixed = mpseries.series_mul(fixed, linear(dict(zip(variables, map(float, form)))))
@@ -151,3 +151,30 @@ def reference_tables(plan, pattern):
         bprods.append(np.array(rows))
         geometric.append(tuple(regular))
     return space, bprods, tuple(geometric), tuple(max_mult.items())
+
+
+def reference_shells(spec, J, M_outer):
+    """Sums and abs-sums of the shells max(m) = n of term_T's outer sum.
+
+    Each outer tuple m gets its own plan.evaluate; the top coefficient is
+    weighted by e(-<m, y>) / prod m_j^h_j / prod over Ibar of form^k_i, and
+    each shell is summed in lexicographic order with evaluator._kahan_sum.
+    """
+    plan = genfun.GeneratingFunctionPlan(spec, tuple(J))
+    ctx = plan.ctx
+    shells, abs_shells = [], []
+    for n in range(1, M_outer + 1):
+        values = []
+        for m in itertools.product(range(1, n + 1), repeat=len(ctx.Jbar)):
+            if max(m) < n:
+                continue
+            outer = dict(zip(ctx.Jbar, m))
+            weight = unit_phase(-sum(spec.y[j - 1] * outer[j] for j in ctx.Jbar))
+            for j in ctx.Jbar:
+                weight /= outer[j] ** spec.h[j - 1]
+            for i in ctx.Ibar:
+                weight /= sum(spec.a(i, j) * outer[j] for j in ctx.Jbar) ** spec.k[i - 1]
+            values.append(weight * mpseries.coefficient(plan.evaluate(outer), plan.caps))
+        shells.append(evaluator._kahan_sum(values))
+        abs_shells.append(sum(abs(v) for v in values))
+    return shells, abs_shells

@@ -1,16 +1,18 @@
 """The batched reduced side: dense series batches, evaluate_batch, outer blocks."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import helpers
 from mdzeta import evaluator, exact, genfun, model, mpseries
 from mdzeta.mpseries import (
-    CapExceeded, SingularConfiguration, dense_space, divide_linear, series_mul,
+    CapExceeded, SingularConfiguration, dense_space, divide_linear, rational_factor, series_mul,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_top_coefficients.json"
@@ -38,15 +40,29 @@ def _batch(draw, space, rows):
 
 
 @given(st.data())
-def test_batched_product_matches_series_mul(data):
-    variables, caps, total = data.draw(spaces())
+def test_geometric_factor_matches_series_mul(data):
+    # the Horner product of _numerator against the dict expansion of
+    # -t_g/(d - L_g), with per-row d of either sign and |d| = 1 among them
+    variables, caps, total = data.draw(spaces(full_simplex=data.draw(st.booleans())))
+    live = [v for v, c in zip(variables, caps) if c and total]
+    assume(live)
     space = dense_space(caps, total)
-    rows = data.draw(st.integers(1, 3))
-    a, b = _batch(data.draw, space, rows), _batch(data.draw, space, rows)
-    got = space.mul(a, b)
-    for r in range(rows):
-        want = series_mul(space.series(variables, a[r]), space.series(variables, b[r]))
-        assert np.max(np.abs(got[r] - space.dense(want)), initial=0.0) <= 1e-12
+    gname = data.draw(st.sampled_from(live))
+    fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    weights = {v: data.draw(fractions) for v in live}
+    denoms = data.draw(st.lists(
+        st.one_of(st.sampled_from([1, -1]), fractions.filter(bool)), min_size=1, max_size=4
+    ))
+    batch = _batch(data.draw, space, len(denoms))
+    got = genfun._times_geometric(
+        space, batch, 1.0 / np.array([float(d) for d in denoms]),
+        [float(weights.get(v, 0)) for v in variables],
+        [1 if v == gname else 0 for v in variables],
+    )
+    for row, d, g in zip(batch, denoms, got):
+        factor = rational_factor(variables, caps, total, gname, d, weights)
+        want = space.dense(series_mul(space.series(variables, row), factor))
+        assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want), initial=0.0)
 
 
 @given(st.data())
@@ -228,6 +244,39 @@ def test_term_does_not_depend_on_block_size(monkeypatch):
     assert abs(small.refined.uncertainty - default.refined.uncertainty) <= (
         1e-12 * default.refined.uncertainty
     )
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"h": [1, 1, 1], "k": [2], "y": ["0", "0", "0"], "A": [[1, 1, 1]]},  # mt_r3
+        {"h": [1, 1], "k": [1, 1, 1], "y": ["0", "0"], "A": [[1, 0], [0, 1], [1, 1]]},  # root_a2
+        {"h": [1, 2], "k": [1, 2], "y": ["1/3", "1/4"], "A": [[2, 1], [1, 1]]},
+        # mt_r2_twisted: its odd shells of J = {1} cancel exactly
+        {"h": [2, 2], "k": [2], "y": ["1/2", "0"], "A": [[1, 1]]},
+    ],
+    ids=["mt_r3", "root_a2", "random_mixed-style", "mt_r2_twisted"],
+)
+def test_term_shells_match_the_per_tuple_reference(monkeypatch, data):
+    spec = model.parse_spec(data)
+    seen, partial = [], evaluator._partial
+
+    def record(shells, abs_shells, *args):
+        seen.append((shells, abs_shells))
+        return partial(shells, abs_shells, *args)
+
+    monkeypatch.setattr(evaluator, "_partial", record)
+    for J in model.nonempty_subsets(spec.r)[:-1]:  # every J with an outer sum
+        seen.clear()
+        evaluator.term_T(spec, J, M_outer=12)
+        [(shells, abs_shells)] = seen
+        want, want_abs = helpers.reference_shells(spec, J, 12)
+        assert len(shells) == len(abs_shells) == len(want) == 12
+        for got, got_abs, w, w_abs in zip(shells, abs_shells, want, want_abs):
+            assert abs(got - w) <= 1e-14 * w_abs
+            assert abs(got_abs - w_abs) <= 1e-14 * w_abs
+            # an exact zero part stays exact
+            assert (w.real != 0 or got.real == 0) and (w.imag != 0 or got.imag == 0)
 
 
 def test_term_reports_unit_outer_d():

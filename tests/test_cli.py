@@ -173,16 +173,12 @@ def test_output_dir_mirrors_stdout_report(capsys, tmp_path, monkeypatch):
     assert written == out
 
 
-def test_threads_option(capsys):
-    argv = ["eval", "--spec", MT_PATH, "--M", "150", "--output", "json"]
-    code, serial, _ = _run(capsys, argv + ["--threads", "1"])
-    assert code == 0
-    code, auto, _ = _run(capsys, argv + ["--threads", "auto"])
-    assert code == 0
-    assert serial == auto
+def test_threads_option_is_gone(capsys):
+    # --threads was a no-op and has been removed: argparse refuses it
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--threads", "0"])
+        cli.main(["eval", "--spec", MT_PATH, "--M", "150", "--threads", "1"])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -251,6 +247,31 @@ def test_work_budget_admits_boxes_up_to_the_limit(capsys, monkeypatch):
     assert err == "" and code == {"pass": 0, "inconclusive": 3}[json.loads(out)["verdict"]]
     code, _, err = _run(capsys, argv + ["--M", "21"])
     assert code == 2 and "21^2 = 441 direct terms" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "reduce"])
+def test_large_form_values_are_rejected_before_any_work(capsys, monkeypatch, tmp_path, command):
+    # 100 direct terms, but the direct side would tabulate 1/f^k for every
+    # form value f up to 20 * 100
+    path = tmp_path / "wide_form.json"
+    path.write_text('{"h": [2], "k": [2], "y": ["0"], "A": [[20]]}')
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("summation started")
+
+    monkeypatch.setattr(evaluator, "_direct_shells", no_work)
+    monkeypatch.setattr(evaluator, "convergence_check", no_work)
+    monkeypatch.setattr(cli, "convergence_check", no_work)
+    monkeypatch.setattr(cli, "WORK_BUDGET", 1000)
+    argv = [command, "--spec", str(path), "--M", "100"]
+    argv += [] if command == "eval" else ["--M-outer", "10"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --M 100") and "2000 direct form values" in err
+    # one step lower the same box is admitted
+    monkeypatch.setattr(cli, "WORK_BUDGET", 2000)
+    with pytest.raises(AssertionError, match="summation started"):
+        cli.main(argv)
 
 
 # A term is its sign times the outer sum, so sign -1 on an exact zero part

@@ -65,10 +65,8 @@ def _check_tables(plan, pattern):
     assert len(tables.bprods) == len(bprods) == len(plan.bases)
     for got, want in zip(tables.bprods, bprods):
         _assert_rows_close(got, want)
-    assert [[k for k, _ in g] for g in tables.geometric] == [[k for k, _ in g] for g in geometric]
-    for got, want in zip(tables.geometric, geometric):
-        for (_, g), (_, w) in zip(got, want):
-            _assert_rows_close(g, w)
+    # pair indices, the weights of L_g and the key of t_g, all exact
+    assert tables.geometric == geometric
 
 
 @given(instances())

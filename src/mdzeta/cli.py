@@ -7,11 +7,13 @@ Subcommands:
   reduce     tabulate the reduced side (per-subset terms and coefficients)
   selftest   quick internal consistency checks, no instance needed
 
-Exit codes: 0 success/pass, 1 fail, 2 invalid input or convergence not
-established, 3 inconclusive.  Box sizes --M and --M-outer below 1 are
-invalid input, and so are boxes over the work budget: more than WORK_BUDGET
-direct terms (M**r), outer tuples per subset (M_outer**(r-1)) or direct
-form values (the largest row sum of A times M).  Set MDZETA_OUTPUT_DIR to
+Exit codes: 0 success/pass, 1 fail, 2 invalid input, convergence not
+established or a reduced side that cannot be assembled, 3 inconclusive.
+Box sizes --M and --M-outer below 1 are invalid input, and so are boxes
+over the work budget: more than WORK_BUDGET direct terms (M**r), direct
+form values (the largest row sum of A times M), or, for some subset J,
+coset representatives times outer tuples (the sum of |det B| over the
+bases B of Lambda_J, times M_outer**(r-|J|)).  Set MDZETA_OUTPUT_DIR to
 also write the JSON report into that directory.
 """
 
@@ -27,11 +29,14 @@ from fractions import Fraction
 
 from . import evaluator, exact, genfun, mpseries, mtoracle
 from .evaluator import ConvergenceNotEstablished, _cnum, _fnum
-from .model import SpecError, convergence_check, load_spec, parse_spec, spec_to_dict
+from .model import (
+    SpecError, convergence_check, load_spec, nonempty_subsets, parse_spec, spec_to_dict,
+)
 
 
 # eval, verify and reduce refuse, before any summation, a box of more direct
-# terms, outer tuples or direct form values than this.
+# terms, direct form values or coset representatives times outer tuples
+# than this.
 WORK_BUDGET = 10**7
 
 
@@ -73,27 +78,35 @@ def _spec_line(spec) -> str:
 
 def _within_budget(spec, M: int, M_outer: int | None = None) -> bool:
     """True when the boxes fit WORK_BUDGET; otherwise print why and return False."""
-    boxes = [("--M", M, spec.r, "direct terms")]
-    if M_outer is not None:
-        boxes.append(("--M-outer", M_outer, spec.r - 1, "outer tuples per subset"))
-    for flag, size, dims, what in boxes:
-        if size**dims > WORK_BUDGET:
-            print(
-                f"error: {flag} {size} at r={spec.r} gives {size}^{dims} = {size**dims} "
-                f"{what}, over the work budget of {WORK_BUDGET}",
-                file=sys.stderr,
-            )
-            return False
+    if M**spec.r > WORK_BUDGET:
+        return _refuse(
+            f"--M {M} at r={spec.r} gives {M}^{spec.r} = {M**spec.r} direct terms"
+        )
     # the direct side tabulates 1/f^k for every form value f up to this
     values = spec.max_row_sum * M
     if values > WORK_BUDGET:
-        print(
-            f"error: --M {M} with a largest row sum of A of {spec.max_row_sum} gives "
-            f"{values} direct form values, over the work budget of {WORK_BUDGET}",
-            file=sys.stderr,
+        return _refuse(
+            f"--M {M} with a largest row sum of A of {spec.max_row_sum} gives "
+            f"{values} direct form values"
         )
-        return False
+    if M_outer is None:
+        return True
+    # the reduced side reads every coset representative of every basis of
+    # Lambda_J at every outer tuple over Jbar; the count is known from the
+    # basis determinants, before any coset is enumerated
+    for J in nonempty_subsets(spec.r):
+        count, outer = genfun.coset_count(spec, J), spec.r - len(J)
+        if count * M_outer**outer > WORK_BUDGET:
+            return _refuse(
+                f"--M-outer {M_outer} at J={set(J)} gives {count} coset representatives "
+                f"times {M_outer}^{outer} outer tuples = {count * M_outer**outer}"
+            )
     return True
+
+
+def _refuse(why: str) -> bool:
+    print(f"error: {why}, over the work budget of {WORK_BUDGET}", file=sys.stderr)
+    return False
 
 
 def _load(path: str):
@@ -357,8 +370,8 @@ def _selftest_closed_form() -> bool:
 
 def _selftest_singleton() -> bool:
     rho = exact.choose_rho([(1,)])
-    pairing = exact.dot(rho.coords, exact.dual_basis([(1,)])[0])
-    c = exact.fractional_part(Fraction(0), pairing)
+    det, rows = exact.dual_basis([(1,)])
+    c = exact.fractional_part(Fraction(0), det * exact.dot(rho.coords, rows[0]))
     for h, expected in ((2, math.pi**2 / 3), (4, math.pi**4 / 45)):
         # -D/h! where D = h! * [t^h] of the Bernoulli factor
         beta = mpseries.bernoulli_factor(("t1",), (h,), h, "t1", c)
@@ -450,7 +463,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SpecError as exc:
+    except (SpecError, exact.ExactError, mpseries.SingularConfiguration) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

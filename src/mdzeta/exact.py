@@ -1,7 +1,8 @@
-"""Exact lattice linear algebra over the rationals.  No floats in here.
+"""Exact integer lattice linear algebra.  No floats in here.
 
 Supplies the pieces the generating-function layer leans on: dual bases of
-integer vector families, Smith normal form with tracked unimodular
+integer vector families by fraction-free elimination, as integer rows over
+the basis determinant, Smith normal form with tracked unimodular
 transforms, enumeration of finite quotient groups Z^m / <rows>, selection of
 a perturbation direction rho avoiding all degenerate hyperplanes, and the
 rho-directed fractional part used for lattice-point counting.
@@ -16,10 +17,6 @@ from math import prod
 
 
 class ExactError(ValueError):
-    pass
-
-
-class SingularMatrix(ExactError):
     pass
 
 
@@ -39,128 +36,42 @@ class RankDeficient(ExactError):
     pass
 
 
-def dot(u, v) -> Fraction:
+def dot(u, v):
+    """<u, v> exactly: an int for integer vectors, a Fraction once a Fraction enters."""
     if len(u) != len(v):
         raise ExactError(f"dot of lengths {len(u)} and {len(v)}")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+    return sum(a * b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    rows: tuple[tuple[Fraction, ...], ...]
+def dual_basis(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det, rows) with <vectors[i], rows[j]> = det * delta_ij, for integer rows.
 
-    @classmethod
-    def from_rows(cls, rows) -> "RationalMatrix":
-        coerced = tuple(tuple(Fraction(v) for v in row) for row in rows)
-        if not coerced or not coerced[0]:
-            raise ExactError("matrix must be nonempty")
-        width = len(coerced[0])
-        if any(len(row) != width for row in coerced):
-            raise ExactError("ragged matrix")
-        return cls(coerced)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-        )
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(tuple(zip(*self.rows)))
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.ncols != other.nrows:
-            raise ExactError("matmul shape mismatch")
-        cols = other.transpose().rows
-        return RationalMatrix(
-            tuple(tuple(dot(row, col) for col in cols) for row in self.rows)
-        )
-
-    def det(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ExactError("determinant of a non-square matrix")
-        a = [list(row) for row in self.rows]
-        n = self.nrows
-        sign = 1
-        result = Fraction(1)
-        for col in range(n):
-            pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                sign = -sign
-            result *= a[col][col]
-            inv = 1 / a[col][col]
-            for i in range(col + 1, n):
-                if a[i][col] != 0:
-                    factor = a[i][col] * inv
-                    a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-        return sign * result
-
-    def inverse(self) -> "RationalMatrix":
-        if self.nrows != self.ncols:
-            raise ExactError("inverse of a non-square matrix")
-        n = self.nrows
-        a = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-             for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-            if pivot is None:
-                raise SingularMatrix("matrix is singular")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for i in range(n):
-                if i != col and a[i][col] != 0:
-                    factor = a[i][col]
-                    a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-        return RationalMatrix(tuple(tuple(row[n:]) for row in a))
-
-
-def rank_of(vectors) -> int:
-    """Rank of a family of rational vectors (rows)."""
-    rows = [[Fraction(v) for v in vec] for vec in vectors]
-    if not rows:
-        return 0
-    rank = 0
-    width = len(rows[0])
-    for col in range(width):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+    Fraction-free Gauss-Jordan (Bareiss) on [vectors | I]: every division is
+    exact, the left block ends as d*I and the right block as d times the
+    inverse, with d the determinant after the row swaps.  So rows is the
+    transposed adjugate, and rows / det is the rational dual basis.  Every
+    determinant, dual and inverse of the exact layer comes from here.
+    """
+    a = [[int(v) for v in row] for row in vectors]
+    n = len(a)
+    if n == 0 or any(len(row) != n for row in a):
+        raise ExactError("dual basis needs a nonempty square family")
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
         if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col] * inv
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def dual_basis(vectors) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows dual to the given basis rows: <vectors[i], dual[j]> = delta_ij."""
-    mat = RationalMatrix.from_rows(vectors)
-    if mat.nrows != mat.ncols:
-        raise ExactError("dual basis needs a square family")
-    try:
-        return mat.inverse().transpose().rows
-    except SingularMatrix as exc:
-        raise SingularBasis("family is not a basis") from exc
+            raise SingularBasis("family is not a basis")
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        p = a[k][k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], a[k])]
+        prev = p
+    return sign * prev, tuple(tuple(sign * a[i][n + j] for i in range(n)) for j in range(n))
 
 
 def smith_normal_form(mat) -> tuple[tuple, tuple, tuple]:
@@ -253,13 +164,10 @@ def smith_normal_form(mat) -> tuple[tuple, tuple, tuple]:
 
 
 def _unimodular_inverse(mat) -> tuple[tuple[int, ...], ...]:
-    inv = RationalMatrix.from_rows(mat).inverse()
-    out = []
-    for row in inv.rows:
-        if any(v.denominator != 1 for v in row):
-            raise ExactError("matrix is not unimodular")
-        out.append(tuple(int(v) for v in row))
-    return tuple(out)
+    det, rows = dual_basis(mat)
+    if abs(det) != 1:
+        raise ExactError("matrix is not unimodular")
+    return tuple(tuple(det * v for v in col) for col in zip(*rows))
 
 
 def _row_times(vec, mat) -> tuple[int, ...]:
@@ -359,36 +267,41 @@ def choose_rho(vectors, variant: int = 0, max_candidates: int = 64) -> RhoVector
     m = len(vecs[0])
     if any(len(v) != m for v in vecs):
         raise ExactError("ragged vector family")
-    if rank_of(vecs) < m:
-        raise RankDeficient(f"family has rank < {m}")
-    duals = []
+    # rho is certified when it pairs to nonzero with every dual row of every
+    # basis and with the normal of every hyperplane spanned by m-1 members
+    normals, bases, hyperplanes = [], 0, 0
     for subset in itertools.combinations(vecs, m):
         try:
-            duals.append(dual_basis(subset))
+            normals.extend(dual_basis(subset)[1])
+            bases += 1
         except SingularBasis:
             continue
-    hyperplanes = []
-    if m >= 2:
-        for subset in itertools.combinations(vecs, m - 1):
-            if rank_of(subset) == m - 1:
-                hyperplanes.append(subset)
+    if not bases:
+        raise RankDeficient(f"family has rank < {m}")
+    # m-1 members span a hyperplane exactly when some unit vector completes
+    # them to a basis; the dual row of that unit vector is then orthogonal to
+    # them, so it is the hyperplane's normal
+    units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    for subset in itertools.combinations(vecs, m - 1) if m >= 2 else ():
+        for unit in units:
+            try:
+                normals.append(dual_basis([*subset, unit])[1][-1])
+                hyperplanes += 1
+                break
+            except SingularBasis:
+                continue
 
     found = 0
     for idx, cand in enumerate(_rho_ladder(m)):
         if idx >= max_candidates:
             break
-        ok = all(
-            dot(cand, dvec) != 0 for dual in duals for dvec in dual
-        ) and all(
-            rank_of(list(sub) + [cand]) == m for sub in hyperplanes
-        )
-        if ok:
+        if all(dot(cand, normal) != 0 for normal in normals):
             if found == variant:
                 return RhoVector(
                     coords=cand,
                     ladder_index=idx,
-                    bases_checked=len(duals),
-                    hyperplanes_checked=len(hyperplanes),
+                    bases_checked=bases,
+                    hyperplanes_checked=hyperplanes,
                 )
             found += 1
     raise ExhaustedCandidates(
@@ -396,15 +309,25 @@ def choose_rho(vectors, variant: int = 0, max_candidates: int = 64) -> RhoVector
     )
 
 
-def fractional_part(x: Fraction, p: Fraction) -> Fraction:
-    """Fractional part of x nudged along the sign of p; lands in [0, 1].
+def directed_residue(num: int, den: int, p) -> int:
+    """num / den mod 1 nudged along the sign of p, as a numerator over den.
 
-    At non-integer x both branches agree with the usual {x}.  At integer x
-    the positive branch gives 0 and the negative branch gives 1, which is
-    exactly the limit of {x - eps*p} as eps -> 0+.
+    Lands in [0, den) for p > 0 and in (0, den] for p < 0: at a multiple of
+    den the positive branch gives 0 and the negative branch gives den, which
+    is exactly the limit of {num/den - eps*p} as eps -> 0+.
     """
     if p > 0:
-        return x % 1
+        return num % den
     if p < 0:
-        return 1 - ((-x) % 1)
+        return den - (-num) % den
     raise ZeroPairing("direction pairs to zero; rho certification failed")
+
+
+def fractional_part(x: Fraction, p) -> Fraction:
+    """Fractional part of x nudged along the sign of p; lands in [0, 1].
+
+    At non-integer x both branches agree with the usual {x}; at integer x
+    the positive branch gives 0 and the negative branch gives 1.
+    """
+    x = Fraction(x)
+    return Fraction(directed_residue(x.numerator, x.denominator, p), x.denominator)

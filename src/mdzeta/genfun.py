@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +25,6 @@ from math import gcd, prod
 import numpy as np
 
 from . import exact, mpseries
-from .exact import RationalMatrix
 from .model import SeriesSpec, SubsetContext, subset_context
 from .mpseries import MultiSeries, SingularConfiguration
 from .phase import unit_phase
@@ -81,37 +81,51 @@ def build_lambda(spec: SeriesSpec, ctx: SubsetContext, m_outer) -> tuple[AffineF
     return tuple(members)
 
 
-def enumerate_bases(members) -> tuple[tuple[int, ...], ...]:
-    """Position tuples of all bases of Lambda, in lexicographic order."""
+def enumerate_bases(members) -> dict[tuple[int, ...], tuple]:
+    """The bases of Lambda, each mapped to exact.dual_basis of its vectors.
+
+    Keys are position tuples in lexicographic order; values are (det, rows)
+    with <vec of the i-th member, rows[j]> = det * delta_ij.
+    """
     m = len(members[0].vec)
-    if exact.rank_of([f.vec for f in members]) < m:
-        raise exact.RankDeficient("family does not span; no bases exist")
-    out = []
+    out = {}
     for idx in itertools.combinations(range(len(members)), m):
-        if RationalMatrix.from_rows([members[i].vec for i in idx]).det() != 0:
-            out.append(idx)
-    return tuple(out)
+        try:
+            out[idx] = exact.dual_basis([members[i].vec for i in idx])
+        except exact.SingularBasis:
+            continue
+    if not out:
+        raise exact.RankDeficient("family does not span; no bases exist")
+    return out
 
 
-def _normalize_linear(weights: dict[str, Fraction], order: tuple[str, ...]):
-    """Split a rational linear form into (primitive integer form, scale).
+def _template(spec: SeriesSpec, ctx: SubsetContext) -> tuple[AffineFunctional, ...]:
+    """Lambda at the all-ones outer tuple: the members' vectors and tags."""
+    return build_lambda(spec, ctx, {j: 1 for j in ctx.Jbar})
+
+
+def coset_count(spec: SeriesSpec, J) -> int:
+    """Coset representatives a plan for (spec, J) enumerates: sum of |det B|."""
+    template = _template(spec, subset_context(spec, tuple(J)))
+    return sum(abs(det) for det, _ in enumerate_bases(template).values())
+
+
+def _normalize_linear(row: tuple[int, ...], den: int):
+    """Split the linear form row / den (den > 0) into (primitive form, scale).
 
     The primitive form has coprime integer coefficients and a positive
-    leading coefficient in the given variable order, so equal directions
-    normalize to the identical key.
+    leading coefficient, so equal directions normalize to the identical key;
+    row / den = scale * primitive.
     """
-    den = 1
-    for w in weights.values():
-        den = den * w.denominator // gcd(den, w.denominator)
-    ints = {name: int(w * den) for name, w in weights.items() if w != 0}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, abs(v))
-    lead = next(name for name in order if ints.get(name, 0) != 0)
-    if ints[lead] < 0:
+    g = gcd(*row)
+    if next(c for c in row if c) < 0:
         g = -g
-    prim = tuple(ints.get(name, 0) // g for name in order)
-    return prim, Fraction(g, den)
+    return tuple(c // g for c in row), Fraction(g, den)
+
+
+def _pairings(u, rows) -> list[int]:
+    """<u, row> for each row, in integers."""
+    return [sum(map(operator.mul, u, row)) for row in rows]
 
 
 def _times_geometric(space, batch, inv, weights, unit) -> np.ndarray:
@@ -146,106 +160,94 @@ class GeneratingFunctionPlan:
         self.ctx = subset_context(spec, tuple(J))
         ctx = self.ctx
         self.m = len(ctx.J)
-        template = build_lambda(spec, ctx, {j: 1 for j in ctx.Jbar})
+        template = _template(spec, ctx)
         self.tags = tuple(f.tag for f in template)
         self.vecs = tuple(f.vec for f in template)
         self.variables = tuple(variable_name(t) for t in self.tags)
         caps = [spec.h[j - 1] for j in ctx.J] + [spec.k[i - 1] for i in ctx.I]
         self.caps = tuple(caps)
         self.total_cap = sum(caps)
-        # dot part of each member as a linear map of the outer tuple
-        self.dot_coeffs: tuple[dict[int, int], ...] = tuple(
-            {}
-            if tag <= spec.r
-            else {j: -spec.a(tag - spec.r, j) for j in ctx.Jbar if spec.a(tag - spec.r, j)}
+        # dot part of each member as an integer form in the outer tuple
+        dots = tuple(
+            tuple(0 if tag <= spec.r else -spec.a(tag - spec.r, j) for j in ctx.Jbar)
             for tag in self.tags
         )
-        self.bases = enumerate_bases(template)
+        dot_cols = tuple(zip(*dots))  # per j in Jbar: its coefficient in each member
+        duals = enumerate_bases(template)
+        self.bases = tuple(duals)
         self.rho = exact.choose_rho(self.vecs, variant=rho_variant)
-        self.duals = tuple(
-            exact.dual_basis([self.vecs[p] for p in basis]) for basis in self.bases
-        )
         self.cosets = tuple(
             exact.coset_representatives([self.vecs[p] for p in basis])
             for basis in self.bases
         )
-        y_J = tuple(spec.y[j - 1] for j in ctx.J)
-        self.pairings = []       # per basis: tuple over basis members
-        self.frac_parts = []     # per basis: per coset rep: tuple over members
-        for bi, basis in enumerate(self.bases):
-            pair = tuple(
-                exact.dot(self.rho.coords, self.duals[bi][fi])
-                for fi in range(len(basis))
-            )
-            self.pairings.append(pair)
-            rows = []
-            for w in self.cosets[bi].representatives:
-                point = tuple(y + Fraction(wc) for y, wc in zip(y_J, w))
-                rows.append(
-                    tuple(
-                        exact.fractional_part(
-                            exact.dot(point, self.duals[bi][fi]), pair[fi]
-                        )
-                        for fi in range(len(basis))
-                    )
-                )
-            self.frac_parts.append(rows)
-        # complements, L_g data and d_g as linear maps of the outer tuple
         self.complements = tuple(
             tuple(p for p in range(len(template)) if p not in basis)
             for basis in self.bases
         )
-        self.l_weights = []   # per basis: {gpos: {var: Fraction}}
-        self.l_normal = []    # per basis: {gpos: (primitive tuple, scale)}
-        self.d_linear = []    # per basis: {gpos: {j in Jbar: Fraction}}
-        for bi, basis in enumerate(self.bases):
-            lw, ln, dl = {}, {}, {}
-            for gpos in self.complements[bi]:
-                gvec = self.vecs[gpos]
-                weights = {self.variables[gpos]: Fraction(1)}
-                dcoef = dict(
-                    (j, Fraction(c)) for j, c in self.dot_coeffs[gpos].items()
+        # All exact data below are integers.  Each basis's dual is integer
+        # rows over den = |det|; with the twist y_J over the common
+        # denominator Q, <y + w, dual_f> is an integer over Q * den, and L_g
+        # and d_g are integer rows over den.
+        y_J = tuple(spec.y[j - 1] for j in ctx.J)
+        Q = math.lcm(*(y.denominator for y in y_J))
+        yQ = tuple(y.numerator * (Q // y.denominator) for y in y_J)
+        self.duals = []     # per basis: (den, rows), rows / den the dual basis
+        self.residues = []  # per basis: (Q * den, per coset rep: fractional parts times Q * den)
+        self.l_rows = []    # per basis: {gpos: den * the weights of L_g, one per member}
+        self.l_normal = []  # per basis: {gpos: (primitive tuple, scale)}
+        d_rows = []         # per (basis, complement member): (den * d_g over Jbar, den)
+        for (det, rows), basis, cosets, complement in zip(
+            duals.values(), self.bases, self.cosets, self.complements
+        ):
+            den = abs(det)
+            if det < 0:
+                rows = tuple(tuple(-v for v in row) for row in rows)
+            self.duals.append((den, rows))
+            pairing, shift = _pairings(self.rho.coords, rows), _pairings(yQ, rows)
+            self.residues.append((Q * den, tuple(
+                tuple(
+                    exact.directed_residue(s + Q * x, Q * den, p)
+                    for s, x, p in zip(shift, _pairings(w, rows), pairing)
                 )
-                for fi, fpos in enumerate(basis):
-                    pairing = exact.dot(gvec, self.duals[bi][fi])
-                    if pairing != 0:
-                        name = self.variables[fpos]
-                        weights[name] = weights.get(name, Fraction(0)) - pairing
-                        for j, c in self.dot_coeffs[fpos].items():
-                            dcoef[j] = dcoef.get(j, Fraction(0)) - Fraction(c) * pairing
-                lw[gpos] = {n: w for n, w in weights.items() if w != 0}
-                ln[gpos] = _normalize_linear(lw[gpos], self.variables)
-                dl[gpos] = {j: c for j, c in dcoef.items() if c != 0}
-            self.l_weights.append(lw)
+                for w in cosets.representatives
+            )))
+            lr, ln = {}, {}
+            for gpos in complement:
+                row = [0] * len(template)
+                row[gpos] = den
+                for fpos, x in zip(basis, _pairings(self.vecs[gpos], rows)):
+                    row[fpos] = -x
+                lr[gpos] = tuple(row)
+                ln[gpos] = _normalize_linear(lr[gpos], den)
+                d_rows.append((_pairings(row, dot_cols), den))
+            self.l_rows.append(lr)
             self.l_normal.append(ln)
-            self.d_linear.append(dl)
         self.space = mpseries.dense_space(self.caps, self.total_cap)
         self.top = int(self.space.locate([self.caps])[0])
         # every (basis, complement member) pair, with its d_g as an integer
-        # form in the outer tuple over one common denominator
+        # form in the outer tuple over one common (reduced) denominator
         self.pairs = tuple(
             (bi, gpos) for bi in range(len(self.bases)) for gpos in self.complements[bi]
         )
-        self._d_den = math.lcm(
-            1, *(c.denominator for dl in self.d_linear for co in dl.values() for c in co.values())
-        )
+        self._d_den = math.lcm(1, *(den // gcd(den, *row) for row, den in d_rows))
         self._d_num = np.zeros((len(ctx.Jbar), len(self.pairs)), dtype=np.int64)
-        for k, (bi, gpos) in enumerate(self.pairs):
-            for col, j in enumerate(ctx.Jbar):
-                self._d_num[col, k] = int(self.d_linear[bi][gpos].get(j, 0) * self._d_den)
+        for k, (row, den) in enumerate(d_rows):
+            g = gcd(den, *row)
+            for col, c in enumerate(row):
+                self._d_num[col, k] = c // g * (self._d_den * g // den)
         # the coset phases e(-<dots, c>) per basis: the member dots are
         # integer forms in the outer tuple, so each phase is a q-th root of
-        # unity read at an integer form mod q
+        # unity read at an integer form mod q, q the lcm of the reduced
+        # denominators of the fractional parts
         self._phase_data = []
-        for bi, basis in enumerate(self.bases):
-            reps = self.frac_parts[bi]
-            q = math.lcm(1, *(c.denominator for cs in reps for c in cs))
+        for basis, (fden, reps) in zip(self.bases, self.residues):
+            q = fden // gcd(fden, *(r for rs in reps for r in rs))
             coef = np.zeros((len(ctx.Jbar), len(reps)), dtype=np.int64)
-            for col, j in enumerate(ctx.Jbar):
-                for wi, cs in enumerate(reps):
-                    coef[col, wi] = int(-q * sum(
-                        self.dot_coeffs[fpos].get(j, 0) * cs[fi] for fi, fpos in enumerate(basis)
-                    ))
+            for col in range(len(ctx.Jbar)):
+                for wi, rs in enumerate(reps):
+                    coef[col, wi] = -sum(
+                        dots[fpos][col] * (r * q // fden) for r, fpos in zip(rs, basis)
+                    )
             self._phase_data.append((q, coef))
         self._phase_memo: dict[int, dict[int, complex]] = {}  # q -> residue -> e(res/q)
         self._tables_cache: dict[frozenset, _Tables] = {}
@@ -253,11 +255,14 @@ class GeneratingFunctionPlan:
     def _phases(self, bi: int, tuples) -> np.ndarray:
         """The coset phases of basis bi, one row per outer tuple, (B, K).
 
-        unit_phase runs once per residue mod q that some tuple reaches and
-        is memoised for the plan, so the work follows the outer tuples, not
-        q, which grows with the twist's denominators.
+        At q = 1 every phase is 1.  Otherwise unit_phase runs once per
+        residue mod q that some tuple reaches and is memoised for the plan,
+        so the work follows the outer tuples, not q, which grows with the
+        twist's denominators.
         """
         q, coef = self._phase_data[bi]
+        if q == 1:
+            return np.ones((len(tuples), coef.shape[1]), dtype=complex)
         residues = (tuples @ coef) % q
         hit, inverse = np.unique(residues, return_inverse=True)
         memo = self._phase_memo.setdefault(q, {})
@@ -277,21 +282,25 @@ class GeneratingFunctionPlan:
         holding a variable outside the basis.  Factors multiply in basis
         order.
         """
-        coefficients: dict[tuple[int, Fraction], list[complex]] = {}
+        coefficients: dict[tuple[int, int, int], list[complex]] = {}
         out = []
         for bi, basis in enumerate(self.bases):
+            fden, reps = self.residues[bi]
             inside = np.flatnonzero(~space.keys[:, list(self.complements[bi])].any(axis=1))
             product = None
             for fi, fpos in enumerate(basis):
                 nmax = min(space.caps[fpos], space.total_cap)
                 factor = []
-                for cs in self.frac_parts[bi]:
-                    if (nmax, cs[fi]) not in coefficients:
-                        coefficients[nmax, cs[fi]] = mpseries.bernoulli_coefficients(nmax, cs[fi])
-                    factor.append(coefficients[nmax, cs[fi]])
+                for rs in reps:
+                    key = (nmax, rs[fi], fden)
+                    if key not in coefficients:
+                        coefficients[key] = mpseries.bernoulli_coefficients(
+                            nmax, Fraction(rs[fi], fden)
+                        )
+                    factor.append(coefficients[key])
                 values = np.array(factor, dtype=complex)[:, space.keys[inside, fpos]]
                 product = values if product is None else product * values
-            table = np.zeros((len(self.frac_parts[bi]), space.size), dtype=complex)
+            table = np.zeros((len(reps), space.size), dtype=complex)
             table[:, inside] = product
             out.append(table)
         return out
@@ -335,9 +344,8 @@ class GeneratingFunctionPlan:
                     rows = space.mul_linear(rows, self._unit_key(gpos))
                     scale /= self.l_normal[bi][gpos][1]
                 else:
-                    weights = tuple(
-                        float(self.l_weights[bi][gpos].get(name, 0)) for name in self.variables
-                    )
+                    den = self.duals[bi][0]
+                    weights = tuple(c / den for c in self.l_rows[bi][gpos])
                     regular.append((self.pairs.index((bi, gpos)), weights, self._unit_key(gpos)))
             for form, mult in max_mult.items():
                 for _ in range(mult - per_basis[bi].get(form, 0)):

@@ -1,21 +1,24 @@
 """Oracles shared across the suite, deliberately independent of the library
 code paths they check: a fast exact series for zeta(3), Bernoulli numbers by
 the explicit double sum (no recurrence), Taylor coefficients via the Cauchy
-integral on a roots-of-unity grid, exact lattice membership by rational
-solve, a generating-function plan's tables built with dict series
-algebra, and the shells of an outer sum summed one tuple at a time."""
+integral on a roots-of-unity grid, exact lattice membership through the
+integer dual, Leibniz determinants and Cramer duals, a generating-function
+plan's exact data in Fractions from the definitions, its tables built with
+dict series algebra, and the shells of an outer sum summed one tuple at a
+time."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from mdzeta import evaluator, genfun, mpseries
-from mdzeta.exact import RationalMatrix
+from mdzeta.exact import dual_basis
 from mdzeta.phase import unit_phase
 
 
@@ -74,20 +77,151 @@ def fft_taylor_coeffs(fn, nvars: int, max_degree: int, radius: float = 0.3) -> d
 def row_lattice_membership(vectors):
     """Membership test for the lattice of integer combinations of the rows.
 
-    Returns a closure so the matrix inverse is computed once per lattice;
-    delta is a member iff delta * inverse has integer entries throughout.
+    Returns a closure so the dual is computed once per lattice: delta's
+    coordinates in the rows are <delta, dual_j> / det, so delta is a member
+    iff every <delta, dual_j> is a multiple of det.
     """
-    inv = RationalMatrix.from_rows(vectors).inverse()
-    m = inv.nrows
+    det, duals = dual_basis(vectors)
 
     def member(delta) -> bool:
-        coords = (
-            sum(Fraction(delta[i]) * inv.rows[i][j] for i in range(m))
-            for j in range(m)
-        )
-        return all(c.denominator == 1 for c in coords)
+        return all(sum(map(operator.mul, delta, row)) % det == 0 for row in duals)
 
     return member
+
+
+def leibniz_det(rows) -> int:
+    """Determinant by the Leibniz sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def cramer_dual(rows) -> list[list[Fraction]]:
+    """Rational rows with <rows[i], dual[j]> = delta_ij, by Cramer's rule.
+
+    dual[j] solves B x = e_j for the matrix B of the rows, so its k-th entry
+    is det(B with column k replaced by e_j) / det(B).
+    """
+    n = len(rows)
+    det = leibniz_det(rows)
+    return [
+        [
+            Fraction(leibniz_det([
+                [int(i == j) if c == k else row[c] for c in range(n)]
+                for i, row in enumerate(rows)
+            ]), det)
+            for k in range(n)
+        ]
+        for j in range(n)
+    ]
+
+
+def _fraction_dot(u, v) -> Fraction:
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def _rank_is(rows, rank: int) -> bool:
+    """True when the rank-by-rank minors say the rows have exactly this rank."""
+    width = len(rows[0])
+
+    def some_minor(size):
+        return any(
+            leibniz_det([[rows[i][c] for c in cols] for i in sub]) != 0
+            for sub in itertools.combinations(range(len(rows)), size)
+            for cols in itertools.combinations(range(width), size)
+        )
+
+    return some_minor(rank) and (rank == min(len(rows), width) or not some_minor(rank + 1))
+
+
+def reference_rho(vectors):
+    """(coords, ladder index, bases checked, hyperplanes checked) of variant 0.
+
+    The first rung of (1, ..., m), then (1, t, t^2, ...) for t = m+1, ...,
+    that pairs to nonzero with every Cramer dual row of every basis and lies
+    in the span of no m-1 distinct vectors of rank m-1.
+    """
+    vecs = list(dict.fromkeys(tuple(v) for v in vectors))
+    m = len(vecs[0])
+    bases = [sub for sub in itertools.combinations(vecs, m) if leibniz_det(sub) != 0]
+    planes = [
+        sub for sub in itertools.combinations(vecs, m - 1) if m >= 2 and _rank_is(sub, m - 1)
+    ]
+    ladder = [tuple(range(1, m + 1))] + [tuple(t**e for e in range(m)) for t in range(m + 1, m + 64)]
+    for idx, cand in enumerate(ladder):
+        if all(
+            _fraction_dot(cand, dual) != 0 for sub in bases for dual in cramer_dual(sub)
+        ) and all(leibniz_det([*sub, cand]) != 0 for sub in planes):
+            return cand, idx, len(bases), len(planes)
+    raise AssertionError("no certified direction on the ladder")
+
+
+def reference_plan_data(plan):
+    """The exact data of a plan, in Fractions straight from the definitions.
+
+    Lambda is e_j for j in J, then each form meeting J restricted to J, with
+    dot part -sum over Jbar of a_ij m_j as a form in the outer tuple.  The
+    bases are the position tuples of nonzero Leibniz determinant; duals come
+    from Cramer's rule; the coset representatives are the plan's own.  Per
+    basis, returns the fractional parts {<y_J + w, dual_f>} directed by the
+    sign of <rho, dual_f>, and per complement member g the weights of L_g =
+    t_g - sum_f <v_g, dual_f> t_f over all members, its primitive form and
+    scale, d_g as a form over Jbar, and per coset rep the phase form
+    -sum_f dot_f * frac_f over Jbar.
+    """
+    spec, ctx = plan.spec, plan.ctx
+    vecs = [tuple(int(i == j) for i in ctx.J) for j in ctx.J]
+    dots = [(0,) * len(ctx.Jbar) for _ in ctx.J]
+    for i in ctx.I:
+        vecs.append(tuple(spec.a(i, j) for j in ctx.J))
+        dots.append(tuple(-spec.a(i, j) for j in ctx.Jbar))
+    m, n = len(ctx.J), len(vecs)
+    bases = tuple(
+        idx for idx in itertools.combinations(range(n), m)
+        if leibniz_det([vecs[p] for p in idx]) != 0
+    )
+    rho = reference_rho(vecs)
+    y = [spec.y[j - 1] for j in ctx.J]
+    out = {"bases": bases, "rho": rho, "per_basis": []}
+    for basis, cosets in zip(bases, plan.cosets):
+        duals = cramer_dual([vecs[p] for p in basis])
+        pairing = [_fraction_dot(rho[0], d) for d in duals]
+        fracs = []
+        for w in cosets.representatives:
+            row = []
+            for d, p in zip(duals, pairing):
+                x = _fraction_dot([a + b for a, b in zip(y, w)], d)
+                row.append(x - math.floor(x) if p > 0 else x + 1 - math.ceil(x))
+            fracs.append(tuple(row))
+        per_g = {}
+        for g in (p for p in range(n) if p not in basis):
+            coords = [_fraction_dot(vecs[g], d) for d in duals]
+            weights = [Fraction(int(p == g)) for p in range(n)]
+            for f, c in zip(basis, coords):
+                weights[f] -= c
+            den = math.lcm(*(w.denominator for w in weights))
+            ints = [int(w * den) for w in weights]
+            lead = next(c for c in ints if c)
+            g_ = math.gcd(*ints) * (1 if lead > 0 else -1)
+            prim = tuple(c // g_ for c in ints)
+            scale = next(w for w in weights if w) / next(c for c in prim if c)
+            d_form = tuple(
+                dots[g][col] - sum(c * dots[f][col] for f, c in zip(basis, coords))
+                for col in range(len(ctx.Jbar))
+            )
+            per_g[g] = (tuple(weights), (prim, scale), d_form)
+        phase_forms = [
+            tuple(
+                -sum(dots[f][col] * c for f, c in zip(basis, cs))
+                for col in range(len(ctx.Jbar))
+            )
+            for cs in fracs
+        ]
+        out["per_basis"].append((fracs, per_g, phase_forms))
+    return out
 
 
 def reference_tables(plan, pattern):
@@ -132,7 +266,8 @@ def reference_tables(plan, pattern):
                 fixed = mpseries.series_mul(fixed, unit(gpos))
                 scale /= plan.l_normal[bi][gpos][1]
                 continue
-            lf = linear({name: float(w) for name, w in plan.l_weights[bi][gpos].items()})
+            den = plan.duals[bi][0]
+            lf = linear({name: c / den for name, c in zip(variables, plan.l_rows[bi][gpos]) if c})
             weights = tuple(mpseries.coefficient(lf, key).real for key in unit_keys)
             regular.append((plan.pairs.index((bi, gpos)), weights, unit_keys[gpos]))
         for form, mult in max_mult.items():
@@ -140,12 +275,14 @@ def reference_tables(plan, pattern):
                 fixed = mpseries.series_mul(fixed, linear(dict(zip(variables, map(float, form)))))
         fixed = mpseries.series_scale(fixed, float(scale))
         rows = []
-        for cs in plan.frac_parts[bi]:
+        fden, reps = plan.residues[bi]
+        for rs in reps:
             product = mpseries.constant(1.0, variables, caps, total_cap)
             for fi, fpos in enumerate(basis):
+                offset = Fraction(rs[fi], fden)
                 product = mpseries.series_mul(
                     product,
-                    mpseries.bernoulli_factor(variables, caps, total_cap, variables[fpos], cs[fi]),
+                    mpseries.bernoulli_factor(variables, caps, total_cap, variables[fpos], offset),
                 )
             rows.append(space.dense(mpseries.series_mul(product, fixed)))
         bprods.append(np.array(rows))

@@ -240,13 +240,71 @@ def test_oversized_boxes_are_rejected_before_any_work(capsys, monkeypatch, argv)
 
 def test_work_budget_admits_boxes_up_to_the_limit(capsys, monkeypatch):
     # the largest sizes the benchmark, demos and tests use fit the real budget
-    assert 3000**2 <= cli.WORK_BUDGET and 2000 ** (3 - 1) <= cli.WORK_BUDGET
+    mt_r3 = model.load_spec(str(SPECS / "mt_r3.json"))
+    assert cli._within_budget(model.load_spec(MT_PATH), 3000, 3000)
+    assert cli._within_budget(mt_r3, 120, 2000)
     monkeypatch.setattr(cli, "WORK_BUDGET", 400)
-    argv = ["verify", "--spec", MT_PATH, "--M-outer", "400", "--output", "json"]
-    code, out, err = _run(capsys, argv + ["--M", "20"])  # 20^2 terms, 400^1 tuples
+    argv = ["verify", "--spec", MT_PATH, "--output", "json"]
+    # 20^2 terms; J = {1} and J = {2} have 2 coset representatives, 200^1 tuples
+    code, out, err = _run(capsys, argv + ["--M", "20", "--M-outer", "200"])
     assert err == "" and code == {"pass": 0, "inconclusive": 3}[json.loads(out)["verdict"]]
-    code, _, err = _run(capsys, argv + ["--M", "21"])
+    code, _, err = _run(capsys, argv + ["--M", "21", "--M-outer", "200"])
     assert code == 2 and "21^2 = 441 direct terms" in err
+    code, _, err = _run(capsys, argv + ["--M", "20", "--M-outer", "201"])
+    assert code == 2 and "2 coset representatives times 201^1 outer tuples = 402" in err
+
+
+def _no_cosets(*args, **kwargs):
+    raise AssertionError("coset representatives enumerated")
+
+
+@pytest.mark.parametrize("command", ["verify", "reduce"])
+def test_coset_count_is_refused_before_any_coset_is_enumerated(
+    capsys, monkeypatch, tmp_path, command
+):
+    # J = {1, 2}: bases of det 1, 3 and -1, so 5 coset representatives
+    path = tmp_path / "steep_form.json"
+    path.write_text('{"h": [2, 2], "k": [2], "y": ["0", "0"], "A": [[1, 3]]}')
+    assert genfun.coset_count(model.load_spec(str(path)), (1, 2)) == 5
+    monkeypatch.setattr(genfun.exact, "coset_representatives", _no_cosets)
+    monkeypatch.setattr(cli, "WORK_BUDGET", 4)
+    argv = [command, "--spec", str(path), "--M", "1", "--M-outer", "1"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --M-outer 1 at J={1, 2} gives 5 coset representatives times 1^0 "
+        "outer tuples = 5, over the work budget of 4\n"
+    )
+    # one step higher the same box is admitted and the plans start
+    monkeypatch.setattr(cli, "WORK_BUDGET", 5)
+    with pytest.raises(AssertionError, match="coset representatives enumerated"):
+        cli.main(argv)
+
+
+def test_large_entry_bases_are_refused_at_the_real_budget(capsys, monkeypatch, tmp_path):
+    # J = {1, 2}: each basis of a unit vector and a form has |det| about 3e6,
+    # 12 000 073 coset representatives in all
+    path = tmp_path / "large_entries.json"
+    path.write_text(
+        '{"h": [2, 2], "k": [2, 2], "y": ["0", "0"],'
+        ' "A": [[3000017, 3000019], [2999999, 3000001]]}'
+    )
+    monkeypatch.setattr(genfun.exact, "coset_representatives", _no_cosets)
+    for command in ("verify", "reduce"):
+        code, out, err = _run(capsys, [command, "--spec", str(path), "--M", "1", "--M-outer", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: --M-outer 1 at J={1, 2}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", [40, 50])
+@pytest.mark.parametrize("command", ["verify", "reduce"])
+def test_uncancelled_pole_exits_2_with_one_error_line(capsys, tmp_path, command, entry):
+    # the singular path's remainder check fails numerically on these forms
+    path = tmp_path / "steep_pole.json"
+    path.write_text(json.dumps({"h": [2, 2], "k": [2], "y": ["0", "0"], "A": [[1, entry]]}))
+    code, out, err = _run(capsys, [command, "--spec", str(path), "--M", "20", "--M-outer", "20"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: pole along") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["eval", "verify", "reduce"])

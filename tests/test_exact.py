@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: inverses, duals, Smith form, cosets, rho."""
+"""Exact integer linear algebra: determinants, duals, Smith form, cosets, rho."""
 
 import itertools
 from fractions import Fraction
@@ -12,16 +12,13 @@ from mdzeta.exact import (
     ExactError,
     ExhaustedCandidates,
     RankDeficient,
-    RationalMatrix,
     SingularBasis,
-    SingularMatrix,
     ZeroPairing,
     choose_rho,
     coset_representatives,
     dot,
     dual_basis,
     fractional_part,
-    rank_of,
     smith_normal_form,
 )
 
@@ -41,50 +38,73 @@ def test_dot_is_exact():
         dot((1, 2), (1,))
 
 
+def _int_matmul(a, b):
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def det(rows) -> int:
+    """dual_basis's determinant, 0 where it raises SingularBasis."""
+    try:
+        return dual_basis(rows)[0]
+    except SingularBasis:
+        return 0
+
+
 def test_matrix_construction_guards():
     with pytest.raises(ExactError):
-        RationalMatrix.from_rows([])
+        dual_basis([])
     with pytest.raises(ExactError):
-        RationalMatrix.from_rows([[1, 2], [3]])
+        dual_basis([[1, 2], [3]])
 
 
 def test_det_examples():
-    assert RationalMatrix.from_rows([[1, 1], [0, 2]]).det() == 2
-    assert RationalMatrix.from_rows([[2, 0], [0, 3]]).det() == 6
-    assert RationalMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
-    assert RationalMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
+    assert dual_basis([[1, 1], [0, 2]])[0] == 2
+    assert dual_basis([[2, 0], [0, 3]])[0] == 6
+    assert dual_basis([[0, 1], [1, 0]])[0] == -1
+    assert det([[1, 2], [2, 4]]) == 0
 
 
 @given(st.integers(2, 3), st.data())
 def test_det_is_multiplicative(m, data):
-    a = RationalMatrix.from_rows(data.draw(square_matrices(m)))
-    b = RationalMatrix.from_rows(data.draw(square_matrices(m)))
-    assert (a @ b).det() == a.det() * b.det()
+    a = data.draw(square_matrices(m))
+    b = data.draw(square_matrices(m))
+    assert det(_int_matmul(a, b)) == det(a) * det(b)
 
 
 @given(st.integers(2, 3), st.data())
 def test_inverse_round_trip(m, data):
-    mat = RationalMatrix.from_rows(data.draw(square_matrices(m)))
-    assume(mat.det() != 0)
-    assert mat.inverse() @ mat == RationalMatrix.identity(m)
-    assert mat @ mat.inverse() == RationalMatrix.identity(m)
+    mat = data.draw(square_matrices(m))
+    assume(det(mat) != 0)
+    d, rows = dual_basis(mat)
+    adjugate = [list(col) for col in zip(*rows)]
+    scalar = [[d * (i == j) for j in range(m)] for i in range(m)]
+    assert _int_matmul(mat, adjugate) == scalar
+    assert _int_matmul(adjugate, mat) == scalar
 
 
 def test_singular_inverse_raises():
-    with pytest.raises(SingularMatrix):
-        RationalMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+    with pytest.raises(SingularBasis):
+        dual_basis([[1, 2], [2, 4]])
 
 
 def test_rank_examples():
-    assert rank_of([]) == 0
-    assert rank_of([(1, 2), (2, 4)]) == 1
-    assert rank_of([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2
-    assert rank_of([(Fraction(1, 2),)]) == 1
+    # a family has full rank exactly when some m of its vectors have det != 0
+    with pytest.raises(RankDeficient):
+        choose_rho([(1, 2), (2, 4)])
+    with pytest.raises(RankDeficient):
+        choose_rho([(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    assert choose_rho([(2,)]).coords == (1,)
+    # m-1 vectors span a hyperplane exactly when a unit vector completes them
+    rho = choose_rho([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
+    assert rho.bases_checked == 3 and rho.hyperplanes_checked == 6
 
 
 def test_dual_basis_example():
-    duals = dual_basis([(1, 0), (1, 1)])
-    assert duals == ((Fraction(1), Fraction(-1)), (Fraction(0), Fraction(1)))
+    assert dual_basis([(1, 0), (1, 1)]) == (1, ((1, -1), (0, 1)))
+    assert dual_basis([(2, 0), (0, 3)]) == (6, ((3, 0), (0, 2)))
     with pytest.raises(SingularBasis):
         dual_basis([(1, 1), (2, 2)])
     with pytest.raises(ExactError):
@@ -94,11 +114,28 @@ def test_dual_basis_example():
 @given(st.integers(2, 3), st.data())
 def test_dual_basis_gram_identity(m, data):
     rows = data.draw(square_matrices(m))
-    assume(RationalMatrix.from_rows(rows).det() != 0)
-    duals = dual_basis(rows)
+    assume(det(rows) != 0)
+    d, duals = dual_basis(rows)
     for i in range(m):
         for j in range(m):
-            assert dot(rows[i], duals[j]) == (1 if i == j else 0)
+            assert dot(rows[i], duals[j]) == (d if i == j else 0)
+
+
+@given(st.integers(1, 4), st.data())
+def test_dual_basis_is_the_adjugate_over_the_leibniz_determinant(m, data):
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m), min_size=m, max_size=m)
+    )
+    want = helpers.leibniz_det(rows)
+    if want == 0:
+        with pytest.raises(SingularBasis):
+            dual_basis(rows)
+        return
+    d, duals = dual_basis(rows)
+    assert d == want
+    assert _int_matmul(rows, [list(col) for col in zip(*duals)]) == [
+        [d * (i == j) for j in range(m)] for i in range(m)
+    ]
 
 
 def test_smith_normal_form_examples():
@@ -108,13 +145,6 @@ def test_smith_normal_form_examples():
     assert (d[0][0], d[1][1]) == (1, 6)
     _, d, _ = smith_normal_form([[1, 1], [0, 2]])
     assert (d[0][0], d[1][1]) == (1, 2)
-
-
-def _int_matmul(a, b):
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
 
 
 @given(
@@ -128,8 +158,8 @@ def test_smith_normal_form_properties(m, n, data):
     )
     u, d, v = smith_normal_form(mat)
     assert [list(r) for r in _int_matmul(_int_matmul(u, mat), v)] == [list(r) for r in d]
-    assert abs(RationalMatrix.from_rows(u).det()) == 1
-    assert abs(RationalMatrix.from_rows(v).det()) == 1
+    assert abs(det(u)) == 1
+    assert abs(det(v)) == 1
     diag = [d[i][i] for i in range(min(m, n))]
     for i in range(m):
         for j in range(n):
@@ -138,11 +168,10 @@ def test_smith_normal_form_properties(m, n, data):
     for a, b in zip(diag, diag[1:]):
         assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
     if m == n:
-        det = RationalMatrix.from_rows(mat).det()
         prod = 1
         for x in diag:
             prod *= x
-        assert prod == abs(det)
+        assert prod == abs(det(mat))
 
 
 def test_coset_examples():
@@ -160,10 +189,10 @@ def test_coset_examples():
 
 @given(square_matrices(2), st.tuples(entries, entries))
 def test_coset_reduction_properties(rows, w):
-    mat = RationalMatrix.from_rows(rows)
-    assume(mat.det() != 0 and abs(mat.det()) <= 12)
+    d = det(rows)
+    assume(d != 0 and abs(d) <= 12)
     cs = coset_representatives(rows)
-    assert cs.group_order == abs(mat.det())
+    assert cs.group_order == abs(d)
     red = cs.reduce(w)
     assert red in cs.representatives
     assert cs.same_coset(w, red)
@@ -174,9 +203,8 @@ def test_coset_reduction_properties(rows, w):
 
 def test_coset_brute_force_count_small_3x3():
     rows = [[2, 1, 0], [0, 1, 1], [1, 0, 3]]
-    det = RationalMatrix.from_rows(rows).det()
     cs = coset_representatives(rows)
-    assert cs.group_order == abs(det)
+    assert cs.group_order == abs(dual_basis(rows)[0])
     member = helpers.row_lattice_membership(rows)
     classes = []
     for w in itertools.product(range(cs.group_order), repeat=3):

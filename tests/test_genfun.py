@@ -59,14 +59,17 @@ def test_build_lambda_outer_tuple_must_cover_complement():
 
 
 def test_enumerate_bases_lists_independent_tuples_lex():
-    assert genfun.enumerate_bases(_family((1, 0), (0, 1), (1, 1))) == (
+    assert tuple(genfun.enumerate_bases(_family((1, 0), (0, 1), (1, 1)))) == (
         (0, 1),
         (0, 2),
         (1, 2),
     )
     # parallel vectors never form a basis together
-    assert genfun.enumerate_bases(_family((1, 0), (0, 1), (2, 0))) == ((0, 1), (1, 2))
-    assert genfun.enumerate_bases(_family((1,), (1,))) == ((0,), (1,))
+    bases = genfun.enumerate_bases(_family((1, 0), (0, 1), (2, 0)))
+    assert tuple(bases) == ((0, 1), (1, 2))
+    # each basis carries its integer dual over its determinant
+    assert bases[1, 2] == exact.dual_basis([(0, 1), (2, 0)]) == (-2, ((0, -2), (-1, 0)))
+    assert tuple(genfun.enumerate_bases(_family((1,), (1,)))) == ((0,), (1,))
 
 
 def test_enumerate_bases_requires_spanning_family():
@@ -75,36 +78,25 @@ def test_enumerate_bases_requires_spanning_family():
 
 
 def test_normalize_linear_examples():
-    prim, scale = _normalize_linear(
-        {"a": Fraction(-2, 3), "c": Fraction(4, 3)}, ("a", "b", "c")
-    )
-    assert prim == (1, 0, -2)
-    assert scale == Fraction(-2, 3)
-    prim, scale = _normalize_linear({"b": Fraction(5)}, ("a", "b"))
+    # (-2/3, 0, 4/3) as integer rows over 3 and over 6
+    for row, den in (((-2, 0, 4), 3), ((-4, 0, 8), 6)):
+        prim, scale = _normalize_linear(row, den)
+        assert prim == (1, 0, -2)
+        assert scale == Fraction(-2, 3)
+    prim, scale = _normalize_linear((0, 5), 1)
     assert (prim, scale) == ((0, 1), 5)
 
 
-_NAMES = ("u", "v", "w")
-
-
 @given(
-    st.lists(
-        st.tuples(
-            st.sampled_from(_NAMES),
-            st.fractions(min_value=-5, max_value=5, max_denominator=6),
-        ),
-        min_size=1,
-        max_size=3,
-        unique_by=lambda t: t[0],
-    ).filter(lambda ws: any(w != 0 for _, w in ws))
+    st.lists(st.integers(-12, 12), min_size=1, max_size=3).filter(any),
+    st.integers(1, 6),
 )
-def test_normalize_linear_recombines_exactly(ws):
-    weights = {n: w for n, w in ws if w != 0}
-    prim, scale = _normalize_linear(weights, _NAMES)
+def test_normalize_linear_recombines_exactly(row, den):
+    prim, scale = _normalize_linear(tuple(row), den)
     assert math.gcd(*(abs(c) for c in prim)) == 1
     assert next(c for c in prim if c != 0) > 0
-    for name, c in zip(_NAMES, prim):
-        assert c * scale == weights.get(name, 0)
+    for c, want in zip(prim, row):
+        assert c * scale == Fraction(want, den)
 
 
 def test_plan_matches_closed_form_on_regular_path():

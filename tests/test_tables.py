@@ -90,6 +90,43 @@ def test_dense_tables_cover_singular_patterns_and_index_two_cosets():
     assert 2 in orders and singular
 
 
+@given(instances())
+def test_plan_exact_data_match_the_fraction_reference(spec):
+    for J in model.nonempty_subsets(spec.r):
+        plan = genfun.GeneratingFunctionPlan(spec, J)
+        ref = helpers.reference_plan_data(plan)
+        rho = plan.rho
+        assert plan.bases == ref["bases"]
+        assert (rho.coords, rho.ladder_index, rho.bases_checked, rho.hyperplanes_checked) == ref["rho"]
+        for bi, (fracs, per_g, phase_forms) in enumerate(ref["per_basis"]):
+            fden, residues = plan.residues[bi]
+            assert [tuple(Fraction(r, fden) for r in rs) for rs in residues] == fracs
+            den = plan.duals[bi][0]
+            for gpos, (weights, normal, d_form) in per_g.items():
+                assert tuple(Fraction(c, den) for c in plan.l_rows[bi][gpos]) == weights
+                assert plan.l_normal[bi][gpos] == normal
+                k = plan.pairs.index((bi, gpos))
+                assert tuple(Fraction(int(c), plan._d_den) for c in plan._d_num[:, k]) == d_form
+            q, coef = plan._phase_data[bi]
+            assert [tuple(Fraction(int(c), q) for c in col) for col in coef.T] == phase_forms
+
+
+def test_untwisted_phases_skip_unit_phase_and_unique(monkeypatch):
+    spec = model.load_spec(str(SPECS / "mt_r3.json"))
+    plan = genfun.GeneratingFunctionPlan(spec, (1,))
+    assert all(q == 1 for q, _ in plan._phase_data)
+    def no_lookup(*args, **kwargs):
+        raise AssertionError("q = 1 phases looked up")
+
+    monkeypatch.setattr(genfun, "unit_phase", no_lookup)
+    monkeypatch.setattr(np, "unique", no_lookup)
+    tuples = _outer_tuples(plan, 5)
+    for bi, (_, coef) in enumerate(plan._phase_data):
+        phases = plan._phases(bi, tuples)
+        assert phases.dtype == complex and phases.shape == (len(tuples), coef.shape[1])
+        assert phases.tobytes() == np.full(phases.shape, 1 + 0j).tobytes()
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("dict series algebra on the plan path")
 
@@ -157,7 +194,7 @@ def test_large_coset_denominator_evaluates_only_the_phases_it_reads(
     for J in model.nonempty_subsets(spec.r):
         plan = genfun.GeneratingFunctionPlan(spec, J)
         assert max(q for q, _ in plan._phase_data) <= 10**6
-        reps = sum(len(rows) for rows in plan.frac_parts)
+        reps = sum(len(rows) for _, rows in plan.residues)
         bound += M_outer ** len(plan.ctx.Jbar) * reps
     calls = _counting_unit_phase(monkeypatch)
     code = cli.main([

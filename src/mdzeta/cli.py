@@ -27,7 +27,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import evaluator, exact, genfun, mpseries, mtoracle
+from . import evaluator, exact, genfun, mpseries
 from .evaluator import ConvergenceNotEstablished, _cnum, _fnum
 from .model import (
     SpecError, convergence_check, load_spec, nonempty_subsets, parse_spec, spec_to_dict,
@@ -358,6 +358,8 @@ def _selftest_telescoping() -> bool:
 
 
 def _selftest_closed_form() -> bool:
+    from . import mtoracle  # test oracle, kept out of the import of every other command
+
     spec = parse_spec({"h": [1, 1], "k": [1], "y": ["0", "0"], "A": [[1, 1]]})
     for J, m_outer in (((1, 2), {}), ((1,), {2: 3})):
         got = genfun.compute_G(spec, J, m_outer).series

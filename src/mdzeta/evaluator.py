@@ -1,24 +1,26 @@
 """Numerical evaluation: direct shell sums, tail control, and verification.
 
-The direct side builds the terms of the integer box with numpy, a bounded
-block at a time, buckets them into max-norm shells, and sums the shells
-compensated, with per-shell magnitudes kept for tail work.  Partial sums are
-then refined by fitting the shell decay (a + b log n)/n^w on a trailing
-window and integrating the fit past the box; the fit is attempted only when
-a component is decaying with a fixed sign, and every correction carries its
-own uncertainty.  The reduction side evaluates, per nonempty subset J, the
-outer sums weighted by coefficients of the generating function G, with the
-same shell/tail treatment.  verify_parity ties the two sides together; as h,
-k and A are real, it takes zeta(-y) as the conjugate of zeta(y).
+The direct side sums the integer box with numpy, a bounded tile at a time,
+into max-norm shells, and sums the shells compensated, with per-shell
+magnitudes kept for tail work.  Partial sums are then refined by fitting
+the shell decay (a + b log n)/n^w on a trailing window and integrating the
+fit past the box; the fit is attempted only when a component is decaying
+with a fixed sign, and every correction carries its own uncertainty.  The
+reduction side evaluates, per nonempty subset J, the outer sums weighted by
+coefficients of the generating function G, with the same shell/tail
+treatment.  verify_parity ties the two sides together; as h, k and A are
+real, it takes zeta(-y) as the conjugate of zeta(y).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .genfun import GeneratingFunctionPlan
 from .model import (
@@ -155,76 +157,119 @@ def _twist_table(y: Fraction, M: int) -> np.ndarray:
     return np.array(period, dtype=complex)[m % q]
 
 
+def _inverse_powers(n: int, exponents) -> list[np.ndarray]:
+    """Tables x^-e for x = 0..n, one per exponent e; entry 0 is 1 and never read."""
+    x = np.arange(n + 1, dtype=float)
+    x[0] = 1.0
+    return [x ** -e for e in exponents]
+
+
+def _times(a, b) -> list:
+    """Parts [abs, re, im] of a * b from those of a and b; [abs] or [abs, re] if real."""
+    out = [a[0] * b[0]]
+    if len(a) == 2:
+        out.append(a[1] * b[1])
+    elif len(a) == 3:
+        out += [a[1] * b[1] - a[2] * b[2], a[1] * b[2] + a[2] * b[1]]
+    return out
+
+
 def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum and abs-sum of the terms over each shell max(m) = n of [1, M]^r.
 
     Returns two arrays indexed by n - 1.  The box is walked in lexicographic
-    order, one block at a time: a block is a run of leading tuples
-    (m_1, ..., m_{r-1}) times a run of the last coordinate, at most
-    _DIRECT_BLOCK terms.  Its terms are products of table entries (1/m_j^h_j,
-    1/form^k_i and e(m_j y_j)) formed by broadcasting the leading part
-    against the last coordinate, and np.bincount adds them by max(m) into the
-    running shell sums.
+    order in tiles of at most _DIRECT_BLOCK terms: a run of leading tuples
+    (m_1, ..., m_{r-1}) times a run of m_r.  A tile holds only the weights
+    1/form_i^k_i that couple the two, read from strided windows of the
+    1/f^k tables; the leading and last-coordinate factors stay per-row and
+    per-column part vectors [abs, re, im].  A term belongs to shell
+    max(L, m_r), L its leading tuple's max: columns above every row's L are
+    contracted over the rows, rows whose L is at or above every column are
+    contracted over the columns and bucketed by L, and only the band of
+    columns between the smallest and largest L is split by a mask.
     """
     r = spec.r
-    m = np.arange(M + 1, dtype=float)
-    m[0] = 1.0  # index 0 is never read
-    inv_h = [m ** -h for h in spec.h]
-    f = np.arange(spec.max_row_sum * M + 1, dtype=float)
-    f[0] = 1.0
-    inv_k = [f ** -k for k in spec.k]
-    twisted = any(spec.y)
+    inv_h = _inverse_powers(M, spec.h)
+    inv_k = _inverse_powers(spec.max_row_sum * M, spec.k)
     twist = [_twist_table(v, M) for v in spec.y]
-    if all(v.denominator <= 2 for v in spec.y):
-        twist = [t.real.copy() for t in twist]  # e(m/2) is real
-    real, imag, absolute = np.zeros(M + 1), np.zeros(M + 1), np.zeros(M + 1)
-    cols = min(M, _DIRECT_BLOCK)
-    rows = _DIRECT_BLOCK // cols
+    # parts: the magnitude, then the real and imaginary parts if twisted;
+    # e(m/2) is real, and an untwisted term equals its magnitude
+    parts = 1 if not any(spec.y) else 2 if all(v.denominator <= 2 for v in spec.y) else 3
+    sums = np.zeros((parts, M + 1))
+    cols = min(M, max(math.isqrt(_DIRECT_BLOCK), _DIRECT_BLOCK // M ** (r - 1)))
+    rows = max(1, _DIRECT_BLOCK // cols)
+    # windows[i, width][s, c] = 1/(s + a c)^k_i, a the last entry of row i of A
+    windows = {
+        (i, width): sliding_window_view(table, row[-1] * (width - 1) + 1)[:, ::row[-1]]
+        for i, (row, table) in enumerate(zip(spec.A, inv_k)) if row[-1]
+        for width in {cols, M - (M - 1) // cols * cols}
+    }
     leading = M ** (r - 1)
     for start in range(0, leading, rows):
         index = np.arange(start, min(start + rows, leading), dtype=np.int64)
-        lead = []
-        for _ in range(r - 1):
+        lead_w, lead_twist = np.ones(len(index)), np.ones(len(index), dtype=complex)
+        lead_max = np.zeros(len(index), dtype=np.int64)
+        lead_forms = [np.zeros(len(index), dtype=np.int64) for _ in spec.A]
+        for j in range(r - 2, -1, -1):
             index, digit = np.divmod(index, M)
-            lead.insert(0, digit[:, None] + 1)
-        lead_w = np.ones((len(index), 1))
-        lead_max = np.zeros((len(index), 1), dtype=np.int64)
-        lead_twist = np.ones((len(index), 1), dtype=twist[0].dtype)
-        lead_forms = [np.zeros((len(index), 1), dtype=np.int64) for _ in spec.A]
-        for j, coord in enumerate(lead):
+            coord = digit + 1
             lead_w = lead_w * inv_h[j][coord]
             lead_max = np.maximum(lead_max, coord)
             lead_twist = lead_twist * twist[j][coord]
             for form, row in zip(lead_forms, spec.A):
                 form += row[j] * coord
+        for form, row, table in zip(lead_forms, spec.A, inv_k):
+            if not row[-1]:
+                lead_w = lead_w * table[form]  # constant along the row
+        lead_twist = lead_w * lead_twist
+        lead = np.stack([lead_w, lead_twist.real, lead_twist.imag][:parts])
+        lo, hi = int(lead_max.min()), int(lead_max.max())
         for first in range(1, M + 1, cols):
-            last = np.arange(first, min(first + cols, M + 1), dtype=np.int64)
-            weight = lead_w * inv_h[-1][last]
-            for form, row, table in zip(lead_forms, spec.A, inv_k):
-                weight = weight * table[form + row[-1] * last]
-            weight = weight.ravel()
-            shell = np.maximum(lead_max, last).ravel()
-            lo = int(shell.min())
-            shell -= lo
-            part = np.bincount(shell, weights=weight)
-            span = slice(lo, lo + len(part))
-            absolute[span] += part
-            if not twisted:
-                continue
-            term = weight * (lead_twist * twist[-1][last]).ravel()
-            real[span] += np.bincount(shell, weights=term.real)
-            if np.iscomplexobj(term):
-                imag[span] += np.bincount(shell, weights=term.imag)
-    if not twisted:
-        real = absolute
-    shells = np.empty(M, dtype=complex)
-    shells.real, shells.imag = real[1:], imag[1:]
-    return shells, absolute[1:]
+            width = min(cols, M + 1 - first)
+            # A has no zero column, so some form varies along m_r
+            tile = functools.reduce(np.multiply, (
+                windows[i, width][form + row[-1] * first]
+                for i, (form, row) in enumerate(zip(lead_forms, spec.A)) if row[-1]
+            ))
+            inv, tw = inv_h[-1][first:first + width], twist[-1][first:first + width]
+            last = [inv, inv * tw.real, inv * tw.imag][:parts]
+            # columns [0, below) lie at or below every L, [above, width) above every L
+            below = min(max(lo + 1 - first, 0), width)
+            above = min(max(hi + 1 - first, 0), width)
+            to_rows, to_cols = tile[:, :above], tile[:, below:]
+            if below < above:
+                mask = np.arange(first + below, first + above) > lead_max[:, None]
+                to_rows = to_rows.copy()
+                to_rows[:, below:] *= ~mask
+                to_cols = to_cols.copy()
+                to_cols[:, :above - below] *= mask
+            if above > 0:
+                per_row = _times(lead, (to_rows @ np.stack(last, axis=1)[:above]).T)
+                shell = lead_max - lo
+                for total, part in zip(sums, per_row):
+                    total[lo:hi + 1] += np.bincount(shell, weights=part)
+            if below < width:
+                per_col = _times(lead @ to_cols, [part[below:] for part in last])
+                for total, part in zip(sums, per_col):
+                    total[first + below:first + width] += part
+    shells = np.zeros(M, dtype=complex)
+    shells.real = sums[min(parts, 2) - 1][1:]  # an untwisted term is its magnitude
+    if parts == 3:
+        shells.imag = sums[2][1:]
+    return shells, sums[0][1:]
 
 
 def _direct_power(spec: SeriesSpec) -> int:
-    """Decay power of the direct shells: wt - r + 1."""
-    return spec.weight - spec.r + 1
+    """Decay power w of the direct shells, which fall off as n^-w.
+
+    w is the minimum over variable sets S of (sum of h_j over S) + (sum of
+    k_i over the forms meeting S) - |S| + 1.  Adding a variable to S adds
+    h_j - 1 >= 0 or more, so the minimum is at a single variable.
+    """
+    return min(
+        h + sum(k for k, row in zip(spec.k, spec.A) if row[j])
+        for j, h in enumerate(spec.h)
+    )
 
 
 def zeta_direct(spec: SeriesSpec, M: int) -> PartialSum:
@@ -352,11 +397,8 @@ def _outer_blocks(f: int, M_outer: int):
 
 def _weight_tables(spec: SeriesSpec, M: int):
     """Per-variable arrays w_j[m] = e(m y_j) / m^h_j for m in 0..M."""
-    m = np.arange(M + 1, dtype=float)
-    m[0] = 1.0
     tables = []
-    for h, y in zip(spec.h, spec.y):
-        inv = m ** -h
+    for inv, y in zip(_inverse_powers(M, spec.h), spec.y):
         inv[0] = 0.0
         tables.append(_twist_table(y, M) * inv)
     return tables

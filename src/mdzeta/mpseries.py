@@ -3,11 +3,9 @@
 A series lives in a fixed space: named variables, a per-variable degree cap,
 and a total-degree cap.  Every operation stays inside the space (products
 drop overflowing monomials; coefficient reads outside the space raise).  The
-module also carries the two special factor families the generating-function
-assembly needs -- Bernoulli-polynomial factors for basis members and
-geometric factors for the complementary members -- plus exact truncated
-division by an integer linear form, which is what makes removable
-singularities computable.
+module also carries the Bernoulli-polynomial factors of basis members and
+exact truncated division by an integer linear form, which is what makes
+removable singularities computable.
 
 The dense layout (DenseSpace) holds a batch of series in one space as a
 (B, N) complex array over the space's admissible keys; it carries products
@@ -219,21 +217,6 @@ def coefficient(a: MultiSeries, key) -> complex:
     return a.coeffs.get(key, 0j)
 
 
-def truncated(a: MultiSeries, caps=None, total_cap=None) -> MultiSeries:
-    caps = a.caps if caps is None else tuple(caps)
-    total_cap = a.total_cap if total_cap is None else total_cap
-    if len(caps) != len(a.variables):
-        raise CapMismatch("one cap per variable required")
-    if any(new > old for new, old in zip(caps, a.caps)) or total_cap > a.total_cap:
-        raise CapExceeded("truncation cannot enlarge the space")
-    out = {
-        key: c
-        for key, c in a.coeffs.items()
-        if _admissible(key, caps, total_cap) and c != 0
-    }
-    return MultiSeries(a.variables, caps, total_cap, out)
-
-
 def max_abs(a: MultiSeries) -> float:
     return max((abs(c) for c in a.coeffs.values()), default=0.0)
 
@@ -285,36 +268,6 @@ def bernoulli_factor(variables, caps, total_cap, var, offset, phase=1.0) -> Mult
             key = tuple(n if i == pos else 0 for i in range(len(base.variables)))
             base.coeffs[key] = phase * c
     return base
-
-
-def rational_factor(variables, caps, total_cap, numer_var, denom, weights) -> MultiSeries:
-    """-t_g / (denom - L(t)) with L the given linear form; denom != 0.
-
-    Expanded as (-t_g/denom) * sum_n (L/denom)^n.  A zero denominator is a
-    genuine pole at this stage and is the caller's job to cancel by other
-    means, hence the dedicated error.
-    """
-    if denom == 0:
-        raise SingularConfiguration(f"zero denominator at factor {numer_var}")
-    base = zero(variables, caps, total_cap)
-    scaled = {name: Fraction(w) / Fraction(denom) for name, w in weights.items()}
-    lf = linear_form(
-        {name: float(w) for name, w in scaled.items()},
-        base.variables,
-        base.caps,
-        base.total_cap,
-    )
-    one = constant(1.0, base.variables, base.caps, base.total_cap)
-    acc = one
-    for _ in range(base.total_cap):
-        acc = series_add(one, series_mul(lf, acc))
-    pos = base.variables.index(numer_var)
-    key = tuple(1 if i == pos else 0 for i in range(len(base.variables)))
-    tg = monomial(
-        base.variables, base.caps, key, value=float(Fraction(-1) / Fraction(denom)),
-        total_cap=base.total_cap,
-    )
-    return series_mul(tg, acc)
 
 
 def divide_linear(numer: MultiSeries, weights) -> tuple[MultiSeries, float]:

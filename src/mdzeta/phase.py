@@ -29,9 +29,3 @@ def unit_phase(theta: Fraction) -> complex:
     angle = 2.0 * math.pi * p / q
     return complex(math.cos(angle), math.sin(angle))
 
-
-def phase_table(q: int) -> list[complex]:
-    """table[res] = e(res/q); then e(n*p/q) = table[(n*p) % q]."""
-    if q < 1:
-        raise ValueError(f"denominator must be positive, got {q}")
-    return [unit_phase(Fraction(res, q)) for res in range(q)]

@@ -4,8 +4,9 @@ the explicit double sum (no recurrence), Taylor coefficients via the Cauchy
 integral on a roots-of-unity grid, exact lattice membership through the
 integer dual, Leibniz determinants and Cramer duals, a generating-function
 plan's exact data in Fractions from the definitions, its tables built with
-dict series algebra, and the shells of an outer sum summed one tuple at a
-time."""
+dict series algebra, the shells of an outer sum summed one tuple at a time,
+and the dict series truncation, geometric factor and full phase table that
+the library itself no longer needs."""
 
 from __future__ import annotations
 
@@ -315,3 +316,55 @@ def reference_shells(spec, J, M_outer):
         shells.append(evaluator._kahan_sum(values))
         abs_shells.append(sum(abs(v) for v in values))
     return shells, abs_shells
+
+
+def truncated(a: mpseries.MultiSeries, caps=None, total_cap=None) -> mpseries.MultiSeries:
+    caps = a.caps if caps is None else tuple(caps)
+    total_cap = a.total_cap if total_cap is None else total_cap
+    if len(caps) != len(a.variables):
+        raise mpseries.CapMismatch("one cap per variable required")
+    if any(new > old for new, old in zip(caps, a.caps)) or total_cap > a.total_cap:
+        raise mpseries.CapExceeded("truncation cannot enlarge the space")
+    out = {
+        key: c
+        for key, c in a.coeffs.items()
+        if mpseries._admissible(key, caps, total_cap) and c != 0
+    }
+    return mpseries.MultiSeries(a.variables, caps, total_cap, out)
+
+
+def rational_factor(variables, caps, total_cap, numer_var, denom, weights) -> mpseries.MultiSeries:
+    """-t_g / (denom - L(t)) with L the given linear form; denom != 0.
+
+    Expanded as (-t_g/denom) * sum_n (L/denom)^n.  A zero denominator is a
+    genuine pole at this stage and is the caller's job to cancel by other
+    means, hence the dedicated error.
+    """
+    if denom == 0:
+        raise mpseries.SingularConfiguration(f"zero denominator at factor {numer_var}")
+    base = mpseries.zero(variables, caps, total_cap)
+    scaled = {name: Fraction(w) / Fraction(denom) for name, w in weights.items()}
+    lf = mpseries.linear_form(
+        {name: float(w) for name, w in scaled.items()},
+        base.variables,
+        base.caps,
+        base.total_cap,
+    )
+    one = mpseries.constant(1.0, base.variables, base.caps, base.total_cap)
+    acc = one
+    for _ in range(base.total_cap):
+        acc = mpseries.series_add(one, mpseries.series_mul(lf, acc))
+    pos = base.variables.index(numer_var)
+    key = tuple(1 if i == pos else 0 for i in range(len(base.variables)))
+    tg = mpseries.monomial(
+        base.variables, base.caps, key, value=float(Fraction(-1) / Fraction(denom)),
+        total_cap=base.total_cap,
+    )
+    return mpseries.series_mul(tg, acc)
+
+
+def phase_table(q: int) -> list[complex]:
+    """table[res] = e(res/q); then e(n*p/q) = table[(n*p) % q]."""
+    if q < 1:
+        raise ValueError(f"denominator must be positive, got {q}")
+    return [unit_phase(Fraction(res, q)) for res in range(q)]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import helpers
 from mdzeta import evaluator, exact, genfun, model, mpseries
 from mdzeta.mpseries import (
-    CapExceeded, SingularConfiguration, dense_space, divide_linear, rational_factor, series_mul,
+    CapExceeded, SingularConfiguration, dense_space, divide_linear, series_mul,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_top_coefficients.json"
@@ -60,7 +60,7 @@ def test_geometric_factor_matches_series_mul(data):
         [1 if v == gname else 0 for v in variables],
     )
     for row, d, g in zip(batch, denoms, got):
-        factor = rational_factor(variables, caps, total, gname, d, weights)
+        factor = helpers.rational_factor(variables, caps, total, gname, d, weights)
         want = space.dense(series_mul(space.series(variables, row), factor))
         assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want), initial=0.0)
 

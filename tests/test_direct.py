@@ -1,7 +1,10 @@
 """The slab-vectorised direct side and zeta(-y) as the conjugate of zeta(y)."""
 
+import itertools
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,9 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import helpers
 from mdzeta import cli, evaluator, model
-from mdzeta.phase import phase_table, unit_phase
+from mdzeta.phase import unit_phase
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 TWISTS = ("0", "1/2", "1/3", "1/4")
 # Shell sums of at most ~1e5 doubles agree far inside this, whatever the order.
 SHELL_RTOL = 1e-12
@@ -144,7 +149,7 @@ def _counting_unit_phase(monkeypatch):
 @pytest.mark.parametrize("M", [1, 4, 11, 30])
 def test_twist_table_is_the_phase_table_read_by_residue(monkeypatch, y, M):
     y = Fraction(y)
-    want = np.array(phase_table(y.denominator), dtype=complex)[
+    want = np.array(helpers.phase_table(y.denominator), dtype=complex)[
         (np.arange(M + 1) * y.numerator) % y.denominator
     ]
     calls = _counting_unit_phase(monkeypatch)
@@ -163,3 +168,66 @@ def test_large_twist_denominator_evaluates_only_the_phases_it_reads(
     code = cli.main(["eval", "--spec", str(path), "--M", "10", "--output", "json"])
     assert code == 0 and json.loads(capsys.readouterr().out)["value"]
     assert 0 < len(calls) <= 11
+
+
+def test_tiles_of_rows_columns_and_bands():
+    # 8 x 8 tiles on [1, 50]^2: tiles below, above and across the diagonal
+    # m_1 = m_2, a last-coordinate coefficient of 2 and one of 0
+    spec = model.parse_spec(
+        {"h": [1, 2], "k": [2, 1], "y": ["1/3", "1/4"], "A": [[1, 2], [1, 0]]}
+    )
+    with mock.patch.object(evaluator, "_DIRECT_BLOCK", 64):
+        _check_against_reference(spec, 50)
+
+
+@pytest.mark.parametrize(
+    "data, M",
+    [
+        ({"h": [2, 2], "k": [2], "y": ["1/3", "1/4"], "A": [[1, 1]]}, 300),
+        ({"h": [1, 2, 1], "k": [2, 1], "y": ["1/3", "0", "1/4"], "A": [[1, 1, 1], [0, 2, 1]]}, 40),
+    ],
+    ids=["r2", "r3"],
+)
+def test_bincount_sees_one_entry_per_tile_row(monkeypatch, data, M):
+    spec = model.parse_spec(data)
+    block = evaluator._DIRECT_BLOCK
+    cols = min(M, max(math.isqrt(block), block // M ** (spec.r - 1)))
+    sizes = []
+    bincount = np.bincount
+
+    def counted(x, *args, **kwargs):
+        sizes.append(len(x))
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    evaluator._direct_shells(spec, M)
+    assert sizes and max(sizes) <= block // cols
+    assert sum(sizes) < M**spec.r // 10
+
+
+def test_direct_shells_are_bitwise_repeatable():
+    spec = model.parse_spec({"h": [2, 1], "k": [2, 1], "y": ["1/3", "1/4"], "A": [[1, 2], [1, 0]]})
+    first, second = evaluator._direct_shells(spec, 700), evaluator._direct_shells(spec, 700)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+
+
+@given(instances())
+def test_direct_power_is_the_face_minimum(spec):
+    faces = (
+        S for n in range(1, spec.r + 1) for S in itertools.combinations(range(spec.r), n)
+    )
+    want = min(
+        sum(spec.h[j] for j in S)
+        + sum(k for k, row in zip(spec.k, spec.A) if any(row[j] for j in S))
+        - len(S) + 1
+        for S in faces
+    )
+    assert evaluator._direct_power(spec) == want
+
+
+def test_root_a2_verify_is_not_a_false_fail():
+    # two forms touch each variable and one touches both: w = 3, not wt - r + 1 = 4
+    spec = model.load_spec(str(SPECS / "root_a2.json"))
+    assert evaluator._direct_power(spec) == 3
+    report = evaluator.verify_parity(spec, 300, 400, tol=1e-6)
+    assert report.verdict != "fail"

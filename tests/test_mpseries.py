@@ -26,12 +26,10 @@ from mdzeta.mpseries import (
     linear_form,
     max_abs,
     monomial,
-    rational_factor,
     series_add,
     series_mul,
     series_scale,
     series_sub,
-    truncated,
     two_pi_i_power,
     zero,
 )
@@ -174,10 +172,10 @@ def test_truncation_only_narrows():
         constant(1.0, ("a", "b"), (2, 2)),
         monomial(("a", "b"), (2, 2), (2, 1)),
     )
-    narrowed = truncated(s, caps=(1, 1), total_cap=2)
+    narrowed = helpers.truncated(s, caps=(1, 1), total_cap=2)
     assert narrowed.coeffs == {(0, 0): 1 + 0j}
     with pytest.raises(CapExceeded):
-        truncated(s, caps=(3, 3))
+        helpers.truncated(s, caps=(3, 3))
 
 
 def test_max_abs():
@@ -307,12 +305,12 @@ def test_bernoulli_factor_phase_scaling():
 
 
 def test_rational_factor_geometric_example():
-    f = rational_factor(("g",), (2,), 2, "g", 1, {"g": 1})
+    f = helpers.rational_factor(("g",), (2,), 2, "g", 1, {"g": 1})
     assert abs(coefficient(f, (1,)) + 1) < 1e-15
     assert abs(coefficient(f, (2,)) + 1) < 1e-15
 
     with pytest.raises(SingularConfiguration):
-        rational_factor(("g",), (2,), 2, "g", 0, {"g": 1})
+        helpers.rational_factor(("g",), (2,), 2, "g", 0, {"g": 1})
 
 
 @given(
@@ -324,7 +322,7 @@ def test_rational_factor_clears_its_denominator(wg, wf, d):
     # (d - L) * (-t_g / (d - L)) == -t_g up to the total cap
     space = dict(variables=("g", "f"), caps=(3, 3), total_cap=3)
     weights = {"g": wg, "f": wf}
-    factor = rational_factor(
+    factor = helpers.rational_factor(
         space["variables"], space["caps"], space["total_cap"], "g", d, weights
     )
     denom = series_sub(

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from mdzeta.phase import phase_table, unit_phase
+from helpers import phase_table
+from mdzeta.phase import unit_phase
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=60)
 

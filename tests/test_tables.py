@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import helpers
 from mdzeta import cli, genfun, model, mpseries
-from mdzeta.phase import phase_table, unit_phase
+from mdzeta.phase import unit_phase
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 TWISTS = ("0", "1/2", "1/3", "1/4")
@@ -171,7 +171,7 @@ def test_coset_phases_are_the_phase_table_read_by_residue(monkeypatch, data):
         plan = genfun.GeneratingFunctionPlan(spec, J)
         tuples = _outer_tuples(plan, 7)
         for bi, (q, coef) in enumerate(plan._phase_data):
-            want = np.array(phase_table(q), dtype=complex)[(tuples @ coef) % q]
+            want = np.array(helpers.phase_table(q), dtype=complex)[(tuples @ coef) % q]
             got = plan._phases(bi, tuples)
             assert got.tobytes() == want.tobytes()  # bitwise, zero signs included
             # a second read of the same residues evaluates nothing new

@@ -371,9 +371,9 @@ def _selftest_closed_form() -> bool:
 
 
 def _selftest_singleton() -> bool:
-    rho = exact.choose_rho([(1,)])
     det, rows = exact.dual_basis([(1,)])
-    c = exact.fractional_part(Fraction(0), det * exact.dot(rho.coords, rows[0]))
+    rho = exact.choose_rho(rows)
+    c = exact.fractional_part(Fraction(0), det * exact.dot(rho, rows[0]))
     for h, expected in ((2, math.pi**2 / 3), (4, math.pi**4 / 45)):
         # -D/h! where D = h! * [t^h] of the Bernoulli factor
         beta = mpseries.bernoulli_factor(("t1",), (h,), h, "t1", c)

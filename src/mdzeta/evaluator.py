@@ -421,13 +421,9 @@ def term_sign(spec: SeriesSpec, ctx) -> int:
     return -1 if (outer_h + outer_k + spec.r + len(ctx.I)) % 2 else 1
 
 
-def term_T(
-    spec: SeriesSpec, J, M_outer: int, rho_variant: int = 0,
-    plan: GeneratingFunctionPlan | None = None,
-) -> TermSummary:
+def term_T(spec: SeriesSpec, J, M_outer: int, rho_variant: int = 0) -> TermSummary:
     """The contribution of one subset J to the reduced side."""
-    if plan is None:
-        plan = GeneratingFunctionPlan(spec, tuple(J), rho_variant=rho_variant)
+    plan = GeneratingFunctionPlan(spec, tuple(J), rho_variant=rho_variant)
     ctx = plan.ctx
     sign = term_sign(spec, ctx)
     factorials = math.prod(math.factorial(c) for c in plan.caps)
@@ -436,7 +432,7 @@ def term_T(
         partial = PartialSum(value=value, M=0, terms=1, tail_estimate=0.0, slow=False)
         refined = RefinedSum(partial, 0.0 + 0.0j, 0.0, True)
         return TermSummary(
-            ctx.J, ctx.I, sign, refined, plan.rho.coords, True, value * factorials
+            ctx.J, ctx.I, sign, refined, plan.rho, True, value * factorials
         )
     if M_outer < 1:
         raise ValueError("M_outer must be >= 1")
@@ -459,7 +455,7 @@ def term_T(
     w = _power_estimate(abs_shells)
     refined = _refine(_partial(shells, abs_shells, M_outer, M_outer**f, w), w)
     return TermSummary(
-        ctx.J, ctx.I, sign, refined, plan.rho.coords, False, unit_raw * factorials
+        ctx.J, ctx.I, sign, refined, plan.rho, False, unit_raw * factorials
     )
 
 

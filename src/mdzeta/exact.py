@@ -2,10 +2,10 @@
 
 Supplies the pieces the generating-function layer leans on: dual bases of
 integer vector families by fraction-free elimination, as integer rows over
-the basis determinant, Smith normal form with tracked unimodular
-transforms, enumeration of finite quotient groups Z^m / <rows>, selection of
-a perturbation direction rho avoiding all degenerate hyperplanes, and the
-rho-directed fractional part used for lattice-point counting.
+the basis determinant; coset representatives of Z^m / <rows> as the box
+under the pivots of an echelon basis; a perturbation direction rho read off
+against the bases' dual rows, which avoids every degenerate hyperplane; and
+the rho-directed fractional part used for lattice-point counting.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def dual_basis(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:
     exact, the left block ends as d*I and the right block as d times the
     inverse, with d the determinant after the row swaps.  So rows is the
     transposed adjugate, and rows / det is the rational dual basis.  Every
-    determinant, dual and inverse of the exact layer comes from here.
+    determinant and dual of the exact layer comes from here.
     """
     a = [[int(v) for v in row] for row in vectors]
     n = len(a)
@@ -74,173 +74,51 @@ def dual_basis(vectors) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return sign * prev, tuple(tuple(sign * a[i][n + j] for i in range(n)) for j in range(n))
 
 
-def smith_normal_form(mat) -> tuple[tuple, tuple, tuple]:
-    """(U, D, V) with U*mat*V = D diagonal, U and V unimodular.
-
-    Diagonal entries are nonnegative and each divides the next.  Integer
-    input only.
-    """
-    a = [[int(v) for v in row] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
-        raise ExactError("ragged matrix")
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_sub(i, j, q):  # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def col_sub(i, j, q):  # col i -= q * col j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != t:
-            swap_rows(t, best[0])
-        if best[1] != t:
-            swap_cols(t, best[1])
-        while True:
-            if a[t][t] < 0:
-                negate_row(t)
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    row_sub(i, t, a[i][t] // a[t][t])
-                    if a[i][t] != 0:  # Euclidean step shrank the remainder
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    col_sub(j, t, a[t][j] // a[t][t])
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            viol = next(
-                (
-                    i
-                    for i in range(t + 1, m)
-                    for j in range(t + 1, n)
-                    if a[i][j] % a[t][t] != 0
-                ),
-                None,
-            )
-            if viol is None:
-                break
-            row_sub(t, viol, -1)  # pull the violating row up; pivot will shrink
-        t += 1
-    for i in range(min(m, n)):
-        if a[i][i] < 0:
-            negate_row(i)
-    freeze = lambda rows: tuple(tuple(row) for row in rows)
-    return freeze(u), freeze(a), freeze(v)
-
-
-def _unimodular_inverse(mat) -> tuple[tuple[int, ...], ...]:
-    det, rows = dual_basis(mat)
-    if abs(det) != 1:
-        raise ExactError("matrix is not unimodular")
-    return tuple(tuple(det * v for v in col) for col in zip(*rows))
-
-
-def _row_times(vec, mat) -> tuple[int, ...]:
-    return tuple(
-        sum(vec[i] * mat[i][j] for i in range(len(vec)))
-        for j in range(len(mat[0]))
-    )
-
-
 @dataclass(frozen=True)
 class CosetSet:
-    """The finite group Z^m / <rows>, with canonical representatives.
+    """The finite group Z^m / <rows>, one representative per coset.
 
-    reduce() maps any integer vector to the representative of its coset;
-    representatives are enumerated in lexicographic order of the Smith
-    coordinates, so the list is deterministic.
+    The representatives are the integer points of the box prod [0, d_i),
+    d_i the pivots of an echelon basis of the lattice, in lexicographic
+    order, so the list is deterministic.
     """
 
     representatives: tuple[tuple[int, ...], ...]
     group_order: int
-    V: tuple[tuple[int, ...], ...]
-    Vinv: tuple[tuple[int, ...], ...]
-    diag: tuple[int, ...]
-
-    def reduce(self, w) -> tuple[int, ...]:
-        c = _row_times(tuple(w), self.V)
-        c = tuple(x % d for x, d in zip(c, self.diag))
-        return _row_times(c, self.Vinv)
-
-    def same_coset(self, w1, w2) -> bool:
-        delta = tuple(x - y for x, y in zip(w1, w2))
-        c = _row_times(delta, self.V)
-        return all(x % d == 0 for x, d in zip(c, self.diag))
 
 
 def coset_representatives(vectors) -> CosetSet:
-    """Quotient of Z^m by the lattice generated by the given m rows."""
-    vecs = [tuple(int(v) for v in row) for row in vectors]
-    m = len(vecs)
-    if any(len(row) != m for row in vecs):
-        raise ExactError("coset lattice needs a square generating matrix")
-    _, d, v = smith_normal_form(vecs)
-    diag = tuple(d[i][i] for i in range(m))
-    if any(x == 0 for x in diag):
-        raise SingularBasis("generators do not span a finite-index lattice")
-    vinv = _unimodular_inverse(v)
-    reps = tuple(
-        _row_times(c, vinv)
-        for c in itertools.product(*(range(x) for x in diag))
-    )
-    return CosetSet(
-        representatives=reps,
-        group_order=prod(diag),
-        V=tuple(tuple(row) for row in v),
-        Vinv=vinv,
-        diag=diag,
-    )
+    """Quotient of Z^m by the lattice generated by the given m rows.
 
-
-@dataclass(frozen=True)
-class RhoVector:
-    """A certified perturbation direction.
-
-    Certification means: for every basis extracted from the family and every
-    member of that basis the pairing <rho, dual> is nonzero, and rho lies on
-    none of the hyperplanes spanned by rank-(m-1) subfamilies.  The two
-    conditions coincide for spanning families; both are checked.
+    Unimodular row steps (Euclid down each column) bring the rows to an
+    upper triangular basis with pivots d_1..d_m.  The box prod [0, d_i) is a
+    complete set of representatives: subtracting multiples of the i-th
+    echelon row fixes coordinate i without touching the coordinates before
+    it, and two box points that differ by a lattice vector agree in every
+    coordinate, the first one first.
     """
-
-    coords: tuple[int, ...]
-    ladder_index: int
-    bases_checked: int
-    hyperplanes_checked: int
+    a = [[int(v) for v in row] for row in vectors]
+    m = len(a)
+    if any(len(row) != m for row in a):
+        raise ExactError("coset lattice needs a square generating matrix")
+    pivots = []
+    for c in range(m):
+        while True:
+            live = [i for i in range(c, m) if a[i][c]]
+            if not live:
+                raise SingularBasis("generators do not span a finite-index lattice")
+            p = min(live, key=lambda i: abs(a[i][c]))
+            a[c], a[p] = a[p], a[c]
+            if len(live) == 1:
+                break
+            for i in range(c + 1, m):
+                q = a[i][c] // a[c][c]
+                a[i] = [x - q * y for x, y in zip(a[i], a[c])]
+        pivots.append(abs(a[c][c]))
+    return CosetSet(
+        representatives=tuple(itertools.product(*(range(d) for d in pivots))),
+        group_order=prod(pivots),
+    )
 
 
 def _rho_ladder(m: int):
@@ -252,57 +130,33 @@ def _rho_ladder(m: int):
         s += 1
 
 
-def choose_rho(vectors, variant: int = 0, max_candidates: int = 64) -> RhoVector:
-    """Pick the (variant+1)-th certified direction from a fixed ladder.
+def choose_rho(normals, variant: int = 0, max_candidates: int = 64) -> tuple[int, ...]:
+    """The (variant+1)-th direction of a fixed ladder off every normal.
 
-    The ladder starts at (1, 2, ..., m) and continues with geometric
-    candidates (1, t, t^2, ...), t = m+1, m+2, ...; for m = 1 every rung is
-    (1,), so all variants agree there.
+    normals are the dual rows of every basis of a spanning family, as
+    enumerate_bases returns them; a direction pairing to nonzero with each
+    of them is certified.  It also lies on no hyperplane spanned by m-1
+    members: some member completes those m-1 to a basis, and that member's
+    dual row is orthogonal to them, so it is the hyperplane's normal.  The
+    ladder starts at (1, 2, ..., m) and continues with geometric candidates
+    (1, t, t^2, ...), t = m+1, m+2, ...; for m = 1 every rung is (1,), so
+    all variants agree there.
     """
     if variant < 0:
         raise ExactError("variant must be nonnegative")
-    vecs = list(dict.fromkeys(tuple(int(x) for x in v) for v in vectors))
-    if not vecs:
-        raise ExactError("empty vector family")
-    m = len(vecs[0])
-    if any(len(v) != m for v in vecs):
-        raise ExactError("ragged vector family")
-    # rho is certified when it pairs to nonzero with every dual row of every
-    # basis and with the normal of every hyperplane spanned by m-1 members
-    normals, bases, hyperplanes = [], 0, 0
-    for subset in itertools.combinations(vecs, m):
-        try:
-            normals.extend(dual_basis(subset)[1])
-            bases += 1
-        except SingularBasis:
-            continue
-    if not bases:
-        raise RankDeficient(f"family has rank < {m}")
-    # m-1 members span a hyperplane exactly when some unit vector completes
-    # them to a basis; the dual row of that unit vector is then orthogonal to
-    # them, so it is the hyperplane's normal
-    units = [tuple(int(i == j) for j in range(m)) for i in range(m)]
-    for subset in itertools.combinations(vecs, m - 1) if m >= 2 else ():
-        for unit in units:
-            try:
-                normals.append(dual_basis([*subset, unit])[1][-1])
-                hyperplanes += 1
-                break
-            except SingularBasis:
-                continue
-
+    normals = list(normals)
+    if not normals:
+        raise ExactError("no normals to avoid")
+    m = len(normals[0])
+    if any(len(v) != m for v in normals):
+        raise ExactError("ragged normals")
     found = 0
     for idx, cand in enumerate(_rho_ladder(m)):
         if idx >= max_candidates:
             break
         if all(dot(cand, normal) != 0 for normal in normals):
             if found == variant:
-                return RhoVector(
-                    coords=cand,
-                    ladder_index=idx,
-                    bases_checked=bases,
-                    hyperplanes_checked=hyperplanes,
-                )
+                return cand
             found += 1
     raise ExhaustedCandidates(
         f"no certified direction within {max_candidates} candidates (variant {variant})"

@@ -175,7 +175,9 @@ class GeneratingFunctionPlan:
         dot_cols = tuple(zip(*dots))  # per j in Jbar: its coefficient in each member
         duals = enumerate_bases(template)
         self.bases = tuple(duals)
-        self.rho = exact.choose_rho(self.vecs, variant=rho_variant)
+        self.rho = exact.choose_rho(
+            [row for _, rows in duals.values() for row in rows], variant=rho_variant
+        )
         self.cosets = tuple(
             exact.coset_representatives([self.vecs[p] for p in basis])
             for basis in self.bases
@@ -203,7 +205,7 @@ class GeneratingFunctionPlan:
             if det < 0:
                 rows = tuple(tuple(-v for v in row) for row in rows)
             self.duals.append((den, rows))
-            pairing, shift = _pairings(self.rho.coords, rows), _pairings(yQ, rows)
+            pairing, shift = _pairings(self.rho, rows), _pairings(yQ, rows)
             self.residues.append((Q * den, tuple(
                 tuple(
                     exact.directed_residue(s + Q * x, Q * den, p)
@@ -463,7 +465,7 @@ class GFAssembly:
 
     members: tuple[AffineFunctional, ...]
     bases: tuple[tuple[int, ...], ...]
-    rho: exact.RhoVector
+    rho: tuple[int, ...]
     variables: tuple[str, ...]
     caps: tuple[int, ...]
     series: MultiSeries
@@ -488,31 +490,3 @@ def extract_D(assembly: GFAssembly) -> complex:
     """The distribution value: top coefficient times the factorials."""
     raw = mpseries.coefficient(assembly.series, assembly.caps)
     return raw * prod(math.factorial(c) for c in assembly.caps)
-
-
-def zm_partial_sum(members, exponents, y, M: int) -> complex:
-    """Box partial sum of e(<y,n>) / prod f(n)^e over [-M, M]^m, f(n) != 0.
-
-    The limit in M recovers, up to the sign (-1)^|Lambda| and the factorial
-    normalization, the same distribution value extract_D reads off G; the
-    agreement of the two routes is the empirical check on the coefficient
-    machinery.
-    """
-    m = len(members[0].vec)
-    if len(exponents) != len(members):
-        raise exact.ExactError("one exponent per member required")
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for n in itertools.product(range(-M, M + 1), repeat=m):
-        vals = [exact.dot(f.vec, n) + f.dot for f in members]
-        if any(v == 0 for v in vals):
-            continue
-        denom = 1.0
-        for v, e in zip(vals, exponents):
-            denom *= float(v) ** e
-        term = unit_phase(exact.dot(y, n)) / denom
-        diff = term - comp
-        new_total = total + diff
-        comp = (new_total - total) - diff
-        total = new_total
-    return total

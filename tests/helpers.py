@@ -5,8 +5,9 @@ integral on a roots-of-unity grid, exact lattice membership through the
 integer dual, Leibniz determinants and Cramer duals, a generating-function
 plan's exact data in Fractions from the definitions, its tables built with
 dict series algebra, the shells of an outer sum summed one tuple at a time,
-and the dict series truncation, geometric factor and full phase table that
-the library itself no longer needs."""
+the dict series truncation, geometric factor and full phase table that the
+library itself no longer needs, and the box partial sum over Z^m that the
+distribution value is the limit of."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from mdzeta import evaluator, genfun, mpseries
+from mdzeta import evaluator, exact, genfun, mpseries
 from mdzeta.exact import dual_basis
 from mdzeta.phase import unit_phase
 
@@ -368,3 +369,31 @@ def phase_table(q: int) -> list[complex]:
     if q < 1:
         raise ValueError(f"denominator must be positive, got {q}")
     return [unit_phase(Fraction(res, q)) for res in range(q)]
+
+
+def zm_partial_sum(members, exponents, y, M: int) -> complex:
+    """Box partial sum of e(<y,n>) / prod f(n)^e over [-M, M]^m, f(n) != 0.
+
+    The limit in M recovers, up to the sign (-1)^|Lambda| and the factorial
+    normalization, the same distribution value extract_D reads off G; the
+    agreement of the two routes is the empirical check on the coefficient
+    machinery.
+    """
+    m = len(members[0].vec)
+    if len(exponents) != len(members):
+        raise exact.ExactError("one exponent per member required")
+    total = 0.0 + 0.0j
+    comp = 0.0 + 0.0j
+    for n in itertools.product(range(-M, M + 1), repeat=m):
+        vals = [exact.dot(f.vec, n) + f.dot for f in members]
+        if any(v == 0 for v in vals):
+            continue
+        denom = 1.0
+        for v, e in zip(vals, exponents):
+            denom *= float(v) ** e
+        term = unit_phase(exact.dot(y, n)) / denom
+        diff = term - comp
+        new_total = total + diff
+        comp = (new_total - total) - diff
+        total = new_total
+    return total

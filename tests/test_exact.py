@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: determinants, duals, Smith form, cosets, rho."""
+"""Exact integer linear algebra: determinants, duals, coset boxes, rho."""
 
 import itertools
 from fractions import Fraction
@@ -7,11 +7,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import helpers
-from mdzeta import exact
 from mdzeta.exact import (
     ExactError,
     ExhaustedCandidates,
-    RankDeficient,
     SingularBasis,
     ZeroPairing,
     choose_rho,
@@ -19,7 +17,6 @@ from mdzeta.exact import (
     dot,
     dual_basis,
     fractional_part,
-    smith_normal_form,
 )
 
 entries = st.integers(-6, 6)
@@ -90,16 +87,54 @@ def test_singular_inverse_raises():
         dual_basis([[1, 2], [2, 4]])
 
 
+def _normals(vectors):
+    """The dual rows of every basis among the vectors, as a plan passes them to choose_rho."""
+    out = []
+    for sub in itertools.combinations(vectors, len(vectors[0])):
+        if det(sub):
+            out.extend(dual_basis(sub)[1])
+    return out
+
+
+def _hyperplanes(vectors):
+    """Every m-1 of the vectors that have rank m-1, by their Leibniz minors."""
+    m = len(vectors[0])
+    return [
+        sub for sub in itertools.combinations(vectors, m - 1)
+        if any(
+            helpers.leibniz_det([[v[c] for c in cols] for v in sub])
+            for cols in itertools.combinations(range(m), m - 1)
+        )
+    ]
+
+
 def test_rank_examples():
     # a family has full rank exactly when some m of its vectors have det != 0
-    with pytest.raises(RankDeficient):
-        choose_rho([(1, 2), (2, 4)])
-    with pytest.raises(RankDeficient):
-        choose_rho([(1, 0, 0), (0, 1, 0), (1, 1, 0)])
-    assert choose_rho([(2,)]).coords == (1,)
-    # m-1 vectors span a hyperplane exactly when a unit vector completes them
-    rho = choose_rho([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)])
-    assert rho.bases_checked == 3 and rho.hyperplanes_checked == 6
+    assert _normals([(1, 2), (2, 4)]) == []
+    assert _normals([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == []
+    assert choose_rho(_normals([(2,)])) == (1,)
+    # three bases; rho lies on none of the six hyperplanes of two members
+    vecs = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+    assert len(_normals(vecs)) == 3 * 3
+    rho = choose_rho(_normals(vecs))
+    planes = _hyperplanes(vecs)
+    assert len(planes) == 6
+    assert all(helpers.leibniz_det([*plane, rho]) != 0 for plane in planes)
+
+
+@given(st.integers(2, 3), st.integers(0, 3), st.data())
+def test_rho_from_basis_duals_avoids_every_hyperplane(m, extra, data):
+    # a member completing m-1 independent members to a basis has a dual row
+    # orthogonal to them, so the basis duals carry every hyperplane's normal
+    vecs = data.draw(st.lists(
+        st.tuples(*[st.integers(-3, 3)] * m), min_size=m, max_size=m + extra
+    ))
+    normals = _normals(vecs)
+    assume(normals)
+    rho = choose_rho(normals)
+    assert all(dot(rho, normal) != 0 for normal in normals)
+    for plane in _hyperplanes(vecs):
+        assert helpers.leibniz_det([*plane, rho]) != 0
 
 
 def test_dual_basis_example():
@@ -138,42 +173,6 @@ def test_dual_basis_is_the_adjugate_over_the_leibniz_determinant(m, data):
     ]
 
 
-def test_smith_normal_form_examples():
-    _, d, _ = smith_normal_form([[1, 0], [0, 1]])
-    assert d == ((1, 0), (0, 1))
-    _, d, _ = smith_normal_form([[2, 0], [0, 3]])
-    assert (d[0][0], d[1][1]) == (1, 6)
-    _, d, _ = smith_normal_form([[1, 1], [0, 2]])
-    assert (d[0][0], d[1][1]) == (1, 2)
-
-
-@given(
-    st.integers(1, 3),
-    st.integers(1, 3),
-    st.data(),
-)
-def test_smith_normal_form_properties(m, n, data):
-    mat = data.draw(
-        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m)
-    )
-    u, d, v = smith_normal_form(mat)
-    assert [list(r) for r in _int_matmul(_int_matmul(u, mat), v)] == [list(r) for r in d]
-    assert abs(det(u)) == 1
-    assert abs(det(v)) == 1
-    diag = [d[i][i] for i in range(min(m, n))]
-    for i in range(m):
-        for j in range(n):
-            assert i == j or d[i][j] == 0
-    assert all(x >= 0 for x in diag)
-    for a, b in zip(diag, diag[1:]):
-        assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
-    if m == n:
-        prod = 1
-        for x in diag:
-            prod *= x
-        assert prod == abs(det(mat))
-
-
 def test_coset_examples():
     cs = coset_representatives([[1, 0], [0, 1]])
     assert cs.group_order == 1 and cs.representatives == ((0, 0),)
@@ -187,18 +186,24 @@ def test_coset_examples():
         coset_representatives([[1, 0, 0], [0, 1, 0]])
 
 
-@given(square_matrices(2), st.tuples(entries, entries))
-def test_coset_reduction_properties(rows, w):
-    d = det(rows)
-    assume(d != 0 and abs(d) <= 12)
+@given(st.integers(1, 4), st.data())
+def test_coset_box_is_a_complete_residue_system(m, data):
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=m, max_size=m)
+    )
+    d = helpers.leibniz_det(rows)
+    if d == 0:
+        with pytest.raises(SingularBasis):
+            coset_representatives(rows)
+        return
     cs = coset_representatives(rows)
-    assert cs.group_order == abs(d)
-    red = cs.reduce(w)
-    assert red in cs.representatives
-    assert cs.same_coset(w, red)
-    assert cs.reduce(red) == red
+    assert len(cs.representatives) == cs.group_order == abs(d)
+    # a box: every coordinate runs over [0, d_i), in lexicographic order
+    sides = [1 + max(rep[i] for rep in cs.representatives) for i in range(m)]
+    assert cs.representatives == tuple(itertools.product(*(range(x) for x in sides)))
+    member = helpers.row_lattice_membership(rows)
     for a, b in itertools.combinations(cs.representatives, 2):
-        assert not cs.same_coset(a, b)
+        assert not member(tuple(x - y for x, y in zip(a, b)))
 
 
 def test_coset_brute_force_count_small_3x3():
@@ -216,35 +221,33 @@ def test_coset_brute_force_count_small_3x3():
 
 
 def test_choose_rho_standard_family():
-    rho = choose_rho([(1, 0), (0, 1), (1, 1)])
-    assert rho.coords == (1, 2) and rho.ladder_index == 0
-    assert rho.bases_checked == 3 and rho.hyperplanes_checked == 3
-    assert choose_rho([(1, 0), (0, 1), (1, 1)]) == rho  # deterministic
+    rho = choose_rho(_normals([(1, 0), (0, 1), (1, 1)]))
+    assert rho == (1, 2)
+    assert choose_rho(_normals([(1, 0), (0, 1), (1, 1)])) == rho  # deterministic
 
 
 def test_choose_rho_skips_uncertifiable_candidates():
     # (1,2) lies on the hyperplane spanned by (1,2) and pairs to zero against
     # a dual of the basis {(1,0),(1,2)}; the next ladder rung must be taken.
-    rho = choose_rho([(1, 0), (0, 1), (1, 2)])
-    assert rho.coords == (1, 3) and rho.ladder_index == 1
+    assert choose_rho(_normals([(1, 0), (0, 1), (1, 2)])) == (1, 3)
 
 
 def test_choose_rho_variants_walk_the_ladder():
-    vecs = [(1, 0), (0, 1), (1, 1)]
-    assert choose_rho(vecs, variant=1).coords == (1, 3)
-    assert choose_rho(vecs, variant=2).coords == (1, 4)
-    assert choose_rho([(1,)], variant=2).coords == (1,)
+    normals = _normals([(1, 0), (0, 1), (1, 1)])
+    assert choose_rho(normals, variant=1) == (1, 3)
+    assert choose_rho(normals, variant=2) == (1, 4)
+    assert choose_rho(_normals([(1,)]), variant=2) == (1,)
 
 
 def test_choose_rho_guards():
-    with pytest.raises(RankDeficient):
-        choose_rho([(1, 1), (2, 2)])
     with pytest.raises(ExactError):
         choose_rho([])
     with pytest.raises(ExactError):
-        choose_rho([(1, 0), (0, 1)], variant=-1)
+        choose_rho([(1, 0), (1,)])
+    with pytest.raises(ExactError):
+        choose_rho(_normals([(1, 0), (0, 1)]), variant=-1)
     with pytest.raises(ExhaustedCandidates):
-        choose_rho([(1, 0), (0, 1)], variant=3, max_candidates=3)
+        choose_rho(_normals([(1, 0), (0, 1)]), variant=3, max_candidates=3)
 
 
 def test_fractional_part_examples():

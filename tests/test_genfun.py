@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -121,7 +122,7 @@ def test_assembly_fields_cohere():
     assert asm.series.variables == asm.variables
     assert asm.series.caps == asm.caps
     assert asm.bases == ((0,), (1,))
-    assert asm.rho.coords == (1,)
+    assert asm.rho == (1,)
     ctx = model.subset_context(MT, (1,))
     assert asm.members == genfun.build_lambda(MT, ctx, {2: 2})
 
@@ -142,7 +143,7 @@ def test_rho_variants_give_identical_series():
     coords, series = [], []
     for variant in range(3):
         asm = genfun.compute_G(spec, (1, 2), rho_variant=variant)
-        coords.append(asm.rho.coords)
+        coords.append(asm.rho)
         series.append(asm.series)
     assert len(set(coords)) == 3
     assert mpseries.max_abs(series[0]) > 1
@@ -152,14 +153,14 @@ def test_rho_variants_give_identical_series():
 
 def test_zm_partial_sum_skips_zeros_of_members():
     members = _family((1,))
-    assert genfun.zm_partial_sum(members, (2,), (Fraction(0),), 1) == 2.0
+    assert helpers.zm_partial_sum(members, (2,), (Fraction(0),), 1) == 2.0
     with pytest.raises(exact.ExactError):
-        genfun.zm_partial_sum(members, (2, 2), (Fraction(0),), 1)
+        helpers.zm_partial_sum(members, (2, 2), (Fraction(0),), 1)
 
 
 def test_zm_partial_sum_applies_the_twist():
     members = _family((1,))
-    zm = genfun.zm_partial_sum(members, (2,), (Fraction(1, 2),), 200)
+    zm = helpers.zm_partial_sum(members, (2,), (Fraction(1, 2),), 200)
     assert abs(zm - (-math.pi**2 / 6)) < 1e-3
 
 
@@ -167,8 +168,58 @@ def test_zm_partial_sum_approaches_top_coefficient():
     asm = genfun.compute_G(MT, (1,), {2: 5})
     raw = mpseries.coefficient(asm.series, asm.caps)
     gaps = [
-        abs(genfun.zm_partial_sum(asm.members, (1, 1), (Fraction(0),), M) - raw)
+        abs(helpers.zm_partial_sum(asm.members, (1, 1), (Fraction(0),), M) - raw)
         for M in (100, 400)
     ]
     assert gaps[1] < gaps[0]
     assert gaps[1] < 1e-2
+
+
+@pytest.mark.parametrize("data", [
+    {"h": [1, 1], "k": [1, 1, 1], "y": ["0", "0"], "A": [[1, 0], [0, 1], [1, 1]]},
+    {"h": [1, 2, 1], "k": [2, 1], "y": ["0", "1/2", "1/3"], "A": [[1, 1, 1], [2, 0, 1]]},
+])
+def test_plan_makes_one_dual_basis_call_per_subset(monkeypatch, data):
+    # enumerate_bases computes every dual; the cosets and rho only reuse them
+    spec = model.parse_spec(data)
+    calls, inside = [], []
+    dual_basis = exact.dual_basis
+
+    def counted(vectors):
+        calls.append(vectors)
+        return dual_basis(vectors)
+
+    def watched(fn):
+        def wrapper(*args, **kwargs):
+            before = len(calls)
+            out = fn(*args, **kwargs)
+            inside.append(len(calls) - before)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(exact, "dual_basis", counted)
+    monkeypatch.setattr(exact, "coset_representatives", watched(exact.coset_representatives))
+    monkeypatch.setattr(exact, "choose_rho", watched(exact.choose_rho))
+    for J in model.nonempty_subsets(spec.r):
+        calls.clear()
+        plan = genfun.GeneratingFunctionPlan(spec, J)
+        assert len(calls) == math.comb(len(plan.vecs), plan.m)
+    assert inside and not any(inside)
+
+
+def test_large_determinant_plan_enumerates_its_box_of_cosets():
+    # 100 000 coset representatives over three bases of determinants 1,
+    # 49999 and -50000
+    spec = model.parse_spec({"h": [1, 1], "k": [1], "y": ["1/3", "0"], "A": [[50000, 49999]]})
+    plan = genfun.GeneratingFunctionPlan(spec, (1, 2))
+    assert [c.group_order for c in plan.cosets] == [1, 49999, 50000]
+    assert [len(c.representatives) for c in plan.cosets] == [1, 49999, 50000]
+    # its top coefficient takes about 40 s of exact Bernoulli values (and half
+    # a gigabyte of their memo) to assemble, so the value is pinned on the
+    # same family at a hundredth of the size
+    spec = model.parse_spec({"h": [1, 1], "k": [1], "y": ["1/3", "0"], "A": [[500, 499]]})
+    plan = genfun.GeneratingFunctionPlan(spec, (1, 2))
+    assert [c.group_order for c in plan.cosets] == [1, 499, 500]
+    top = plan.evaluate_batch(np.zeros((1, 0), dtype=np.int64))[0, plan.top]
+    assert abs(top - 1.5250371987810347j) <= 1e-12 * 1.5250371987810347

@@ -1,7 +1,11 @@
 #!/usr/bin/env python
 """Run the bundled instances through the CLI at demo sizes.
 
+    python3 scripts/run_demos.py
+
 Small box sizes keep this quick; bump --M/--M-outer for tighter residuals.
+Each command is echoed with its spec path relative to the repository root,
+so the output of two checkouts compares byte for byte.
 """
 
 from __future__ import annotations
@@ -9,11 +13,10 @@ from __future__ import annotations
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from mdzeta.cli import main  # noqa: E402
-
-SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "specs")
 
 RUNS = [
     ["validate", "--spec", "mt_r2.json"],
@@ -37,8 +40,9 @@ def run() -> int:
     for argv in RUNS:
         argv = argv.copy()
         pos = argv.index("--spec") + 1
-        argv[pos] = os.path.join(SPEC_DIR, argv[pos])
+        argv[pos] = f"specs/{argv[pos]}"
         print(f"$ mdzeta {' '.join(argv)}")
+        argv[pos] = os.path.join(ROOT, argv[pos])
         code = main(argv)
         print(f"[exit {code}]\n")
         worst = max(worst, code)

@@ -9,12 +9,13 @@ Subcommands:
 
 Exit codes: 0 success/pass, 1 fail, 2 invalid input, convergence not
 established or a reduced side that cannot be assembled, 3 inconclusive.
-Box sizes --M and --M-outer below 1 are invalid input, and so are boxes
-over the work budget: more than WORK_BUDGET direct terms (M**r), direct
-form values (the largest row sum of A times M), or, for some subset J,
-coset representatives times outer tuples (the sum of |det B| over the
-bases B of Lambda_J, times M_outer**(r-|J|)).  Set MDZETA_OUTPUT_DIR to
-also write the JSON report into that directory.
+Box sizes --M and --M-outer below 1 are invalid input, and so is a --tol
+that is negative or not finite (nan, inf).  So are boxes over the work
+budget: more than WORK_BUDGET direct terms (M**r), direct form values (the
+largest row sum of A times M), or, for some subset J, coset
+representatives times outer tuples (the sum of |det B| over the bases B
+of Lambda_J, times M_outer**(r-|J|)).  Set MDZETA_OUTPUT_DIR to also write
+the JSON report into that directory.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ def _box_size(value: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"box size must be >= 1, got {n}")
     return n
+
+
+def _tolerance(value: str) -> float:
+    tol = float(value)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {value}")
+    return tol
 
 
 def _write_report(command: str, payload: dict) -> None:
@@ -334,62 +342,44 @@ def _selftest_bernoulli() -> bool:
     return all(mpseries.BERNOULLI.number(n) == e for n, e in enumerate(expected))
 
 
-def _selftest_telescoping() -> bool:
-    for size in (2, 3):
-        variables = tuple(f"t{i}" for i in range(1, size + 1))
-        caps = (4,) * size
-        total = 4
-        one = mpseries.constant(1.0, variables, caps, total)
-        lhs = mpseries.zero(variables, caps, total)
-        prefix = one
-        for i in range(1, size + 1):
-            ei = mpseries.exp_2pii_linear({f"t{i}": 1}, variables, caps, total)
-            lhs = mpseries.series_add(
-                lhs, mpseries.series_mul(mpseries.series_sub(ei, one), prefix)
-            )
-            prefix = mpseries.series_mul(prefix, ei)
-        rhs = mpseries.series_sub(
-            mpseries.exp_2pii_linear({v: 1 for v in variables}, variables, caps, total),
-            one,
-        )
-        if mpseries.max_abs(mpseries.series_sub(lhs, rhs)) > 1e-12:
-            return False
-    return True
+# Per check: an untwisted spec, J, and the raw top coefficient of G as a
+# function of the one outer variable.  At outer values 1..5 every tuple
+# takes the assembly path the check names.
+_ZETA2 = math.pi**2 / 6
+_CLOSED_FORMS = (
+    ("mt_r3 J={1,2}, regular path", {"h": [1, 1, 1], "k": [2], "A": [[1, 1, 1]]}, (1, 2),
+     lambda a: 10 * _ZETA2 / a**2 - 12 / a**4),
+    ("root_a2 J={1}, singular path", {"h": [1, 1], "k": [1, 1, 1], "A": [[1, 0], [0, 1], [1, 1]]},
+     (1,), lambda b: 2 * _ZETA2 / b - 3 / b**3),
+    ("mt_r2 J={1}, regular path", {"h": [1, 1], "k": [1], "A": [[1, 1]]}, (1,),
+     lambda s: 2 / s**2),
+)
 
 
-def _selftest_closed_form() -> bool:
-    from . import mtoracle  # test oracle, kept out of the import of every other command
-
-    spec = parse_spec({"h": [1, 1], "k": [1], "y": ["0", "0"], "A": [[1, 1]]})
-    for J, m_outer in (((1, 2), {}), ((1,), {2: 3})):
-        got = genfun.compute_G(spec, J, m_outer).series
-        want = mtoracle.mt_closed_form_G(spec, J, m_outer)
-        diff = mpseries.series_sub(got, want)
-        if mpseries.max_abs(diff) > 1e-10:
-            return False
-    return True
+def _selftest_closed_form(data: dict, J: tuple, closed) -> bool:
+    spec = parse_spec({**data, "y": ["0"] * len(data["h"])})
+    plan = genfun.GeneratingFunctionPlan(spec, J)
+    outer = range(1, 6)
+    got = plan.evaluate_batch([[x] for x in outer])[:, plan.top]
+    return all(abs(g - closed(x)) <= 1e-12 * abs(closed(x)) for g, x in zip(got, outer))
 
 
 def _selftest_singleton() -> bool:
-    det, rows = exact.dual_basis([(1,)])
-    rho = exact.choose_rho(rows)
-    c = exact.fractional_part(Fraction(0), det * exact.dot(rho, rows[0]))
+    # -[t^h] of the Bernoulli factor at offset 0 is 2 zeta(h), h even
     for h, expected in ((2, math.pi**2 / 3), (4, math.pi**4 / 45)):
-        # -D/h! where D = h! * [t^h] of the Bernoulli factor
-        beta = mpseries.bernoulli_factor(("t1",), (h,), h, "t1", c)
-        got = -mpseries.coefficient(beta, (h,))
+        got = -mpseries.bernoulli_coefficients(h, 0)[h]
         if abs(got - expected) > 1e-10:
             return False
     return True
 
 
 def cmd_selftest(args) -> int:
-    checks = [
-        ("bernoulli table", _selftest_bernoulli),
-        ("telescoping identity", _selftest_telescoping),
-        ("closed form vs assembly", _selftest_closed_form),
-        ("singleton coefficients", _selftest_singleton),
+    checks = [("bernoulli table", _selftest_bernoulli)]
+    checks += [
+        (f"closed form, {name}", functools.partial(_selftest_closed_form, data, J, closed))
+        for name, data, J, closed in _CLOSED_FORMS
     ]
+    checks.append(("singleton coefficients", _selftest_singleton))
     failed = 0
     for name, fn in checks:
         ok = fn()
@@ -434,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--M", type=_box_size, default=400, help="direct-side box size")
     p.add_argument("--M-outer", type=_box_size, default=400, help="reduced-side box size")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6, help="residual tolerance, finite and >= 0")
     p.add_argument("--rho-variant", type=int, default=0)
     p.set_defaults(fn=cmd_verify)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 
@@ -175,13 +174,3 @@ def directed_residue(num: int, den: int, p) -> int:
     if p < 0:
         return den - (-num) % den
     raise ZeroPairing("direction pairs to zero; rho certification failed")
-
-
-def fractional_part(x: Fraction, p) -> Fraction:
-    """Fractional part of x nudged along the sign of p; lands in [0, 1].
-
-    At non-integer x both branches agree with the usual {x}; at integer x
-    the positive branch gives 0 and the negative branch gives 1.
-    """
-    x = Fraction(x)
-    return Fraction(directed_residue(x.numerator, x.denominator, p), x.denominator)

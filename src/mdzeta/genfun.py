@@ -20,13 +20,13 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 import numpy as np
 
 from . import exact, mpseries
 from .model import SeriesSpec, SubsetContext, subset_context
-from .mpseries import MultiSeries, SingularConfiguration
+from .mpseries import SingularConfiguration
 from .phase import unit_phase
 
 
@@ -39,45 +39,33 @@ _CANCELLED = 1e-13
 
 @dataclass(frozen=True)
 class AffineFunctional:
-    """One member of Lambda: n -> <vec, n> + dot.
+    """One member of Lambda, by its linear part on Z^|J|.
 
-    Tags 1..r mark variable members (vec = e_j, dot = 0); tags r+i mark form
-    members (vec = the i-th form restricted to J, dot = minus the form's
-    contribution from the frozen outer variables).  Tags keep value-duplicate
+    Tags 1..r mark variable members (vec = e_j); tags r+i mark form members
+    (vec = the i-th form restricted to J).  Tags keep value-duplicate
     members distinct, which matters when a form restricted to J coincides
-    with a coordinate vector.
+    with a coordinate vector.  With the outer tuple m frozen, form member i
+    is n -> <vec, n> - sum over Jbar of a_ij m_j; a plan keeps that
+    constant as an integer form in m.
     """
 
     tag: int
     vec: tuple[int, ...]
-    dot: Fraction
 
 
 def variable_name(tag: int) -> str:
     return f"t{tag}"
 
 
-def build_lambda(spec: SeriesSpec, ctx: SubsetContext, m_outer) -> tuple[AffineFunctional, ...]:
-    """The family Lambda for subset J with the outer tuple frozen.
-
-    m_outer maps each j in Jbar to its (positive integer) value; it may be
-    empty exactly when J = [r].
-    """
-    m_outer = dict(m_outer or {})
-    if set(m_outer) != set(ctx.Jbar):
-        raise exact.ExactError(
-            f"outer tuple must cover Jbar = {ctx.Jbar}, got {sorted(m_outer)}"
-        )
-    members = []
-    for j in ctx.J:
-        vec = tuple(1 if jj == j else 0 for jj in ctx.J)
-        members.append(AffineFunctional(tag=j, vec=vec, dot=Fraction(0)))
+def build_lambda(spec: SeriesSpec, ctx: SubsetContext) -> tuple[AffineFunctional, ...]:
+    """The family Lambda for subset J: the variables in J, then the forms meeting J."""
+    members = [
+        AffineFunctional(tag=j, vec=tuple(1 if jj == j else 0 for jj in ctx.J))
+        for j in ctx.J
+    ]
     for i in ctx.I:
         vec = tuple(spec.a(i, j) for j in ctx.J)
-        dotv = -sum(
-            (Fraction(spec.a(i, j) * m_outer[j]) for j in ctx.Jbar), Fraction(0)
-        )
-        members.append(AffineFunctional(tag=spec.r + i, vec=vec, dot=dotv))
+        members.append(AffineFunctional(tag=spec.r + i, vec=vec))
     return tuple(members)
 
 
@@ -99,14 +87,9 @@ def enumerate_bases(members) -> dict[tuple[int, ...], tuple]:
     return out
 
 
-def _template(spec: SeriesSpec, ctx: SubsetContext) -> tuple[AffineFunctional, ...]:
-    """Lambda at the all-ones outer tuple: the members' vectors and tags."""
-    return build_lambda(spec, ctx, {j: 1 for j in ctx.Jbar})
-
-
 def coset_count(spec: SeriesSpec, J) -> int:
     """Coset representatives a plan for (spec, J) enumerates: sum of |det B|."""
-    template = _template(spec, subset_context(spec, tuple(J)))
+    template = build_lambda(spec, subset_context(spec, tuple(J)))
     return sum(abs(det) for det, _ in enumerate_bases(template).values())
 
 
@@ -160,7 +143,7 @@ class GeneratingFunctionPlan:
         self.ctx = subset_context(spec, tuple(J))
         ctx = self.ctx
         self.m = len(ctx.J)
-        template = _template(spec, ctx)
+        template = build_lambda(spec, ctx)
         self.tags = tuple(f.tag for f in template)
         self.vecs = tuple(f.vec for f in template)
         self.variables = tuple(variable_name(t) for t in self.tags)
@@ -387,15 +370,16 @@ class GeneratingFunctionPlan:
                 out[rows] = self._assemble_regular(tuples[rows], dnum[rows])
         return out
 
-    def evaluate(self, m_outer=None) -> MultiSeries:
-        """G for one outer tuple, truncated to the target caps."""
+    # term_T calls evaluate_batch; perfbench/tracer.py wraps this by name
+    def evaluate(self, m_outer=None) -> np.ndarray:
+        """G for one outer tuple (a dict over Jbar), as a row over self.space."""
         m_outer = dict(m_outer or {})
         if set(m_outer) != set(self.ctx.Jbar):
             raise exact.ExactError(
                 f"outer tuple must cover Jbar = {self.ctx.Jbar}, got {sorted(m_outer)}"
             )
         row = np.array([[m_outer[j] for j in self.ctx.Jbar]], dtype=np.int64)
-        return self.space.series(self.variables, self.evaluate_batch(row)[0])
+        return self.evaluate_batch(row)[0]
 
     def _numerator(self, tables, tuples, dnum) -> np.ndarray:
         """Sum over bases of coset sum times the geometric factors, per row.
@@ -429,7 +413,7 @@ class GeneratingFunctionPlan:
         threshold = 1e-8 * np.maximum(1.0, np.abs(numer).max(axis=1))
         for form, mult in tables.forms:
             for _ in range(mult):
-                numer, leftover = tables.space.divide(numer, form)
+                numer, leftover = mpseries.divide_linear(tables.space, numer, form)
                 bad = np.flatnonzero(leftover > threshold)
                 if bad.size:
                     weights = {v: c for v, c in zip(self.variables, form) if c}
@@ -457,36 +441,3 @@ class _Tables:
     geometric: tuple
     forms: tuple
     narrow: np.ndarray
-
-
-@dataclass(frozen=True)
-class GFAssembly:
-    """A fully evaluated G for one subset and one outer tuple."""
-
-    members: tuple[AffineFunctional, ...]
-    bases: tuple[tuple[int, ...], ...]
-    rho: tuple[int, ...]
-    variables: tuple[str, ...]
-    caps: tuple[int, ...]
-    series: MultiSeries
-
-
-def compute_G(spec: SeriesSpec, J, m_outer=None, rho_variant: int = 0) -> GFAssembly:
-    """Build the plan for (spec, J), evaluate one outer tuple, keep context."""
-    plan = GeneratingFunctionPlan(spec, J, rho_variant=rho_variant)
-    series = plan.evaluate(m_outer)
-    members = build_lambda(spec, plan.ctx, m_outer)
-    return GFAssembly(
-        members=members,
-        bases=plan.bases,
-        rho=plan.rho,
-        variables=plan.variables,
-        caps=plan.caps,
-        series=series,
-    )
-
-
-def extract_D(assembly: GFAssembly) -> complex:
-    """The distribution value: top coefficient times the factorials."""
-    raw = mpseries.coefficient(assembly.series, assembly.caps)
-    return raw * prod(math.factorial(c) for c in assembly.caps)

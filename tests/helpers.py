@@ -2,12 +2,13 @@
 code paths they check: a fast exact series for zeta(3), Bernoulli numbers by
 the explicit double sum (no recurrence), Taylor coefficients via the Cauchy
 integral on a roots-of-unity grid, exact lattice membership through the
-integer dual, Leibniz determinants and Cramer duals, a generating-function
-plan's exact data in Fractions from the definitions, its tables built with
-dict series algebra, the shells of an outer sum summed one tuple at a time,
-the dict series truncation, geometric factor and full phase table that the
-library itself no longer needs, and the box partial sum over Z^m that the
-distribution value is the limit of."""
+integer dual, Leibniz determinants and Cramer duals, the rho-directed
+fractional part, a generating-function plan's exact data in Fractions from
+the definitions, its tables built with the dict series algebra of
+dictseries, the shells of an outer sum summed one tuple at a time, the dict
+series truncation, geometric factor and full phase table that the library
+itself no longer needs, the family Lambda with its outer tuple frozen, and
+the box partial sum over Z^m that the distribution value is the limit of."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import dictseries as ds
 from mdzeta import evaluator, exact, genfun, mpseries
 from mdzeta.exact import dual_basis
 from mdzeta.phase import unit_phase
@@ -53,7 +55,7 @@ def two_zeta_even(h: int) -> float:
 
 
 def series_max_diff(a, b) -> float:
-    return mpseries.max_abs(mpseries.series_sub(a, b))
+    return ds.max_abs(ds.series_sub(a, b))
 
 
 def fft_taylor_coeffs(fn, nvars: int, max_degree: int, radius: float = 0.3) -> dict:
@@ -119,6 +121,16 @@ def cramer_dual(rows) -> list[list[Fraction]]:
         ]
         for j in range(n)
     ]
+
+
+def fractional_part(x: Fraction, p) -> Fraction:
+    """Fractional part of x nudged along the sign of p; lands in [0, 1].
+
+    At non-integer x both branches agree with the usual {x}; at integer x
+    the positive branch gives 0 and the negative branch gives 1.
+    """
+    x = Fraction(x)
+    return Fraction(exact.directed_residue(x.numerator, x.denominator, p), x.denominator)
 
 
 def _fraction_dot(u, v) -> Fraction:
@@ -251,7 +263,7 @@ def reference_tables(plan, pattern):
     space = mpseries.dense_space(caps, total_cap)
 
     def linear(weights):
-        return mpseries.linear_form(weights, variables, caps, total_cap)
+        return ds.linear_form(weights, variables, caps, total_cap)
 
     def unit(pos):
         return linear({variables[pos]: 1.0})
@@ -260,7 +272,7 @@ def reference_tables(plan, pattern):
 
     bprods, geometric = [], []
     for bi, basis in enumerate(plan.bases):
-        fixed = mpseries.constant(1.0, variables, caps, total_cap)
+        fixed = ds.constant(1.0, variables, caps, total_cap)
         scale = Fraction(1)
         regular = []
         for gpos in plan.complements[bi]:
@@ -270,23 +282,23 @@ def reference_tables(plan, pattern):
                 continue
             den = plan.duals[bi][0]
             lf = linear({name: c / den for name, c in zip(variables, plan.l_rows[bi][gpos]) if c})
-            weights = tuple(mpseries.coefficient(lf, key).real for key in unit_keys)
+            weights = tuple(ds.coefficient(lf, key).real for key in unit_keys)
             regular.append((plan.pairs.index((bi, gpos)), weights, unit_keys[gpos]))
         for form, mult in max_mult.items():
             for _ in range(mult - per_basis[bi].get(form, 0)):
                 fixed = mpseries.series_mul(fixed, linear(dict(zip(variables, map(float, form)))))
-        fixed = mpseries.series_scale(fixed, float(scale))
+        fixed = ds.series_scale(fixed, float(scale))
         rows = []
         fden, reps = plan.residues[bi]
         for rs in reps:
-            product = mpseries.constant(1.0, variables, caps, total_cap)
+            product = ds.constant(1.0, variables, caps, total_cap)
             for fi, fpos in enumerate(basis):
                 offset = Fraction(rs[fi], fden)
                 product = mpseries.series_mul(
                     product,
-                    mpseries.bernoulli_factor(variables, caps, total_cap, variables[fpos], offset),
+                    ds.bernoulli_factor(variables, caps, total_cap, variables[fpos], offset),
                 )
-            rows.append(space.dense(mpseries.series_mul(product, fixed)))
+            rows.append(ds.to_dense(space, mpseries.series_mul(product, fixed)))
         bprods.append(np.array(rows))
         geometric.append(tuple(regular))
     return space, bprods, tuple(geometric), tuple(max_mult.items())
@@ -313,7 +325,7 @@ def reference_shells(spec, J, M_outer):
                 weight /= outer[j] ** spec.h[j - 1]
             for i in ctx.Ibar:
                 weight /= sum(spec.a(i, j) * outer[j] for j in ctx.Jbar) ** spec.k[i - 1]
-            values.append(weight * mpseries.coefficient(plan.evaluate(outer), plan.caps))
+            values.append(weight * plan.evaluate(outer)[plan.top])
         shells.append(evaluator._kahan_sum(values))
         abs_shells.append(sum(abs(v) for v in values))
     return shells, abs_shells
@@ -343,21 +355,21 @@ def rational_factor(variables, caps, total_cap, numer_var, denom, weights) -> mp
     """
     if denom == 0:
         raise mpseries.SingularConfiguration(f"zero denominator at factor {numer_var}")
-    base = mpseries.zero(variables, caps, total_cap)
+    base = ds.zero(variables, caps, total_cap)
     scaled = {name: Fraction(w) / Fraction(denom) for name, w in weights.items()}
-    lf = mpseries.linear_form(
+    lf = ds.linear_form(
         {name: float(w) for name, w in scaled.items()},
         base.variables,
         base.caps,
         base.total_cap,
     )
-    one = mpseries.constant(1.0, base.variables, base.caps, base.total_cap)
+    one = ds.constant(1.0, base.variables, base.caps, base.total_cap)
     acc = one
     for _ in range(base.total_cap):
-        acc = mpseries.series_add(one, mpseries.series_mul(lf, acc))
+        acc = ds.series_add(one, mpseries.series_mul(lf, acc))
     pos = base.variables.index(numer_var)
     key = tuple(1 if i == pos else 0 for i in range(len(base.variables)))
-    tg = mpseries.monomial(
+    tg = ds.monomial(
         base.variables, base.caps, key, value=float(Fraction(-1) / Fraction(denom)),
         total_cap=base.total_cap,
     )
@@ -371,21 +383,36 @@ def phase_table(q: int) -> list[complex]:
     return [unit_phase(Fraction(res, q)) for res in range(q)]
 
 
+def frozen_family(spec, ctx, m_outer) -> tuple:
+    """Lambda for (spec, J) with the outer tuple frozen, as (vec, dot) pairs.
+
+    The members and vectors are genfun.build_lambda's; a variable member
+    has dot 0 and form member i has dot -sum over Jbar of a_ij m_j.
+    """
+    if set(m_outer) != set(ctx.Jbar):
+        raise exact.ExactError(f"outer tuple must cover Jbar = {ctx.Jbar}, got {sorted(m_outer)}")
+    return tuple(
+        (f.vec, 0 if f.tag <= spec.r else -sum(spec.a(f.tag - spec.r, j) * m_outer[j] for j in ctx.Jbar))
+        for f in genfun.build_lambda(spec, ctx)
+    )
+
+
 def zm_partial_sum(members, exponents, y, M: int) -> complex:
     """Box partial sum of e(<y,n>) / prod f(n)^e over [-M, M]^m, f(n) != 0.
 
-    The limit in M recovers, up to the sign (-1)^|Lambda| and the factorial
-    normalization, the same distribution value extract_D reads off G; the
-    agreement of the two routes is the empirical check on the coefficient
-    machinery.
+    members are (vec, dot) pairs, f(n) = <vec, n> + dot.  The limit in M
+    recovers, up to the sign (-1)^|Lambda| and the factorial normalization,
+    the distribution value: the top coefficient of G times the factorials.
+    The agreement of the two routes is the empirical check on the
+    coefficient machinery.
     """
-    m = len(members[0].vec)
+    m = len(members[0][0])
     if len(exponents) != len(members):
         raise exact.ExactError("one exponent per member required")
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j
     for n in itertools.product(range(-M, M + 1), repeat=m):
-        vals = [exact.dot(f.vec, n) + f.dot for f in members]
+        vals = [exact.dot(vec, n) + dot for vec, dot in members]
         if any(v == 0 for v in vals):
             continue
         denom = 1.0

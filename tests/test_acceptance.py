@@ -11,8 +11,9 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import dictseries as ds
 import helpers
-from mdzeta import evaluator, exact, genfun, model, mpseries, mtoracle
+from mdzeta import evaluator, exact, genfun, model, mpseries
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 MT = model.parse_spec({"h": [1, 1], "k": [1], "y": ["0", "0"], "A": [[1, 1]]})
@@ -76,8 +77,9 @@ def test_closed_form_oracle(capsys):
             {"h": list(h), "k": list(k), "y": ["0"] * r, "A": [[1] * r]}
         )
         J = tuple(range(1, r + 1))
-        got = genfun.compute_G(spec, J).series
-        want = mtoracle.mt_closed_form_G(spec, J)
+        plan = genfun.GeneratingFunctionPlan(spec, J)
+        got = ds.from_dense(plan.space, plan.variables, plan.evaluate())
+        want = ds.mt_closed_form_G(spec, J)
         worst = max(worst, helpers.series_max_diff(got, want))
     ok = worst <= 1e-12
     _announce(
@@ -92,20 +94,20 @@ def test_telescoping_identity(capsys):
     for size in (2, 3, 4):
         variables = tuple(f"t{i}" for i in range(1, size + 1))
         caps = (6,) * size
-        one = mpseries.constant(1.0, variables, caps, 6)
-        lhs = mpseries.zero(variables, caps, 6)
+        one = ds.constant(1.0, variables, caps, 6)
+        lhs = ds.zero(variables, caps, 6)
         prefix = one
         for i in range(1, size + 1):
-            ei = mpseries.exp_2pii_linear({f"t{i}": 1}, variables, caps, 6)
-            lhs = mpseries.series_add(
-                lhs, mpseries.series_mul(mpseries.series_sub(ei, one), prefix)
+            ei = ds.exp_2pii_linear({f"t{i}": 1}, variables, caps, 6)
+            lhs = ds.series_add(
+                lhs, mpseries.series_mul(ds.series_sub(ei, one), prefix)
             )
             prefix = mpseries.series_mul(prefix, ei)
-        rhs = mpseries.series_sub(
-            mpseries.exp_2pii_linear({v: 1 for v in variables}, variables, caps, 6),
+        rhs = ds.series_sub(
+            ds.exp_2pii_linear({v: 1 for v in variables}, variables, caps, 6),
             one,
         )
-        diff = mpseries.series_sub(lhs, rhs)
+        diff = ds.series_sub(lhs, rhs)
         # coefficients reach (2 pi)^6 * multinomial ~ 1.5e4, so compare each
         # against its own natural magnitude rather than absolutely
         for key, val in diff.coeffs.items():
@@ -124,7 +126,7 @@ def test_telescoping_identity(capsys):
 def test_bernoulli_zeta_consistency(capsys):
     det, rows = exact.dual_basis([(1,)])
     rho = exact.choose_rho(rows)
-    c = exact.fractional_part(Fraction(0), det * exact.dot(rho, rows[0]))
+    c = helpers.fractional_part(Fraction(0), det * exact.dot(rho, rows[0]))
     expected = {
         2: math.pi**2 / 3,
         3: 0.0,
@@ -133,8 +135,8 @@ def test_bernoulli_zeta_consistency(capsys):
     }
     worst = 0.0
     for h, want in expected.items():
-        beta = mpseries.bernoulli_factor(("t1",), (h,), h, "t1", c)
-        d_value = mpseries.coefficient(beta, (h,)) * math.factorial(h)
+        beta = ds.bernoulli_factor(("t1",), (h,), h, "t1", c)
+        d_value = ds.coefficient(beta, (h,)) * math.factorial(h)
         worst = max(worst, abs(-d_value / math.factorial(h) - want))
     cross = max(abs(expected[h] - helpers.two_zeta_even(h)) for h in (2, 4, 6))
     ok = worst <= 1e-10 and cross <= 1e-12
@@ -215,11 +217,11 @@ def test_rho_invariance(capsys):
 def test_symmetric_partial_sum_trend(capsys):
     det, rows = exact.dual_basis([(1,)])
     rho = exact.choose_rho(rows)
-    c = exact.fractional_part(Fraction(0), det * exact.dot(rho, rows[0]))
-    beta = mpseries.bernoulli_factor(("t1",), (2,), 2, "t1", c)
-    d_value = mpseries.coefficient(beta, (2,)) * math.factorial(2)
+    c = helpers.fractional_part(Fraction(0), det * exact.dot(rho, rows[0]))
+    beta = ds.bernoulli_factor(("t1",), (2,), 2, "t1", c)
+    d_value = ds.coefficient(beta, (2,)) * math.factorial(2)
     limit = -d_value / math.factorial(2)  # (-1)^[one member] * D / cap!
-    members = (genfun.AffineFunctional(tag=1, vec=(1,), dot=Fraction(0)),)
+    members = (((1,), 0),)
     gaps = [
         abs(helpers.zm_partial_sum(members, (2,), (Fraction(0),), M) - limit)
         for M in (50, 100, 200)

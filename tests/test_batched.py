@@ -1,6 +1,7 @@
 """The batched reduced side: dense series batches, evaluate_batch, outer blocks."""
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,11 +10,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import dictseries as ds
 import helpers
 from mdzeta import evaluator, exact, genfun, model, mpseries
-from mdzeta.mpseries import (
-    CapExceeded, SingularConfiguration, dense_space, divide_linear, series_mul,
-)
+from mdzeta.mpseries import CapExceeded, SingularConfiguration, dense_space, series_mul
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_top_coefficients.json"
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -61,12 +61,13 @@ def test_geometric_factor_matches_series_mul(data):
     )
     for row, d, g in zip(batch, denoms, got):
         factor = helpers.rational_factor(variables, caps, total, gname, d, weights)
-        want = space.dense(series_mul(space.series(variables, row), factor))
+        want = ds.to_dense(space, series_mul(ds.from_dense(space, variables, row), factor))
         assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want), initial=0.0)
 
 
 @given(st.data())
 def test_batched_division_matches_divide_linear(data):
+    # mpseries.divide_linear on a batch against the dict division of each row
     # every batch takes the same path, with fewer rows than the space has
     # keys or more; outside the full simplex division may need a missing key
     variables, caps, total = data.draw(spaces(full_simplex=data.draw(st.booleans())))
@@ -78,16 +79,16 @@ def test_batched_division_matches_divide_linear(data):
     for rows in (data.draw(st.integers(1, 3)), space.size + data.draw(st.integers(1, 3))):
         numer = _batch(data.draw, space, rows)
         try:
-            want = [divide_linear(space.series(variables, row), weights) for row in numer]
+            want = [ds.divide_linear(ds.from_dense(space, variables, row), weights) for row in numer]
         except CapExceeded:
             with pytest.raises(CapExceeded):
-                space.divide(numer, form)
+                mpseries.divide_linear(space, numer, form)
             continue
-        quotient, remainder = space.divide(numer, form)
+        quotient, remainder = mpseries.divide_linear(space, numer, form)
         assert quotient.shape == numer.shape and remainder.shape == (rows,)
         # the same operations in the same order: equal to the last bit
         for r, (q, rem) in enumerate(want):
-            assert np.array_equal(quotient[r], space.dense(q))
+            assert np.array_equal(quotient[r], ds.to_dense(space, q))
             assert remainder[r] == rem
 
 
@@ -95,20 +96,20 @@ def test_batched_division_refuses_where_divide_linear_does():
     # caps (1, 1), total 2: t_a + t_b divides by t_a + t_b; t_a t_b would
     # need t_b^2, outside the space
     variables, space = ("a", "b"), dense_space((1, 1), 2)
-    divisible = space.dense(mpseries.linear_form({"a": 1, "b": 1}, variables, (1, 1), 2))
-    product = space.dense(mpseries.monomial(variables, (1, 1), (1, 1), total_cap=2))
-    quotient, remainder = space.divide(np.array([divisible]), (1, 1))
+    divisible = ds.to_dense(space, ds.linear_form({"a": 1, "b": 1}, variables, (1, 1), 2))
+    product = ds.to_dense(space, ds.monomial(variables, (1, 1), (1, 1), total_cap=2))
+    quotient, remainder = mpseries.divide_linear(space, np.array([divisible]), (1, 1))
     assert quotient[0].tolist() == [1, 0, 0, 0] and remainder.tolist() == [0.0]
     with pytest.raises(CapExceeded):
-        divide_linear(space.series(variables, product), {"a": 1, "b": 1})
+        ds.divide_linear(ds.from_dense(space, variables, product), {"a": 1, "b": 1})
     with pytest.raises(CapExceeded):
-        space.divide(np.array([divisible, product]), (1, 1))
+        mpseries.divide_linear(space, np.array([divisible, product]), (1, 1))
 
 
 def test_batched_division_rejects_the_zero_form():
     space = dense_space((2, 2), 2)
     with pytest.raises(mpseries.SeriesError, match="zero form"):
-        space.divide(np.ones((2, space.size), dtype=complex), (0, 0))
+        mpseries.divide_linear(space, np.ones((2, space.size), dtype=complex), (0, 0))
 
 
 def test_dense_space_is_shared_per_space():
@@ -149,7 +150,7 @@ def test_top_coefficients_match_per_tuple_golden(name, spec, J, values):
     # evaluate() is a batch of one
     for row, w in zip(tuples[:3], want):
         series = plan.evaluate(dict(zip(plan.ctx.Jbar, row.tolist())))
-        assert abs(mpseries.coefficient(series, plan.caps) - w) <= 1e-12 * max(abs(w), scale)
+        assert abs(series[plan.top] - w) <= 1e-12 * max(abs(w), scale)
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-11])
@@ -284,8 +285,9 @@ def test_term_reports_unit_outer_d():
     for J in model.nonempty_subsets(spec.r):
         term = evaluator.term_T(spec, J, M_outer=3)
         plan = genfun.GeneratingFunctionPlan(spec, J)
-        asm = genfun.compute_G(spec, J, {j: 1 for j in plan.ctx.Jbar})
-        assert abs(term.unit_D - genfun.extract_D(asm)) <= 1e-12 * abs(term.unit_D)
+        raw = plan.evaluate({j: 1 for j in plan.ctx.Jbar})[plan.top]
+        want = raw * math.prod(math.factorial(c) for c in plan.caps)
+        assert abs(term.unit_D - want) <= 1e-12 * abs(term.unit_D)
 
 
 def test_evaluate_batch_checks_the_tuple_shape():

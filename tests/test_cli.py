@@ -3,12 +3,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import helpers
-from mdzeta import cli, evaluator, genfun, model
+from mdzeta import cli, evaluator, genfun, model, mpseries
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 MT_PATH = str(SPECS / "mt_r2.json")
@@ -153,12 +156,52 @@ def test_reduce_csv_lists_every_subset(capsys):
     assert len(lines) == 1 + 3  # three nonempty subsets of {1, 2}
 
 
+SELFTEST_CHECKS = [
+    "bernoulli table",
+    "closed form, mt_r3 J={1,2}, regular path",
+    "closed form, root_a2 J={1}, singular path",
+    "closed form, mt_r2 J={1}, regular path",
+    "singleton coefficients",
+]
+
+
 def test_selftest_reports_every_check(capsys):
     code, out, _ = _run(capsys, ["selftest"])
     assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith("selftest:")]
-    assert len(lines) == 4
-    assert all(l.endswith(": ok") for l in lines)
+    assert out.splitlines() == [f"selftest: {name}: ok" for name in SELFTEST_CHECKS]
+
+
+def test_selftest_takes_both_assembly_paths(capsys, monkeypatch):
+    calls = []
+    plan = genfun.GeneratingFunctionPlan
+    for owner, name in ((plan, "_assemble_regular"), (plan, "_assemble_singular"),
+                        (mpseries, "divide_linear")):
+        def counted(*args, _fn=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert _run(capsys, ["selftest"])[0] == 0
+    assert {"_assemble_regular", "_assemble_singular", "divide_linear"} <= set(calls)
+
+
+def test_selftest_runs_without_the_tests(tmp_path):
+    # only src is importable: no tests/ module (dict series, oracles) is needed
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mdzeta.cli", "selftest"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"selftest: {name}: ok" for name in SELFTEST_CHECKS]
+
+
+def test_selftest_fails_on_a_wrong_geometric_factor(capsys, monkeypatch):
+    times_geometric = genfun._times_geometric
+    monkeypatch.setattr(genfun, "_times_geometric", lambda *args: -times_geometric(*args))
+    code, out, _ = _run(capsys, ["selftest"])
+    assert code == 1
+    assert any(line.endswith(": FAIL") for line in out.splitlines())
 
 
 def test_output_dir_mirrors_stdout_report(capsys, tmp_path, monkeypatch):
@@ -208,12 +251,30 @@ def test_reduce_reports_unit_outer_d_and_shared_corollary(capsys):
     spec = model.load_spec(MT_PATH)
     for term in payload["terms"]:
         J = tuple(term["J"])
-        Jbar = [j for j in range(1, spec.r + 1) if j not in J]
-        want = genfun.extract_D(genfun.compute_G(spec, J, {j: 1 for j in Jbar}))
+        plan = genfun.GeneratingFunctionPlan(spec, J)
+        raw = plan.evaluate({j: 1 for j in plan.ctx.Jbar})[plan.top]
+        want = raw * math.prod(math.factorial(c) for c in plan.caps)
         got = complex(float(term["D_at_unit_outer"]["re"]), float(term["D_at_unit_outer"]["im"]))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     report = evaluator.verify_parity(spec, M=120, M_outer=120, tol=1e-2)
     assert payload["corollary"] == evaluator.corollary_json(report.corollary())
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, monkeypatch, tol):
+    def no_work(*args, **kwargs):
+        raise AssertionError("summation started")
+
+    monkeypatch.setattr(evaluator, "_direct_shells", no_work)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--spec", MT_PATH, "--M", "50", "--M-outer", "50", f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert f"tolerance must be finite and >= 0, got {tol}" in capsys.readouterr().err
+
+
+def test_zero_tolerance_is_accepted():
+    args = cli._parser().parse_args(["verify", "--spec", MT_PATH, "--tol", "0"])
+    assert args.tol == 0.0
 
 
 @pytest.mark.parametrize(

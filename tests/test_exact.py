@@ -16,8 +16,8 @@ from mdzeta.exact import (
     coset_representatives,
     dot,
     dual_basis,
-    fractional_part,
 )
+from helpers import fractional_part
 
 entries = st.integers(-6, 6)
 

@@ -8,35 +8,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dictseries as ds
 import helpers
-from mdzeta import exact, genfun, model, mpseries, mtoracle
+from mdzeta import evaluator, exact, genfun, model
 from mdzeta.genfun import AffineFunctional, _normalize_linear
 
 MT = model.parse_spec({"h": [1, 1], "k": [1], "y": ["0", "0"], "A": [[1, 1]]})
 
 
 def _family(*vecs):
-    return tuple(
-        AffineFunctional(tag=i + 1, vec=v, dot=Fraction(0))
-        for i, v in enumerate(vecs)
-    )
+    return tuple(AffineFunctional(tag=i + 1, vec=v) for i, v in enumerate(vecs))
 
 
 def test_build_lambda_full_subset():
     ctx = model.subset_context(MT, (1, 2))
-    members = genfun.build_lambda(MT, ctx, {})
+    members = genfun.build_lambda(MT, ctx)
     assert tuple(f.tag for f in members) == (1, 2, 3)
     assert tuple(f.vec for f in members) == ((1, 0), (0, 1), (1, 1))
-    assert all(f.dot == 0 for f in members)
+    assert helpers.frozen_family(MT, ctx, {}) == (((1, 0), 0), ((0, 1), 0), ((1, 1), 0))
 
 
 def test_build_lambda_freezes_outer_variables():
     ctx = model.subset_context(MT, (1,))
-    members = genfun.build_lambda(MT, ctx, {2: 5})
+    members = genfun.build_lambda(MT, ctx)
     assert tuple(f.tag for f in members) == (1, 3)
     assert tuple(f.vec for f in members) == ((1,), (1,))
-    assert tuple(f.dot for f in members) == (0, -5)
-    assert isinstance(members[1].dot, Fraction)
+    assert helpers.frozen_family(MT, ctx, {2: 5}) == (((1,), 0), ((1,), -5))
 
 
 def test_build_lambda_drops_forms_outside_subset():
@@ -45,18 +42,18 @@ def test_build_lambda_drops_forms_outside_subset():
     )
     ctx = model.subset_context(spec, (1,))
     assert ctx.I == (1,)
-    members = genfun.build_lambda(spec, ctx, {2: 3})
+    members = genfun.build_lambda(spec, ctx)
     # row 2 has no support on J = {1}; only m_1 and form 1 survive
     assert tuple(f.tag for f in members) == (1, 3)
-    assert members[1].dot == 0
+    assert helpers.frozen_family(spec, ctx, {2: 3})[1] == ((1,), 0)
 
 
-def test_build_lambda_outer_tuple_must_cover_complement():
-    ctx = model.subset_context(MT, (1,))
+def test_evaluate_outer_tuple_must_cover_complement():
+    plan = genfun.GeneratingFunctionPlan(MT, (1,))
     with pytest.raises(exact.ExactError):
-        genfun.build_lambda(MT, ctx, {})
+        plan.evaluate({})
     with pytest.raises(exact.ExactError):
-        genfun.build_lambda(MT, ctx, {1: 1, 2: 2})
+        plan.evaluate({1: 1, 2: 2})
 
 
 def test_enumerate_bases_lists_independent_tuples_lex():
@@ -100,39 +97,43 @@ def test_normalize_linear_recombines_exactly(row, den):
         assert c * scale == Fraction(want, den)
 
 
+def _series(plan, m_outer=None):
+    return ds.from_dense(plan.space, plan.variables, plan.evaluate(m_outer))
+
+
 def test_plan_matches_closed_form_on_regular_path():
     plan = genfun.GeneratingFunctionPlan(MT, (1,))
     for m2 in (1, 2, 5):
-        series = plan.evaluate({2: m2})
-        oracle = mtoracle.mt_closed_form_G(MT, (1,), {2: m2})
-        assert helpers.series_max_diff(series, oracle) <= 1e-12
+        oracle = ds.mt_closed_form_G(MT, (1,), {2: m2})
+        assert helpers.series_max_diff(_series(plan, {2: m2}), oracle) <= 1e-12
 
 
 def test_plan_matches_closed_form_on_singular_path():
-    series = genfun.compute_G(MT, (1, 2)).series
-    oracle = mtoracle.mt_closed_form_G(MT, (1, 2))
+    series = _series(genfun.GeneratingFunctionPlan(MT, (1, 2)))
+    oracle = ds.mt_closed_form_G(MT, (1, 2))
     assert helpers.series_max_diff(series, oracle) <= 1e-12
 
 
 def test_assembly_fields_cohere():
-    asm = genfun.compute_G(MT, (1,), {2: 2})
+    plan = genfun.GeneratingFunctionPlan(MT, (1,))
     assert genfun.variable_name(3) == "t3"
-    assert asm.variables == ("t1", "t3")
-    assert asm.caps == (1, 1)
-    assert asm.series.variables == asm.variables
-    assert asm.series.caps == asm.caps
-    assert asm.bases == ((0,), (1,))
-    assert asm.rho == (1,)
+    assert plan.variables == ("t1", "t3")
+    assert plan.caps == (1, 1)
+    assert (plan.space.caps, plan.space.total_cap) == (plan.caps, 2)
+    assert plan.evaluate({2: 2}).shape == (plan.space.size,)
+    assert tuple(plan.space.keys[plan.top]) == plan.caps
+    assert plan.bases == ((0,), (1,))
+    assert plan.rho == (1,)
     ctx = model.subset_context(MT, (1,))
-    assert asm.members == genfun.build_lambda(MT, ctx, {2: 2})
+    assert plan.vecs == tuple(f.vec for f in genfun.build_lambda(MT, ctx))
 
 
-def test_extract_d_reads_top_coefficient_times_factorials():
+def test_unit_d_reads_top_coefficient_times_factorials():
     # non-unimodular form: the value is averaged over two cosets
     spec = model.parse_spec({"h": [2], "k": [2], "y": ["0"], "A": [[2]]})
-    asm = genfun.compute_G(spec, (1,))
-    raw = mpseries.coefficient(asm.series, (2, 2))
-    assert genfun.extract_D(asm) == raw * 4
+    plan = genfun.GeneratingFunctionPlan(spec, (1,))
+    raw = plan.evaluate()[plan.top]
+    assert evaluator.term_T(spec, (1,), M_outer=1).unit_D == raw * 4
     assert abs(raw - math.pi**4 / 180) <= 1e-12
 
 
@@ -142,33 +143,34 @@ def test_rho_variants_give_identical_series():
     )
     coords, series = [], []
     for variant in range(3):
-        asm = genfun.compute_G(spec, (1, 2), rho_variant=variant)
-        coords.append(asm.rho)
-        series.append(asm.series)
+        plan = genfun.GeneratingFunctionPlan(spec, (1, 2), rho_variant=variant)
+        coords.append(plan.rho)
+        series.append(_series(plan))
     assert len(set(coords)) == 3
-    assert mpseries.max_abs(series[0]) > 1
+    assert ds.max_abs(series[0]) > 1
     for other in series[1:]:
         assert helpers.series_max_diff(series[0], other) <= 1e-10
 
 
 def test_zm_partial_sum_skips_zeros_of_members():
-    members = _family((1,))
+    members = (((1,), 0),)
     assert helpers.zm_partial_sum(members, (2,), (Fraction(0),), 1) == 2.0
     with pytest.raises(exact.ExactError):
         helpers.zm_partial_sum(members, (2, 2), (Fraction(0),), 1)
 
 
 def test_zm_partial_sum_applies_the_twist():
-    members = _family((1,))
+    members = (((1,), 0),)
     zm = helpers.zm_partial_sum(members, (2,), (Fraction(1, 2),), 200)
     assert abs(zm - (-math.pi**2 / 6)) < 1e-3
 
 
 def test_zm_partial_sum_approaches_top_coefficient():
-    asm = genfun.compute_G(MT, (1,), {2: 5})
-    raw = mpseries.coefficient(asm.series, asm.caps)
+    plan = genfun.GeneratingFunctionPlan(MT, (1,))
+    raw = plan.evaluate({2: 5})[plan.top]
+    members = helpers.frozen_family(MT, plan.ctx, {2: 5})
     gaps = [
-        abs(helpers.zm_partial_sum(asm.members, (1, 1), (Fraction(0),), M) - raw)
+        abs(helpers.zm_partial_sum(members, (1, 1), (Fraction(0),), M) - raw)
         for M in (100, 400)
     ]
     assert gaps[1] < gaps[0]

@@ -1,4 +1,9 @@
-"""Truncated multivariate series arithmetic and its closed-form factors."""
+"""Bernoulli numbers and polynomials, and the dict series algebra of the tests.
+
+The dict algebra (tests/dictseries.py, products by mpseries.series_mul) is
+the reference the dense library code is compared against, so its ring laws,
+inverses, factors and division are checked here.
+"""
 
 import cmath
 import itertools
@@ -9,14 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
-from mdzeta import mpseries
-from mdzeta.mpseries import (
-    BERNOULLI,
-    CapExceeded,
-    CapMismatch,
+from dictseries import (
     NonUnitSeries,
-    SeriesError,
-    SingularConfiguration,
     bernoulli_factor,
     coefficient,
     constant,
@@ -27,11 +26,19 @@ from mdzeta.mpseries import (
     max_abs,
     monomial,
     series_add,
-    series_mul,
     series_scale,
     series_sub,
-    two_pi_i_power,
     zero,
+)
+from mdzeta import mpseries
+from mdzeta.mpseries import (
+    BERNOULLI,
+    CapExceeded,
+    CapMismatch,
+    SeriesError,
+    SingularConfiguration,
+    series_mul,
+    two_pi_i_power,
 )
 
 SPACE = dict(variables=("a", "b"), caps=(2, 2), total_cap=3)

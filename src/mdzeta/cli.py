@@ -9,13 +9,13 @@ Subcommands:
 
 Exit codes: 0 success/pass, 1 fail, 2 invalid input, convergence not
 established or a reduced side that cannot be assembled, 3 inconclusive.
-Box sizes --M and --M-outer below 1 are invalid input, and so is a --tol
-that is negative or not finite (nan, inf).  So are boxes over the work
-budget: more than WORK_BUDGET direct terms (M**r), direct form values (the
-largest row sum of A times M), or, for some subset J, coset
-representatives times outer tuples (the sum of |det B| over the bases B
-of Lambda_J, times M_outer**(r-|J|)).  Set MDZETA_OUTPUT_DIR to also write
-the JSON report into that directory.
+Box sizes --M and --M-outer below 1 are invalid input, and so are a --tol
+that is negative or not finite (nan, inf) and a negative --rho-variant.
+So are boxes over the work budget: more than WORK_BUDGET direct terms
+(M**r), direct form values (the largest row sum of A times M), or, for
+some subset J, coset representatives times outer tuples (the sum of
+|det B| over the bases B of Lambda_J, times M_outer**(r-|J|)).  Set
+MDZETA_OUTPUT_DIR to also write the JSON report into that directory.
 """
 
 from __future__ import annotations
@@ -45,6 +45,13 @@ def _box_size(value: str) -> int:
     n = int(value)
     if n < 1:
         raise argparse.ArgumentTypeError(f"box size must be >= 1, got {n}")
+    return n
+
+
+def _rho_variant(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"rho variant must be >= 0, got {n}")
     return n
 
 
@@ -425,14 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=_box_size, default=400, help="direct-side box size")
     p.add_argument("--M-outer", type=_box_size, default=400, help="reduced-side box size")
     p.add_argument("--tol", type=_tolerance, default=1e-6, help="residual tolerance, finite and >= 0")
-    p.add_argument("--rho-variant", type=int, default=0)
+    p.add_argument("--rho-variant", type=_rho_variant, default=0)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("reduce", help="tabulate the reduced side")
     add_common(p)
     p.add_argument("--M", type=_box_size, default=400, help="box size for the corollary check")
     p.add_argument("--M-outer", type=_box_size, default=400)
-    p.add_argument("--rho-variant", type=int, default=0)
+    p.add_argument("--rho-variant", type=_rho_variant, default=0)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("selftest", help="internal consistency checks")

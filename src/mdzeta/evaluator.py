@@ -1,14 +1,16 @@
 """Numerical evaluation: direct shell sums, tail control, and verification.
 
-The direct side sums the integer box with numpy, a bounded tile at a time,
-into max-norm shells, and sums the shells compensated, with per-shell
-magnitudes kept for tail work.  Partial sums are then refined by fitting
-the shell decay (a + b log n)/n^w on a trailing window and integrating the
-fit past the box; the fit is attempted only when a component is decaying
-with a fixed sign, and every correction carries its own uncertainty.  The
-reduction side evaluates, per nonempty subset J, the outer sums weighted by
-coefficients of the generating function G, with the same shell/tail
-treatment.  verify_parity ties the two sides together; as h, k and A are
+Both sides walk an integer box in lexicographic blocks of rows (_box_rows),
+weigh each row by one kernel (_weights: 1/m^h, 1/form^k and the twist
+phase), bucket the terms into max-norm shells with numpy, and total the
+shells with math.fsum, keeping per-shell magnitudes for tail work.  The
+direct side is the series over [1, M]^r; the reduced side is, per nonempty
+subset J, the outer sum over [1, M_outer]^|Jbar| of coefficients of the
+generating function G.  Partial sums are then refined by fitting the shell
+decay (a + b log n)/n^w on a trailing window and integrating the fit past
+the box; the fit is attempted only when a component is decaying with a
+fixed sign, and every correction carries its own uncertainty.
+verify_parity ties the two sides together; as h, k and A are
 real, it takes zeta(-y) as the conjugate of zeta(y).
 """
 
@@ -103,24 +105,19 @@ class RhsBreakdown:
     terms: tuple[TermSummary, ...]
 
 
-def _kahan_sum(values) -> complex:
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for v in values:
-        diff = v - comp
-        t = total + diff
-        comp = (t - total) - diff
-        total = t
-    return total
-
-
 def _conj(z: complex) -> complex:
     """The complex conjugate, with a zero imaginary part kept as +0."""
     return complex(z.real, -z.imag + 0.0)
 
 
+def _fsum(values) -> complex:
+    """Correctly rounded sum of complex values, each part by math.fsum."""
+    values = np.asarray(values, dtype=complex)
+    return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
+
+
 def _partial(shells, abs_shells, M: int, terms: int, w) -> PartialSum:
-    """Compensated total of the shells, with the one-shell tail heuristic.
+    """Correctly rounded total of the shells, with the one-shell tail heuristic.
 
     The heuristic scales the last shell's magnitude by M / (w - 1) when the
     decay power w is above 1, and flags the sum as slow otherwise.
@@ -130,7 +127,7 @@ def _partial(shells, abs_shells, M: int, terms: int, w) -> PartialSum:
         est, slow = last * len(abs_shells) / (w - 1), False
     else:
         est, slow = last, True
-    return PartialSum(complex(_kahan_sum(shells)), M, terms, est, slow, np.asarray(shells))
+    return PartialSum(_fsum(shells), M, terms, est, slow, np.asarray(shells))
 
 
 def _refine(partial: PartialSum, w) -> RefinedSum:
@@ -138,11 +135,17 @@ def _refine(partial: PartialSum, w) -> RefinedSum:
     return RefinedSum(partial, correction, uncertainty, fitted)
 
 
-# ---------------------------------------------------------------- direct side
+# ------------------------------------------------------- box rows and weights
 
 
-# The direct side walks the box [1, M]^r in blocks of at most this many terms.
-_DIRECT_BLOCK = 2**14
+def _box_rows(start: int, stop: int, M: int, f: int) -> np.ndarray:
+    """Rows start..stop-1 of [1, M]^f in lexicographic order, as an (n, f) array."""
+    index = np.arange(start, stop, dtype=np.int64)
+    rows = np.empty((len(index), f), dtype=np.int64)
+    for j in range(f - 1, -1, -1):
+        index, digit = np.divmod(index, M)
+        rows[:, j] = digit + 1
+    return rows
 
 
 def _twist_table(y: Fraction, M: int) -> np.ndarray:
@@ -157,11 +160,29 @@ def _twist_table(y: Fraction, M: int) -> np.ndarray:
     return np.array(period, dtype=complex)[m % q]
 
 
-def _inverse_powers(n: int, exponents) -> list[np.ndarray]:
-    """Tables x^-e for x = 0..n, one per exponent e; entry 0 is 1 and never read."""
-    x = np.arange(n + 1, dtype=float)
-    x[0] = 1.0
-    return [x ** -e for e in exponents]
+def _weights(rows: np.ndarray, h, twists, forms) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitude and phase of the term weight at each row m of box rows.
+
+    The f columns of rows are variables with exponents h and twist tables
+    twists (from _twist_table); forms are (coefficients over the f
+    variables, exponent k) for the forms that meet only those variables.
+    The magnitude is prod_j 1/m_j^h_j * prod 1/form(m)^k, the phase e(<m, y>).
+    """
+    magnitude = np.ones(len(rows))
+    phase = np.ones(len(rows), dtype=complex)
+    for column, e, table in zip(rows.T, h, twists):
+        magnitude = magnitude * column.astype(float) ** -e
+        phase = phase * table[column]
+    for coefficients, k in forms:
+        magnitude = magnitude * (rows @ np.array(coefficients, dtype=np.int64)).astype(float) ** -k
+    return magnitude, phase
+
+
+# ---------------------------------------------------------------- direct side
+
+
+# The direct side walks the box [1, M]^r in blocks of at most this many terms.
+_DIRECT_BLOCK = 2**14
 
 
 def _times(a, b) -> list:
@@ -179,22 +200,28 @@ def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns two arrays indexed by n - 1.  The box is walked in lexicographic
     order in tiles of at most _DIRECT_BLOCK terms: a run of leading tuples
-    (m_1, ..., m_{r-1}) times a run of m_r.  A tile holds only the weights
-    1/form_i^k_i that couple the two, read from strided windows of the
-    1/f^k tables; the leading and last-coordinate factors stay per-row and
-    per-column part vectors [abs, re, im].  A term belongs to shell
-    max(L, m_r), L its leading tuple's max: columns above every row's L are
-    contracted over the rows, rows whose L is at or above every column are
-    contracted over the columns and bucketed by L, and only the band of
-    columns between the smallest and largest L is split by a mask.
+    (m_1, ..., m_{r-1}) from _box_rows times a run of m_r.  A tile holds
+    only the weights 1/form_i^k_i that couple the two, read from strided
+    windows of the 1/f^k tables; the leading and last-coordinate factors
+    are _weights of their own variables, kept as per-row and per-column
+    part vectors [abs, re, im].  A term belongs to shell max(L, m_r), L its
+    leading tuple's max: columns above every row's L are contracted over the
+    rows, rows whose L is at or above every column are contracted over the
+    columns and bucketed by L, and only the band of columns between the
+    smallest and largest L is split by a mask.
     """
     r = spec.r
-    inv_h = _inverse_powers(M, spec.h)
-    inv_k = _inverse_powers(spec.max_row_sum * M, spec.k)
+    values = np.arange(spec.max_row_sum * M + 1, dtype=float)
+    values[0] = 1.0  # never read
+    inv_k = [values ** -k for k in spec.k]
     twist = [_twist_table(v, M) for v in spec.y]
     # parts: the magnitude, then the real and imaginary parts if twisted;
     # e(m/2) is real, and an untwisted term equals its magnitude
     parts = 1 if not any(spec.y) else 2 if all(v.denominator <= 2 for v in spec.y) else 3
+
+    def split(magnitude, phase):
+        return np.stack([magnitude, magnitude * phase.real, magnitude * phase.imag][:parts])
+
     sums = np.zeros((parts, M + 1))
     cols = min(M, max(math.isqrt(_DIRECT_BLOCK), _DIRECT_BLOCK // M ** (r - 1)))
     rows = max(1, _DIRECT_BLOCK // cols)
@@ -204,25 +231,16 @@ def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
         for i, (row, table) in enumerate(zip(spec.A, inv_k)) if row[-1]
         for width in {cols, M - (M - 1) // cols * cols}
     }
+    lead_A = np.array([row[:-1] for row in spec.A], dtype=np.int64)
+    # forms free of m_r weigh the leading tuple alone: constant along its row
+    lead_only = [(row[:-1], k) for row, k in zip(spec.A, spec.k) if not row[-1]]
+    last_all = split(*_weights(_box_rows(0, M, M, 1), spec.h[-1:], twist[-1:], []))
     leading = M ** (r - 1)
     for start in range(0, leading, rows):
-        index = np.arange(start, min(start + rows, leading), dtype=np.int64)
-        lead_w, lead_twist = np.ones(len(index)), np.ones(len(index), dtype=complex)
-        lead_max = np.zeros(len(index), dtype=np.int64)
-        lead_forms = [np.zeros(len(index), dtype=np.int64) for _ in spec.A]
-        for j in range(r - 2, -1, -1):
-            index, digit = np.divmod(index, M)
-            coord = digit + 1
-            lead_w = lead_w * inv_h[j][coord]
-            lead_max = np.maximum(lead_max, coord)
-            lead_twist = lead_twist * twist[j][coord]
-            for form, row in zip(lead_forms, spec.A):
-                form += row[j] * coord
-        for form, row, table in zip(lead_forms, spec.A, inv_k):
-            if not row[-1]:
-                lead_w = lead_w * table[form]  # constant along the row
-        lead_twist = lead_w * lead_twist
-        lead = np.stack([lead_w, lead_twist.real, lead_twist.imag][:parts])
+        lead_rows = _box_rows(start, min(start + rows, leading), M, r - 1)
+        lead_max = lead_rows.max(axis=1, initial=0)
+        lead_forms = lead_A @ lead_rows.T
+        lead = split(*_weights(lead_rows, spec.h[:-1], twist[:-1], lead_only))
         lo, hi = int(lead_max.min()), int(lead_max.max())
         for first in range(1, M + 1, cols):
             width = min(cols, M + 1 - first)
@@ -231,8 +249,7 @@ def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
                 windows[i, width][form + row[-1] * first]
                 for i, (form, row) in enumerate(zip(lead_forms, spec.A)) if row[-1]
             ))
-            inv, tw = inv_h[-1][first:first + width], twist[-1][first:first + width]
-            last = [inv, inv * tw.real, inv * tw.imag][:parts]
+            last = last_all[:, first - 1:first - 1 + width]
             # columns [0, below) lie at or below every L, [above, width) above every L
             below = min(max(lo + 1 - first, 0), width)
             above = min(max(hi + 1 - first, 0), width)
@@ -244,12 +261,12 @@ def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
                 to_cols = to_cols.copy()
                 to_cols[:, :above - below] *= mask
             if above > 0:
-                per_row = _times(lead, (to_rows @ np.stack(last, axis=1)[:above]).T)
+                per_row = _times(lead, (to_rows @ last[:, :above].T).T)
                 shell = lead_max - lo
                 for total, part in zip(sums, per_row):
                     total[lo:hi + 1] += np.bincount(shell, weights=part)
             if below < width:
-                per_col = _times(lead @ to_cols, [part[below:] for part in last])
+                per_col = _times(lead @ to_cols, last[:, below:])
                 for total, part in zip(sums, per_col):
                     total[first + below:first + width] += part
     shells = np.zeros(M, dtype=complex)
@@ -363,58 +380,6 @@ def fit_tail(shells, w=None, band: float = 0.0):
 _OUTER_BLOCK = 256
 
 
-def _shell_array(f: int, n: int) -> np.ndarray:
-    """Rows of [1, n]^f with max coordinate exactly n, lexicographically."""
-    if f == 1:
-        return np.array([[n]], dtype=np.int64)
-    inner = _shell_array(f - 1, n)
-    cube = np.indices((n,) * (f - 1)).reshape(f - 1, -1).T + 1
-    low = np.column_stack([np.repeat(np.arange(1, n), len(inner)), np.tile(inner, (n - 1, 1))])
-    high = np.column_stack([np.full(len(cube), n), cube])
-    return np.concatenate([low, high]).astype(np.int64)
-
-
-def _outer_blocks(f: int, M_outer: int):
-    """[1, M_outer]^f shell by shell, cut into blocks of at most _OUTER_BLOCK rows.
-
-    Yields (shell index per row, rows); a shell larger than a block spans
-    consecutive blocks.
-    """
-    labels, rows, size = [], [], 0
-    for n in range(1, M_outer + 1):
-        shell = _shell_array(f, n)
-        for start in range(0, len(shell), _OUTER_BLOCK):
-            chunk = shell[start:start + _OUTER_BLOCK]
-            if size + len(chunk) > _OUTER_BLOCK:
-                yield np.concatenate(labels), np.concatenate(rows)
-                labels, rows, size = [], [], 0
-            labels.append(np.full(len(chunk), n))
-            rows.append(chunk)
-            size += len(chunk)
-    if rows:
-        yield np.concatenate(labels), np.concatenate(rows)
-
-
-def _weight_tables(spec: SeriesSpec, M: int):
-    """Per-variable arrays w_j[m] = e(m y_j) / m^h_j for m in 0..M."""
-    tables = []
-    for inv, y in zip(_inverse_powers(M, spec.h), spec.y):
-        inv[0] = 0.0
-        tables.append(_twist_table(y, M) * inv)
-    return tables
-
-
-def _outer_weights(spec: SeriesSpec, ctx, tables, rows) -> np.ndarray:
-    """e(-<m, y>) / prod m_j^h_j / prod over Ibar of form^k_i, per row m."""
-    out = np.ones(len(rows), dtype=complex)
-    for col, j in enumerate(ctx.Jbar):
-        out = out * tables[j - 1][rows[:, col]]
-    for i in ctx.Ibar:
-        s = sum(spec.a(i, j) * rows[:, col] for col, j in enumerate(ctx.Jbar))
-        out = out / np.asarray(s, dtype=float) ** spec.k[i - 1]
-    return out
-
-
 def term_sign(spec: SeriesSpec, ctx) -> int:
     outer_h = wt(spec.h[j - 1] for j in ctx.Jbar)
     outer_k = wt(spec.k[i - 1] for i in ctx.Ibar)
@@ -437,21 +402,25 @@ def term_T(spec: SeriesSpec, J, M_outer: int, rho_variant: int = 0) -> TermSumma
     if M_outer < 1:
         raise ValueError("M_outer must be >= 1")
     f = len(ctx.Jbar)
-    tables = _weight_tables(spec.negated_twist(), M_outer)
-    real, imag, absolute = np.zeros((3, M_outer + 1))
+    h = [spec.h[j - 1] for j in ctx.Jbar]
+    twists = [_twist_table(-spec.y[j - 1], M_outer) for j in ctx.Jbar]
+    forms = [([spec.a(i, j) for j in ctx.Jbar], spec.k[i - 1]) for i in ctx.Ibar]
+    sums = np.zeros((3, M_outer + 1))  # abs, re, im per shell max(m) = n
     unit_raw = None
-    for labels, rows in _outer_blocks(f, M_outer):
+    for start in range(0, M_outer**f, _OUTER_BLOCK):
+        rows = _box_rows(start, min(start + _OUTER_BLOCK, M_outer**f), M_outer, f)
         raw = plan.evaluate_batch(rows)[:, plan.top]
         if unit_raw is None:
             unit_raw = complex(raw[0])  # the first row is (1, ..., 1)
-        values = _outer_weights(spec, ctx, tables, rows) * raw
-        lo = int(labels[0])  # labels never decrease within a block
-        span = slice(lo, int(labels[-1]) + 1)
-        for total, part in ((real, values.real), (imag, values.imag), (absolute, np.abs(values))):
-            total[span] += np.bincount(labels - lo, weights=part)
+        magnitude, phase = _weights(rows, h, twists, forms)
+        values = magnitude * phase * raw
+        labels = rows.max(axis=1)
+        lo, hi = int(labels.min()), int(labels.max())
+        for total, part in zip(sums, (np.abs(values), values.real, values.imag)):
+            total[lo:hi + 1] += np.bincount(labels - lo, weights=part)
     shells = np.empty(M_outer, dtype=complex)
-    shells.real, shells.imag = real[1:], imag[1:]
-    abs_shells = absolute[1:]
+    shells.real, shells.imag = sums[1, 1:], sums[2, 1:]
+    abs_shells = sums[0, 1:]
     w = _power_estimate(abs_shells)
     refined = _refine(_partial(shells, abs_shells, M_outer, M_outer**f, w), w)
     return TermSummary(
@@ -466,7 +435,7 @@ def rhs_total(
     terms = []
     for J in nonempty_subsets(spec.r):
         terms.append(term_T(spec, J, M_outer, rho_variant=rho_variant))
-    total = _kahan_sum(t.value for t in terms)
+    total = _fsum([t.value for t in terms])
     tails = sum(t.refined.uncertainty for t in terms)
     return RhsBreakdown(total=total, tails_total=tails, terms=tuple(terms))
 

@@ -200,16 +200,13 @@ def convergence_check(spec: SeriesSpec, user_asserted: bool = False) -> Converge
 
 
 def _parse_rational(v) -> Fraction:
-    # Accept "p/q" / "p" strings, ints, and floats (floats via their repr so
-    # 0.5 means 1/2, not the binary expansion).
-    if isinstance(v, str):
-        return Fraction(v.strip())
-    if isinstance(v, bool):
-        raise SpecError(f"bad rational value {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(str(v))
+    # Accept "p/q" / "p" strings, ints, and finite floats (floats via their
+    # repr so 0.5 means 1/2, not the binary expansion).
+    if isinstance(v, (str, int, float)) and not isinstance(v, bool):
+        try:
+            return Fraction(str(v).strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SpecError(f"bad rational value {v!r}") from exc
     raise SpecError(f"bad rational value {v!r}")
 
 
@@ -231,12 +228,14 @@ def parse_spec(data: dict) -> SeriesSpec:
     missing = [key for key in ("h", "k", "y", "A") if key not in data]
     if missing:
         raise SpecError(f"spec is missing keys: {', '.join(missing)}")
-    try:
-        h = tuple(_parse_int(v) for v in data["h"])
-        k = tuple(_parse_int(v) for v in data["k"])
-        A = tuple(tuple(_parse_int(v) for v in row) for row in data["A"])
-    except TypeError as exc:
-        raise SpecError(f"non-integer entry in h/k/A: {exc}") from exc
+    for key in ("h", "k", "y", "A"):
+        if not isinstance(data[key], list):
+            raise SpecError(f"{key} must be a JSON array, got {data[key]!r}")
+    if not all(isinstance(row, list) for row in data["A"]):
+        raise SpecError("every row of A must be a JSON array")
+    h = tuple(_parse_int(v) for v in data["h"])
+    k = tuple(_parse_int(v) for v in data["k"])
+    A = tuple(tuple(_parse_int(v) for v in row) for row in data["A"])
     # twists only matter mod 1, so normalize into [0, 1) at the boundary
     y = tuple(_parse_rational(v) % 1 for v in data["y"])
     spec = SeriesSpec(h=h, k=k, y=y, A=A)

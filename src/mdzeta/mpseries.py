@@ -50,7 +50,6 @@ class BernoulliTable:
 
     def __init__(self) -> None:
         self._numbers = [Fraction(1)]
-        self._values: dict[tuple[int, int, int], Fraction] = {}
 
     def number(self, n: int) -> Fraction:
         if n < 0:
@@ -66,16 +65,12 @@ class BernoulliTable:
         return self._numbers[n]
 
     def poly_eval(self, n: int, x: Fraction) -> Fraction:
-        """B_n(x) = sum_k C(n,k) B_k x^(n-k), memoised per (n, x)."""
+        """B_n(x) = sum_k C(n,k) B_k x^(n-k)."""
         x = Fraction(x)
-        key = (n, x.numerator, x.denominator)  # ints hash far faster than a Fraction
-        if key not in self._values:
-            self._values[key] = sum(
-                (Fraction(math.comb(n, k)) * self.number(k) * x ** (n - k)
-                 for k in range(n + 1)),
-                Fraction(0),
-            )
-        return self._values[key]
+        return sum(
+            (Fraction(math.comb(n, k)) * self.number(k) * x ** (n - k) for k in range(n + 1)),
+            Fraction(0),
+        )
 
 
 BERNOULLI = BernoulliTable()
@@ -114,12 +109,21 @@ def series_mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
 
 
 def bernoulli_coefficients(nmax: int, offset) -> list[complex]:
-    """B_n(offset) (2 pi i)^n / n! for n = 0..nmax, exactly 0 where B_n(offset) is."""
+    """B_n(offset) (2 pi i)^n / n! for n = 0..nmax, exactly 0 where B_n(offset) is.
+
+    With offset = p/q and D the common denominator of B_0..B_nmax, the
+    integer D q^n B_n(p/q) = sum_k C(n,k) (D B_k) p^(n-k) q^k is divided by
+    D q^n in one correctly rounded step: the float of the exact B_n(p/q).
+    """
     offset = Fraction(offset)
+    p, q = offset.numerator, offset.denominator
+    numbers = [BERNOULLI.number(k) for k in range(nmax + 1)]
+    D = math.lcm(*(b.denominator for b in numbers))
+    scaled = [b.numerator * (D // b.denominator) for b in numbers]
     out = []
     for n in range(nmax + 1):
-        b = BERNOULLI.poly_eval(n, offset)
-        out.append(two_pi_i_power(n) * (float(b) / math.factorial(n)) if b else 0j)
+        b = sum(math.comb(n, k) * scaled[k] * p ** (n - k) * q**k for k in range(n + 1))
+        out.append(two_pi_i_power(n) * (b / (D * q**n) / math.factorial(n)) if b else 0j)
     return out
 
 

@@ -5,10 +5,11 @@ integral on a roots-of-unity grid, exact lattice membership through the
 integer dual, Leibniz determinants and Cramer duals, the rho-directed
 fractional part, a generating-function plan's exact data in Fractions from
 the definitions, its tables built with the dict series algebra of
-dictseries, the shells of an outer sum summed one tuple at a time, the dict
-series truncation, geometric factor and full phase table that the library
-itself no longer needs, the family Lambda with its outer tuple frozen, and
-the box partial sum over Z^m that the distribution value is the limit of."""
+dictseries, the tuples of a shell of a box and the shells of an outer sum
+summed one tuple at a time, the dict series truncation, geometric factor and
+full phase table that the library itself no longer needs, the family Lambda
+with its outer tuple frozen, and the box partial sum over Z^m that the
+distribution value is the limit of."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 import dictseries as ds
-from mdzeta import evaluator, exact, genfun, mpseries
+from mdzeta import exact, genfun, mpseries
 from mdzeta.exact import dual_basis
 from mdzeta.phase import unit_phase
 
@@ -304,12 +305,23 @@ def reference_tables(plan, pattern):
     return space, bprods, tuple(geometric), tuple(max_mult.items())
 
 
+def shell_array(f: int, n: int) -> np.ndarray:
+    """Rows of [1, n]^f with max coordinate exactly n, lexicographically."""
+    if f == 1:
+        return np.array([[n]], dtype=np.int64)
+    inner = shell_array(f - 1, n)
+    cube = np.indices((n,) * (f - 1)).reshape(f - 1, -1).T + 1
+    low = np.column_stack([np.repeat(np.arange(1, n), len(inner)), np.tile(inner, (n - 1, 1))])
+    high = np.column_stack([np.full(len(cube), n), cube])
+    return np.concatenate([low, high]).astype(np.int64)
+
+
 def reference_shells(spec, J, M_outer):
     """Sums and abs-sums of the shells max(m) = n of term_T's outer sum.
 
     Each outer tuple m gets its own plan.evaluate; the top coefficient is
     weighted by e(-<m, y>) / prod m_j^h_j / prod over Ibar of form^k_i, and
-    each shell is summed in lexicographic order with evaluator._kahan_sum.
+    each shell's real and imaginary parts are summed with math.fsum.
     """
     plan = genfun.GeneratingFunctionPlan(spec, tuple(J))
     ctx = plan.ctx
@@ -326,7 +338,7 @@ def reference_shells(spec, J, M_outer):
             for i in ctx.Ibar:
                 weight /= sum(spec.a(i, j) * outer[j] for j in ctx.Jbar) ** spec.k[i - 1]
             values.append(weight * plan.evaluate(outer)[plan.top])
-        shells.append(evaluator._kahan_sum(values))
+        shells.append(complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values)))
         abs_shells.append(sum(abs(v) for v in values))
     return shells, abs_shells
 

@@ -1,5 +1,6 @@
 """The batched reduced side: dense series batches, evaluate_batch, outer blocks."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -221,18 +222,15 @@ def test_pole_check_is_relative_to_each_row(monkeypatch):
         plan._assemble_singular(pattern, tuples, dnum)
 
 
-def test_outer_blocks_walk_shells_in_order(monkeypatch):
-    monkeypatch.setattr(evaluator, "_OUTER_BLOCK", 5)
-    blocks = list(evaluator._outer_blocks(2, 4))
-    assert all(len(rows) <= 5 for _, rows in blocks)
-    labels = np.concatenate([lab for lab, _ in blocks])
-    rows = [tuple(r) for _, block in blocks for r in block.tolist()]
-    want = [tuple(t) for n in range(1, 5) for t in evaluator._shell_array(2, n).tolist()]
-    assert rows == want
-    assert labels.tolist() == [max(t) for t in want]
-    # the lexicographic shell order of the per-tuple loop
-    assert want[:4] == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    assert len(evaluator._shell_array(3, 4)) == 4**3 - 3**3
+def test_box_rows_walk_the_box_lexicographically():
+    # every tuple of [1, M]^f exactly once, in order, however the blocks are cut
+    for f, M, block in itertools.product(range(4), (1, 2, 5, 9), (1, 7, 256)):
+        starts = range(0, M**f, block)
+        blocks = [evaluator._box_rows(s, min(s + block, M**f), M, f) for s in starts]
+        assert [len(rows) for rows in blocks] == [min(block, M**f - s) for s in starts]
+        assert all(rows.shape[1] == f for rows in blocks)
+        got = [tuple(row) for rows in blocks for row in rows.tolist()]
+        assert got == list(itertools.product(range(1, M + 1), repeat=f))
 
 
 def test_term_does_not_depend_on_block_size(monkeypatch):

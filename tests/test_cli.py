@@ -47,10 +47,15 @@ def test_validate_rejects_bad_input(capsys, tmp_path):
     zero_row.write_text('{"h": [1], "k": [1], "y": ["0"], "A": [[0]]}')
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
-    for path in (zero_row, garbled, tmp_path / "absent.json"):
+    malformed = []
+    for name, y in (("word", '["abc"]'), ("pole", '["1/0"]'), ("nan", "[NaN]"),
+                    ("scalar", "5"), ("string", '"00"')):
+        malformed.append(tmp_path / f"y_{name}.json")
+        malformed[-1].write_text(f'{{"h": [1, 1], "k": [1], "y": {y}, "A": [[1, 1]]}}')
+    for path in (zero_row, garbled, tmp_path / "absent.json", *malformed):
         code, _, err = _run(capsys, ["validate", "--spec", str(path)])
         assert code == 2
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_eval_reports_refined_value(capsys):
@@ -270,6 +275,20 @@ def test_tolerance_must_be_finite_and_nonnegative(capsys, monkeypatch, tol):
         cli.main(["verify", "--spec", MT_PATH, "--M", "50", "--M-outer", "50", f"--tol={tol}"])
     assert exc.value.code == 2
     assert f"tolerance must be finite and >= 0, got {tol}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "reduce"])
+def test_negative_rho_variant_is_rejected_before_any_work(capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("summation started")
+
+    for name in ("_direct_shells", "zeta_direct", "zeta_refined", "rhs_total", "term_T"):
+        monkeypatch.setattr(evaluator, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--spec", MT_PATH, "--M", "50", "--M-outer", "50", "--rho-variant", "-1"])
+    assert exc.value.code == 2
+    assert "rho variant must be >= 0, got -1" in capsys.readouterr().err
+    assert cli._parser().parse_args([command, "--spec", MT_PATH, "--rho-variant", "0"]).rho_variant == 0
 
 
 def test_zero_tolerance_is_accepted():

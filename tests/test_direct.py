@@ -29,7 +29,7 @@ def _reference_shells(spec, M):
     ]
     sums, abs_sums = [], []
     for n in range(1, M + 1):
-        rows = evaluator._shell_array(spec.r, n)
+        rows = helpers.shell_array(spec.r, n)
         term = np.ones(len(rows), dtype=complex)
         for j in range(spec.r):
             term = term * phases[j][rows[:, j]] / rows[:, j].astype(float) ** spec.h[j]

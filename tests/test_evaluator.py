@@ -12,7 +12,6 @@ from mdzeta import evaluator, model
 from mdzeta.evaluator import (
     ConvergenceNotEstablished,
     _power_estimate,
-    _shell_array,
     fit_tail,
     rhs_total,
     term_T,
@@ -92,9 +91,9 @@ def test_zeta_refined_alternating_twist():
 
 
 def test_shell_tuples_cover_box_boundary_lexicographically():
-    assert _shell_array(1, 3).tolist() == [[3]]
-    assert _shell_array(2, 2).tolist() == [[1, 2], [2, 1], [2, 2]]
-    assert len(_shell_array(3, 3)) == 3**3 - 2**3
+    assert helpers.shell_array(1, 3).tolist() == [[3]]
+    assert helpers.shell_array(2, 2).tolist() == [[1, 2], [2, 1], [2, 2]]
+    assert len(helpers.shell_array(3, 3)) == 3**3 - 2**3
 
 
 def test_power_estimate_recovers_decay_exponent():

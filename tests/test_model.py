@@ -82,6 +82,13 @@ def test_rational_twist_forms():
         parse_spec({"h": [1], "k": [1], "y": [None], "A": [[1]]})
     with pytest.raises(SpecError, match="bad rational"):
         parse_spec({"h": [1], "k": [1], "y": [True], "A": [[1]]})
+    for bad in ("abc", "1/0", "nan", float("nan"), float("inf")):
+        with pytest.raises(SpecError, match="bad rational"):
+            parse_spec({"h": [1], "k": [1], "y": [bad], "A": [[1]]})
+    # every field is a JSON array; a string is not read character by character
+    for field, bad in (("y", 5), ("y", "00"), ("h", "1"), ("k", 1), ("A", [1]), ("A", "[[1]]")):
+        with pytest.raises(SpecError, match="JSON array"):
+            parse_spec({"h": [1], "k": [1], "y": ["0"], "A": [[1]], field: bad})
 
 
 def test_twists_normalized_into_unit_interval():

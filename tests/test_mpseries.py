@@ -91,8 +91,9 @@ def test_bernoulli_polynomial_difference_rule(n, x):
 
 def test_memoised_bernoulli_values_equal_the_sum():
     table = mpseries.BernoulliTable()
-    for n in range(9):
-        for x in (Fraction(0), Fraction(1, 3), Fraction(3, 4), Fraction(-5, 2), 2):
+    for x in (Fraction(0), Fraction(1, 3), Fraction(3, 4), Fraction(-5, 2), 2):
+        coefficients = mpseries.bernoulli_coefficients(8, x)
+        for n in range(9):
             want = sum(
                 (Fraction(math.comb(n, k)) * helpers.bernoulli_explicit(k)
                  * Fraction(x) ** (n - k) for k in range(n + 1)),
@@ -100,7 +101,16 @@ def test_memoised_bernoulli_values_equal_the_sum():
             )
             first = table.poly_eval(n, x)
             assert type(first) is Fraction and first == want
-            assert table.poly_eval(n, Fraction(x)) is first  # read from the memo
+            # bitwise: the float of the exact B_n(x) first, then / n!, exactly 0 where B_n(x) is
+            expected = two_pi_i_power(n) * (float(want) / math.factorial(n)) if want else 0j
+            got = coefficients[n]
+            assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
+    # the same bitwise on a wider grid, against the Fraction sum of poly_eval
+    for x in {Fraction(p, q) for q in range(1, 13) for p in range(-2 * q, 2 * q + 1)}:
+        for n, got in enumerate(mpseries.bernoulli_coefficients(13, x)):
+            b = table.poly_eval(n, x)
+            expected = two_pi_i_power(n) * (float(b) / math.factorial(n)) if b else 0j
+            assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
 def test_two_pi_i_power_keeps_axis_exact():

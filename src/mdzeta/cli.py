@@ -31,14 +31,9 @@ from fractions import Fraction
 from . import evaluator, exact, genfun, mpseries
 from .evaluator import ConvergenceNotEstablished, _cnum, _fnum
 from .model import (
-    SpecError, convergence_check, load_spec, nonempty_subsets, parse_spec, spec_to_dict,
+    WORK_BUDGET, SpecError, convergence_check, load_spec, nonempty_subsets, parse_spec,
+    spec_to_dict,
 )
-
-
-# eval, verify and reduce refuse, before any summation, a box of more direct
-# terms, direct form values or coset representatives times outer tuples
-# than this.
-WORK_BUDGET = 10**7
 
 
 def _box_size(value: str) -> int:

@@ -153,11 +153,14 @@ def _twist_table(y: Fraction, M: int) -> np.ndarray:
 
     e(m y) has period q = denominator of y in m, and m = 0..q-1 give
     distinct residues, so unit_phase runs at min(q, M + 1) points only.
+    For q > M those points are the whole table, and m is never reduced
+    mod q (which may not fit in int64).
     """
     q = y.denominator
-    m = np.arange(M + 1, dtype=np.int64)
-    period = [unit_phase(Fraction(k * y.numerator, q)) for k in range(min(q, M + 1))]
-    return np.array(period, dtype=complex)[m % q]
+    period = np.array(
+        [unit_phase(Fraction(k * y.numerator, q)) for k in range(min(q, M + 1))], dtype=complex
+    )
+    return period if q > M else period[np.arange(M + 1) % q]
 
 
 def _weights(rows: np.ndarray, h, twists, forms) -> tuple[np.ndarray, np.ndarray]:
@@ -346,12 +349,12 @@ def _fit_component(ns, comp, w, X, peak):
     return correction, uncertainty, True
 
 
-def fit_tail(shells, w=None, band: float = 0.0):
+def fit_tail(shells, w, band: float = 0.0):
     """Fitted tail correction for a shell sequence.
 
     Returns (correction, uncertainty, fitted).  w is the decay power of the
-    shells; when None it is estimated from the magnitudes.  band is the
-    fallback uncertainty when no trustworthy fit exists.
+    shells, None where it is unknown.  band is the fallback uncertainty when
+    no trustworthy fit exists.
     """
     count = len(shells)
     if count < 8:
@@ -361,8 +364,6 @@ def fit_tail(shells, w=None, band: float = 0.0):
     peak = float(np.max(np.abs(vals)))
     if peak == 0.0:
         return 0.0 + 0.0j, 0.0, True
-    if w is None:
-        w = _power_estimate([abs(s) for s in shells])
     if w is None or w <= 1.2:
         return 0.0 + 0.0j, band, False
     X = count + 0.5

@@ -2,21 +2,21 @@
 
 For a chosen subset J of inner variables, the reduction replaces the series
 over the J variables by coefficients of a truncated series G in one variable
-t_f per member f of a family Lambda of affine functionals on Z^|J|: one
-member per variable in J and one per form meeting J.  G is a sum over the
-bases B extracted from Lambda of coset-averaged Bernoulli-polynomial factors
-(for members of B) times geometric factors -t_g/(d_g - L_g(t)) (for the
-rest).  Whenever some d_g vanishes the per-basis terms are singular while
-the sum is not; those tuples are assembled over a common denominator of
-primitive linear forms and resolved by exact truncated division with a
-remainder check.
+t_f per member f of a family Lambda of integer vectors on Z^|J|: e_j for
+each variable j in J, then each form meeting J restricted to J.  With the
+outer tuple m frozen, a form member also carries the constant -sum over
+Jbar of a_ij m_j.  G is a sum over the bases B extracted from Lambda of
+coset-averaged Bernoulli-polynomial factors (for members of B) times
+geometric factors -t_g/(d_g - L_g(t)) (for the rest).  Whenever some d_g
+vanishes the per-basis terms are singular while the sum is not; those
+tuples are assembled over a common denominator of primitive linear forms
+and resolved by exact truncated division with a remainder check.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +25,7 @@ from math import gcd
 import numpy as np
 
 from . import exact, mpseries
-from .model import SeriesSpec, SubsetContext, subset_context
+from .model import WORK_BUDGET, SeriesSpec, SubsetContext, subset_context
 from .mpseries import SingularConfiguration
 from .phase import unit_phase
 
@@ -37,49 +37,28 @@ from .phase import unit_phase
 _CANCELLED = 1e-13
 
 
-@dataclass(frozen=True)
-class AffineFunctional:
-    """One member of Lambda, by its linear part on Z^|J|.
+def build_lambda(spec: SeriesSpec, ctx: SubsetContext) -> tuple[tuple[int, ...], ...]:
+    """The vectors of Lambda for subset J on Z^|J|: e_j for each j in J, then
+    each form of ctx.I restricted to J.
 
-    Tags 1..r mark variable members (vec = e_j); tags r+i mark form members
-    (vec = the i-th form restricted to J).  Tags keep value-duplicate
-    members distinct, which matters when a form restricted to J coincides
-    with a coordinate vector.  With the outer tuple m frozen, form member i
-    is n -> <vec, n> - sum over Jbar of a_ij m_j; a plan keeps that
-    constant as an integer form in m.
+    Members are told apart by position, so a form that coincides with a
+    coordinate vector stays a member of its own.  With the outer tuple m
+    frozen, form member i is n -> <vec, n> - sum over Jbar of a_ij m_j.
     """
-
-    tag: int
-    vec: tuple[int, ...]
-
-
-def variable_name(tag: int) -> str:
-    return f"t{tag}"
+    units = [tuple(int(jj == j) for jj in ctx.J) for j in ctx.J]
+    return tuple(units) + tuple(tuple(spec.a(i, j) for j in ctx.J) for i in ctx.I)
 
 
-def build_lambda(spec: SeriesSpec, ctx: SubsetContext) -> tuple[AffineFunctional, ...]:
-    """The family Lambda for subset J: the variables in J, then the forms meeting J."""
-    members = [
-        AffineFunctional(tag=j, vec=tuple(1 if jj == j else 0 for jj in ctx.J))
-        for j in ctx.J
-    ]
-    for i in ctx.I:
-        vec = tuple(spec.a(i, j) for j in ctx.J)
-        members.append(AffineFunctional(tag=spec.r + i, vec=vec))
-    return tuple(members)
-
-
-def enumerate_bases(members) -> dict[tuple[int, ...], tuple]:
-    """The bases of Lambda, each mapped to exact.dual_basis of its vectors.
+def enumerate_bases(vecs) -> dict[tuple[int, ...], tuple]:
+    """The bases among the member vectors, each mapped to exact.dual_basis.
 
     Keys are position tuples in lexicographic order; values are (det, rows)
-    with <vec of the i-th member, rows[j]> = det * delta_ij.
+    with <vecs[idx[i]], rows[j]> = det * delta_ij.
     """
-    m = len(members[0].vec)
     out = {}
-    for idx in itertools.combinations(range(len(members)), m):
+    for idx in itertools.combinations(range(len(vecs)), len(vecs[0])):
         try:
-            out[idx] = exact.dual_basis([members[i].vec for i in idx])
+            out[idx] = exact.dual_basis([vecs[i] for i in idx])
         except exact.SingularBasis:
             continue
     if not out:
@@ -89,8 +68,8 @@ def enumerate_bases(members) -> dict[tuple[int, ...], tuple]:
 
 def coset_count(spec: SeriesSpec, J) -> int:
     """Coset representatives a plan for (spec, J) enumerates: sum of |det B|."""
-    template = build_lambda(spec, subset_context(spec, tuple(J)))
-    return sum(abs(det) for det, _ in enumerate_bases(template).values())
+    vecs = build_lambda(spec, subset_context(spec, tuple(J)))
+    return sum(abs(det) for det, _ in enumerate_bases(vecs).values())
 
 
 def _normalize_linear(row: tuple[int, ...], den: int):
@@ -104,11 +83,6 @@ def _normalize_linear(row: tuple[int, ...], den: int):
     if next(c for c in row if c) < 0:
         g = -g
     return tuple(c // g for c in row), Fraction(g, den)
-
-
-def _pairings(u, rows) -> list[int]:
-    """<u, row> for each row, in integers."""
-    return [sum(map(operator.mul, u, row)) for row in rows]
 
 
 def _times_geometric(space, batch, inv, weights, unit) -> np.ndarray:
@@ -143,20 +117,19 @@ class GeneratingFunctionPlan:
         self.ctx = subset_context(spec, tuple(J))
         ctx = self.ctx
         self.m = len(ctx.J)
-        template = build_lambda(spec, ctx)
-        self.tags = tuple(f.tag for f in template)
-        self.vecs = tuple(f.vec for f in template)
-        self.variables = tuple(variable_name(t) for t in self.tags)
+        self.vecs = build_lambda(spec, ctx)
+        # t_j for variable j and t_{r+i} for form i, as error messages name them
+        self.variables = tuple(f"t{j}" for j in ctx.J) + tuple(f"t{spec.r + i}" for i in ctx.I)
         caps = [spec.h[j - 1] for j in ctx.J] + [spec.k[i - 1] for i in ctx.I]
         self.caps = tuple(caps)
         self.total_cap = sum(caps)
-        # dot part of each member as an integer form in the outer tuple
-        dots = tuple(
-            tuple(0 if tag <= spec.r else -spec.a(tag - spec.r, j) for j in ctx.Jbar)
-            for tag in self.tags
+        # dot part of each member as an integer form in the outer tuple: 0
+        # for the variables, -a(i, j) over Jbar for form i
+        dots = tuple((0,) * len(ctx.Jbar) for _ in ctx.J) + tuple(
+            tuple(-spec.a(i, j) for j in ctx.Jbar) for i in ctx.I
         )
         dot_cols = tuple(zip(*dots))  # per j in Jbar: its coefficient in each member
-        duals = enumerate_bases(template)
+        duals = enumerate_bases(self.vecs)
         self.bases = tuple(duals)
         self.rho = exact.choose_rho(
             [row for _, rows in duals.values() for row in rows], variant=rho_variant
@@ -166,7 +139,7 @@ class GeneratingFunctionPlan:
             for basis in self.bases
         )
         self.complements = tuple(
-            tuple(p for p in range(len(template)) if p not in basis)
+            tuple(p for p in range(len(self.vecs)) if p not in basis)
             for basis in self.bases
         )
         # All exact data below are integers.  Each basis's dual is integer
@@ -180,7 +153,7 @@ class GeneratingFunctionPlan:
         self.residues = []  # per basis: (Q * den, per coset rep: fractional parts times Q * den)
         self.l_rows = []    # per basis: {gpos: den * the weights of L_g, one per member}
         self.l_normal = []  # per basis: {gpos: (primitive tuple, scale)}
-        d_rows = []         # per (basis, complement member): (den * d_g over Jbar, den)
+        d_rows = []         # per (basis, complement member): den * d_g over Jbar
         for (det, rows), basis, cosets, complement in zip(
             duals.values(), self.bases, self.cosets, self.complements
         ):
@@ -188,51 +161,55 @@ class GeneratingFunctionPlan:
             if det < 0:
                 rows = tuple(tuple(-v for v in row) for row in rows)
             self.duals.append((den, rows))
-            pairing, shift = _pairings(self.rho, rows), _pairings(yQ, rows)
+            pairing = [exact.dot(self.rho, row) for row in rows]
+            shift = [exact.dot(yQ, row) for row in rows]
             self.residues.append((Q * den, tuple(
                 tuple(
-                    exact.directed_residue(s + Q * x, Q * den, p)
-                    for s, x, p in zip(shift, _pairings(w, rows), pairing)
+                    exact.directed_residue(s + Q * exact.dot(w, row), Q * den, p)
+                    for s, row, p in zip(shift, rows, pairing)
                 )
                 for w in cosets.representatives
             )))
             lr, ln = {}, {}
             for gpos in complement:
-                row = [0] * len(template)
+                row = [0] * len(self.vecs)
                 row[gpos] = den
-                for fpos, x in zip(basis, _pairings(self.vecs[gpos], rows)):
-                    row[fpos] = -x
+                for fpos, dual in zip(basis, rows):
+                    row[fpos] = -exact.dot(self.vecs[gpos], dual)
                 lr[gpos] = tuple(row)
                 ln[gpos] = _normalize_linear(lr[gpos], den)
-                d_rows.append((_pairings(row, dot_cols), den))
+                d_rows.append([exact.dot(row, col) for col in dot_cols])
             self.l_rows.append(lr)
             self.l_normal.append(ln)
         self.space = mpseries.dense_space(self.caps, self.total_cap)
         self.top = int(self.space.locate([self.caps])[0])
-        # every (basis, complement member) pair, with its d_g as an integer
-        # form in the outer tuple over one common (reduced) denominator
+        # every (basis, complement member) pair; pair k = (bi, gpos) has d_g
+        # = (tuples @ _d_rows[:, k]) / den at the outer tuples, den the |det|
+        # of basis bi
         self.pairs = tuple(
             (bi, gpos) for bi in range(len(self.bases)) for gpos in self.complements[bi]
         )
-        self._d_den = math.lcm(1, *(den // gcd(den, *row) for row, den in d_rows))
-        self._d_num = np.zeros((len(ctx.Jbar), len(self.pairs)), dtype=np.int64)
-        for k, (row, den) in enumerate(d_rows):
-            g = gcd(den, *row)
-            for col, c in enumerate(row):
-                self._d_num[col, k] = c // g * (self._d_den * g // den)
+        self._d_rows = np.array(d_rows, dtype=np.int64).reshape(len(self.pairs), len(ctx.Jbar)).T
         # the coset phases e(-<dots, c>) per basis: the member dots are
         # integer forms in the outer tuple, so each phase is a q-th root of
         # unity read at an integer form mod q, q the lcm of the reduced
-        # denominators of the fractional parts
+        # denominators of the fractional parts.  The form's coefficients
+        # are kept in [0, q), so its value at outer coordinates up to
+        # WORK_BUDGET (the largest --M-outer admitted) stays inside int64.
         self._phase_data = []
         for basis, (fden, reps) in zip(self.bases, self.residues):
             q = fden // gcd(fden, *(r for rs in reps for r in rs))
+            if len(ctx.Jbar) * WORK_BUDGET * (q - 1) > np.iinfo(np.int64).max:
+                raise exact.ExactError(
+                    f"coset phase denominator {q} for J = {ctx.J} is too large: residues "
+                    f"mod {q} could leave int64 at outer coordinates up to {WORK_BUDGET}"
+                )
             coef = np.zeros((len(ctx.Jbar), len(reps)), dtype=np.int64)
             for col in range(len(ctx.Jbar)):
                 for wi, rs in enumerate(reps):
                     coef[col, wi] = -sum(
                         dots[fpos][col] * (r * q // fden) for r, fpos in zip(rs, basis)
-                    )
+                    ) % q
             self._phase_data.append((q, coef))
         self._phase_memo: dict[int, dict[int, complex]] = {}  # q -> residue -> e(res/q)
         self._tables_cache: dict[frozenset, _Tables] = {}
@@ -355,7 +332,7 @@ class GeneratingFunctionPlan:
             raise exact.ExactError(
                 f"outer tuples must be rows over Jbar = {self.ctx.Jbar}, got shape {tuples.shape}"
             )
-        dnum = tuples @ self._d_num
+        dnum = tuples @ self._d_rows
         if np.all(dnum):
             return self._assemble_regular(tuples, dnum)
         patterns, inverse = np.unique(dnum == 0, axis=0, return_inverse=True)
@@ -393,9 +370,10 @@ class GeneratingFunctionPlan:
         scale = np.zeros((len(tuples), space.size, 2))
         for bi in range(len(self.bases)):
             phases = self._phases(bi, tuples)
-            term = (phases @ tables.bprods[bi]) * (1.0 / self.cosets[bi].group_order)
+            den = self.duals[bi][0]
+            term = (phases @ tables.bprods[bi]) * (1.0 / den)
             for k, weights, unit in tables.geometric[bi]:
-                term = _times_geometric(space, term, self._d_den / dnum[:, k], weights, unit)
+                term = _times_geometric(space, term, den / dnum[:, k], weights, unit)
             total += term
             scale += np.abs(term.view(float).reshape(scale.shape))
         parts = total.view(float).reshape(scale.shape)

@@ -23,6 +23,12 @@ class SpecError(ValueError):
     """Invalid problem instance."""
 
 
+# eval, verify and reduce refuse, before any summation, a box of more direct
+# terms, direct form values or coset representatives times outer tuples
+# than this, so no admitted box size exceeds it either.
+WORK_BUDGET = 10**7
+
+
 def wt(values) -> int:
     """Weight of an exponent tuple: the sum of its entries; empty weight is 0."""
     return sum(values)

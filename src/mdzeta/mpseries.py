@@ -201,34 +201,34 @@ class DenseSpace:
         """Index arrays of division by the integer form, cached per form.
 
         Returns (pivot weight, free columns, levels).  The pivot p is the
-        first variable of nonzero weight; free columns are the keys without
+        variable of largest |weight| (the first such), so every other
+        weight is at most the one divided by and the rounding of one level
+        is not amplified into the next.  Free columns are the keys without
         t_p.  Levels run from the highest pivot exponent e down to 1; each
         holds the columns of its keys, the columns of those keys minus e_p
-        (where the quotient goes), the columns whose quotient would need a
-        key outside the space, and per other variable i of nonzero weight,
-        in decreasing i: (w_i, the columns of key - e_p + e_i, and the
-        quotient columns they come from).
+        (where the quotient goes), and per other variable i of nonzero
+        weight, in decreasing i: (w_i, the columns of key - e_p + e_i).
+        Only a full-simplex space (no cap below the total cap) is accepted,
+        and in one every key - e_p + e_i is a key of the space.
         """
         if form not in self._division_cache:
             if not any(form):
                 raise SeriesError("division by the zero form")
-            pivot = next(i for i, w in enumerate(form) if w != 0)
-            others = [i for i in range(len(form) - 1, pivot, -1) if form[i]]
+            if any(c < self.total_cap for c in self.caps):
+                raise CapExceeded("division needs the full homogeneous simplex; widen the space")
+            pivot = max(range(len(form)), key=lambda i: abs(form[i]))
+            others = [i for i in range(len(form) - 1, -1, -1) if form[i] and i != pivot]
             levels = []
             for e in range(int(self.keys[:, pivot].max(initial=0)), 0, -1):
                 src = np.flatnonzero(self.keys[:, pivot] == e)
                 qkeys = self.keys[src]
                 qkeys[:, pivot] -= 1
-                qcols = self.locate(qkeys)
-                blocked = np.zeros(len(src), dtype=bool)
                 moves = []
                 for i in others:
-                    inside = qkeys[:, i] < self.caps[i]
-                    blocked |= ~inside
-                    shifted = qkeys[inside]
+                    shifted = qkeys.copy()
                     shifted[:, i] += 1
-                    moves.append((form[i], self.locate(shifted), qcols[inside]))
-                levels.append((src, qcols, src[blocked], moves))
+                    moves.append((form[i], self.locate(shifted)))
+                levels.append((src, self.locate(qkeys), moves))
             free = np.flatnonzero(self.keys[:, pivot] == 0)
             self._division_cache[form] = (form[pivot], free, levels)
         return self._division_cache[form]
@@ -244,30 +244,26 @@ def divide_linear(space: DenseSpace, numer: np.ndarray, form) -> tuple[np.ndarra
     """Row-wise exact division of a (B, N) batch by an integer linear form.
 
     Returns (quotient batch, per-row remainder bound: the largest coefficient
-    magnitude that could not be divided out, 0.0 for an exact multiple), and
-    raises CapExceeded when a quotient would need a key outside the space.
-    The whole batch is divided level by level in the pivot exponent, highest
-    first: a key's quotient is its coefficient over the pivot weight, and
-    w_i times that quotient is taken off the key one t_p lower and one t_i
-    higher, one level down, for every other variable t_i.  Keys at one
-    level never feed each other, and each subtraction is one gather over
-    the batch, so memory is O(B * N) for any batch size.  What is left on
-    the keys free of t_p is the remainder.
+    magnitude that could not be divided out, 0.0 for an exact multiple).
+    The space must be a full simplex (see DenseSpace._division_steps).  The
+    whole batch is divided level by level in the exponent of the pivot t_p,
+    the variable of largest |weight|, highest first: a key's quotient is its
+    coefficient over w_p, and w_i times that quotient is taken off the key
+    one t_p lower and one t_i higher, one level down, for every other
+    variable t_i.  Keys at one level never feed each other, and each
+    subtraction is one gather over the batch, so memory is O(B * N) for any
+    batch size.  What is left on the keys free of t_p is the remainder.
     """
     pivot_weight, free, levels = space._division_steps(tuple(int(w) for w in form))
     work = np.array(numer, dtype=complex)
     quotient = np.zeros_like(work)
-    for src, qcols, blocked, moves in levels:
-        if blocked.size and np.any(work[:, blocked]):
-            raise CapExceeded(
-                "division needs the full homogeneous simplex; widen the space"
-            )
+    for src, qcols, moves in levels:
         level = work[:, src]
         level.real /= pivot_weight  # each part on its own, as complex / int does
         level.imag /= pivot_weight
         quotient[:, qcols] = level
-        for weight, targets, sources in moves:
-            work[:, targets] -= weight * quotient[:, sources]
+        for weight, targets in moves:
+            work[:, targets] -= weight * level
     left = work[:, free]
     # hypot, as abs() of a Python complex; np.abs differs in the last bit
     return quotient, np.hypot(left.real, left.imag).max(axis=1, initial=0.0)

@@ -182,15 +182,19 @@ def divide_linear(numer: MultiSeries, weights) -> tuple[MultiSeries, float]:
     """Exact truncated division of numer by an integer linear form.
 
     Returns (quotient, remainder_bound): the largest coefficient magnitude
-    that could not be divided out (0.0 for an exact multiple).  Works slice
-    by slice in total degree; within a slice, monomials are consumed in
-    decreasing (pivot exponent, key) order, which strictly decreases at each
-    reduction step, so the loop terminates.
+    that could not be divided out (0.0 for an exact multiple).  The pivot is
+    the variable of largest |weight| (the first such), as in
+    mpseries.divide_linear, and the space must be a full simplex.  Works
+    slice by slice in total degree; within a slice, monomials are consumed
+    in decreasing (pivot exponent, key) order, which strictly decreases at
+    each reduction step, so the loop terminates.
     """
     vec = tuple(int(weights.get(name, 0)) for name in numer.variables)
     if all(w == 0 for w in vec):
         raise SeriesError("division by the zero form")
-    pivot = next(i for i, w in enumerate(vec) if w != 0)
+    if any(c < numer.total_cap for c in numer.caps):
+        raise CapExceeded("division needs the full homogeneous simplex; widen the space")
+    pivot = max(range(len(vec)), key=lambda i: abs(vec[i]))
 
     def order(key):  # smallest heap entry = largest (pivot exponent, key)
         return (-key[pivot],) + tuple(-e for e in key)
@@ -222,10 +226,6 @@ def divide_linear(numer: MultiSeries, weights) -> tuple[MultiSeries, float]:
                 if w == 0 or i == pivot:
                     continue
                 nk = tuple(e + 1 if j == i else e for j, e in enumerate(qkey))
-                if not _admissible(nk, numer.caps, numer.total_cap):
-                    raise CapExceeded(
-                        "division needs the full homogeneous simplex; widen the space"
-                    )
                 if nk in active:
                     active[nk] -= q * w
                 else:

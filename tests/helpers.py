@@ -398,15 +398,13 @@ def phase_table(q: int) -> list[complex]:
 def frozen_family(spec, ctx, m_outer) -> tuple:
     """Lambda for (spec, J) with the outer tuple frozen, as (vec, dot) pairs.
 
-    The members and vectors are genfun.build_lambda's; a variable member
-    has dot 0 and form member i has dot -sum over Jbar of a_ij m_j.
+    The vectors are genfun.build_lambda's, variables in J first; a variable
+    member has dot 0 and form member i has dot -sum over Jbar of a_ij m_j.
     """
     if set(m_outer) != set(ctx.Jbar):
         raise exact.ExactError(f"outer tuple must cover Jbar = {ctx.Jbar}, got {sorted(m_outer)}")
-    return tuple(
-        (f.vec, 0 if f.tag <= spec.r else -sum(spec.a(f.tag - spec.r, j) * m_outer[j] for j in ctx.Jbar))
-        for f in genfun.build_lambda(spec, ctx)
-    )
+    dots = [0] * len(ctx.J) + [-sum(spec.a(i, j) * m_outer[j] for j in ctx.Jbar) for i in ctx.I]
+    return tuple(zip(genfun.build_lambda(spec, ctx), dots))
 
 
 def zm_partial_sum(members, exponents, y, M: int) -> complex:

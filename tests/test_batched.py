@@ -94,17 +94,18 @@ def test_batched_division_matches_divide_linear(data):
 
 
 def test_batched_division_refuses_where_divide_linear_does():
-    # caps (1, 1), total 2: t_a + t_b divides by t_a + t_b; t_a t_b would
-    # need t_b^2, outside the space
+    # caps (1, 1), total 2 is no full simplex: both divisions refuse it, even
+    # for a multiple of the form; the simplex of caps (2, 2) is accepted
     variables, space = ("a", "b"), dense_space((1, 1), 2)
     divisible = ds.to_dense(space, ds.linear_form({"a": 1, "b": 1}, variables, (1, 1), 2))
-    product = ds.to_dense(space, ds.monomial(variables, (1, 1), (1, 1), total_cap=2))
-    quotient, remainder = mpseries.divide_linear(space, np.array([divisible]), (1, 1))
-    assert quotient[0].tolist() == [1, 0, 0, 0] and remainder.tolist() == [0.0]
     with pytest.raises(CapExceeded):
-        ds.divide_linear(ds.from_dense(space, variables, product), {"a": 1, "b": 1})
+        ds.divide_linear(ds.from_dense(space, variables, divisible), {"a": 1, "b": 1})
     with pytest.raises(CapExceeded):
-        mpseries.divide_linear(space, np.array([divisible, product]), (1, 1))
+        mpseries.divide_linear(space, np.array([divisible]), (1, 1))
+    simplex = dense_space((2, 2), 2)
+    divisible = ds.to_dense(simplex, ds.linear_form({"a": 1, "b": 1}, variables, (2, 2), 2))
+    quotient, remainder = mpseries.divide_linear(simplex, np.array([divisible]), (1, 1))
+    assert quotient[0].tolist() == [1] + [0] * (simplex.size - 1) and remainder.tolist() == [0.0]
 
 
 def test_batched_division_rejects_the_zero_form():
@@ -189,7 +190,7 @@ def test_singular_batch_with_one_bad_row_raises():
     spec = model.load_spec(str(SPECS / "root_a2.json"))
     plan = genfun.GeneratingFunctionPlan(spec, (1,))
     tuples = np.array([[1], [2], [3]], dtype=np.int64)
-    dnum = tuples @ plan._d_num
+    dnum = tuples @ plan._d_rows
     pattern = frozenset(np.flatnonzero(dnum[0] == 0).tolist())
     assert pattern and all((dnum[:, sorted(pattern)] == 0).all(axis=0))
     good = plan._assemble_singular(pattern, tuples, dnum)
@@ -197,7 +198,8 @@ def test_singular_batch_with_one_bad_row_raises():
     # a d_g off by one in a single row leaves a pole in that row only
     broken = dnum.copy()
     regular = [k for k in range(dnum.shape[1]) if k not in pattern]
-    broken[1, regular[0]] += plan._d_den
+    bi = plan.pairs[regular[0]][0]
+    broken[1, regular[0]] += plan.duals[bi][0]  # dnum is d_g times its basis's |det|
     with pytest.raises(SingularConfiguration, match=r"outer tuple \{2: 2\}"):
         plan._assemble_singular(pattern, tuples, broken)
 
@@ -206,7 +208,7 @@ def test_pole_check_is_relative_to_each_row(monkeypatch):
     spec = model.load_spec(str(SPECS / "root_a2.json"))
     plan = genfun.GeneratingFunctionPlan(spec, (1,))
     tuples = np.array([[1], [2], [3]], dtype=np.int64)
-    dnum = tuples @ plan._d_num
+    dnum = tuples @ plan._d_rows
     pattern = frozenset(np.flatnonzero(dnum[0] == 0).tolist())
     numerator = plan._numerator
 

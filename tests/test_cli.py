@@ -376,15 +376,60 @@ def test_large_entry_bases_are_refused_at_the_real_budget(capsys, monkeypatch, t
         assert err.startswith("error: --M-outer 1 at J={1, 2}") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("entry", [40, 50])
-@pytest.mark.parametrize("command", ["verify", "reduce"])
-def test_uncancelled_pole_exits_2_with_one_error_line(capsys, tmp_path, command, entry):
-    # the singular path's remainder check fails numerically on these forms
+def _steep_pole_spec(tmp_path, entry):
+    # J = {1, 2} divides by t1 + entry * t2 - t3, whose weight of entry is
+    # the pivot of the division
     path = tmp_path / "steep_pole.json"
     path.write_text(json.dumps({"h": [2, 2], "k": [2], "y": ["0", "0"], "A": [[1, entry]]}))
-    code, out, err = _run(capsys, [command, "--spec", str(path), "--M", "20", "--M-outer", "20"])
+    return str(path)
+
+
+@pytest.mark.parametrize("entry", [40, 200])
+def test_steep_pole_specs_evaluate(capsys, tmp_path, entry):
+    path = _steep_pole_spec(tmp_path, entry)
+    code, out, err = _run(capsys, ["reduce", "--spec", path, "--M", "20", "--M-outer", "20",
+                                   "--output", "json"])
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["terms"]) == 3
+
+
+@pytest.mark.parametrize("entry", [40, 50])
+@pytest.mark.parametrize("command", ["verify", "reduce"])
+def test_uncancelled_pole_exits_2_with_one_error_line(capsys, monkeypatch, tmp_path, command, entry):
+    # a remainder far over the relative threshold of 1e-8, forced into the
+    # division of the singular path
+    divide = mpseries.divide_linear
+
+    def leaky(space, numer, form):
+        quotient, remainder = divide(space, numer, form)
+        return quotient, remainder + 1.0
+
+    monkeypatch.setattr(mpseries, "divide_linear", leaky)
+    path = _steep_pole_spec(tmp_path, entry)
+    code, out, err = _run(capsys, [command, "--spec", path, "--M", "20", "--M-outer", "20"])
     assert code == 2 and out == ""
     assert err.startswith("error: pole along") and err.count("\n") == 1
+
+
+def test_twist_denominator_beyond_int64_evaluates(capsys, tmp_path):
+    # q = 10^23 > M: the twist table is e(m y) for m = 0..M, never m mod q
+    path = tmp_path / "big_twist.json"
+    path.write_text(json.dumps({"h": [2], "k": [1], "y": ["1/100000000000000000000000"], "A": [[1]]}))
+    code, out, err = _run(capsys, ["eval", "--spec", str(path), "--M", "10", "--output", "json"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"]
+
+
+def test_coset_phase_denominator_beyond_int64_exits_2_with_one_error_line(capsys, tmp_path):
+    # J = {1} reads its coset phases mod q = 64461016631999, and q times an
+    # outer coordinate the work budget admits leaves int64
+    path = tmp_path / "big_phase.json"
+    path.write_text(json.dumps({
+        "h": [2, 2], "k": [2], "y": ["1/2147483647", "1/2147483629"], "A": [[30017, 30019]],
+    }))
+    code, out, err = _run(capsys, ["reduce", "--spec", str(path), "--M", "10", "--M-outer", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: coset phase denominator 64461016631999") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["eval", "verify", "reduce"])

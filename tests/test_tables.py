@@ -47,7 +47,7 @@ def _outer_tuples(plan, size):
 
 def _patterns(plan, tuples):
     """The regular pattern and every singular pattern the tuples reach."""
-    vanishing = np.unique((tuples @ plan._d_num) == 0, axis=0)
+    vanishing = np.unique((tuples @ plan._d_rows) == 0, axis=0)
     return {frozenset()} | {frozenset(np.flatnonzero(row).tolist()) for row in vanishing}
 
 
@@ -105,9 +105,12 @@ def test_plan_exact_data_match_the_fraction_reference(spec):
                 assert tuple(Fraction(c, den) for c in plan.l_rows[bi][gpos]) == weights
                 assert plan.l_normal[bi][gpos] == normal
                 k = plan.pairs.index((bi, gpos))
-                assert tuple(Fraction(int(c), plan._d_den) for c in plan._d_num[:, k]) == d_form
+                assert tuple(Fraction(int(c), den) for c in plan._d_rows[:, k]) == d_form
             q, coef = plan._phase_data[bi]
-            assert [tuple(Fraction(int(c), q) for c in col) for col in coef.T] == phase_forms
+            # the phase forms' coefficients, kept mod q
+            assert [tuple(Fraction(int(c), q) for c in col) for col in coef.T] == [
+                tuple(c % 1 for c in form) for form in phase_forms
+            ]
 
 
 def test_untwisted_phases_skip_unit_phase_and_unique(monkeypatch):

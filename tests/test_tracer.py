@@ -47,3 +47,7 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, capsys):
     # the singular assembly divides through the wrapped module attribute
     assert tracer.counts["genfun.G_singular_calls"] > 0
     assert tracer.counts["mpseries.divide_linear_calls"] > 0
+    # plans are built through the wrapped constructor, and the coset count
+    # reads CosetSet.representatives
+    assert tracer.counts["genfun.plan_builds"] > 0
+    assert tracer.counts["exact.coset_reps"] > 0

@@ -7,15 +7,26 @@ Subcommands:
   reduce     tabulate the reduced side (per-subset terms and coefficients)
   selftest   quick internal consistency checks, no instance needed
 
+Each subcommand but selftest runs one pre-flight, _prepare (load the spec;
+for a box, the work budget and the convergence gate; make MDZETA_OUTPUT_DIR),
+and one emitter, _emit (text, json or csv on stdout, and the JSON report to
+MDZETA_OUTPUT_DIR/<subcommand>_report.json when that is set).  reduce shows
+the report of verify's computation, evaluator.verify_parity, per term.
+
 Exit codes: 0 success/pass, 1 fail, 2 invalid input, convergence not
 established or a reduced side that cannot be assembled, 3 inconclusive.
+A spec file that is missing, not UTF-8 or not valid JSON is invalid input,
+and so is an MDZETA_OUTPUT_DIR that cannot be made a directory.
 Box sizes --M and --M-outer below 1 are invalid input, and so are a --tol
 that is negative or not finite (nan, inf) and a negative --rho-variant.
 So are boxes over the work budget: more than WORK_BUDGET direct terms
 (M**r), direct form values (the largest row sum of A times M), or, for
 some subset J, coset representatives times outer tuples (the sum of
-|det B| over the bases B of Lambda_J, times M_outer**(r-|J|)).  Set
-MDZETA_OUTPUT_DIR to also write the JSON report into that directory.
+|det B| over the bases B of Lambda_J, times M_outer**(r-|J|)).  A reduced
+side cannot be assembled when a pole does not cancel, the exact layer
+fails, or it needs a Bernoulli order past float range (above 170).
+Every exit 2 prints one error: line and no traceback; the pre-flight's
+refusals come before any summation and create nothing.
 """
 
 from __future__ import annotations
@@ -29,10 +40,9 @@ import sys
 from fractions import Fraction
 
 from . import evaluator, exact, genfun, mpseries
-from .evaluator import ConvergenceNotEstablished, _cnum, _fnum
+from .evaluator import _cnum, _fnum, report_header
 from .model import (
     WORK_BUDGET, SpecError, convergence_check, load_spec, nonempty_subsets, parse_spec,
-    spec_to_dict,
 )
 
 
@@ -57,26 +67,46 @@ def _tolerance(value: str) -> float:
     return tol
 
 
-def _write_report(command: str, payload: dict) -> None:
-    outdir = os.environ.get("MDZETA_OUTPUT_DIR")
-    if not outdir:
-        return
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, f"{command}_report.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _error(why) -> None:
+    print(f"error: {why}", file=sys.stderr)
 
 
-def _emit(payload: dict, fmt: str, text_lines, csv_lines) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif fmt == "csv":
-        for line in csv_lines:
-            print(line)
-    else:
-        for line in text_lines:
-            print(line)
+def _prepare(args, M: int | None = None, M_outer: int | None = None):
+    """(spec, convergence verdict), or None after one error: line.
+
+    Loads the spec; for a box M (and M_outer) checks the work budget and
+    gates on convergence; then makes MDZETA_OUTPUT_DIR.  A refused run has
+    summed nothing and created nothing.
+    """
+    try:
+        spec = load_spec(args.spec)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, SpecError) as exc:
+        return _error(exc)
+    if M is not None and not _within_budget(spec, M, M_outer):
+        return None
+    verdict = convergence_check(spec, user_asserted=args.assert_convergence)
+    if M is not None and not verdict.established:
+        return _error(f"convergence not established: {verdict.reason}")
+    try:
+        if outdir := os.environ.get("MDZETA_OUTPUT_DIR"):
+            os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        return _error(exc)
+    return spec, verdict
+
+
+def _emit(command: str, payload: dict, fmt: str, text, csv) -> None:
+    """Print the report as fmt; with MDZETA_OUTPUT_DIR set, also write its JSON there."""
+    report = json.dumps(payload, indent=2, sort_keys=True)
+    for line in {"json": [report], "csv": csv}.get(fmt, text):
+        print(line)
+    if outdir := os.environ.get("MDZETA_OUTPUT_DIR"):
+        with open(os.path.join(outdir, f"{command}_report.json"), "w", encoding="utf-8") as fh:
+            fh.write(report + "\n")
+
+
+def _ctext(z: complex, digits: int = 15) -> str:
+    return f"{z.real:.{digits}g} + {z.imag:.{digits}g}i"
 
 
 def _spec_line(spec) -> str:
@@ -115,43 +145,21 @@ def _within_budget(spec, M: int, M_outer: int | None = None) -> bool:
 
 
 def _refuse(why: str) -> bool:
-    print(f"error: {why}, over the work budget of {WORK_BUDGET}", file=sys.stderr)
+    _error(f"{why}, over the work budget of {WORK_BUDGET}")
     return False
-
-
-def _load(path: str):
-    try:
-        return load_spec(path)
-    except (OSError, json.JSONDecodeError, SpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
 
 
 # ----------------------------------------------------------------- validate
 
 
 def cmd_validate(args) -> int:
-    spec = _load(args.spec)
-    if spec is None:
+    prepared = _prepare(args)
+    if prepared is None:
         return 2
-    verdict = convergence_check(spec, user_asserted=args.assert_convergence)
-    payload = {
-        "spec": spec_to_dict(spec),
-        "valid": True,
-        "convergence": {"status": verdict.status, "reason": verdict.reason},
-    }
-    text = [
-        _spec_line(spec),
-        "valid: yes",
-        f"convergence: {verdict.status} ({verdict.reason})",
-    ]
-    csv = [
-        "field,value",
-        "valid,yes",
-        f"convergence,{verdict.status}",
-    ]
-    _emit(payload, args.output, text, csv)
-    _write_report("validate", payload)
+    spec, verdict = prepared
+    text = [_spec_line(spec), "valid: yes", f"convergence: {verdict.status} ({verdict.reason})"]
+    csv = ["field,value", "valid,yes", f"convergence,{verdict.status}"]
+    _emit("validate", {**report_header(spec, verdict), "valid": True}, args.output, text, csv)
     return 0
 
 
@@ -159,46 +167,39 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    spec = _load(args.spec)
-    if spec is None or not _within_budget(spec, args.M):
+    prepared = _prepare(args, args.M)
+    if prepared is None:
         return 2
-    verdict = convergence_check(spec, user_asserted=args.assert_convergence)
-    if not verdict.established:
-        print(f"error: convergence not established: {verdict.reason}", file=sys.stderr)
-        return 2
+    spec, verdict = prepared
     refined = evaluator.zeta_refined(spec, args.M)
+    partial, v = refined.partial, refined.value
     payload = {
-        "spec": spec_to_dict(spec),
+        **report_header(spec, verdict),
         "parameters": {"M": args.M},
-        "convergence": {"status": verdict.status, "reason": verdict.reason},
-        "partial_sum": _cnum(refined.partial.value),
-        "tail_estimate": _fnum(refined.partial.tail_estimate),
-        "slow": refined.partial.slow,
+        "partial_sum": _cnum(partial.value),
+        "tail_estimate": _fnum(partial.tail_estimate),
+        "slow": partial.slow,
         "correction": _cnum(refined.correction),
-        "value": _cnum(refined.value),
+        "value": _cnum(v),
         "uncertainty": _fnum(refined.uncertainty),
         "fitted": refined.fitted,
-        "terms": refined.partial.terms,
+        "terms": partial.terms,
     }
-    v = refined.value
     text = [
         _spec_line(spec),
-        f"box sum (M={args.M}, {refined.partial.terms} terms): "
-        f"{refined.partial.value.real:.15g} + {refined.partial.value.imag:.15g}i",
-        f"tail heuristic: {refined.partial.tail_estimate:.3g}"
-        + ("  [slow decay]" if refined.partial.slow else ""),
-        f"fitted correction: {refined.correction.real:.6g} + {refined.correction.imag:.6g}i"
+        f"box sum (M={args.M}, {partial.terms} terms): {_ctext(partial.value)}",
+        f"tail heuristic: {partial.tail_estimate:.3g}" + ("  [slow decay]" if partial.slow else ""),
+        f"fitted correction: {_ctext(refined.correction, 6)}"
         + ("" if refined.fitted else "  [no reliable fit]"),
-        f"value: {v.real:.15g} + {v.imag:.15g}i  (+- {refined.uncertainty:.3g})",
+        f"value: {_ctext(v)}  (+- {refined.uncertainty:.3g})",
     ]
     csv = [
         "M,value_re,value_im,uncertainty,partial_re,partial_im,tail_estimate,fitted",
         f"{args.M},{_fnum(v.real)},{_fnum(v.imag)},{_fnum(refined.uncertainty)},"
-        f"{_fnum(refined.partial.value.real)},{_fnum(refined.partial.value.imag)},"
-        f"{_fnum(refined.partial.tail_estimate)},{refined.fitted}",
+        f"{_fnum(partial.value.real)},{_fnum(partial.value.imag)},"
+        f"{_fnum(partial.tail_estimate)},{refined.fitted}",
     ]
-    _emit(payload, args.output, text, csv)
-    _write_report("eval", payload)
+    _emit("eval", payload, args.output, text, csv)
     return 0
 
 
@@ -206,61 +207,48 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = _load(args.spec)
-    if spec is None or not _within_budget(spec, args.M, args.M_outer):
+    prepared = _prepare(args, args.M, args.M_outer)
+    if prepared is None:
         return 2
-    try:
-        report = evaluator.verify_parity(
-            spec,
-            M=args.M,
-            M_outer=args.M_outer,
-            tol=args.tol,
-            rho_variant=args.rho_variant,
-            assume_convergence=args.assert_convergence,
-        )
-    except ConvergenceNotEstablished as exc:
-        print(f"error: convergence not established: {exc}", file=sys.stderr)
-        return 2
-    payload = report.to_json_dict()
+    spec, _ = prepared
+    report = evaluator.verify_parity(
+        spec, M=args.M, M_outer=args.M_outer, tol=args.tol,
+        rho_variant=args.rho_variant, assume_convergence=args.assert_convergence,
+    )
+    zp, zm, rhs = report.zeta_plus, report.zeta_minus, report.rhs
     lhs = report.lhs_value
     text = [
         _spec_line(spec),
         f"convergence: {report.convergence.status} ({report.convergence.reason})",
         f"parity case: {report.parity_case} (sign {report.parity_sign:+d})",
-        f"direct side:  zeta(+y) = {report.zeta_plus.value.real:.15g} + "
-        f"{report.zeta_plus.value.imag:.15g}i  (+- {report.zeta_plus.uncertainty:.3g})",
-        f"              zeta(-y) = {report.zeta_minus.value.real:.15g} + "
-        f"{report.zeta_minus.value.imag:.15g}i  (+- {report.zeta_minus.uncertainty:.3g})",
-        f"              lhs      = {lhs.real:.15g} + {lhs.imag:.15g}i",
+        f"direct side:  zeta(+y) = {_ctext(zp.value)}  (+- {zp.uncertainty:.3g})",
+        f"              zeta(-y) = {_ctext(zm.value)}  (+- {zm.uncertainty:.3g})",
+        f"              lhs      = {_ctext(lhs)}",
         "reduced side:",
     ]
-    for t in report.rhs.terms:
-        tv = t.value
+    for t in rhs.terms:
         text.append(
             f"  J={set(t.J)} I={set(t.I)} sign={t.sign:+d} rho={t.rho}: "
-            f"{tv.real:.15g} + {tv.imag:.15g}i  (+- {t.refined.uncertainty:.3g})"
+            f"{_ctext(t.value)}  (+- {t.refined.uncertainty:.3g})"
         )
     text += [
-        f"              total    = {report.rhs.total.real:.15g} + "
-        f"{report.rhs.total.imag:.15g}i",
+        f"              total    = {_ctext(rhs.total)}",
         f"residual = {report.residual:.6g}  tolerance = {report.tol:g}  "
         f"tails = {report.tails_total:.6g}",
         f"verdict: {report.verdict}",
     ]
     csv = ["section,J,I,sign,value_re,value_im,tail"]
-    for t in report.rhs.terms:
+    for t in rhs.terms:
         csv.append(
             f"term,{' '.join(map(str, t.J))},{' '.join(map(str, t.I))},{t.sign},"
             f"{_fnum(t.value.real)},{_fnum(t.value.imag)},{_fnum(t.refined.uncertainty)}"
         )
     csv.append(
-        f"rhs_total,,,,{_fnum(report.rhs.total.real)},{_fnum(report.rhs.total.imag)},"
-        f"{_fnum(report.rhs.tails_total)}"
+        f"rhs_total,,,,{_fnum(rhs.total.real)},{_fnum(rhs.total.imag)},{_fnum(rhs.tails_total)}"
     )
     csv.append(f"lhs,,,,{_fnum(lhs.real)},{_fnum(lhs.imag)},")
     csv.append(f"residual,,,,{_fnum(report.residual)},,{report.verdict}")
-    _emit(payload, args.output, text, csv)
-    _write_report("verify", payload)
+    _emit("verify", report.to_json_dict(), args.output, text, csv)
     return {"pass": 0, "inconclusive": 3, "fail": 1}[report.verdict]
 
 
@@ -268,16 +256,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    spec = _load(args.spec)
-    if spec is None or not _within_budget(spec, args.M, args.M_outer):
+    prepared = _prepare(args, args.M, args.M_outer)
+    if prepared is None:
         return 2
-    verdict = convergence_check(spec, user_asserted=args.assert_convergence)
-    if not verdict.established:
-        print(f"error: convergence not established: {verdict.reason}", file=sys.stderr)
-        return 2
-    rhs = evaluator.rhs_total(spec, args.M_outer, rho_variant=args.rho_variant)
-    refined = evaluator.zeta_refined(spec, args.M)
-    cor = evaluator.corollary(spec, refined.value, rhs.total)
+    spec, verdict = prepared
+    # the reduced side of verify's computation, term by term; its series
+    # side feeds the corollary check
+    report = evaluator.verify_parity(
+        spec, M=args.M, M_outer=args.M_outer,
+        rho_variant=args.rho_variant, assume_convergence=args.assert_convergence,
+    )
+    rhs, cor = report.rhs, report.corollary()
     terms_payload = []
     sample_text = []
     for t in rhs.terms:
@@ -294,16 +283,14 @@ def cmd_reduce(args) -> int:
                 "D_at_unit_outer": _cnum(dval),
             }
         )
-        label = "(no outer sum)" if t.exact else f"(outer tuple = all ones)"
+        label = "(no outer sum)" if t.exact else "(outer tuple = all ones)"
         sample_text.append(
-            f"  J={set(t.J)} I={set(t.I)} sign={t.sign:+d}: T = {t.value.real:.12g} + "
-            f"{t.value.imag:.12g}i (+- {t.refined.uncertainty:.2g}); "
-            f"D {label} = {dval.real:.12g} + {dval.imag:.12g}i"
+            f"  J={set(t.J)} I={set(t.I)} sign={t.sign:+d}: T = {_ctext(t.value, 12)} "
+            f"(+- {t.refined.uncertainty:.2g}); D {label} = {_ctext(dval, 12)}"
         )
     payload = {
-        "spec": spec_to_dict(spec),
+        **report_header(spec, verdict),
         "parameters": {"M": args.M, "M_outer": args.M_outer},
-        "convergence": {"status": verdict.status, "reason": verdict.reason},
         "terms": terms_payload,
         "rhs_total": _cnum(rhs.total),
         "tails_total": _fnum(rhs.tails_total),
@@ -313,11 +300,9 @@ def cmd_reduce(args) -> int:
         _spec_line(spec),
         f"reduction over {len(rhs.terms)} nonempty subsets (M_outer={args.M_outer}):",
         *sample_text,
-        f"rhs total = {rhs.total.real:.15g} + {rhs.total.imag:.15g}i  "
-        f"(tails +- {rhs.tails_total:.3g})",
+        f"rhs total = {_ctext(rhs.total)}  (tails +- {rhs.tails_total:.3g})",
         f"corollary [{cor['case']}]: series side = {cor['series_side']:.15g}, "
-        f"reduced side = {cor['reduced_side'].real:.15g} + "
-        f"{cor['reduced_side'].imag:.15g}i, delta = {cor['delta']:.3g}",
+        f"reduced side = {_ctext(cor['reduced_side'])}, delta = {cor['delta']:.3g}",
     ]
     csv = ["J,I,sign,T_re,T_im,tail,D_ones_re,D_ones_im"]
     for t, tp in zip(rhs.terms, terms_payload):
@@ -326,8 +311,7 @@ def cmd_reduce(args) -> int:
             f"{tp['T']['re']},{tp['T']['im']},{tp['tail']},"
             f"{tp['D_at_unit_outer']['re']},{tp['D_at_unit_outer']['im']}"
         )
-    _emit(payload, args.output, text, csv)
-    _write_report("reduce", payload)
+    _emit("reduce", payload, args.output, text, csv)
     return 0
 
 
@@ -401,9 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_spec=True):
-        if needs_spec:
-            p.add_argument("--spec", required=True, help="instance JSON file")
+    def add_common(p):
+        p.add_argument("--spec", required=True, help="instance JSON file")
         p.add_argument(
             "--output", choices=("text", "json", "csv"), default="text",
             help="output format (default text)",
@@ -457,8 +440,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SpecError, exact.ExactError, mpseries.SingularConfiguration) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SpecError, exact.ExactError, mpseries.SeriesError) as exc:
+        _error(exc)
         return 2
 
 

@@ -239,6 +239,9 @@ def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
     lead_only = [(row[:-1], k) for row, k in zip(spec.A, spec.k) if not row[-1]]
     last_all = split(*_weights(_box_rows(0, M, M, 1), spec.h[-1:], twist[-1:], []))
     leading = M ** (r - 1)
+    # the masked band copies reuse these rows: fresh copies per band tile made
+    # malloc trim the heap top and fault it back in at the next band tile
+    band = np.empty((2, rows * cols))
     for start in range(0, leading, rows):
         lead_rows = _box_rows(start, min(start + rows, leading), M, r - 1)
         lead_max = lead_rows.max(axis=1, initial=0)
@@ -259,9 +262,12 @@ def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
             to_rows, to_cols = tile[:, :above], tile[:, below:]
             if below < above:
                 mask = np.arange(first + below, first + above) > lead_max[:, None]
-                to_rows = to_rows.copy()
+                n = len(lead_rows)
+                to_rows = band[0, :n * above].reshape(n, above)
+                to_rows[...] = tile[:, :above]
                 to_rows[:, below:] *= ~mask
-                to_cols = to_cols.copy()
+                to_cols = band[1, :n * (width - below)].reshape(n, width - below)
+                to_cols[...] = tile[:, below:]
                 to_cols[:, :above - below] *= mask
             if above > 0:
                 per_row = _times(lead, (to_rows @ last[:, :above].T).T)
@@ -449,30 +455,20 @@ def parity_sign(spec: SeriesSpec) -> int:
     return -1 if (spec.weight + spec.r + 1) % 2 else 1
 
 
-def corollary(spec: SeriesSpec, series_value: complex, reduced_total: complex) -> dict:
-    """The one-sided consequence: Re (or Im) of the series from the RHS."""
-    if parity_sign(spec) == 1:
-        series_side = series_value.real
-        reduced_side = reduced_total / 2
-        case = "real-part"
-    else:
-        series_side = series_value.imag
-        reduced_side = reduced_total / 2j
-        case = "imag-part"
-    return {
-        "case": case,
-        "series_side": series_side,
-        "reduced_side": reduced_side,
-        "delta": abs(complex(series_side, 0.0) - reduced_side),
-    }
-
-
 def _fnum(x: float) -> str:
     return f"{x:.17g}"
 
 
 def _cnum(z: complex) -> dict:
     return {"re": _fnum(z.real), "im": _fnum(z.imag)}
+
+
+def report_header(spec: SeriesSpec, convergence: ConvergenceVerdict) -> dict:
+    """The spec and convergence entries every JSON report opens with."""
+    return {
+        "spec": spec_to_dict(spec),
+        "convergence": {"status": convergence.status, "reason": convergence.reason},
+    }
 
 
 def corollary_json(cor: dict) -> dict:
@@ -510,20 +506,26 @@ class VerificationReport:
 
     def corollary(self) -> dict:
         """The one-sided consequence: Re (or Im) of the series from the RHS."""
-        return corollary(self.spec, self.zeta_plus.value, self.rhs.total)
+        series, total = self.zeta_plus.value, self.rhs.total
+        if self.parity_sign == 1:
+            case, series_side, reduced_side = "real-part", series.real, total / 2
+        else:
+            case, series_side, reduced_side = "imag-part", series.imag, total / 2j
+        return {
+            "case": case,
+            "series_side": series_side,
+            "reduced_side": reduced_side,
+            "delta": abs(complex(series_side, 0.0) - reduced_side),
+        }
 
     def to_json_dict(self) -> dict:
         return {
-            "spec": spec_to_dict(self.spec),
+            **report_header(self.spec, self.convergence),
             "parameters": {
                 "M": self.M,
                 "M_outer": self.M_outer,
                 "tol": _fnum(self.tol),
                 "rho_variant": self.rho_variant,
-            },
-            "convergence": {
-                "status": self.convergence.status,
-                "reason": self.convergence.reason,
             },
             "lhs": {
                 "parity_sign": self.parity_sign,
@@ -573,10 +575,11 @@ def verify_parity(
     verdict_conv = convergence_check(spec, user_asserted=assume_convergence)
     if not verdict_conv.established:
         raise ConvergenceNotEstablished(verdict_conv.reason)
+    # the reduced side first: when it cannot be assembled, no direct sum has run
+    rhs = rhs_total(spec, M_outer, rho_variant=rho_variant)
     zp = zeta_refined(spec, M)
     zm = zp.conjugate()  # h, k and A are real: zeta(-y) is termwise conj(zeta(y))
     sign = parity_sign(spec)
-    rhs = rhs_total(spec, M_outer, rho_variant=rho_variant)
     lhs = zp.value + sign * zm.value
     residual = abs(lhs - rhs.total)
     tails_total = zp.uncertainty + zm.uncertainty + rhs.tails_total

@@ -37,6 +37,10 @@ class SingularConfiguration(SeriesError):
     """A pole that does not cancel; carries context from the caller."""
 
 
+class OrderPastFloatRange(SeriesError):
+    """A Bernoulli order n whose n! no float holds: n above 170."""
+
+
 _I_POWERS = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
 
 
@@ -115,6 +119,8 @@ def bernoulli_coefficients(nmax: int, offset) -> list[complex]:
     integer D q^n B_n(p/q) = sum_k C(n,k) (D B_k) p^(n-k) q^k is divided by
     D q^n in one correctly rounded step: the float of the exact B_n(p/q).
     """
+    if nmax > 170:
+        raise OrderPastFloatRange(f"Bernoulli order {nmax} is past float range (at most 170)")
     offset = Fraction(offset)
     p, q = offset.numerator, offset.denominator
     numbers = [BERNOULLI.number(k) for k in range(nmax + 1)]

@@ -70,16 +70,21 @@ def test_eval_reports_refined_value(capsys):
     assert payload["terms"] == 300**2
 
 
-def test_convergence_gate_exit_codes(capsys, tmp_path):
+def test_convergence_gate_exit_codes(capsys, monkeypatch, tmp_path):
     path = tmp_path / "thin.json"
     path.write_text('{"h": [1, 1], "k": [1], "y": ["0", "0"], "A": [[1, 2]]}')
+    # a refused run creates no output directory
+    monkeypatch.setenv("MDZETA_OUTPUT_DIR", str(tmp_path / "reports"))
     for argv in (
         ["eval", "--spec", str(path), "--M", "50"],
         ["verify", "--spec", str(path), "--M", "50", "--M-outer", "50"],
+        ["reduce", "--spec", str(path), "--M", "50", "--M-outer", "50"],
     ):
         code, _, err = _run(capsys, argv)
         assert code == 2
         assert "convergence not established" in err
+    assert not (tmp_path / "reports").exists()
+    monkeypatch.delenv("MDZETA_OUTPUT_DIR")
     code, out, _ = _run(
         capsys,
         ["validate", "--spec", str(path), "--assert-convergence", "--output", "json"],
@@ -211,14 +216,63 @@ def test_selftest_fails_on_a_wrong_geometric_factor(capsys, monkeypatch):
 
 def test_output_dir_mirrors_stdout_report(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MDZETA_OUTPUT_DIR", str(tmp_path))
-    code, out, _ = _run(
-        capsys,
-        ["verify", "--spec", MT_PATH, "--M", "120", "--M-outer", "120",
-         "--tol", "1e-2", "--output", "json"],
+    boxes = ["--M", "120", "--M-outer", "120"]
+    for command, options in (
+        ("validate", []),
+        ("eval", ["--M", "120"]),
+        ("verify", [*boxes, "--tol", "1e-2"]),
+        ("reduce", boxes),
+    ):
+        code, out, _ = _run(capsys, [command, "--spec", MT_PATH, *options, "--output", "json"])
+        assert code == 0
+        written = (tmp_path / f"{command}_report.json").read_text(encoding="utf-8")
+        assert written == out
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("summation started")
+
+
+@pytest.mark.parametrize("command", ["validate", "eval", "verify", "reduce"])
+def test_unusable_output_dir_exits_2_before_any_work(capsys, monkeypatch, tmp_path, command):
+    for name in ("zeta_direct", "zeta_refined", "rhs_total", "term_T", "verify_parity"):
+        monkeypatch.setattr(evaluator, name, _no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    argv = [command, "--spec", MT_PATH] + {"validate": [], "eval": ["--M", "20"]}.get(
+        command, ["--M", "20", "--M-outer", "20"]
     )
-    assert code == 0
-    written = (tmp_path / "verify_report.json").read_text(encoding="utf-8")
-    assert written == out
+    for outdir in (taken, taken / "below"):
+        monkeypatch.setenv("MDZETA_OUTPUT_DIR", str(outdir))
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert taken.read_text() == "a file"
+
+
+def test_spec_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'\xff\xfe{"h": [1]}')
+    code, out, err = _run(capsys, ["validate", "--spec", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "data, argv",
+    [
+        ({"h": [170], "k": [1], "y": ["0"], "A": [[1]]},
+         ["verify", "--M", "10", "--M-outer", "10"]),
+        ({"h": [90, 90], "k": [1], "y": ["0", "0"], "A": [[1, 1]]},
+         ["reduce", "--M", "3", "--M-outer", "2"]),
+    ],
+)
+def test_bernoulli_orders_past_float_range_exit_2(capsys, tmp_path, data, argv):
+    path = tmp_path / "high_order.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run(capsys, [*argv, "--spec", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: Bernoulli order") and err.count("\n") == 1
 
 
 def test_threads_option_is_gone(capsys):
@@ -405,6 +459,8 @@ def test_uncancelled_pole_exits_2_with_one_error_line(capsys, monkeypatch, tmp_p
         return quotient, remainder + 1.0
 
     monkeypatch.setattr(mpseries, "divide_linear", leaky)
+    # both commands fail before any direct sum
+    monkeypatch.setattr(evaluator, "zeta_refined", _no_work)
     path = _steep_pole_spec(tmp_path, entry)
     code, out, err = _run(capsys, [command, "--spec", path, "--M", "20", "--M-outer", "20"])
     assert code == 2 and out == ""

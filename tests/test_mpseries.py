@@ -113,6 +113,14 @@ def test_memoised_bernoulli_values_equal_the_sum():
             assert (got.real.hex(), got.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
+def test_bernoulli_orders_past_float_range_are_refused():
+    # 170! is the largest factorial a float holds
+    top = mpseries.bernoulli_coefficients(170, Fraction(1, 3))[-1]
+    assert math.isfinite(top.real) and math.isfinite(top.imag) and top != 0
+    with pytest.raises(mpseries.OrderPastFloatRange, match="Bernoulli order 171"):
+        mpseries.bernoulli_coefficients(171, 0)
+
+
 def test_two_pi_i_power_keeps_axis_exact():
     assert two_pi_i_power(0) == 1
     assert two_pi_i_power(2).imag == 0.0

@@ -10,7 +10,10 @@ coset-averaged Bernoulli-polynomial factors (for members of B) times
 geometric factors -t_g/(d_g - L_g(t)) (for the rest).  Whenever some d_g
 vanishes the per-basis terms are singular while the sum is not; those
 tuples are assembled over a common denominator of primitive linear forms
-and resolved by exact truncated division with a remainder check.
+and resolved by exact truncated division with a remainder check, in a
+space that widens only the pivot variables of the forms divided out.  A
+numerator whose terms cancel past what float precision lets the
+remainder check read is refused.
 """
 
 from __future__ import annotations
@@ -35,6 +38,14 @@ from .phase import unit_phase
 # noise the matrix products leave where bases cancel, and below any
 # coefficient the data resolve (1e-11 of the terms is kept).
 _CANCELLED = 1e-13
+
+# A singular numerator is trusted to _ROUNDINGS roundings of its largest
+# summed magnitude (max over keys of the sum over bases of |term|).  Where
+# that error could reach the remainder threshold, the check cannot tell a
+# pole that cancels from one that does not, so the row is refused.  The
+# bundled specs, random_mixed and A = [[1, e]], e <= 200, sum at most 153
+# times their largest coefficient.
+_ROUNDINGS = 100
 
 
 def build_lambda(spec: SeriesSpec, ctx: SubsetContext) -> tuple[tuple[int, ...], ...]:
@@ -278,7 +289,12 @@ class GeneratingFunctionPlan:
         singular factors -t_g/(0 - L_g) become t_g/(scale * primitive form),
         and it is multiplied by the primitive forms it lacks, so the
         numerator is a polynomial to be divided by every form at its largest
-        multiplicity, in a space wide enough for the full simplex.
+        multiplicity.  The total cap widens by those multiplicities, and so
+        does the cap of each form's pivot (mpseries.pivot), as division
+        needs; every other variable keeps the plan's cap.  A quotient key
+        reads only numerator keys with no more of a non-pivot variable than
+        it has, and products only raise exponents, so keys past a
+        non-pivot cap never feed a key of the plan's space.
         """
         if pattern in self._tables_cache:
             return self._tables_cache[pattern]
@@ -295,7 +311,8 @@ class GeneratingFunctionPlan:
             for form, mult in cnt.items():
                 max_mult[form] = max(max_mult.get(form, 0), mult)
         total_cap = self.total_cap + sum(max_mult.values())
-        caps = (total_cap,) * len(self.variables) if pattern else self.caps
+        pivots = {mpseries.pivot(form) for form in max_mult}
+        caps = tuple(total_cap if v in pivots else c for v, c in enumerate(self.caps))
         space = mpseries.dense_space(caps, total_cap)
         bprods, geometric = [], []
         for bi, rows in enumerate(self._bernoulli_products(space)):
@@ -335,8 +352,7 @@ class GeneratingFunctionPlan:
         dnum = tuples @ self._d_rows
         if np.all(dnum):
             return self._assemble_regular(tuples, dnum)
-        patterns, inverse = np.unique(dnum == 0, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
+        patterns, inverse = group_rows(dnum == 0)
         out = np.empty((len(tuples), self.space.size), dtype=complex)
         for p, pattern in enumerate(patterns):
             rows = np.flatnonzero(inverse == p)
@@ -358,8 +374,9 @@ class GeneratingFunctionPlan:
         row = np.array([[m_outer[j] for j in self.ctx.Jbar]], dtype=np.int64)
         return self.evaluate_batch(row)[0]
 
-    def _numerator(self, tables, tuples, dnum) -> np.ndarray:
-        """Sum over bases of coset sum times the geometric factors, per row.
+    def _numerator(self, tables, tuples, dnum) -> tuple[np.ndarray, np.ndarray]:
+        """Sum over bases of coset sum times the geometric factors, per row,
+        and per row the largest magnitude summed into one of its parts.
 
         Real and imaginary parts that cancel between bases to within
         rounding (_CANCELLED of their summed magnitudes) are set to an exact
@@ -378,17 +395,27 @@ class GeneratingFunctionPlan:
             scale += np.abs(term.view(float).reshape(scale.shape))
         parts = total.view(float).reshape(scale.shape)
         parts[np.abs(parts) <= _CANCELLED * scale] = 0.0
-        return total
+        return total, scale.max(axis=(1, 2), initial=0.0)
 
     def _assemble_regular(self, tuples, dnum) -> np.ndarray:
-        return self._numerator(self._tables(frozenset()), tuples, dnum)
+        return self._numerator(self._tables(frozenset()), tuples, dnum)[0]
 
     def _assemble_singular(self, pattern, tuples, dnum) -> np.ndarray:
         tables = self._tables(pattern)
-        numer = self._numerator(tables, tuples, dnum)
+        numer, magnitude = self._numerator(tables, tuples, dnum)
         # per row: a pole cancels when what division leaves is negligible
-        # against that row's own numerator
-        threshold = 1e-8 * np.maximum(1.0, np.abs(numer).max(axis=1))
+        # against that row's own numerator, and the numerator is precise
+        # enough for that to be read
+        largest = np.maximum(1.0, np.abs(numer).max(axis=1))
+        threshold = 1e-8 * largest
+        bad = np.flatnonzero(2.0**-52 * _ROUNDINGS * magnitude > threshold)
+        if bad.size:
+            raise SingularConfiguration(
+                f"numerator cancels past float precision (terms up to "
+                f"{magnitude[bad[0]]:.3e} for coefficients up to {largest[bad[0]]:.3e}), so its "
+                f"poles cannot be checked, for J = {self.ctx.J}, outer tuple "
+                f"{dict(zip(self.ctx.Jbar, tuples[bad[0]].tolist()))}"
+            )
         for form, mult in tables.forms:
             for _ in range(mult):
                 numer, leftover = mpseries.divide_linear(tables.space, numer, form)
@@ -401,6 +428,19 @@ class GeneratingFunctionPlan:
                         f"{dict(zip(self.ctx.Jbar, tuples[bad[0]].tolist()))}"
                     )
         return numer[:, tables.narrow]
+
+
+def group_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows, index of each row's) of a (B, P) boolean array, as
+    np.unique(flags, axis=0, return_inverse=True) gives them.
+
+    Each row is packed into bits and read as one fixed-width byte string,
+    so a 1-D unique sorts them in the same lexicographic order.
+    """
+    packed = np.ascontiguousarray(np.packbits(flags, axis=1))
+    codes = packed.view(f"S{packed.shape[1]}").ravel()
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    return flags[first], inverse.ravel()
 
 
 @dataclass(frozen=True)

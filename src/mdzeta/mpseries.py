@@ -3,8 +3,9 @@
 A space is a per-variable degree cap and a total-degree cap.  DenseSpace
 holds a batch of series in one space as a (B, N) complex array over the
 space's admissible keys and multiplies it by a linear form; divide_linear
-divides a batch exactly by an integer linear form, which is what makes
-removable singularities computable.  With per-row scalars and matrix
+divides a batch exactly by an integer linear form, in any space whose
+pivot variable has the total cap, which is what makes removable
+singularities computable.  With per-row scalars and matrix
 products these are all the series algebra the generating-function layer
 needs to build its tables and to evaluate many outer tuples at once.  The
 module also carries the exact Bernoulli numbers and polynomials behind the
@@ -19,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .model import WORK_BUDGET
 
 
 class SeriesError(ValueError):
@@ -136,6 +139,20 @@ def bernoulli_coefficients(nmax: int, offset) -> list[complex]:
 # ------------------------------------------------------------ dense batches
 
 
+def pivot(form) -> int:
+    """The pivot of division by a linear form: its variable of largest
+    |weight|, the first such."""
+    return max(range(len(form)), key=lambda i: abs(form[i]))
+
+
+def key_count(caps, total_cap) -> int:
+    """The number of keys of the (caps, total_cap) space, by a DP over the caps."""
+    ways = [1] + [0] * total_cap  # ways[s]: keys over the caps so far of total s
+    for c in caps:
+        ways = [sum(ways[max(0, s - c):s + 1]) for s in range(total_cap + 1)]
+    return sum(ways)
+
+
 class DenseSpace:
     """The admissible keys of a (caps, total_cap) space, lexicographically.
 
@@ -146,12 +163,19 @@ class DenseSpace:
     2 * max cap + 1, which increase with the lexicographic order and stay
     distinct for sums of two keys.  The O(N) shift and division index
     arrays depend only on the space, so dense_space() shares one instance
-    per space.
+    per space.  A space of more than WORK_BUDGET entries in its key array
+    is refused before any key is built.
     """
 
     def __init__(self, caps: tuple[int, ...], total_cap: int):
         if any(c < 0 for c in caps) or total_cap < 0:
             raise SeriesError("negative cap")
+        count = key_count(caps, total_cap)
+        if count * len(caps) > WORK_BUDGET:
+            raise SeriesError(
+                f"series space of {count} keys over {len(caps)} variables is over "
+                f"the work budget of {WORK_BUDGET}"
+            )
         self.caps = caps
         self.total_cap = total_cap
         radix = 2 * max(caps, default=0) + 1
@@ -206,37 +230,43 @@ class DenseSpace:
     def _division_steps(self, form: tuple[int, ...]):
         """Index arrays of division by the integer form, cached per form.
 
-        Returns (pivot weight, free columns, levels).  The pivot p is the
-        variable of largest |weight| (the first such), so every other
-        weight is at most the one divided by and the rounding of one level
-        is not amplified into the next.  Free columns are the keys without
-        t_p.  Levels run from the highest pivot exponent e down to 1; each
-        holds the columns of its keys, the columns of those keys minus e_p
-        (where the quotient goes), and per other variable i of nonzero
-        weight, in decreasing i: (w_i, the columns of key - e_p + e_i).
-        Only a full-simplex space (no cap below the total cap) is accepted,
-        and in one every key - e_p + e_i is a key of the space.
+        Returns (pivot weight, free columns, levels).  The pivot p is
+        pivot(form), so every other weight is at most the one divided by
+        and the rounding of one level is not amplified into the next.  Free
+        columns are the keys without t_p.  Levels run from the highest
+        pivot exponent e down to 1; each holds the columns of its keys, the
+        columns of those keys minus e_p (where the quotient goes), and per
+        other variable i of nonzero weight, in decreasing i: (w_i, the
+        level's entries whose key - e_p + e_i is in the space, the columns
+        of those keys).  The pivot's cap must be the total cap, so every
+        pivot exponent a key's total degree allows is there.  A move whose
+        target leaves the space is dropped: it raises t_i past its cap, and
+        the quotient at a key reads only keys with no more t_i than it has.
         """
         if form not in self._division_cache:
             if not any(form):
                 raise SeriesError("division by the zero form")
-            if any(c < self.total_cap for c in self.caps):
-                raise CapExceeded("division needs the full homogeneous simplex; widen the space")
-            pivot = max(range(len(form)), key=lambda i: abs(form[i]))
-            others = [i for i in range(len(form) - 1, -1, -1) if form[i] and i != pivot]
+            p = pivot(form)
+            if self.caps[p] < self.total_cap:
+                raise CapExceeded(
+                    "division needs the pivot's cap at the total cap; widen the space"
+                )
+            others = [i for i in range(len(form) - 1, -1, -1) if form[i] and i != p]
             levels = []
-            for e in range(int(self.keys[:, pivot].max(initial=0)), 0, -1):
-                src = np.flatnonzero(self.keys[:, pivot] == e)
+            for e in range(int(self.keys[:, p].max(initial=0)), 0, -1):
+                src = np.flatnonzero(self.keys[:, p] == e)
                 qkeys = self.keys[src]
-                qkeys[:, pivot] -= 1
+                qkeys[:, p] -= 1
                 moves = []
                 for i in others:
                     shifted = qkeys.copy()
                     shifted[:, i] += 1
-                    moves.append((form[i], self.locate(shifted)))
+                    inside = shifted[:, i] <= self.caps[i]
+                    rows = slice(None) if inside.all() else np.flatnonzero(inside)
+                    moves.append((form[i], rows, self.locate(shifted[rows])))
                 levels.append((src, self.locate(qkeys), moves))
-            free = np.flatnonzero(self.keys[:, pivot] == 0)
-            self._division_cache[form] = (form[pivot], free, levels)
+            free = np.flatnonzero(self.keys[:, p] == 0)
+            self._division_cache[form] = (form[p], free, levels)
         return self._division_cache[form]
 
 
@@ -251,14 +281,15 @@ def divide_linear(space: DenseSpace, numer: np.ndarray, form) -> tuple[np.ndarra
 
     Returns (quotient batch, per-row remainder bound: the largest coefficient
     magnitude that could not be divided out, 0.0 for an exact multiple).
-    The space must be a full simplex (see DenseSpace._division_steps).  The
-    whole batch is divided level by level in the exponent of the pivot t_p,
-    the variable of largest |weight|, highest first: a key's quotient is its
-    coefficient over w_p, and w_i times that quotient is taken off the key
-    one t_p lower and one t_i higher, one level down, for every other
-    variable t_i.  Keys at one level never feed each other, and each
-    subtraction is one gather over the batch, so memory is O(B * N) for any
-    batch size.  What is left on the keys free of t_p is the remainder.
+    The pivot's cap must be the space's total cap; the other variables may
+    keep smaller caps (see DenseSpace._division_steps).  The whole batch is
+    divided level by level in the exponent of the pivot t_p, highest first:
+    a key's quotient is its coefficient over w_p, and w_i times that
+    quotient is taken off the key one t_p lower and one t_i higher, one
+    level down, for every other variable t_i whose cap that key keeps.
+    Keys at one level never feed each other, and each subtraction is one
+    gather over the batch, so memory is O(B * N) for any batch size.  What
+    is left on the keys of the space free of t_p is the remainder.
     """
     pivot_weight, free, levels = space._division_steps(tuple(int(w) for w in form))
     work = np.array(numer, dtype=complex)
@@ -268,8 +299,8 @@ def divide_linear(space: DenseSpace, numer: np.ndarray, form) -> tuple[np.ndarra
         level.real /= pivot_weight  # each part on its own, as complex / int does
         level.imag /= pivot_weight
         quotient[:, qcols] = level
-        for weight, targets in moves:
-            work[:, targets] -= weight * level
+        for weight, rows, targets in moves:
+            work[:, targets] -= weight * level[:, rows]
     left = work[:, free]
     # hypot, as abs() of a Python complex; np.abs differs in the last bit
     return quotient, np.hypot(left.real, left.imag).max(axis=1, initial=0.0)

@@ -184,17 +184,19 @@ def divide_linear(numer: MultiSeries, weights) -> tuple[MultiSeries, float]:
     Returns (quotient, remainder_bound): the largest coefficient magnitude
     that could not be divided out (0.0 for an exact multiple).  The pivot is
     the variable of largest |weight| (the first such), as in
-    mpseries.divide_linear, and the space must be a full simplex.  Works
-    slice by slice in total degree; within a slice, monomials are consumed
-    in decreasing (pivot exponent, key) order, which strictly decreases at
-    each reduction step, so the loop terminates.
+    mpseries.divide_linear, and its cap must be the total cap.  A reduction
+    step that would raise another variable past its cap is dropped, as
+    mpseries.divide_linear drops the move.  Works slice by slice in total
+    degree; within a slice, monomials are consumed in decreasing (pivot
+    exponent, key) order, which strictly decreases at each reduction step,
+    so the loop terminates.
     """
     vec = tuple(int(weights.get(name, 0)) for name in numer.variables)
     if all(w == 0 for w in vec):
         raise SeriesError("division by the zero form")
-    if any(c < numer.total_cap for c in numer.caps):
-        raise CapExceeded("division needs the full homogeneous simplex; widen the space")
     pivot = max(range(len(vec)), key=lambda i: abs(vec[i]))
+    if numer.caps[pivot] < numer.total_cap:
+        raise CapExceeded("division needs the pivot's cap at the total cap; widen the space")
 
     def order(key):  # smallest heap entry = largest (pivot exponent, key)
         return (-key[pivot],) + tuple(-e for e in key)
@@ -223,7 +225,7 @@ def divide_linear(numer: MultiSeries, weights) -> tuple[MultiSeries, float]:
             qkey = tuple(e - 1 if i == pivot else e for i, e in enumerate(key))
             quotient[qkey] = quotient.get(qkey, 0j) + q
             for i, w in enumerate(vec):
-                if w == 0 or i == pivot:
+                if w == 0 or i == pivot or qkey[i] == numer.caps[i]:
                     continue
                 nk = tuple(e + 1 if j == i else e for j, e in enumerate(qkey))
                 if nk in active:

@@ -5,11 +5,11 @@ integral on a roots-of-unity grid, exact lattice membership through the
 integer dual, Leibniz determinants and Cramer duals, the rho-directed
 fractional part, a generating-function plan's exact data in Fractions from
 the definitions, its tables built with the dict series algebra of
-dictseries, the tuples of a shell of a box and the shells of an outer sum
-summed one tuple at a time, the dict series truncation, geometric factor and
-full phase table that the library itself no longer needs, the family Lambda
-with its outer tuple frozen, and the box partial sum over Z^m that the
-distribution value is the limit of."""
+dictseries, G assembled over the full simplex, the tuples of a shell of
+a box and the shells of an outer sum summed one tuple at a time, the dict
+series truncation, geometric factor and full phase table that the library
+itself no longer needs, the family Lambda with its outer tuple frozen, and
+the box partial sum over Z^m that the distribution value is the limit of."""
 
 from __future__ import annotations
 
@@ -239,15 +239,9 @@ def reference_plan_data(plan):
     return out
 
 
-def reference_tables(plan, pattern):
-    """The tables of plan._tables(pattern), built with dict series algebra.
-
-    Every Bernoulli product and fixed singular factor is a series_mul of
-    MultiSeries, read into the dense space at the end; each L_g is a
-    linear_form read back at the keys of the single variables.  Returns
-    (space, bprods, geometric, forms) in the layout of _Tables.
-    """
-    variables = plan.variables
+def _pattern_forms(plan, pattern):
+    """(singular pairs, per basis its primitive singular forms with their
+    multiplicities, each form's largest multiplicity) of a pattern."""
     singular = {plan.pairs[k] for k in pattern}
     per_basis, max_mult = [], {}
     for bi in range(len(plan.bases)):
@@ -259,8 +253,25 @@ def reference_tables(plan, pattern):
         per_basis.append(cnt)
         for form, mult in cnt.items():
             max_mult[form] = max(max_mult.get(form, 0), mult)
+    return singular, per_basis, max_mult
+
+
+def reference_tables(plan, pattern):
+    """The tables of plan._tables(pattern), built with dict series algebra.
+
+    A singular pattern's space has the widened total cap, and so does the
+    cap of each form's pivot, its variable of largest |weight| (the first
+    such); every other variable keeps the plan's cap.  Every Bernoulli
+    product and fixed singular factor is a series_mul of MultiSeries, read
+    into the dense space at the end; each L_g is a linear_form read back at
+    the keys of the single variables.  Returns (space, bprods, geometric,
+    forms) in the layout of _Tables.
+    """
+    variables = plan.variables
+    singular, per_basis, max_mult = _pattern_forms(plan, pattern)
     total_cap = plan.total_cap + sum(max_mult.values())
-    caps = (total_cap,) * len(variables) if pattern else plan.caps
+    pivots = {max(range(len(form)), key=lambda i: abs(form[i])) for form in max_mult}
+    caps = tuple(total_cap if v in pivots else c for v, c in enumerate(plan.caps))
     space = mpseries.dense_space(caps, total_cap)
 
     def linear(weights):
@@ -303,6 +314,55 @@ def reference_tables(plan, pattern):
         bprods.append(np.array(rows))
         geometric.append(tuple(regular))
     return space, bprods, tuple(geometric), tuple(max_mult.items())
+
+
+def full_simplex_batch(plan, tuples) -> np.ndarray:
+    """G for a batch of outer tuples, each singular pattern assembled over
+    the full simplex: every variable capped at the widened total cap.
+
+    The tables are built densely as plan._tables builds them, in the larger
+    space; the numerator is plan._numerator's, divided there by every form
+    with mpseries.divide_linear, and a remainder over 1e-8 of the row's
+    numerator raises SingularConfiguration.  No precision check is made.
+    Returns the rows over plan.space, as plan.evaluate_batch does.
+    """
+    tuples = np.asarray(tuples, dtype=np.int64)
+    dnum = tuples @ plan._d_rows
+    out = np.empty((len(tuples), plan.space.size), dtype=complex)
+    patterns, inverse = np.unique(dnum == 0, axis=0, return_inverse=True)
+    for p, flags in enumerate(patterns):
+        rows = np.flatnonzero(inverse.ravel() == p)
+        pattern = frozenset(np.flatnonzero(flags).tolist())
+        if not pattern:
+            out[rows] = plan._assemble_regular(tuples[rows], dnum[rows])
+            continue
+        singular, per_basis, max_mult = _pattern_forms(plan, pattern)
+        total_cap = plan.total_cap + sum(max_mult.values())
+        space = mpseries.dense_space((total_cap,) * len(plan.variables), total_cap)
+        bprods = []
+        for bi, table in enumerate(plan._bernoulli_products(space)):
+            scale = Fraction(1)
+            for gpos in plan.complements[bi]:
+                if (bi, gpos) in singular:
+                    table = space.mul_linear(table, plan._unit_key(gpos))
+                    scale /= plan.l_normal[bi][gpos][1]
+            for form, mult in max_mult.items():
+                for _ in range(mult - per_basis[bi].get(form, 0)):
+                    table = space.mul_linear(table, form)
+            bprods.append(table * float(scale))
+        tables = genfun._Tables(
+            space, bprods, plan._tables(pattern).geometric, tuple(max_mult.items()),
+            space.locate(plan.space.keys),
+        )
+        numer = plan._numerator(tables, tuples[rows], dnum[rows])[0]
+        threshold = 1e-8 * np.maximum(1.0, np.abs(numer).max(axis=1))
+        for form, mult in tables.forms:
+            for _ in range(mult):
+                numer, leftover = mpseries.divide_linear(space, numer, form)
+                if np.any(leftover > threshold):
+                    raise mpseries.SingularConfiguration(f"pole along {form} does not cancel")
+        out[rows] = numer[:, tables.narrow]
+    return out
 
 
 def shell_array(f: int, n: int) -> np.ndarray:

@@ -70,12 +70,16 @@ def test_geometric_factor_matches_series_mul(data):
 def test_batched_division_matches_divide_linear(data):
     # mpseries.divide_linear on a batch against the dict division of each row
     # every batch takes the same path, with fewer rows than the space has
-    # keys or more; outside the full simplex division may need a missing key
+    # keys or more; half the draws widen the pivot's cap to the total cap,
+    # so the other variables may keep smaller caps and moves leave the space
     variables, caps, total = data.draw(spaces(full_simplex=data.draw(st.booleans())))
-    space = dense_space(caps, total)
     form = data.draw(
         st.tuples(*[st.integers(-3, 3)] * len(variables)).filter(lambda t: any(t))
     )
+    if data.draw(st.booleans()):
+        pivot = mpseries.pivot(form)
+        caps = tuple(total if i == pivot else c for i, c in enumerate(caps))
+    space = dense_space(caps, total)
     weights = dict(zip(variables, form))
     for rows in (data.draw(st.integers(1, 3)), space.size + data.draw(st.integers(1, 3))):
         numer = _batch(data.draw, space, rows)
@@ -94,24 +98,57 @@ def test_batched_division_matches_divide_linear(data):
 
 
 def test_batched_division_refuses_where_divide_linear_does():
-    # caps (1, 1), total 2 is no full simplex: both divisions refuse it, even
-    # for a multiple of the form; the simplex of caps (2, 2) is accepted
-    variables, space = ("a", "b"), dense_space((1, 1), 2)
-    divisible = ds.to_dense(space, ds.linear_form({"a": 1, "b": 1}, variables, (1, 1), 2))
+    # in caps (1, 2), total 2 the pivot of a + b (a, the first of largest
+    # |weight|) has a cap below the total cap: both divisions refuse it, even
+    # for a multiple of the form; a + 2b pivots on b, whose cap is the total
+    # cap, and is accepted with a's cap left at 1
+    variables, space = ("a", "b"), dense_space((1, 2), 2)
+    divisible = ds.to_dense(space, ds.linear_form({"a": 1, "b": 1}, variables, (1, 2), 2))
     with pytest.raises(CapExceeded):
         ds.divide_linear(ds.from_dense(space, variables, divisible), {"a": 1, "b": 1})
     with pytest.raises(CapExceeded):
         mpseries.divide_linear(space, np.array([divisible]), (1, 1))
-    simplex = dense_space((2, 2), 2)
-    divisible = ds.to_dense(simplex, ds.linear_form({"a": 1, "b": 1}, variables, (2, 2), 2))
-    quotient, remainder = mpseries.divide_linear(simplex, np.array([divisible]), (1, 1))
-    assert quotient[0].tolist() == [1] + [0] * (simplex.size - 1) and remainder.tolist() == [0.0]
+    divisible = ds.to_dense(space, ds.linear_form({"a": 1, "b": 2}, variables, (1, 2), 2))
+    quotient, remainder = mpseries.divide_linear(space, np.array([divisible]), (1, 2))
+    assert quotient[0].tolist() == [1] + [0] * (space.size - 1) and remainder.tolist() == [0.0]
 
 
 def test_batched_division_rejects_the_zero_form():
     space = dense_space((2, 2), 2)
     with pytest.raises(mpseries.SeriesError, match="zero form"):
         mpseries.divide_linear(space, np.ones((2, space.size), dtype=complex), (0, 0))
+
+
+@pytest.mark.parametrize("pairs", [6, 70])
+def test_pattern_grouping_matches_unique_rows(pairs):
+    # group_rows packs each row into bits; its groups, their order and the
+    # inverse are np.unique(axis=0)'s, with rows that differ only in their
+    # last flag and the all-false (regular) row among them
+    rng = np.random.default_rng(pairs)
+    pool = rng.random((5, pairs)) < 0.3
+    pool[0, 0] = True
+    pool[1] = pool[0]
+    pool[1, -1] = not pool[0, -1]
+    pool[2] = False
+    flags = pool[rng.integers(0, len(pool), 256)]
+    want_rows, want_inverse = np.unique(flags, axis=0, return_inverse=True)
+    rows, inverse = genfun.group_rows(flags)
+    assert np.array_equal(rows, want_rows) and len(rows) >= 3
+    assert np.array_equal(inverse, want_inverse.ravel())
+
+
+@pytest.mark.parametrize(
+    "caps, total", [((), 0), ((0,), 3), ((2, 1), 2), ((3, 3, 1), 4), ((5, 1, 5, 2), 6)]
+)
+def test_key_count_is_the_space_size(caps, total):
+    assert mpseries.key_count(caps, total) == dense_space(caps, total).size
+
+
+def test_space_over_the_work_budget_is_refused_before_it_is_built():
+    # C(38, 8) = 48 903 492 keys over 8 variables: counted, never enumerated
+    assert mpseries.key_count((30,) * 8, 30) == math.comb(38, 8)
+    with pytest.raises(mpseries.SeriesError, match="over the work budget"):
+        mpseries.DenseSpace((30,) * 8, 30)
 
 
 def test_dense_space_is_shared_per_space():
@@ -213,11 +250,12 @@ def test_pole_check_is_relative_to_each_row(monkeypatch):
     numerator = plan._numerator
 
     def doctored(tables, rows, d):
-        numer = numerator(tables, rows, d)
+        numer, magnitude = numerator(tables, rows, d)
         numer[0] *= 1e6  # a large row, still divisible
+        magnitude[0] *= 1e6
         # an indivisible constant term, small only against the large row
         numer[1, 0] += 1e-6 * max(1.0, np.abs(numer[1]).max())
-        return numer
+        return numer, magnitude
 
     monkeypatch.setattr(plan, "_numerator", doctored)
     with pytest.raises(SingularConfiguration, match=r"outer tuple \{2: 2\}"):

@@ -467,6 +467,32 @@ def test_uncancelled_pole_exits_2_with_one_error_line(capsys, monkeypatch, tmp_p
     assert err.startswith("error: pole along") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "reduce"])
+def test_numerator_past_float_precision_exits_2(capsys, monkeypatch, tmp_path, command):
+    # J = {1} sums bases whose d_g are -188 and 1: at m = 1 its terms reach
+    # 8.8e13 for coefficients of 2, so no remainder check can be read there
+    path = tmp_path / "cancelling.json"
+    path.write_text(json.dumps({"h": [3, 3], "k": [1, 3], "y": ["0", "0"],
+                                "A": [[188, 1], [2, 0]]}))
+    monkeypatch.setattr(evaluator, "zeta_refined", _no_work)
+    code, out, err = _run(capsys, [command, "--spec", str(path), "--M", "20", "--M-outer", "20",
+                                   "--assert-convergence"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: numerator cancels past float precision")
+    assert err.count("\n") == 1
+
+
+def test_series_space_over_the_work_budget_exits_2(capsys, tmp_path):
+    # J = {1, 2, 3, 4} of the 4x4 identity divides in a space of 4.0 M keys
+    # over 8 variables; it is counted and refused before it is built
+    path = tmp_path / "identity4.json"
+    path.write_text(json.dumps({"h": [3] * 4, "k": [3] * 4, "y": ["0"] * 4,
+                                "A": [[int(i == j) for j in range(4)] for i in range(4)]}))
+    code, out, err = _run(capsys, ["reduce", "--spec", str(path), "--M", "3", "--M-outer", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: series space of") and err.count("\n") == 1
+
+
 def test_twist_denominator_beyond_int64_evaluates(capsys, tmp_path):
     # q = 10^23 > M: the twist table is e(m y) for m = 0..M, never m mod q
     path = tmp_path / "big_twist.json"

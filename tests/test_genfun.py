@@ -242,10 +242,10 @@ def steep_instances(draw):
 def test_singular_path_on_steep_forms(spec):
     # J = {1, 2} divides by forms with a weight of up to 200 (and J = {1} or
     # {2} too when a form misses the other variable).  On A = [[1, e]] every
-    # pole cancels; elsewhere the remainder check may still refuse (for
-    # h = [3, 3], k = [1, 3], A = [[188, 1], [2, 0]], J = {1} the numerator
-    # itself is off by 4e-6).  Subsets of more than 2000 coset
-    # representatives are skipped for time.
+    # pole cancels; elsewhere the singular path may still refuse (for
+    # h = [3, 3], k = [1, 3], A = [[188, 1], [2, 0]], J = {1} the numerator's
+    # terms cancel past float precision; test_cli pins that refusal).
+    # Subsets of more than 2000 coset representatives are skipped for time.
     family = len(spec.A) == 1 and spec.A[0][0] == 1
     tuples = np.array([[1], [2], [3]], dtype=np.int64)
     for J in model.nonempty_subsets(spec.r):

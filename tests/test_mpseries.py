@@ -395,9 +395,17 @@ def test_divide_linear_reports_remainder():
 
 
 def test_divide_linear_needs_full_simplex():
-    numer = monomial(("a", "b"), (1, 0), (1, 0))
+    # only the pivot, the variable of largest |weight|, needs the total cap:
+    # a - 2b pivots on b, so (a - 2b) b divides in caps (1, 2), total 2
+    numer = monomial(("a", "b"), (1, 2), (1, 0), total_cap=2)
     with pytest.raises(CapExceeded):
-        divide_linear(numer, {"a": 1, "b": -1})
+        divide_linear(numer, {"a": 2, "b": -1})
+    numer = series_add(
+        monomial(("a", "b"), (1, 2), (1, 1), total_cap=2),
+        monomial(("a", "b"), (1, 2), (0, 2), value=-2.0, total_cap=2),
+    )
+    quot, rem = divide_linear(numer, {"a": 1, "b": -2})
+    assert rem == 0.0 and quot.coeffs == {(0, 1): 1 + 0j}
 
 
 def test_divide_linear_rejects_zero_form():

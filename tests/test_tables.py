@@ -113,6 +113,42 @@ def test_plan_exact_data_match_the_fraction_reference(spec):
             ]
 
 
+def _check_against_full_simplex(plan, size):
+    # the cut space is exact: G at every reached pattern is the full
+    # simplex's, row by row, to rounding
+    tuples = _outer_tuples(plan, size)
+    got = plan.evaluate_batch(tuples)
+    want = helpers.full_simplex_batch(plan, tuples)
+    assert got.shape == want.shape
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w), initial=0.0) <= 1e-14 * np.max(np.abs(w), initial=0.0)
+
+
+@pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")), ids=lambda p: p.stem)
+def test_cut_space_matches_the_full_simplex_on_bundled_specs(path):
+    spec = model.load_spec(str(path))
+    for J in model.nonempty_subsets(spec.r):
+        _check_against_full_simplex(genfun.GeneratingFunctionPlan(spec, J), 8)
+
+
+@given(instances())
+def test_cut_space_matches_the_full_simplex(spec):
+    for J in model.nonempty_subsets(spec.r):
+        _check_against_full_simplex(genfun.GeneratingFunctionPlan(spec, J), 8)
+
+
+def test_singular_spaces_widen_only_the_pivots():
+    # root_a2: J = {1} divides by t1 - t4 (pivot t1), J = {1, 2} by forms
+    # pivoting on t1, t2 and t3; t4 and t5 keep their plan caps of 1
+    spec = model.load_spec(str(SPECS / "root_a2.json"))
+    for J, caps, size in (((1,), (4, 1, 1), 16), ((1, 2), (11, 11, 11, 1, 1), 1156)):
+        plan = genfun.GeneratingFunctionPlan(spec, J)
+        tuples = _outer_tuples(plan, 8)
+        (pattern,) = _patterns(plan, tuples) - {frozenset()}
+        space = plan._tables(pattern).space
+        assert (space.caps, space.size) == (caps, size)
+
+
 def test_untwisted_phases_skip_unit_phase_and_unique(monkeypatch):
     spec = model.load_spec(str(SPECS / "mt_r3.json"))
     plan = genfun.GeneratingFunctionPlan(spec, (1,))

@@ -9,24 +9,28 @@ Subcommands:
 
 Each subcommand but selftest runs one pre-flight, _prepare (load the spec;
 for a box, the work budget and the convergence gate; make MDZETA_OUTPUT_DIR),
-and one emitter, _emit (text, json or csv on stdout, and the JSON report to
-MDZETA_OUTPUT_DIR/<subcommand>_report.json when that is set).  reduce shows
-the report of verify's computation, evaluator.verify_parity, per term.
+and one emitter, _emit (the JSON report to
+MDZETA_OUTPUT_DIR/<subcommand>_report.json when that is set, then text, json
+or csv on stdout).  reduce shows the report of verify's computation,
+evaluator.verify_parity, per term.
 
 Exit codes: 0 success/pass, 1 fail, 2 invalid input, convergence not
 established or a reduced side that cannot be assembled, 3 inconclusive.
 A spec file that is missing, not UTF-8 or not valid JSON is invalid input,
-and so is an MDZETA_OUTPUT_DIR that cannot be made a directory.
+and so is an MDZETA_OUTPUT_DIR that cannot be made a directory or a report
+file in it that cannot be written.
 Box sizes --M and --M-outer below 1 are invalid input, and so are a --tol
 that is negative or not finite (nan, inf) and a negative --rho-variant.
 So are boxes over the work budget: more than WORK_BUDGET direct terms
 (M**r), direct form values (the largest row sum of A times M), or, for
 some subset J, coset representatives times outer tuples (the sum of
-|det B| over the bases B of Lambda_J, times M_outer**(r-|J|)).  A reduced
-side cannot be assembled when a pole does not cancel, the exact layer
-fails, or it needs a Bernoulli order past float range (above 170).
-Every exit 2 prints one error: line and no traceback; the pre-flight's
-refusals come before any summation and create nothing.
+|det B| over the bases B of Lambda_J, one genfun._Basis record each in
+the plan, times M_outer**(r-|J|)).  A reduced side cannot be assembled
+when a pole does not cancel, the exact layer fails, or it needs a
+Bernoulli order past float range (above 170).  Every refusal raises an
+exception that main turns into one error: line and exit 2, with nothing
+on stdout and no traceback; the pre-flight's refusals come before any
+summation and create nothing.
 """
 
 from __future__ import annotations
@@ -67,12 +71,8 @@ def _tolerance(value: str) -> float:
     return tol
 
 
-def _error(why) -> None:
-    print(f"error: {why}", file=sys.stderr)
-
-
 def _prepare(args, M: int | None = None, M_outer: int | None = None):
-    """(spec, convergence verdict), or None after one error: line.
+    """(spec, convergence verdict); every refusal raises SpecError.
 
     Loads the spec; for a box M (and M_outer) checks the work budget and
     gates on convergence; then makes MDZETA_OUTPUT_DIR.  A refused run has
@@ -80,29 +80,32 @@ def _prepare(args, M: int | None = None, M_outer: int | None = None):
     """
     try:
         spec = load_spec(args.spec)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, SpecError) as exc:
-        return _error(exc)
-    if M is not None and not _within_budget(spec, M, M_outer):
-        return None
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SpecError(exc) from exc
+    if M is not None:
+        _check_budget(spec, M, M_outer)
     verdict = convergence_check(spec, user_asserted=args.assert_convergence)
     if M is not None and not verdict.established:
-        return _error(f"convergence not established: {verdict.reason}")
+        raise SpecError(f"convergence not established: {verdict.reason}")
     try:
         if outdir := os.environ.get("MDZETA_OUTPUT_DIR"):
             os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
-        return _error(exc)
+        raise SpecError(exc) from exc
     return spec, verdict
 
 
 def _emit(command: str, payload: dict, fmt: str, text, csv) -> None:
-    """Print the report as fmt; with MDZETA_OUTPUT_DIR set, also write its JSON there."""
+    """Write the JSON report to MDZETA_OUTPUT_DIR when that is set, then print it as fmt."""
     report = json.dumps(payload, indent=2, sort_keys=True)
+    if outdir := os.environ.get("MDZETA_OUTPUT_DIR"):
+        try:
+            with open(os.path.join(outdir, f"{command}_report.json"), "w", encoding="utf-8") as fh:
+                fh.write(report + "\n")
+        except OSError as exc:
+            raise SpecError(exc) from exc
     for line in {"json": [report], "csv": csv}.get(fmt, text):
         print(line)
-    if outdir := os.environ.get("MDZETA_OUTPUT_DIR"):
-        with open(os.path.join(outdir, f"{command}_report.json"), "w", encoding="utf-8") as fh:
-            fh.write(report + "\n")
 
 
 def _ctext(z: complex, digits: int = 15) -> str:
@@ -116,47 +119,40 @@ def _spec_line(spec) -> str:
     )
 
 
-def _within_budget(spec, M: int, M_outer: int | None = None) -> bool:
-    """True when the boxes fit WORK_BUDGET; otherwise print why and return False."""
+def _check_budget(spec, M: int, M_outer: int | None = None) -> None:
+    """Raise SpecError when a box does not fit WORK_BUDGET."""
     if M**spec.r > WORK_BUDGET:
-        return _refuse(
-            f"--M {M} at r={spec.r} gives {M}^{spec.r} = {M**spec.r} direct terms"
-        )
+        raise _over_budget(f"--M {M} at r={spec.r} gives {M}^{spec.r} = {M**spec.r} direct terms")
     # the direct side tabulates 1/f^k for every form value f up to this
     values = spec.max_row_sum * M
     if values > WORK_BUDGET:
-        return _refuse(
+        raise _over_budget(
             f"--M {M} with a largest row sum of A of {spec.max_row_sum} gives "
             f"{values} direct form values"
         )
     if M_outer is None:
-        return True
+        return
     # the reduced side reads every coset representative of every basis of
     # Lambda_J at every outer tuple over Jbar; the count is known from the
     # basis determinants, before any coset is enumerated
     for J in nonempty_subsets(spec.r):
         count, outer = genfun.coset_count(spec, J), spec.r - len(J)
         if count * M_outer**outer > WORK_BUDGET:
-            return _refuse(
+            raise _over_budget(
                 f"--M-outer {M_outer} at J={set(J)} gives {count} coset representatives "
                 f"times {M_outer}^{outer} outer tuples = {count * M_outer**outer}"
             )
-    return True
 
 
-def _refuse(why: str) -> bool:
-    _error(f"{why}, over the work budget of {WORK_BUDGET}")
-    return False
+def _over_budget(why: str) -> SpecError:
+    return SpecError(f"{why}, over the work budget of {WORK_BUDGET}")
 
 
 # ----------------------------------------------------------------- validate
 
 
 def cmd_validate(args) -> int:
-    prepared = _prepare(args)
-    if prepared is None:
-        return 2
-    spec, verdict = prepared
+    spec, verdict = _prepare(args)
     text = [_spec_line(spec), "valid: yes", f"convergence: {verdict.status} ({verdict.reason})"]
     csv = ["field,value", "valid,yes", f"convergence,{verdict.status}"]
     _emit("validate", {**report_header(spec, verdict), "valid": True}, args.output, text, csv)
@@ -167,10 +163,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    prepared = _prepare(args, args.M)
-    if prepared is None:
-        return 2
-    spec, verdict = prepared
+    spec, verdict = _prepare(args, args.M)
     refined = evaluator.zeta_refined(spec, args.M)
     partial, v = refined.partial, refined.value
     payload = {
@@ -207,10 +200,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    prepared = _prepare(args, args.M, args.M_outer)
-    if prepared is None:
-        return 2
-    spec, _ = prepared
+    spec, _ = _prepare(args, args.M, args.M_outer)
     report = evaluator.verify_parity(
         spec, M=args.M, M_outer=args.M_outer, tol=args.tol,
         rho_variant=args.rho_variant, assume_convergence=args.assert_convergence,
@@ -256,10 +246,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    prepared = _prepare(args, args.M, args.M_outer)
-    if prepared is None:
-        return 2
-    spec, verdict = prepared
+    spec, verdict = _prepare(args, args.M, args.M_outer)
     # the reduced side of verify's computation, term by term; its series
     # side feeds the corollary check
     report = evaluator.verify_parity(
@@ -441,7 +428,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (SpecError, exact.ExactError, mpseries.SeriesError) as exc:
-        _error(exc)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -113,13 +113,12 @@ def _times_geometric(space, batch, inv, weights, unit) -> np.ndarray:
 class GeneratingFunctionPlan:
     """Everything about (instance, J) that survives across outer tuples.
 
-    Bases, dual bases, coset representatives, the certified direction rho,
-    the rho-directed fractional parts, the Bernoulli factor products per
-    (basis, coset) dense over the plan's space, the linear forms L_g with
-    their normalizations, and the d_g and the coset phases as integer forms
-    in the outer tuple.  evaluate_batch() then does only per-batch work:
-    evaluate the d_g and the phases for every row, group rows by which d_g
-    vanish, combine the Bernoulli rows with the phases, and multiply by each
+    One _Basis record per basis of Lambda (self.bases) holds the basis's
+    |det|, coset fractional parts and phases, and the linear forms L_g of
+    its geometric factors; _d_rows holds every d_g as an integer form in the
+    outer tuple.  evaluate_batch() then does only per-batch work: evaluate
+    the d_g and the phases for every row, group rows by which d_g vanish,
+    combine the Bernoulli rows with the phases, and multiply by each
     geometric factor with per-row scalars.
     """
 
@@ -127,7 +126,6 @@ class GeneratingFunctionPlan:
         self.spec = spec
         self.ctx = subset_context(spec, tuple(J))
         ctx = self.ctx
-        self.m = len(ctx.J)
         self.vecs = build_lambda(spec, ctx)
         # t_j for variable j and t_{r+i} for form i, as error messages name them
         self.variables = tuple(f"t{j}" for j in ctx.J) + tuple(f"t{spec.r + i}" for i in ctx.I)
@@ -141,17 +139,8 @@ class GeneratingFunctionPlan:
         )
         dot_cols = tuple(zip(*dots))  # per j in Jbar: its coefficient in each member
         duals = enumerate_bases(self.vecs)
-        self.bases = tuple(duals)
         self.rho = exact.choose_rho(
             [row for _, rows in duals.values() for row in rows], variant=rho_variant
-        )
-        self.cosets = tuple(
-            exact.coset_representatives([self.vecs[p] for p in basis])
-            for basis in self.bases
-        )
-        self.complements = tuple(
-            tuple(p for p in range(len(self.vecs)) if p not in basis)
-            for basis in self.bases
         )
         # All exact data below are integers.  Each basis's dual is integer
         # rows over den = |det|; with the twist y_J over the common
@@ -160,83 +149,68 @@ class GeneratingFunctionPlan:
         y_J = tuple(spec.y[j - 1] for j in ctx.J)
         Q = math.lcm(*(y.denominator for y in y_J))
         yQ = tuple(y.numerator * (Q // y.denominator) for y in y_J)
-        self.duals = []     # per basis: (den, rows), rows / den the dual basis
-        self.residues = []  # per basis: (Q * den, per coset rep: fractional parts times Q * den)
-        self.l_rows = []    # per basis: {gpos: den * the weights of L_g, one per member}
-        self.l_normal = []  # per basis: {gpos: (primitive tuple, scale)}
-        d_rows = []         # per (basis, complement member): den * d_g over Jbar
-        for (det, rows), basis, cosets, complement in zip(
-            duals.values(), self.bases, self.cosets, self.complements
-        ):
-            den = abs(det)
+        bases = []
+        d_rows = []  # per (basis, complement member): den * d_g over Jbar
+        for members, (det, rows) in duals.items():
+            den, fden = abs(det), Q * abs(det)
             if det < 0:
                 rows = tuple(tuple(-v for v in row) for row in rows)
-            self.duals.append((den, rows))
+            reps = exact.coset_representatives([self.vecs[p] for p in members]).representatives
             pairing = [exact.dot(self.rho, row) for row in rows]
             shift = [exact.dot(yQ, row) for row in rows]
-            self.residues.append((Q * den, tuple(
+            residues = tuple(
                 tuple(
-                    exact.directed_residue(s + Q * exact.dot(w, row), Q * den, p)
+                    exact.directed_residue(s + Q * exact.dot(w, row), fden, p)
                     for s, row, p in zip(shift, rows, pairing)
                 )
-                for w in cosets.representatives
-            )))
-            lr, ln = {}, {}
-            for gpos in complement:
+                for w in reps
+            )
+            complement = []
+            for g in (p for p in range(len(self.vecs)) if p not in members):
                 row = [0] * len(self.vecs)
-                row[gpos] = den
-                for fpos, dual in zip(basis, rows):
-                    row[fpos] = -exact.dot(self.vecs[gpos], dual)
-                lr[gpos] = tuple(row)
-                ln[gpos] = _normalize_linear(lr[gpos], den)
+                row[g] = den
+                for f, dual in zip(members, rows):
+                    row[f] = -exact.dot(self.vecs[g], dual)
+                complement.append((len(d_rows), g, tuple(row)))
                 d_rows.append([exact.dot(row, col) for col in dot_cols])
-            self.l_rows.append(lr)
-            self.l_normal.append(ln)
-        self.space = mpseries.dense_space(self.caps, self.total_cap)
-        self.top = int(self.space.locate([self.caps])[0])
-        # every (basis, complement member) pair; pair k = (bi, gpos) has d_g
-        # = (tuples @ _d_rows[:, k]) / den at the outer tuples, den the |det|
-        # of basis bi
-        self.pairs = tuple(
-            (bi, gpos) for bi in range(len(self.bases)) for gpos in self.complements[bi]
-        )
-        self._d_rows = np.array(d_rows, dtype=np.int64).reshape(len(self.pairs), len(ctx.Jbar)).T
-        # the coset phases e(-<dots, c>) per basis: the member dots are
-        # integer forms in the outer tuple, so each phase is a q-th root of
-        # unity read at an integer form mod q, q the lcm of the reduced
-        # denominators of the fractional parts.  The form's coefficients
-        # are kept in [0, q), so its value at outer coordinates up to
-        # WORK_BUDGET (the largest --M-outer admitted) stays inside int64.
-        self._phase_data = []
-        for basis, (fden, reps) in zip(self.bases, self.residues):
-            q = fden // gcd(fden, *(r for rs in reps for r in rs))
+            # the coset phases e(-<dots, c>): the member dots are integer
+            # forms in the outer tuple, so each phase is a q-th root of unity
+            # read at an integer form mod q, q the lcm of the reduced
+            # denominators of the fractional parts.  The form's coefficients
+            # are kept in [0, q), so its value at outer coordinates up to
+            # WORK_BUDGET (the largest --M-outer admitted) stays inside int64.
+            q = fden // gcd(fden, *(r for rs in residues for r in rs))
             if len(ctx.Jbar) * WORK_BUDGET * (q - 1) > np.iinfo(np.int64).max:
                 raise exact.ExactError(
                     f"coset phase denominator {q} for J = {ctx.J} is too large: residues "
                     f"mod {q} could leave int64 at outer coordinates up to {WORK_BUDGET}"
                 )
-            coef = np.zeros((len(ctx.Jbar), len(reps)), dtype=np.int64)
-            for col in range(len(ctx.Jbar)):
-                for wi, rs in enumerate(reps):
-                    coef[col, wi] = -sum(
-                        dots[fpos][col] * (r * q // fden) for r, fpos in zip(rs, basis)
-                    ) % q
-            self._phase_data.append((q, coef))
+            coef = np.array([
+                [-sum(col[f] * (r * q // fden) for r, f in zip(rs, members)) % q for rs in residues]
+                for col in dot_cols
+            ], dtype=np.int64).reshape(len(dot_cols), len(residues))
+            bases.append(_Basis(members, den, fden, residues, q, coef, tuple(complement)))
+        self.bases = tuple(bases)
+        self.space = mpseries.dense_space(self.caps, self.total_cap)
+        self.top = int(self.space.locate([self.caps])[0])
+        # d_g = (tuples @ _d_rows[:, k]) / den at the outer tuples, for the
+        # complement entry (k, g, _) of a basis of denominator den
+        self._d_rows = np.array(d_rows, dtype=np.int64).reshape(len(d_rows), len(ctx.Jbar)).T
         self._phase_memo: dict[int, dict[int, complex]] = {}  # q -> residue -> e(res/q)
         self._tables_cache: dict[frozenset, _Tables] = {}
 
-    def _phases(self, bi: int, tuples) -> np.ndarray:
-        """The coset phases of basis bi, one row per outer tuple, (B, K).
+    def _phases(self, basis: "_Basis", tuples) -> np.ndarray:
+        """The coset phases of a basis, one row per outer tuple, (B, K).
 
         At q = 1 every phase is 1.  Otherwise unit_phase runs once per
         residue mod q that some tuple reaches and is memoised for the plan,
         so the work follows the outer tuples, not q, which grows with the
         twist's denominators.
         """
-        q, coef = self._phase_data[bi]
+        q = basis.q
         if q == 1:
-            return np.ones((len(tuples), coef.shape[1]), dtype=complex)
-        residues = (tuples @ coef) % q
+            return np.ones((len(tuples), len(basis.residues)), dtype=complex)
+        residues = (tuples @ basis.coef) % q
         hit, inverse = np.unique(residues, return_inverse=True)
         memo = self._phase_memo.setdefault(q, {})
         values = []
@@ -257,23 +231,23 @@ class GeneratingFunctionPlan:
         """
         coefficients: dict[tuple[int, int, int], list[complex]] = {}
         out = []
-        for bi, basis in enumerate(self.bases):
-            fden, reps = self.residues[bi]
-            inside = np.flatnonzero(~space.keys[:, list(self.complements[bi])].any(axis=1))
+        for b in self.bases:
+            outside = [g for _, g, _ in b.complement]
+            inside = np.flatnonzero(~space.keys[:, outside].any(axis=1))
             product = None
-            for fi, fpos in enumerate(basis):
+            for fi, fpos in enumerate(b.members):
                 nmax = min(space.caps[fpos], space.total_cap)
                 factor = []
-                for rs in reps:
-                    key = (nmax, rs[fi], fden)
+                for rs in b.residues:
+                    key = (nmax, rs[fi], b.fden)
                     if key not in coefficients:
                         coefficients[key] = mpseries.bernoulli_coefficients(
-                            nmax, Fraction(rs[fi], fden)
+                            nmax, Fraction(rs[fi], b.fden)
                         )
                     factor.append(coefficients[key])
                 values = np.array(factor, dtype=complex)[:, space.keys[inside, fpos]]
                 product = values if product is None else product * values
-            table = np.zeros((len(reps), space.size), dtype=complex)
+            table = np.zeros((len(b.residues), space.size), dtype=complex)
             table[:, inside] = product
             out.append(table)
         return out
@@ -282,7 +256,7 @@ class GeneratingFunctionPlan:
         return tuple(1 if p == pos else 0 for p in range(len(self.variables)))
 
     def _tables(self, pattern: frozenset) -> "_Tables":
-        """Tables for the tuples whose vanishing d_g are the pairs in pattern.
+        """Tables for the tuples whose vanishing d_g are the columns in pattern.
 
         The empty pattern is the regular path, in the plan's own space.
         Otherwise each basis term is put over the common denominator: its
@@ -298,16 +272,15 @@ class GeneratingFunctionPlan:
         """
         if pattern in self._tables_cache:
             return self._tables_cache[pattern]
-        singular = {self.pairs[k] for k in pattern}
-        per_basis = []
+        normal = {
+            k: _normalize_linear(row, b.den)
+            for b in self.bases for k, _, row in b.complement if k in pattern
+        }
+        per_basis = [
+            Counter(normal[k][0] for k, _, _ in b.complement if k in pattern) for b in self.bases
+        ]
         max_mult: dict[tuple, int] = {}
-        for bi in range(len(self.bases)):
-            cnt = Counter(
-                self.l_normal[bi][gpos][0]
-                for gpos in self.complements[bi]
-                if (bi, gpos) in singular
-            )
-            per_basis.append(cnt)
+        for cnt in per_basis:
             for form, mult in cnt.items():
                 max_mult[form] = max(max_mult.get(form, 0), mult)
         total_cap = self.total_cap + sum(max_mult.values())
@@ -315,19 +288,17 @@ class GeneratingFunctionPlan:
         caps = tuple(total_cap if v in pivots else c for v, c in enumerate(self.caps))
         space = mpseries.dense_space(caps, total_cap)
         bprods, geometric = [], []
-        for bi, rows in enumerate(self._bernoulli_products(space)):
+        for b, cnt, rows in zip(self.bases, per_basis, self._bernoulli_products(space)):
             scale = Fraction(1)
             regular = []
-            for gpos in self.complements[bi]:
-                if (bi, gpos) in singular:
-                    rows = space.mul_linear(rows, self._unit_key(gpos))
-                    scale /= self.l_normal[bi][gpos][1]
+            for k, g, row in b.complement:
+                if k in pattern:
+                    rows = space.mul_linear(rows, self._unit_key(g))
+                    scale /= normal[k][1]
                 else:
-                    den = self.duals[bi][0]
-                    weights = tuple(c / den for c in self.l_rows[bi][gpos])
-                    regular.append((self.pairs.index((bi, gpos)), weights, self._unit_key(gpos)))
+                    regular.append((k, tuple(c / b.den for c in row), self._unit_key(g)))
             for form, mult in max_mult.items():
-                for _ in range(mult - per_basis[bi].get(form, 0)):
+                for _ in range(mult - cnt.get(form, 0)):
                     rows = space.mul_linear(rows, form)
             bprods.append(rows * float(scale))
             geometric.append(tuple(regular))
@@ -385,12 +356,10 @@ class GeneratingFunctionPlan:
         space = tables.space
         total = np.zeros((len(tuples), space.size), dtype=complex)
         scale = np.zeros((len(tuples), space.size, 2))
-        for bi in range(len(self.bases)):
-            phases = self._phases(bi, tuples)
-            den = self.duals[bi][0]
-            term = (phases @ tables.bprods[bi]) * (1.0 / den)
-            for k, weights, unit in tables.geometric[bi]:
-                term = _times_geometric(space, term, den / dnum[:, k], weights, unit)
+        for b, bprod, geometric in zip(self.bases, tables.bprods, tables.geometric):
+            term = (self._phases(b, tuples) @ bprod) * (1.0 / b.den)
+            for k, weights, unit in geometric:
+                term = _times_geometric(space, term, b.den / dnum[:, k], weights, unit)
             total += term
             scale += np.abs(term.view(float).reshape(scale.shape))
         parts = total.view(float).reshape(scale.shape)
@@ -443,13 +412,32 @@ def group_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return flags[first], inverse.ravel()
 
 
+@dataclass(frozen=True, eq=False)
+class _Basis:
+    """One basis of Lambda: its member positions and den = |det|; per coset
+    rep w the rho-directed fractional parts {<y_J + w, dual_f>} as integers
+    over fden = Q * den; the coset phases, q-th roots of unity read at
+    (outer tuple @ coef) mod q, one column per rep; and per member g
+    outside the basis (k, g, den * the weights of L_g), k the column of
+    _d_rows that gives den * d_g.
+    """
+
+    members: tuple[int, ...]
+    den: int
+    fden: int
+    residues: tuple[tuple[int, ...], ...]
+    q: int
+    coef: np.ndarray
+    complement: tuple[tuple[int, int, tuple[int, ...]], ...]
+
+
 @dataclass(frozen=True)
 class _Tables:
     """Tuple-independent data of one assembly path, dense over its space.
 
     bprods[bi] holds one Bernoulli-product row per coset rep (times the
     fixed singular factors); geometric[bi] holds, per nonvanishing d_g, its
-    pair index, the weights of L_g and the key of t_g; forms lists the
+    column of _d_rows, the weights of L_g and the key of t_g; forms lists the
     primitive forms to divide out, with multiplicity; narrow picks the plan
     space's keys.
     """

@@ -180,9 +180,10 @@ def reference_plan_data(plan):
     Lambda is e_j for j in J, then each form meeting J restricted to J, with
     dot part -sum over Jbar of a_ij m_j as a form in the outer tuple.  The
     bases are the position tuples of nonzero Leibniz determinant; duals come
-    from Cramer's rule; the coset representatives are the plan's own.  Per
-    basis, returns the fractional parts {<y_J + w, dual_f>} directed by the
-    sign of <rho, dual_f>, and per complement member g the weights of L_g =
+    from Cramer's rule; the coset representatives are those of
+    exact.coset_representatives, as in the plan.  Per basis, returns the
+    fractional parts {<y_J + w, dual_f>} directed by the sign of
+    <rho, dual_f>, and per complement member g the weights of L_g =
     t_g - sum_f <v_g, dual_f> t_f over all members, its primitive form and
     scale, d_g as a form over Jbar, and per coset rep the phase form
     -sum_f dot_f * frac_f over Jbar.
@@ -201,10 +202,11 @@ def reference_plan_data(plan):
     rho = reference_rho(vecs)
     y = [spec.y[j - 1] for j in ctx.J]
     out = {"bases": bases, "rho": rho, "per_basis": []}
-    for basis, cosets in zip(bases, plan.cosets):
+    for basis in bases:
         duals = cramer_dual([vecs[p] for p in basis])
         pairing = [_fraction_dot(rho[0], d) for d in duals]
         fracs = []
+        cosets = exact.coset_representatives([vecs[p] for p in basis])
         for w in cosets.representatives:
             row = []
             for d, p in zip(duals, pairing):
@@ -240,20 +242,20 @@ def reference_plan_data(plan):
 
 
 def _pattern_forms(plan, pattern):
-    """(singular pairs, per basis its primitive singular forms with their
-    multiplicities, each form's largest multiplicity) of a pattern."""
-    singular = {plan.pairs[k] for k in pattern}
+    """(per singular column k of _d_rows its (primitive form, scale), per
+    basis its primitive singular forms with their multiplicities, each
+    form's largest multiplicity) of a pattern."""
+    normal = {
+        k: genfun._normalize_linear(row, b.den)
+        for b in plan.bases for k, _, row in b.complement if k in pattern
+    }
     per_basis, max_mult = [], {}
-    for bi in range(len(plan.bases)):
-        cnt = Counter(
-            plan.l_normal[bi][gpos][0]
-            for gpos in plan.complements[bi]
-            if (bi, gpos) in singular
-        )
+    for b in plan.bases:
+        cnt = Counter(normal[k][0] for k, _, _ in b.complement if k in pattern)
         per_basis.append(cnt)
         for form, mult in cnt.items():
             max_mult[form] = max(max_mult.get(form, 0), mult)
-    return singular, per_basis, max_mult
+    return normal, per_basis, max_mult
 
 
 def reference_tables(plan, pattern):
@@ -268,7 +270,7 @@ def reference_tables(plan, pattern):
     forms) in the layout of _Tables.
     """
     variables = plan.variables
-    singular, per_basis, max_mult = _pattern_forms(plan, pattern)
+    normal, per_basis, max_mult = _pattern_forms(plan, pattern)
     total_cap = plan.total_cap + sum(max_mult.values())
     pivots = {max(range(len(form)), key=lambda i: abs(form[i])) for form in max_mult}
     caps = tuple(total_cap if v in pivots else c for v, c in enumerate(plan.caps))
@@ -283,29 +285,27 @@ def reference_tables(plan, pattern):
     unit_keys = [tuple(int(p == q) for p in range(len(variables))) for q in range(len(variables))]
 
     bprods, geometric = [], []
-    for bi, basis in enumerate(plan.bases):
+    for bi, b in enumerate(plan.bases):
         fixed = ds.constant(1.0, variables, caps, total_cap)
         scale = Fraction(1)
         regular = []
-        for gpos in plan.complements[bi]:
-            if (bi, gpos) in singular:
+        for k, gpos, row in b.complement:
+            if k in pattern:
                 fixed = mpseries.series_mul(fixed, unit(gpos))
-                scale /= plan.l_normal[bi][gpos][1]
+                scale /= normal[k][1]
                 continue
-            den = plan.duals[bi][0]
-            lf = linear({name: c / den for name, c in zip(variables, plan.l_rows[bi][gpos]) if c})
+            lf = linear({name: c / b.den for name, c in zip(variables, row) if c})
             weights = tuple(ds.coefficient(lf, key).real for key in unit_keys)
-            regular.append((plan.pairs.index((bi, gpos)), weights, unit_keys[gpos]))
+            regular.append((k, weights, unit_keys[gpos]))
         for form, mult in max_mult.items():
             for _ in range(mult - per_basis[bi].get(form, 0)):
                 fixed = mpseries.series_mul(fixed, linear(dict(zip(variables, map(float, form)))))
         fixed = ds.series_scale(fixed, float(scale))
         rows = []
-        fden, reps = plan.residues[bi]
-        for rs in reps:
+        for rs in b.residues:
             product = ds.constant(1.0, variables, caps, total_cap)
-            for fi, fpos in enumerate(basis):
-                offset = Fraction(rs[fi], fden)
+            for fi, fpos in enumerate(b.members):
+                offset = Fraction(rs[fi], b.fden)
                 product = mpseries.series_mul(
                     product,
                     ds.bernoulli_factor(variables, caps, total_cap, variables[fpos], offset),
@@ -336,16 +336,16 @@ def full_simplex_batch(plan, tuples) -> np.ndarray:
         if not pattern:
             out[rows] = plan._assemble_regular(tuples[rows], dnum[rows])
             continue
-        singular, per_basis, max_mult = _pattern_forms(plan, pattern)
+        normal, per_basis, max_mult = _pattern_forms(plan, pattern)
         total_cap = plan.total_cap + sum(max_mult.values())
         space = mpseries.dense_space((total_cap,) * len(plan.variables), total_cap)
         bprods = []
-        for bi, table in enumerate(plan._bernoulli_products(space)):
+        for bi, (b, table) in enumerate(zip(plan.bases, plan._bernoulli_products(space))):
             scale = Fraction(1)
-            for gpos in plan.complements[bi]:
-                if (bi, gpos) in singular:
+            for k, gpos, _ in b.complement:
+                if k in pattern:
                     table = space.mul_linear(table, plan._unit_key(gpos))
-                    scale /= plan.l_normal[bi][gpos][1]
+                    scale /= normal[k][1]
             for form, mult in max_mult.items():
                 for _ in range(mult - per_basis[bi].get(form, 0)):
                     table = space.mul_linear(table, form)

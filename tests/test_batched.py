@@ -204,7 +204,7 @@ def test_small_real_coefficient_is_not_zeroed(eps):
     def top(scales):
         plan = genfun.GeneratingFunctionPlan(spec, (1,))
         phases = plan._phases
-        plan._phases = lambda bi, rows: phases(bi, rows) * scales[bi]
+        plan._phases = lambda b, rows: phases(b, rows) * scales[plan.bases.index(b)]
         return plan.evaluate_batch(tuples)[0, plan.top]
 
     assert top([1, 1]) == 0
@@ -219,7 +219,7 @@ def test_golden_covers_index_two_cosets():
     orders = set()
     for _, spec, J, _ in _golden_cases():
         plan = genfun.GeneratingFunctionPlan(spec, J)
-        orders.update(c.group_order for c in plan.cosets)
+        orders.update(b.den for b in plan.bases)
     assert 2 in orders
 
 
@@ -235,8 +235,8 @@ def test_singular_batch_with_one_bad_row_raises():
     # a d_g off by one in a single row leaves a pole in that row only
     broken = dnum.copy()
     regular = [k for k in range(dnum.shape[1]) if k not in pattern]
-    bi = plan.pairs[regular[0]][0]
-    broken[1, regular[0]] += plan.duals[bi][0]  # dnum is d_g times its basis's |det|
+    (den,) = (b.den for b in plan.bases for k, _, _ in b.complement if k == regular[0])
+    broken[1, regular[0]] += den  # dnum is d_g times its basis's |det|
     with pytest.raises(SingularConfiguration, match=r"outer tuple \{2: 2\}"):
         plan._assemble_singular(pattern, tuples, broken)
 

@@ -115,7 +115,7 @@ def test_assembly_fields_cohere():
     assert (plan.space.caps, plan.space.total_cap) == (plan.caps, 2)
     assert plan.evaluate({2: 2}).shape == (plan.space.size,)
     assert tuple(plan.space.keys[plan.top]) == plan.caps
-    assert plan.bases == ((0,), (1,))
+    assert tuple(b.members for b in plan.bases) == ((0,), (1,))
     assert plan.rho == (1,)
     ctx = model.subset_context(MT, (1,))
     assert plan.vecs == genfun.build_lambda(MT, ctx)
@@ -199,7 +199,7 @@ def test_plan_makes_one_dual_basis_call_per_subset(monkeypatch, data):
     for J in model.nonempty_subsets(spec.r):
         calls.clear()
         plan = genfun.GeneratingFunctionPlan(spec, J)
-        assert len(calls) == math.comb(len(plan.vecs), plan.m)
+        assert len(calls) == math.comb(len(plan.vecs), len(plan.ctx.J))
     assert inside and not any(inside)
 
 
@@ -208,14 +208,14 @@ def test_large_determinant_plan_enumerates_its_box_of_cosets():
     # 49999 and -50000
     spec = model.parse_spec({"h": [1, 1], "k": [1], "y": ["1/3", "0"], "A": [[50000, 49999]]})
     plan = genfun.GeneratingFunctionPlan(spec, (1, 2))
-    assert [c.group_order for c in plan.cosets] == [1, 49999, 50000]
-    assert [len(c.representatives) for c in plan.cosets] == [1, 49999, 50000]
+    assert [b.den for b in plan.bases] == [1, 49999, 50000]
+    assert [len(b.residues) for b in plan.bases] == [1, 49999, 50000]
     # its top coefficient takes about 40 s of exact Bernoulli values (and half
     # a gigabyte of their memo) to assemble, so the value is pinned on the
     # same family at a hundredth of the size
     spec = model.parse_spec({"h": [1, 1], "k": [1], "y": ["1/3", "0"], "A": [[500, 499]]})
     plan = genfun.GeneratingFunctionPlan(spec, (1, 2))
-    assert [c.group_order for c in plan.cosets] == [1, 499, 500]
+    assert [b.den for b in plan.bases] == [1, 499, 500]
     top = plan.evaluate_batch(np.zeros((1, 0), dtype=np.int64))[0, plan.top]
     assert abs(top - 1.5250371987810347j) <= 1e-12 * 1.5250371987810347
 

@@ -83,7 +83,7 @@ def test_dense_tables_cover_singular_patterns_and_index_two_cosets():
     orders, singular = set(), 0
     for J in model.nonempty_subsets(spec.r):
         plan = genfun.GeneratingFunctionPlan(spec, J)
-        orders.update(c.group_order for c in plan.cosets)
+        orders.update(b.den for b in plan.bases)
         for pattern in _patterns(plan, _outer_tuples(plan, 4)):
             singular += bool(pattern)
             _check_tables(plan, pattern)
@@ -95,20 +95,18 @@ def test_plan_exact_data_match_the_fraction_reference(spec):
     for J in model.nonempty_subsets(spec.r):
         plan = genfun.GeneratingFunctionPlan(spec, J)
         ref = helpers.reference_plan_data(plan)
-        assert plan.bases == ref["bases"]
+        assert tuple(b.members for b in plan.bases) == ref["bases"]
         assert plan.rho == ref["rho"][0]
-        for bi, (fracs, per_g, phase_forms) in enumerate(ref["per_basis"]):
-            fden, residues = plan.residues[bi]
-            assert [tuple(Fraction(r, fden) for r in rs) for rs in residues] == fracs
-            den = plan.duals[bi][0]
-            for gpos, (weights, normal, d_form) in per_g.items():
-                assert tuple(Fraction(c, den) for c in plan.l_rows[bi][gpos]) == weights
-                assert plan.l_normal[bi][gpos] == normal
-                k = plan.pairs.index((bi, gpos))
-                assert tuple(Fraction(int(c), den) for c in plan._d_rows[:, k]) == d_form
-            q, coef = plan._phase_data[bi]
+        for b, (fracs, per_g, phase_forms) in zip(plan.bases, ref["per_basis"]):
+            assert [tuple(Fraction(r, b.fden) for r in rs) for rs in b.residues] == fracs
+            assert [g for _, g, _ in b.complement] == list(per_g)
+            for k, gpos, row in b.complement:
+                weights, normal, d_form = per_g[gpos]
+                assert tuple(Fraction(c, b.den) for c in row) == weights
+                assert genfun._normalize_linear(row, b.den) == normal
+                assert tuple(Fraction(int(c), b.den) for c in plan._d_rows[:, k]) == d_form
             # the phase forms' coefficients, kept mod q
-            assert [tuple(Fraction(int(c), q) for c in col) for col in coef.T] == [
+            assert [tuple(Fraction(int(c), b.q) for c in col) for col in b.coef.T] == [
                 tuple(c % 1 for c in form) for form in phase_forms
             ]
 
@@ -152,16 +150,16 @@ def test_singular_spaces_widen_only_the_pivots():
 def test_untwisted_phases_skip_unit_phase_and_unique(monkeypatch):
     spec = model.load_spec(str(SPECS / "mt_r3.json"))
     plan = genfun.GeneratingFunctionPlan(spec, (1,))
-    assert all(q == 1 for q, _ in plan._phase_data)
+    assert all(b.q == 1 for b in plan.bases)
     def no_lookup(*args, **kwargs):
         raise AssertionError("q = 1 phases looked up")
 
     monkeypatch.setattr(genfun, "unit_phase", no_lookup)
     monkeypatch.setattr(np, "unique", no_lookup)
     tuples = _outer_tuples(plan, 5)
-    for bi, (_, coef) in enumerate(plan._phase_data):
-        phases = plan._phases(bi, tuples)
-        assert phases.dtype == complex and phases.shape == (len(tuples), coef.shape[1])
+    for b in plan.bases:
+        phases = plan._phases(b, tuples)
+        assert phases.dtype == complex and phases.shape == (len(tuples), b.coef.shape[1])
         assert phases.tobytes() == np.full(phases.shape, 1 + 0j).tobytes()
 
 
@@ -207,13 +205,13 @@ def test_coset_phases_are_the_phase_table_read_by_residue(monkeypatch, data):
     for J in model.nonempty_subsets(spec.r):
         plan = genfun.GeneratingFunctionPlan(spec, J)
         tuples = _outer_tuples(plan, 7)
-        for bi, (q, coef) in enumerate(plan._phase_data):
-            want = np.array(helpers.phase_table(q), dtype=complex)[(tuples @ coef) % q]
-            got = plan._phases(bi, tuples)
+        for b in plan.bases:
+            want = np.array(helpers.phase_table(b.q), dtype=complex)[(tuples @ b.coef) % b.q]
+            got = plan._phases(b, tuples)
             assert got.tobytes() == want.tobytes()  # bitwise, zero signs included
             # a second read of the same residues evaluates nothing new
             before = len(calls)
-            assert plan._phases(bi, tuples[::-1]).tobytes() == want[::-1].tobytes()
+            assert plan._phases(b, tuples[::-1]).tobytes() == want[::-1].tobytes()
             assert len(calls) == before
     assert calls
 
@@ -230,8 +228,8 @@ def test_large_coset_denominator_evaluates_only_the_phases_it_reads(
     bound = 0
     for J in model.nonempty_subsets(spec.r):
         plan = genfun.GeneratingFunctionPlan(spec, J)
-        assert max(q for q, _ in plan._phase_data) <= 10**6
-        reps = sum(len(rows) for _, rows in plan.residues)
+        assert max(b.q for b in plan.bases) <= 10**6
+        reps = sum(len(b.residues) for b in plan.bases)
         bound += M_outer ** len(plan.ctx.Jbar) * reps
     calls = _counting_unit_phase(monkeypatch)
     code = cli.main([

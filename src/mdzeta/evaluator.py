@@ -383,8 +383,9 @@ def fit_tail(shells, w, band: float = 0.0):
 # --------------------------------------------------------------- reduced side
 
 
-# Outer tuples are evaluated in blocks of at most this many rows.
-_OUTER_BLOCK = 256
+# Outer tuples are evaluated in blocks of at most this many rows; the plan
+# chunks a block further where its tables are wide (genfun._BATCH_ENTRIES).
+_OUTER_BLOCK = 4096
 
 
 def term_sign(spec: SeriesSpec, ctx) -> int:
@@ -400,7 +401,7 @@ def term_T(spec: SeriesSpec, J, M_outer: int, rho_variant: int = 0) -> TermSumma
     sign = term_sign(spec, ctx)
     factorials = math.prod(math.factorial(c) for c in plan.caps)
     if not ctx.Jbar:
-        value = complex(plan.evaluate_batch(np.zeros((1, 0), dtype=np.int64))[0, plan.top])
+        value = complex(plan.top_coefficients(np.zeros((1, 0), dtype=np.int64))[0])
         partial = PartialSum(value=value, M=0, terms=1, tail_estimate=0.0, slow=False)
         refined = RefinedSum(partial, 0.0 + 0.0j, 0.0, True)
         return TermSummary(
@@ -416,7 +417,7 @@ def term_T(spec: SeriesSpec, J, M_outer: int, rho_variant: int = 0) -> TermSumma
     unit_raw = None
     for start in range(0, M_outer**f, _OUTER_BLOCK):
         rows = _box_rows(start, min(start + _OUTER_BLOCK, M_outer**f), M_outer, f)
-        raw = plan.evaluate_batch(rows)[:, plan.top]
+        raw = plan.top_coefficients(rows)
         if unit_raw is None:
             unit_raw = complex(raw[0])  # the first row is (1, ..., 1)
         magnitude, phase = _weights(rows, h, twists, forms)

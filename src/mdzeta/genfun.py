@@ -7,17 +7,22 @@ each variable j in J, then each form meeting J restricted to J.  With the
 outer tuple m frozen, a form member also carries the constant -sum over
 Jbar of a_ij m_j.  G is a sum over the bases B extracted from Lambda of
 coset-averaged Bernoulli-polynomial factors (for members of B) times
-geometric factors -t_g/(d_g - L_g(t)) (for the rest).  Whenever some d_g
-vanishes the per-basis terms are singular while the sum is not; those
-tuples are assembled over a common denominator of primitive linear forms
-and resolved by exact truncated division with a remainder check, in a
-space that widens only the pivot variables of the forms divided out.  A
-numerator whose terms cancel past what float precision lets the
-remainder check read is refused.
+geometric factors -t_g/(d_g - L_g(t)) (for the rest).  Per pattern of
+vanishing d_g, each basis term is compiled once into coefficient rows of
+the monomials in the 1/d_g of its nonvanishing factors, one row per
+coset rep, so a batch of outer tuples is one matrix product per basis,
+and a caller that needs only G's top coefficient reads one column.
+Whenever some d_g vanishes the per-basis terms are singular while the
+sum is not; those tuples are assembled over a common denominator of
+primitive linear forms and resolved by exact truncated division with a
+remainder check, in a space that widens only the pivot variables of the
+forms divided out.  A numerator whose terms cancel past what float
+precision lets the remainder check read is refused.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -46,6 +51,11 @@ _CANCELLED = 1e-13
 # bundled specs, random_mixed and A = [[1, e]], e <= 200, sum at most 153
 # times their largest coefficient.
 _ROUNDINGS = 100
+
+# A batch is assembled in chunks of rows in which no array holds more than
+# this many entries (a column's real and imaginary magnitudes count as one);
+# see GeneratingFunctionPlan._chunks.
+_BATCH_ENTRIES = 2**18
 
 
 def build_lambda(spec: SeriesSpec, ctx: SubsetContext) -> tuple[tuple[int, ...], ...]:
@@ -96,18 +106,44 @@ def _normalize_linear(row: tuple[int, ...], den: int):
     return tuple(c // g for c in row), Fraction(g, den)
 
 
-def _times_geometric(space, batch, inv, weights, unit) -> np.ndarray:
-    """Each row of batch times -t_g/(d - L_g), with inv = 1/d per row.
+def _expand_geometric(space, rows, factors, degree) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, N) rows times every geometric factor, one block per monomial
+    in the 1/d_g.
 
-    The factor is -(1/d) t_g sum_n (L_g/d)^n, and t_g L_g^n leaves the space
-    once n reaches total_cap, so Horner in L_g/d takes total_cap - 1 steps
-    of mul_linear by the weights of L_g, and one more by t_g (unit).
+    factors lists per factor the weights of L_g and the key of t_g.  As
+    -t_g/(d_g - L_g) = -sum_{n>=0} d_g^-(n+1) t_g L_g^n, the product is the
+    sum over exponents e >= 1 of prod_g d_g^-e_g times the block
+    rows * prod_g (-t_g L_g^(e_g - 1)).  A block whose total exponent is
+    above degree is identically zero (the caller's rows hold no key of
+    degree below space.total_cap - degree) and is left out, so there are
+    C(degree, G) blocks.  Truncated products commute in a space closed
+    downward, so the rows take every -t_g first.  Blocks are kept in
+    increasing total exponent, so those that can still take a higher power
+    of the next L_g are a prefix of the stack: per factor the stack is
+    multiplied by L_g at most degree - 1 times, each block only while it
+    can still grow.  Returns the exponents (A, G) and the blocks stacked as
+    (A * K, N), block a in rows a*K to a*K + K - 1.
     """
-    inv = inv[:, None]
-    acc = batch
-    for _ in range(space.total_cap - 1):
-        acc = batch + inv * space.mul_linear(acc, weights)
-    return -inv * space.mul_linear(acc, unit)
+    K = len(rows)
+    for _, unit in factors:
+        rows = space.mul_linear(rows, [-u for u in unit])
+    exponents, totals, stack = [()], [0], rows
+    for weights, _ in factors:
+        grown, grown_totals, blocks, power = [], [], [], stack
+        for e in range(1, degree + 1):
+            alive = bisect.bisect_right(totals, degree - e)
+            if not alive:
+                break
+            power = power[:alive * K] if e == 1 else space.mul_linear(power[:alive * K], weights)
+            grown += [x + (e,) for x in exponents[:alive]]
+            grown_totals += [t + e for t in totals[:alive]]
+            blocks.append(power)
+        order = sorted(range(len(grown)), key=grown_totals.__getitem__)
+        exponents = [grown[i] for i in order]
+        totals = [grown_totals[i] for i in order]
+        stack = np.concatenate(blocks).reshape(len(order), K, -1)[order].reshape(len(order) * K, -1)
+    shape = (len(exponents), len(factors))
+    return np.array(exponents, dtype=np.int64).reshape(shape), stack
 
 
 class GeneratingFunctionPlan:
@@ -116,10 +152,10 @@ class GeneratingFunctionPlan:
     One _Basis record per basis of Lambda (self.bases) holds the basis's
     |det|, coset fractional parts and phases, and the linear forms L_g of
     its geometric factors; _d_rows holds every d_g as an integer form in the
-    outer tuple.  evaluate_batch() then does only per-batch work: evaluate
-    the d_g and the phases for every row, group rows by which d_g vanish,
-    combine the Bernoulli rows with the phases, and multiply by each
-    geometric factor with per-row scalars.
+    outer tuple.  evaluate_batch() and top_coefficients() then do only
+    per-batch work: evaluate the d_g and the phases for every row, group
+    rows by which d_g vanish, and per basis multiply the monomials in the
+    1/d_g, times the phases, with the pattern's compiled rows (_tables).
     """
 
     def __init__(self, spec: SeriesSpec, J, rho_variant: int = 0):
@@ -197,6 +233,7 @@ class GeneratingFunctionPlan:
         # complement entry (k, g, _) of a basis of denominator den
         self._d_rows = np.array(d_rows, dtype=np.int64).reshape(len(d_rows), len(ctx.Jbar)).T
         self._phase_memo: dict[int, dict[int, complex]] = {}  # q -> residue -> e(res/q)
+        self._bernoulli_memo: dict[tuple[int, int], list[complex]] = {}  # (residue, fden) -> row
         self._tables_cache: dict[frozenset, _Tables] = {}
 
     def _phases(self, basis: "_Basis", tuples) -> np.ndarray:
@@ -227,9 +264,10 @@ class GeneratingFunctionPlan:
         coefficient at a key is the product of one coefficient per factor,
         read at the key's exponent of that factor's variable, and 0 at keys
         holding a variable outside the basis.  Factors multiply in basis
-        order.
+        order.  The coefficient rows are memoised for the plan per offset,
+        at the longest order any pattern's space has asked for: each
+        coefficient is computed on its own, so a shorter row is a prefix.
         """
-        coefficients: dict[tuple[int, int, int], list[complex]] = {}
         out = []
         for b in self.bases:
             outside = [g for _, g, _ in b.complement]
@@ -239,12 +277,11 @@ class GeneratingFunctionPlan:
                 nmax = min(space.caps[fpos], space.total_cap)
                 factor = []
                 for rs in b.residues:
-                    key = (nmax, rs[fi], b.fden)
-                    if key not in coefficients:
-                        coefficients[key] = mpseries.bernoulli_coefficients(
-                            nmax, Fraction(rs[fi], b.fden)
-                        )
-                    factor.append(coefficients[key])
+                    row = self._bernoulli_memo.get((rs[fi], b.fden))
+                    if row is None or len(row) <= nmax:
+                        row = mpseries.bernoulli_coefficients(nmax, Fraction(rs[fi], b.fden))
+                        self._bernoulli_memo[(rs[fi], b.fden)] = row
+                    factor.append(row[:nmax + 1])
                 values = np.array(factor, dtype=complex)[:, space.keys[inside, fpos]]
                 product = values if product is None else product * values
             table = np.zeros((len(b.residues), space.size), dtype=complex)
@@ -268,7 +305,11 @@ class GeneratingFunctionPlan:
         needs; every other variable keeps the plan's cap.  A quotient key
         reads only numerator keys with no more of a non-pivot variable than
         it has, and products only raise exponents, so keys past a
-        non-pivot cap never feed a key of the plan's space.
+        non-pivot cap never feed a key of the plan's space.  Each basis's
+        fixed factors add exactly the widening to the degree of its rows,
+        so its nonvanishing geometric factors expand (_expand_geometric)
+        up to the plan's total cap.  A basis whose expansion would hold
+        more than WORK_BUDGET entries is refused before anything is built.
         """
         if pattern in self._tables_cache:
             return self._tables_cache[pattern]
@@ -287,23 +328,35 @@ class GeneratingFunctionPlan:
         pivots = {mpseries.pivot(form) for form in max_mult}
         caps = tuple(total_cap if v in pivots else c for v, c in enumerate(self.caps))
         space = mpseries.dense_space(caps, total_cap)
-        bprods, geometric = [], []
+        for b in self.bases:
+            regular = sum(k not in pattern for k, _, _ in b.complement)
+            entries = math.comb(self.total_cap, regular) * len(b.residues) * space.size
+            if entries > WORK_BUDGET:
+                raise mpseries.SeriesError(
+                    f"compiled table of {entries} entries for J = {self.ctx.J} is over the "
+                    f"work budget of {WORK_BUDGET}"
+                )
+        pairs, dens, exponents, stacked = [], [], [], []
         for b, cnt, rows in zip(self.bases, per_basis, self._bernoulli_products(space)):
-            scale = Fraction(1)
-            regular = []
+            scale = Fraction(1, b.den)  # the coset average 1/|det|, then the singular scales
+            factors = []
             for k, g, row in b.complement:
                 if k in pattern:
                     rows = space.mul_linear(rows, self._unit_key(g))
                     scale /= normal[k][1]
                 else:
-                    regular.append((k, tuple(c / b.den for c in row), self._unit_key(g)))
+                    pairs.append(k)
+                    dens.append(b.den)
+                    factors.append((tuple(c / b.den for c in row), self._unit_key(g)))
             for form, mult in max_mult.items():
                 for _ in range(mult - cnt.get(form, 0)):
                     rows = space.mul_linear(rows, form)
-            bprods.append(rows * float(scale))
-            geometric.append(tuple(regular))
+            exps, expanded = _expand_geometric(space, rows * float(scale), factors, self.total_cap)
+            exponents.append(exps)
+            stacked.append(expanded)
         tables = _Tables(
-            space, bprods, tuple(geometric), tuple(max_mult.items()), space.locate(self.space.keys)
+            space, np.array(pairs, dtype=np.int64), np.array(dens, dtype=float), tuple(exponents),
+            tuple(stacked), tuple(max_mult.items()), space.locate(self.space.keys),
         )
         self._tables_cache[pattern] = tables
         return tables
@@ -312,8 +365,21 @@ class GeneratingFunctionPlan:
         """G for a batch of outer tuples, as a (B, N) array over self.space.
 
         tuples is a (B, |Jbar|) integer array, columns in Jbar order; it has
-        one empty row when J = [r].  Rows are grouped by the set of d_g that
-        vanish and each group is assembled in one pass.
+        one empty row when J = [r].
+        """
+        return self._evaluate(tuples, slice(None))
+
+    def top_coefficients(self, tuples) -> np.ndarray:
+        """G's top coefficient (column self.top) for a batch of outer
+        tuples, as evaluate_batch(tuples)[:, self.top] but reading only
+        that column of the regular path's compiled rows."""
+        return self._evaluate(tuples, slice(self.top, self.top + 1))[:, 0]
+
+    def _evaluate(self, tuples, columns: slice) -> np.ndarray:
+        """The columns of G over self.space for a batch of outer tuples.
+
+        Rows are grouped by the set of d_g that vanish and each group is
+        assembled in one pass.
         """
         tuples = np.asarray(tuples, dtype=np.int64)
         if tuples.ndim != 2 or tuples.shape[1] != len(self.ctx.Jbar):
@@ -322,19 +388,19 @@ class GeneratingFunctionPlan:
             )
         dnum = tuples @ self._d_rows
         if np.all(dnum):
-            return self._assemble_regular(tuples, dnum)
+            return self._assemble_regular(tuples, dnum, columns)
         patterns, inverse = group_rows(dnum == 0)
-        out = np.empty((len(tuples), self.space.size), dtype=complex)
+        out = np.empty((len(tuples), len(range(self.space.size)[columns])), dtype=complex)
         for p, pattern in enumerate(patterns):
             rows = np.flatnonzero(inverse == p)
             if pattern.any():
                 key = frozenset(np.flatnonzero(pattern).tolist())
-                out[rows] = self._assemble_singular(key, tuples[rows], dnum[rows])
+                out[rows] = self._assemble_singular(key, tuples[rows], dnum[rows], columns)
             else:
-                out[rows] = self._assemble_regular(tuples[rows], dnum[rows])
+                out[rows] = self._assemble_regular(tuples[rows], dnum[rows], columns)
         return out
 
-    # term_T calls evaluate_batch; perfbench/tracer.py wraps this by name
+    # perfbench/tracer.py wraps this by name
     def evaluate(self, m_outer=None) -> np.ndarray:
         """G for one outer tuple (a dict over Jbar), as a row over self.space."""
         m_outer = dict(m_outer or {})
@@ -345,33 +411,76 @@ class GeneratingFunctionPlan:
         row = np.array([[m_outer[j] for j in self.ctx.Jbar]], dtype=np.int64)
         return self.evaluate_batch(row)[0]
 
-    def _numerator(self, tables, tuples, dnum) -> tuple[np.ndarray, np.ndarray]:
+    def _numerator(
+        self, tables, tuples, dnum, columns=slice(None)
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Sum over bases of coset sum times the geometric factors, per row,
-        and per row the largest magnitude summed into one of its parts.
+        over the given columns of the tables' space, and per row, column and
+        part (real, imaginary) the sum over bases of its magnitudes.
 
-        Real and imaginary parts that cancel between bases to within
-        rounding (_CANCELLED of their summed magnitudes) are set to an exact
-        zero, so a vanishing coefficient reads 0 rather than rounding noise.
+        The powers of every nonvanishing 1/d_g are built once per batch.
+        Per basis, the monomials prod_g d_g^-e_g of the exponent rows are
+        products of those powers, (B, A); their outer product
+        with the coset phases, (B, A * K), times the compiled rows is the
+        basis term.  Real and imaginary parts that cancel between bases to
+        within rounding (_CANCELLED of their summed magnitudes) are set to an
+        exact zero, so a vanishing coefficient reads 0 rather than rounding
+        noise.
         """
-        space = tables.space
-        total = np.zeros((len(tuples), space.size), dtype=complex)
-        scale = np.zeros((len(tuples), space.size, 2))
-        for b, bprod, geometric in zip(self.bases, tables.bprods, tables.geometric):
-            term = (self._phases(b, tuples) @ bprod) * (1.0 / b.den)
-            for k, weights, unit in geometric:
-                term = _times_geometric(space, term, b.den / dnum[:, k], weights, unit)
+        count = len(tuples)
+        total = np.zeros((count, len(range(tables.space.size)[columns])), dtype=complex)
+        scale = np.zeros(total.shape + (2,))
+        # powers[e] = 1/d_g^e by products: pow() is slow at negative bases
+        inv = tables.dens / dnum[:, tables.pairs]
+        powers = np.ones((self.total_cap + 1,) + inv.shape)
+        for e in range(1, len(powers)):
+            np.multiply(powers[e - 1], inv, out=powers[e])
+        first = 0  # the basis's first pair
+        for b, exps, rows in zip(self.bases, tables.exponents, tables.rows):
+            coef = self._phases(b, tuples)
+            if exps.shape[1]:  # else the one monomial is 1
+                own = np.arange(first, first + exps.shape[1])
+                monomials = powers[exps, :, own].prod(axis=1)  # (A, B)
+                coef = (monomials.T[:, :, None] * coef[:, None, :]).reshape(count, -1)
+                first += exps.shape[1]
+            term = coef @ rows[:, columns]
             total += term
             scale += np.abs(term.view(float).reshape(scale.shape))
         parts = total.view(float).reshape(scale.shape)
         parts[np.abs(parts) <= _CANCELLED * scale] = 0.0
-        return total, scale.max(axis=(1, 2), initial=0.0)
+        return total, scale
 
-    def _assemble_regular(self, tuples, dnum) -> np.ndarray:
-        return self._numerator(self._tables(frozenset()), tuples, dnum)[0]
+    def _chunks(self, tables, count: int, columns: int) -> list[slice]:
+        """Slices of count rows in which no per-row array of _numerator holds
+        more than _BATCH_ENTRIES entries: the numerator over its columns, the
+        powers of the 1/d_g ((total cap + 1) * pairs), and per basis the
+        monomials (A * G) and their products with the phases (A * K)."""
+        width = max(
+            columns, (self.total_cap + 1) * len(tables.pairs),
+            *(max(exps.size, len(rows)) for exps, rows in zip(tables.exponents, tables.rows)),
+        )
+        step = max(1, _BATCH_ENTRIES // width)
+        return [slice(start, start + step) for start in range(0, count, step)]
 
-    def _assemble_singular(self, pattern, tuples, dnum) -> np.ndarray:
+    def _assemble_regular(self, tuples, dnum, columns=slice(None)) -> np.ndarray:
+        tables = self._tables(frozenset())
+        chunks = self._chunks(tables, len(tuples), len(range(tables.space.size)[columns]))
+        return np.concatenate([
+            self._numerator(tables, tuples[rows], dnum[rows], columns)[0] for rows in chunks
+        ])
+
+    def _assemble_singular(self, pattern, tuples, dnum, columns=slice(None)) -> np.ndarray:
         tables = self._tables(pattern)
-        numer, magnitude = self._numerator(tables, tuples, dnum)
+        return np.concatenate([
+            self._divide(tables, tuples[rows], dnum[rows])[:, tables.narrow[columns]]
+            for rows in self._chunks(tables, len(tuples), tables.space.size)
+        ])
+
+    def _divide(self, tables, tuples, dnum) -> np.ndarray:
+        """The quotient of a singular pattern's numerator by its forms, over
+        the pattern's space, with the precision and remainder checks."""
+        numer, scale = self._numerator(tables, tuples, dnum)
+        magnitude = scale.max(axis=(1, 2), initial=0.0)
         # per row: a pole cancels when what division leaves is negligible
         # against that row's own numerator, and the numerator is precise
         # enough for that to be read
@@ -396,7 +505,7 @@ class GeneratingFunctionPlan:
                         f"{leftover[bad[0]]:.3e}) for J = {self.ctx.J}, outer tuple "
                         f"{dict(zip(self.ctx.Jbar, tuples[bad[0]].tolist()))}"
                     )
-        return numer[:, tables.narrow]
+        return numer
 
 
 def group_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -435,15 +544,20 @@ class _Basis:
 class _Tables:
     """Tuple-independent data of one assembly path, dense over its space.
 
-    bprods[bi] holds one Bernoulli-product row per coset rep (times the
-    fixed singular factors); geometric[bi] holds, per nonvanishing d_g, its
-    column of _d_rows, the weights of L_g and the key of t_g; forms lists the
-    primitive forms to divide out, with multiplicity; narrow picks the plan
-    space's keys.
+    pairs holds the columns of _d_rows of every nonvanishing d_g, basis by
+    basis in complement order, and dens the |det| of each one's basis.  Per
+    basis bi: exponents[bi], one row per monomial prod_g d_g^-e_g over its
+    G pairs (A x G); rows[bi], per monomial one row per coset rep
+    (A * K x N): the Bernoulli products over |det| times the fixed singular
+    factors and the monomial's share of the geometric factors.  forms lists
+    the primitive forms to divide out, with multiplicity; narrow picks the
+    plan space's keys.
     """
 
     space: mpseries.DenseSpace
-    bprods: list
-    geometric: tuple
+    pairs: np.ndarray
+    dens: np.ndarray
+    exponents: tuple
+    rows: tuple
     forms: tuple
     narrow: np.ndarray

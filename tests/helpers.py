@@ -5,7 +5,8 @@ integral on a roots-of-unity grid, exact lattice membership through the
 integer dual, Leibniz determinants and Cramer duals, the rho-directed
 fractional part, a generating-function plan's exact data in Fractions from
 the definitions, its tables built with the dict series algebra of
-dictseries, G assembled over the full simplex, the tuples of a shell of
+dictseries, the Horner product with a geometric factor and the numerator
+it gives, G assembled over the full simplex, the tuples of a shell of
 a box and the shells of an outer sum summed one tuple at a time, the dict
 series truncation, geometric factor and full phase table that the library
 itself no longer needs, the family Lambda with its outer tuple frozen, and
@@ -316,6 +317,65 @@ def reference_tables(plan, pattern):
     return space, bprods, tuple(geometric), tuple(max_mult.items())
 
 
+def _dense_bprods(plan, pattern, space):
+    """Per basis, its Bernoulli rows times its fixed singular factors in
+    space, built densely as plan._tables builds them: t_g per vanishing d_g,
+    the primitive forms the basis lacks, then the scale."""
+    normal, per_basis, max_mult = _pattern_forms(plan, pattern)
+    bprods = []
+    for bi, (b, table) in enumerate(zip(plan.bases, plan._bernoulli_products(space))):
+        scale = Fraction(1)
+        for k, gpos, _ in b.complement:
+            if k in pattern:
+                table = space.mul_linear(table, plan._unit_key(gpos))
+                scale /= normal[k][1]
+        for form, mult in max_mult.items():
+            for _ in range(mult - per_basis[bi].get(form, 0)):
+                table = space.mul_linear(table, form)
+        bprods.append(table * float(scale))
+    return bprods
+
+
+def _regular_factors(plan, b, pattern):
+    """(_d_rows column, L_g weights, key of t_g) per nonvanishing d_g of b."""
+    return [
+        (k, tuple(c / b.den for c in row), plan._unit_key(gpos))
+        for k, gpos, row in b.complement if k not in pattern
+    ]
+
+
+def times_geometric(space, batch, inv, weights, unit) -> np.ndarray:
+    """Each row of batch times -t_g/(d - L_g), with inv = 1/d per row.
+
+    The Horner reference of genfun._expand_geometric: the factor is
+    -(1/d) t_g sum_n (L_g/d)^n, and t_g L_g^n leaves the space once n
+    reaches total_cap, so Horner in L_g/d takes total_cap - 1 steps of
+    mul_linear by the weights of L_g, and one more by t_g (unit).
+    """
+    inv = inv[:, None]
+    acc = batch
+    for _ in range(space.total_cap - 1):
+        acc = batch + inv * space.mul_linear(acc, weights)
+    return -inv * space.mul_linear(acc, unit)
+
+
+def horner_numerator(plan, pattern, tuples, dnum):
+    """plan._numerator's sum over bases, unzeroed, over the pattern's space,
+    each basis term multiplied by its geometric factors one by one with
+    times_geometric.  Returns (numerator, per key the sum over bases of
+    |basis term|)."""
+    space = plan._tables(pattern).space
+    total = np.zeros((len(tuples), space.size), dtype=complex)
+    magnitude = np.zeros((len(tuples), space.size))
+    for b, bprod in zip(plan.bases, _dense_bprods(plan, pattern, space)):
+        term = (plan._phases(b, tuples) @ bprod) * (1.0 / b.den)
+        for k, weights, unit in _regular_factors(plan, b, pattern):
+            term = times_geometric(space, term, b.den / dnum[:, k], weights, unit)
+        total += term
+        magnitude += np.abs(term)
+    return total, magnitude
+
+
 def full_simplex_batch(plan, tuples) -> np.ndarray:
     """G for a batch of outer tuples, each singular pattern assembled over
     the full simplex: every variable capped at the widened total cap.
@@ -336,23 +396,22 @@ def full_simplex_batch(plan, tuples) -> np.ndarray:
         if not pattern:
             out[rows] = plan._assemble_regular(tuples[rows], dnum[rows])
             continue
-        normal, per_basis, max_mult = _pattern_forms(plan, pattern)
+        _, _, max_mult = _pattern_forms(plan, pattern)
         total_cap = plan.total_cap + sum(max_mult.values())
         space = mpseries.dense_space((total_cap,) * len(plan.variables), total_cap)
-        bprods = []
-        for bi, (b, table) in enumerate(zip(plan.bases, plan._bernoulli_products(space))):
-            scale = Fraction(1)
-            for k, gpos, _ in b.complement:
-                if k in pattern:
-                    table = space.mul_linear(table, plan._unit_key(gpos))
-                    scale /= normal[k][1]
-            for form, mult in max_mult.items():
-                for _ in range(mult - per_basis[bi].get(form, 0)):
-                    table = space.mul_linear(table, form)
-            bprods.append(table * float(scale))
+        pairs, dens, exponents, stacked = [], [], [], []
+        for b, bprod in zip(plan.bases, _dense_bprods(plan, pattern, space)):
+            factors = _regular_factors(plan, b, pattern)
+            exps, expanded = genfun._expand_geometric(
+                space, bprod * (1.0 / b.den), [(w, u) for _, w, u in factors], plan.total_cap
+            )
+            pairs += [k for k, _, _ in factors]
+            dens += [b.den] * len(factors)
+            exponents.append(exps)
+            stacked.append(expanded)
         tables = genfun._Tables(
-            space, bprods, plan._tables(pattern).geometric, tuple(max_mult.items()),
-            space.locate(plan.space.keys),
+            space, np.array(pairs, dtype=np.int64), np.array(dens, dtype=float), tuple(exponents),
+            tuple(stacked), tuple(max_mult.items()), space.locate(plan.space.keys),
         )
         numer = plan._numerator(tables, tuples[rows], dnum[rows])[0]
         threshold = 1e-8 * np.maximum(1.0, np.abs(numer).max(axis=1))

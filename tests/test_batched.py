@@ -42,8 +42,9 @@ def _batch(draw, space, rows):
 
 @given(st.data())
 def test_geometric_factor_matches_series_mul(data):
-    # the Horner product of _numerator against the dict expansion of
-    # -t_g/(d - L_g), with per-row d of either sign and |d| = 1 among them
+    # the compiled expansion of -t_g/(d - L_g), summed over its monomials
+    # d^-e at per-row d of either sign with |d| = 1 among them, against the
+    # dict expansion of the factor
     variables, caps, total = data.draw(spaces(full_simplex=data.draw(st.booleans())))
     live = [v for v, c in zip(variables, caps) if c and total]
     assume(live)
@@ -55,15 +56,18 @@ def test_geometric_factor_matches_series_mul(data):
         st.one_of(st.sampled_from([1, -1]), fractions.filter(bool)), min_size=1, max_size=4
     ))
     batch = _batch(data.draw, space, len(denoms))
-    got = genfun._times_geometric(
-        space, batch, 1.0 / np.array([float(d) for d in denoms]),
-        [float(weights.get(v, 0)) for v in variables],
-        [1 if v == gname else 0 for v in variables],
+    exponents, stacked = genfun._expand_geometric(
+        space, batch,
+        [([float(weights.get(v, 0)) for v in variables], [1 if v == gname else 0 for v in variables])],
+        total,
     )
-    for row, d, g in zip(batch, denoms, got):
+    assert exponents.tolist() == [[e] for e in range(1, total + 1)]
+    blocks = stacked.reshape(len(exponents), len(denoms), space.size)
+    for r, (row, d) in enumerate(zip(batch, denoms)):
+        got = sum(float(d) ** -int(e) * block[r] for (e,), block in zip(exponents, blocks))
         factor = helpers.rational_factor(variables, caps, total, gname, d, weights)
         want = ds.to_dense(space, series_mul(ds.from_dense(space, variables, row), factor))
-        assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want), initial=0.0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want), initial=0.0)
 
 
 @given(st.data())
@@ -260,6 +264,46 @@ def test_pole_check_is_relative_to_each_row(monkeypatch):
     monkeypatch.setattr(plan, "_numerator", doctored)
     with pytest.raises(SingularConfiguration, match=r"outer tuple \{2: 2\}"):
         plan._assemble_singular(pattern, tuples, dnum)
+
+
+@pytest.mark.parametrize("cap", [genfun._BATCH_ENTRIES, 2**15])
+@pytest.mark.parametrize(
+    "data, J",
+    [
+        # the G2 forms, J = {2}: regular, 105 monomial-phase columns per row
+        ({"h": [1, 1], "k": [1, 1, 2, 2], "y": ["0", "0"],
+          "A": [[1, 1], [1, 2], [1, 3], [2, 3]]}, (2,)),
+        # A2 at s = 3, J = {1}: every row singular, 128 keys in the widened space
+        ({"h": [3, 3], "k": [3, 3, 3], "y": ["0", "0"], "A": [[1, 0], [0, 1], [1, 1]]}, (1,)),
+    ],
+    ids=["regular", "singular"],
+)
+def test_assembly_chunks_keep_rows_times_width_under_the_cap(monkeypatch, cap, data, J):
+    # a 4096-row call, at its top and over the whole space: no _numerator
+    # call holds more rows x width than the cap, the width being that of its
+    # widest per-row array: the columns it sums (the widened keys on the
+    # singular path), A * K or A * G of a basis, or the powers of the 1/d_g;
+    # and the chunked rows equal one unchunked pass
+    plan = genfun.GeneratingFunctionPlan(model.parse_spec(data), J)
+    tuples = np.arange(1, 4097, dtype=np.int64).reshape(-1, 1)
+    monkeypatch.setattr(genfun, "_BATCH_ENTRIES", 2**40)
+    whole, top = plan.evaluate_batch(tuples), plan.top_coefficients(tuples)
+    monkeypatch.setattr(genfun, "_BATCH_ENTRIES", cap)
+    seen, numerator = [], plan._numerator
+
+    def spy(tables, rows, dnum, columns=slice(None)):
+        widths = [len(range(tables.space.size)[columns]), (plan.total_cap + 1) * len(tables.pairs)]
+        widths += [len(r) for r in tables.rows] + [e.size for e in tables.exponents]
+        seen.append((len(rows), max(widths)))
+        return numerator(tables, rows, dnum, columns)
+
+    monkeypatch.setattr(plan, "_numerator", spy)
+    for read, want in ((plan.evaluate_batch, whole), (plan.top_coefficients, top)):
+        got = read(tuples)
+        assert len(seen) > 1 and sum(rows for rows, _ in seen) == len(tuples)
+        assert all(rows * width <= cap for rows, width in seen)
+        assert np.array_equal(got, want)
+        seen.clear()
 
 
 def test_box_rows_walk_the_box_lexicographically():

@@ -226,8 +226,13 @@ def test_selftest_runs_without_the_tests(tmp_path):
 
 
 def test_selftest_fails_on_a_wrong_geometric_factor(capsys, monkeypatch):
-    times_geometric = genfun._times_geometric
-    monkeypatch.setattr(genfun, "_times_geometric", lambda *args: -times_geometric(*args))
+    expand = genfun._expand_geometric
+
+    def flipped(space, rows, factors, degree):
+        exponents, stacked = expand(space, rows, factors, degree)
+        return exponents, -stacked if factors else stacked
+
+    monkeypatch.setattr(genfun, "_expand_geometric", flipped)
     code, out, _ = _run(capsys, ["selftest"])
     assert code == 1
     assert any(line.endswith(": FAIL") for line in out.splitlines())
@@ -536,6 +541,22 @@ def test_series_space_over_the_work_budget_exits_2(capsys, tmp_path):
     code, out, err = _run(capsys, ["reduce", "--spec", str(path), "--M", "3", "--M-outer", "2"])
     assert code == 2 and out == ""
     assert err.startswith("error: series space of") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "reduce"])
+def test_compiled_table_over_the_work_budget_exits_2(capsys, monkeypatch, tmp_path, command):
+    # J = {1} of six forms has six geometric factors to a total cap of 21:
+    # C(21, 6) monomials x coset reps x 16 384 keys, refused before the
+    # Bernoulli rows are built and before any direct sum
+    path = tmp_path / "six_forms.json"
+    path.write_text(json.dumps({"h": [3, 3], "k": [3] * 6, "y": ["0", "0"],
+                                "A": [[1, 1], [1, 2], [2, 1], [1, 3], [3, 1], [2, 3]]}))
+    monkeypatch.setattr(evaluator, "zeta_refined", _no_work)
+    monkeypatch.setattr(genfun.GeneratingFunctionPlan, "_bernoulli_products", _no_work)
+    code, out, err = _run(capsys, [command, "--spec", str(path), "--M", "3", "--M-outer", "2"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: compiled table of") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_twist_denominator_beyond_int64_evaluates(capsys, tmp_path):

@@ -5,6 +5,7 @@ import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,11 +63,25 @@ def _check_tables(plan, pattern):
     space, bprods, geometric, forms = helpers.reference_tables(plan, pattern)
     assert tables.space is space and tables.forms == forms
     assert np.array_equal(tables.narrow, space.locate(plan.space.keys))
-    assert len(tables.bprods) == len(bprods) == len(plan.bases)
-    for got, want in zip(tables.bprods, bprods):
-        _assert_rows_close(got, want)
-    # pair indices, the weights of L_g and the key of t_g, all exact
-    assert tables.geometric == geometric
+    assert len(tables.rows) == len(bprods) == len(plan.bases)
+    # pair indices and their bases' |det|, exact
+    assert tables.pairs.tolist() == [k for factors in geometric for k, _, _ in factors]
+    assert tables.dens.tolist() == [b.den for b, fs in zip(plan.bases, geometric) for _ in fs]
+    T = plan.total_cap
+    for b, exponents, rows, bprod, factors in zip(
+        plan.bases, tables.exponents, tables.rows, bprods, geometric
+    ):
+        # one monomial per exponent tuple e >= 1 of total at most T
+        assert sorted(map(tuple, exponents.tolist())) == [
+            e for e in itertools.product(range(1, T + 1), repeat=len(factors)) if sum(e) <= T
+        ]
+        # the rows: the reference's Bernoulli rows over |det|, L_g weights
+        # and t_g keys, expanded
+        want_exponents, want_rows = genfun._expand_geometric(
+            space, bprod / b.den, [(weights, unit) for _, weights, unit in factors], T
+        )
+        assert np.array_equal(exponents, want_exponents)
+        _assert_rows_close(rows, want_rows)
 
 
 @given(instances())
@@ -120,6 +135,38 @@ def _check_against_full_simplex(plan, size):
     assert got.shape == want.shape
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w), initial=0.0) <= 1e-14 * np.max(np.abs(w), initial=0.0)
+
+
+def _check_against_horner(plan, size):
+    # every pattern reached: the compiled numerator against the Horner
+    # reference, unzeroed, within 1e-13 of the row's largest sum over bases
+    # of |basis term| (the magnitude _ROUNDINGS reads).  Not per key: where
+    # every Horner basis term is an exact 0, the compiled monomials can
+    # leave rounding of their own (1e-17 against terms of 2.6 on
+    # h = [1,1,1], k = [1,1], A = [[2,0,1],[0,1,0]], J = {1,2})
+    tuples = _outer_tuples(plan, size)
+    dnum = tuples @ plan._d_rows
+    patterns, inverse = genfun.group_rows(dnum == 0)
+    with mock.patch.object(genfun, "_CANCELLED", 0.0):
+        for p, flags in enumerate(patterns):
+            rows = np.flatnonzero(inverse == p)
+            pattern = frozenset(np.flatnonzero(flags).tolist())
+            got = plan._numerator(plan._tables(pattern), tuples[rows], dnum[rows])[0]
+            want, magnitude = helpers.horner_numerator(plan, pattern, tuples[rows], dnum[rows])
+            assert np.all(np.abs(got - want) <= 1e-13 * magnitude.max(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")), ids=lambda p: p.stem)
+def test_compiled_numerator_matches_the_horner_reference_on_bundled_specs(path):
+    spec = model.load_spec(str(path))
+    for J in model.nonempty_subsets(spec.r):
+        _check_against_horner(genfun.GeneratingFunctionPlan(spec, J), 8)
+
+
+@given(instances())
+def test_compiled_numerator_matches_the_horner_reference(spec):
+    for J in model.nonempty_subsets(spec.r):
+        _check_against_horner(genfun.GeneratingFunctionPlan(spec, J), 8)
 
 
 @pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")), ids=lambda p: p.stem)

@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Check that another checkout prints the same reports as this one.
+
+    python3 scripts/compare_reports.py OTHER_CHECKOUT
+
+The calls are every run of scripts/run_demos.py and every call of the
+benchmark's workloads at seed 1 (perfbench/workloads.py, full sizes), each
+in json, text and csv with MDZETA_OUTPUT_DIR set.  Their spec files are
+written once, from this checkout, into one temporary directory that both
+sides read.  Each checkout runs all calls in its own process, with
+PYTHONPATH=<checkout>/src and PYTHONDONTWRITEBYTECODE=1.  For each call the
+exit code, stdout, stderr and the report file are compared; the first
+difference is printed and the exit code is 1.  Exit code 0 means every
+output matched byte for byte.  `python3 scripts/compare_reports.py .`
+checks that a checkout's output does not change between runs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.dont_write_bytecode = True  # read perfbench/ and src/, write nothing there
+
+ROOT = Path(__file__).resolve().parent.parent
+FORMATS = ("json", "text", "csv")
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = sys.modules[path.stem] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_calls(work: Path) -> list[dict]:
+    """Write every spec file under work; return the calls as {label, argv}."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from mdzeta import model
+
+    demos = _load(ROOT / "scripts" / "run_demos.py")
+    workloads = _load(ROOT / "perfbench" / "workloads.py")
+    calls = []
+    (work / "demos").mkdir()
+    for run in demos.RUNS:
+        argv = list(run)
+        pos = argv.index("--spec") + 1
+        name = argv[pos]
+        shutil.copyfile(ROOT / "specs" / name, work / "demos" / name)
+        argv[pos] = str(work / "demos" / name)
+        calls.append({"label": f"demo {' '.join(run)}", "argv": argv})
+
+    def proved(spec: dict) -> bool:
+        return model.convergence_check(model.parse_spec(spec)).status == "proved-sufficient"
+
+    for name, make in workloads.WORKLOADS.items():
+        workload = make(1, False, proved)  # seed 1, full sizes
+        spec_dir = work / name
+        spec_dir.mkdir()
+        for spec_name, spec in workload.specs.items():
+            (spec_dir / f"{spec_name}.json").write_text(json.dumps(spec), encoding="utf-8")
+        for call in workload.calls:
+            argv = [call.command, "--spec", str(spec_dir / f"{call.spec}.json"), *call.params]
+            calls.append({"label": f"{name}: {call.label} {' '.join(call.params)}", "argv": argv})
+    return calls
+
+
+def run_calls(tree: Path, calls_file: Path, out_file: Path) -> int:
+    """In a process whose PYTHONPATH is tree/src: run every call, write what it printed."""
+    import mdzeta
+    from mdzeta.cli import main
+
+    if not Path(mdzeta.__file__).resolve().is_relative_to(tree / "src"):
+        print(f"mdzeta loaded from {mdzeta.__file__}, not from {tree / 'src'}", file=sys.stderr)
+        return 2
+    reports = calls_file.parent / "reports"
+    results = []
+    for call in json.loads(calls_file.read_text(encoding="utf-8")):
+        for fmt in FORMATS:
+            os.environ["MDZETA_OUTPUT_DIR"] = str(reports)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main([*call["argv"], "--output", fmt])
+                except SystemExit as exc:
+                    code = exc.code
+                except Exception as exc:  # recorded as this call's outcome
+                    code = f"raised {type(exc).__name__}: {exc}"
+            files = {p.name: p.read_text(encoding="utf-8") for p in sorted(reports.glob("*"))}
+            shutil.rmtree(reports, ignore_errors=True)
+            results.append({"label": f"{call['label']} --output {fmt}", "exit code": code,
+                            "stdout": out.getvalue(), "stderr": err.getvalue(),
+                            "report file": files})
+    out_file.write_text(json.dumps(results), encoding="utf-8")
+    return 0
+
+
+def _side(tree: Path, work: Path, calls_file: Path, name: str) -> list[dict]:
+    env = {k: v for k, v in os.environ.items() if k != "MDZETA_OUTPUT_DIR"}
+    env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    out_file = work / f"{name}.json"
+    subprocess.run(
+        [sys.executable, __file__, "--run-calls", str(tree), str(calls_file), str(out_file)],
+        env=env, cwd=work, check=True,
+    )
+    return json.loads(out_file.read_text(encoding="utf-8"))
+
+
+def _first_difference(a, b) -> str:
+    if isinstance(a, str) and isinstance(b, str):
+        lines_a, lines_b = a.splitlines(), b.splitlines()
+        for n, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
+            if x != y:
+                return f"line {n}:\n  this:  {x!r}\n  other: {y!r}"
+        return f"{len(lines_a)} lines here, {len(lines_b)} there (or a trailing newline differs)"
+    return f"\n  this:  {a!r}\n  other: {b!r}"
+
+
+def compare(other: Path) -> int:
+    with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
+        work = Path(tmp)
+        calls = write_calls(work)
+        calls_file = work / "calls.json"
+        calls_file.write_text(json.dumps(calls), encoding="utf-8")
+        here, there = _side(ROOT, work, calls_file, "this"), _side(other, work, calls_file, "other")
+    for a, b in zip(here, there):
+        for field in ("exit code", "stdout", "stderr", "report file"):
+            x, y = a[field], b[field]
+            if field == "report file" and x != y:
+                if x.keys() != y.keys():
+                    field, x, y = "report file names", sorted(x), sorted(y)
+                else:
+                    name = next(n for n in x if x[n] != y[n])
+                    field, x, y = f"report file {name}", x[name], y[name]
+            if x != y:
+                print(f"differs: {a['label']}: {field}, {_first_difference(x, y)}")
+                return 1
+    print(f"identical: {len(calls)} calls x {len(FORMATS)} formats "
+          "(exit code, stdout, stderr, report file)")
+    return 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--run-calls"] and len(argv) == 4:
+        return run_calls(Path(argv[1]).resolve(), Path(argv[2]), Path(argv[3]))
+    if len(argv) != 1 or not (Path(argv[0]) / "src" / "mdzeta").is_dir():
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    return compare(Path(argv[0]).resolve())
+
+
+if __name__ == "__main__":
+    sys.exit(main())

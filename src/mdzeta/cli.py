@@ -12,7 +12,9 @@ for a box, the work budget and the convergence gate; make MDZETA_OUTPUT_DIR),
 and one emitter, _emit (the JSON report to
 MDZETA_OUTPUT_DIR/<subcommand>_report.json when that is set, then text, json
 or csv on stdout).  reduce shows the report of verify's computation,
-evaluator.verify_parity, per term.
+evaluator.verify_parity, per term.  All rendering lives here: the
+evaluator returns numbers, and each subcommand turns them into its JSON
+payload and its text and csv lines, every float spelled by _fnum.
 
 Exit codes: 0 success/pass, 1 fail, 2 invalid input, convergence not
 established or a reduced side that cannot be assembled, 3 inconclusive.
@@ -44,9 +46,9 @@ import sys
 from fractions import Fraction
 
 from . import evaluator, exact, genfun, mpseries
-from .evaluator import _cnum, _fnum, report_header
 from .model import (
     WORK_BUDGET, SpecError, convergence_check, load_spec, nonempty_subsets, parse_spec,
+    spec_to_dict,
 )
 
 
@@ -108,8 +110,33 @@ def _emit(command: str, payload: dict, fmt: str, text, csv) -> None:
         print(line)
 
 
+def _fnum(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _cnum(z: complex) -> dict:
+    return {"re": _fnum(z.real), "im": _fnum(z.imag)}
+
+
 def _ctext(z: complex, digits: int = 15) -> str:
     return f"{z.real:.{digits}g} + {z.imag:.{digits}g}i"
+
+
+def _report_header(spec, convergence) -> dict:
+    """The spec and convergence entries every JSON report opens with."""
+    return {
+        "spec": spec_to_dict(spec),
+        "convergence": {"status": convergence.status, "reason": convergence.reason},
+    }
+
+
+def _corollary_json(cor: dict) -> dict:
+    return {
+        "case": cor["case"],
+        "series_side": _fnum(cor["series_side"]),
+        "reduced_side": _cnum(cor["reduced_side"]),
+        "delta": _fnum(cor["delta"]),
+    }
 
 
 def _spec_line(spec) -> str:
@@ -155,7 +182,7 @@ def cmd_validate(args) -> int:
     spec, verdict = _prepare(args)
     text = [_spec_line(spec), "valid: yes", f"convergence: {verdict.status} ({verdict.reason})"]
     csv = ["field,value", "valid,yes", f"convergence,{verdict.status}"]
-    _emit("validate", {**report_header(spec, verdict), "valid": True}, args.output, text, csv)
+    _emit("validate", {**_report_header(spec, verdict), "valid": True}, args.output, text, csv)
     return 0
 
 
@@ -167,7 +194,7 @@ def cmd_eval(args) -> int:
     refined = evaluator.zeta_refined(spec, args.M)
     partial, v = refined.partial, refined.value
     payload = {
-        **report_header(spec, verdict),
+        **_report_header(spec, verdict),
         "parameters": {"M": args.M},
         "partial_sum": _cnum(partial.value),
         "tail_estimate": _fnum(partial.tail_estimate),
@@ -216,29 +243,56 @@ def cmd_verify(args) -> int:
         f"              lhs      = {_ctext(lhs)}",
         "reduced side:",
     ]
+    csv = ["section,J,I,sign,value_re,value_im,tail"]
+    per_J = []
     for t in rhs.terms:
+        term = {
+            "J": list(t.J), "I": list(t.I), "sign": t.sign, "rho": list(t.rho),
+            "value_re": _fnum(t.value.real), "value_im": _fnum(t.value.imag),
+            "tail": _fnum(t.refined.uncertainty),
+        }
+        per_J.append(term)
         text.append(
             f"  J={set(t.J)} I={set(t.I)} sign={t.sign:+d} rho={t.rho}: "
             f"{_ctext(t.value)}  (+- {t.refined.uncertainty:.3g})"
         )
+        csv.append(
+            f"term,{' '.join(map(str, t.J))},{' '.join(map(str, t.I))},{t.sign},"
+            f"{term['value_re']},{term['value_im']},{term['tail']}"
+        )
     text += [
         f"              total    = {_ctext(rhs.total)}",
-        f"residual = {report.residual:.6g}  tolerance = {report.tol:g}  "
+        f"residual = {report.residual:.6g}  tolerance = {args.tol:g}  "
         f"tails = {report.tails_total:.6g}",
         f"verdict: {report.verdict}",
     ]
-    csv = ["section,J,I,sign,value_re,value_im,tail"]
-    for t in rhs.terms:
-        csv.append(
-            f"term,{' '.join(map(str, t.J))},{' '.join(map(str, t.I))},{t.sign},"
-            f"{_fnum(t.value.real)},{_fnum(t.value.imag)},{_fnum(t.refined.uncertainty)}"
-        )
     csv.append(
         f"rhs_total,,,,{_fnum(rhs.total.real)},{_fnum(rhs.total.imag)},{_fnum(rhs.tails_total)}"
     )
     csv.append(f"lhs,,,,{_fnum(lhs.real)},{_fnum(lhs.imag)},")
     csv.append(f"residual,,,,{_fnum(report.residual)},,{report.verdict}")
-    _emit("verify", report.to_json_dict(), args.output, text, csv)
+    payload = {
+        **_report_header(spec, report.convergence),
+        "parameters": {
+            "M": args.M, "M_outer": args.M_outer, "tol": _fnum(args.tol),
+            "rho_variant": args.rho_variant,
+        },
+        "lhs": {
+            "parity_sign": report.parity_sign,
+            "case": report.parity_case,
+            "zeta_plus": _cnum(zp.value),
+            "zeta_plus_tail": _fnum(zp.uncertainty),
+            "zeta_minus": _cnum(zm.value),
+            "zeta_minus_tail": _fnum(zm.uncertainty),
+            "value": _cnum(lhs),
+        },
+        "rhs": {"total": _cnum(rhs.total), "per_J": per_J},
+        "residual": _fnum(report.residual),
+        "tails_total": _fnum(report.tails_total),
+        "verdict": report.verdict,
+        "corollary": _corollary_json(report.corollary()),
+    }
+    _emit("verify", payload, args.output, text, csv)
     return {"pass": 0, "inconclusive": 3, "fail": 1}[report.verdict]
 
 
@@ -254,50 +308,42 @@ def cmd_reduce(args) -> int:
         rho_variant=args.rho_variant, assume_convergence=args.assert_convergence,
     )
     rhs, cor = report.rhs, report.corollary()
-    terms_payload = []
-    sample_text = []
-    for t in rhs.terms:
-        dval = t.unit_D
-        terms_payload.append(
-            {
-                "J": list(t.J),
-                "I": list(t.I),
-                "sign": t.sign,
-                "rho": list(t.rho),
-                "T": _cnum(t.value),
-                "tail": _fnum(t.refined.uncertainty),
-                "outer_sum_exact": t.exact,
-                "D_at_unit_outer": _cnum(dval),
-            }
-        )
-        label = "(no outer sum)" if t.exact else "(outer tuple = all ones)"
-        sample_text.append(
-            f"  J={set(t.J)} I={set(t.I)} sign={t.sign:+d}: T = {_ctext(t.value, 12)} "
-            f"(+- {t.refined.uncertainty:.2g}); D {label} = {_ctext(dval, 12)}"
-        )
-    payload = {
-        **report_header(spec, verdict),
-        "parameters": {"M": args.M, "M_outer": args.M_outer},
-        "terms": terms_payload,
-        "rhs_total": _cnum(rhs.total),
-        "tails_total": _fnum(rhs.tails_total),
-        "corollary": evaluator.corollary_json(cor),
-    }
     text = [
         _spec_line(spec),
         f"reduction over {len(rhs.terms)} nonempty subsets (M_outer={args.M_outer}):",
-        *sample_text,
+    ]
+    csv = ["J,I,sign,T_re,T_im,tail,D_ones_re,D_ones_im"]
+    terms = []
+    for t in rhs.terms:
+        term = {
+            "J": list(t.J), "I": list(t.I), "sign": t.sign, "rho": list(t.rho),
+            "T": _cnum(t.value), "tail": _fnum(t.refined.uncertainty),
+            "outer_sum_exact": t.exact, "D_at_unit_outer": _cnum(t.unit_D),
+        }
+        terms.append(term)
+        label = "(no outer sum)" if t.exact else "(outer tuple = all ones)"
+        text.append(
+            f"  J={set(t.J)} I={set(t.I)} sign={t.sign:+d}: T = {_ctext(t.value, 12)} "
+            f"(+- {t.refined.uncertainty:.2g}); D {label} = {_ctext(t.unit_D, 12)}"
+        )
+        csv.append(
+            f"{' '.join(map(str, t.J))},{' '.join(map(str, t.I))},{t.sign},"
+            f"{term['T']['re']},{term['T']['im']},{term['tail']},"
+            f"{term['D_at_unit_outer']['re']},{term['D_at_unit_outer']['im']}"
+        )
+    text += [
         f"rhs total = {_ctext(rhs.total)}  (tails +- {rhs.tails_total:.3g})",
         f"corollary [{cor['case']}]: series side = {cor['series_side']:.15g}, "
         f"reduced side = {_ctext(cor['reduced_side'])}, delta = {cor['delta']:.3g}",
     ]
-    csv = ["J,I,sign,T_re,T_im,tail,D_ones_re,D_ones_im"]
-    for t, tp in zip(rhs.terms, terms_payload):
-        csv.append(
-            f"{' '.join(map(str, t.J))},{' '.join(map(str, t.I))},{t.sign},"
-            f"{tp['T']['re']},{tp['T']['im']},{tp['tail']},"
-            f"{tp['D_at_unit_outer']['re']},{tp['D_at_unit_outer']['im']}"
-        )
+    payload = {
+        **_report_header(spec, verdict),
+        "parameters": {"M": args.M, "M_outer": args.M_outer},
+        "terms": terms,
+        "rhs_total": _cnum(rhs.total),
+        "tails_total": _fnum(rhs.tails_total),
+        "corollary": _corollary_json(cor),
+    }
     _emit("reduce", payload, args.output, text, csv)
     return 0
 
@@ -333,7 +379,7 @@ def _selftest_closed_form(data: dict, J: tuple, closed) -> bool:
     spec = parse_spec({**data, "y": ["0"] * len(data["h"])})
     plan = genfun.GeneratingFunctionPlan(spec, J)
     outer = range(1, 6)
-    got = plan.evaluate_batch([[x] for x in outer])[:, plan.top]
+    got = plan.top_coefficients([[x] for x in outer])
     return all(abs(g - closed(x)) <= 1e-12 * abs(closed(x)) for g, x in zip(got, outer))
 
 

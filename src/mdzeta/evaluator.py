@@ -1,17 +1,20 @@
 """Numerical evaluation: direct shell sums, tail control, and verification.
 
-Both sides walk an integer box in lexicographic blocks of rows (_box_rows),
-weigh each row by one kernel (_weights: 1/m^h, 1/form^k and the twist
-phase), bucket the terms into max-norm shells with numpy, and total the
-shells with math.fsum, keeping per-shell magnitudes for tail work.  The
-direct side is the series over [1, M]^r; the reduced side is, per nonempty
-subset J, the outer sum over [1, M_outer]^|Jbar| of coefficients of the
-generating function G.  Partial sums are then refined by fitting the shell
+Both sides walk an integer box in lexicographic order, bucket the terms
+into max-norm shells and total the shells with math.fsum, keeping
+per-shell magnitudes for tail work.  The direct side is the series over
+[1, M]^r, summed tile by tile (_direct_shells): the weights 1/form^k that
+couple a run of leading tuples to a run of m_r are read from strided
+windows of the 1/f^k tables, and the factors of each run alone come from
+_weights.  The reduced side is, per nonempty subset J, the outer sum over
+[1, M_outer]^|Jbar| of G's top coefficient, each block of outer tuples
+weighed by _weights.  Partial sums are then refined by fitting the shell
 decay (a + b log n)/n^w on a trailing window and integrating the fit past
 the box; the fit is attempted only when a component is decaying with a
 fixed sign, and every correction carries its own uncertainty.
 verify_parity ties the two sides together; as h, k and A are
-real, it takes zeta(-y) as the conjugate of zeta(y).
+real, it takes zeta(-y) as the conjugate of zeta(y).  The module returns
+numbers (sums, terms, a VerificationReport); cli renders every report.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .model import (
     SeriesSpec,
     convergence_check,
     nonempty_subsets,
-    spec_to_dict,
     subset_context,
     wt,
 )
@@ -456,38 +458,10 @@ def parity_sign(spec: SeriesSpec) -> int:
     return -1 if (spec.weight + spec.r + 1) % 2 else 1
 
 
-def _fnum(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _cnum(z: complex) -> dict:
-    return {"re": _fnum(z.real), "im": _fnum(z.imag)}
-
-
-def report_header(spec: SeriesSpec, convergence: ConvergenceVerdict) -> dict:
-    """The spec and convergence entries every JSON report opens with."""
-    return {
-        "spec": spec_to_dict(spec),
-        "convergence": {"status": convergence.status, "reason": convergence.reason},
-    }
-
-
-def corollary_json(cor: dict) -> dict:
-    return {
-        "case": cor["case"],
-        "series_side": _fnum(cor["series_side"]),
-        "reduced_side": _cnum(cor["reduced_side"]),
-        "delta": _fnum(cor["delta"]),
-    }
-
-
 @dataclass(frozen=True)
 class VerificationReport:
-    spec: SeriesSpec
-    M: int
-    M_outer: int
-    tol: float
-    rho_variant: int
+    """What verify_parity computes: both sides, the residual and the verdict."""
+
     convergence: ConvergenceVerdict
     zeta_plus: RefinedSum
     zeta_minus: RefinedSum
@@ -517,45 +491,6 @@ class VerificationReport:
             "series_side": series_side,
             "reduced_side": reduced_side,
             "delta": abs(complex(series_side, 0.0) - reduced_side),
-        }
-
-    def to_json_dict(self) -> dict:
-        return {
-            **report_header(self.spec, self.convergence),
-            "parameters": {
-                "M": self.M,
-                "M_outer": self.M_outer,
-                "tol": _fnum(self.tol),
-                "rho_variant": self.rho_variant,
-            },
-            "lhs": {
-                "parity_sign": self.parity_sign,
-                "case": self.parity_case,
-                "zeta_plus": _cnum(self.zeta_plus.value),
-                "zeta_plus_tail": _fnum(self.zeta_plus.uncertainty),
-                "zeta_minus": _cnum(self.zeta_minus.value),
-                "zeta_minus_tail": _fnum(self.zeta_minus.uncertainty),
-                "value": _cnum(self.lhs_value),
-            },
-            "rhs": {
-                "total": _cnum(self.rhs.total),
-                "per_J": [
-                    {
-                        "J": list(t.J),
-                        "I": list(t.I),
-                        "sign": t.sign,
-                        "rho": list(t.rho),
-                        "value_re": _fnum(t.value.real),
-                        "value_im": _fnum(t.value.imag),
-                        "tail": _fnum(t.refined.uncertainty),
-                    }
-                    for t in self.rhs.terms
-                ],
-            },
-            "residual": _fnum(self.residual),
-            "tails_total": _fnum(self.tails_total),
-            "verdict": self.verdict,
-            "corollary": corollary_json(self.corollary()),
         }
 
 
@@ -591,11 +526,6 @@ def verify_parity(
     else:
         verdict = "fail"
     return VerificationReport(
-        spec=spec,
-        M=M,
-        M_outer=M_outer,
-        tol=tol,
-        rho_variant=rho_variant,
         convergence=verdict_conv,
         zeta_plus=zp,
         zeta_minus=zm,

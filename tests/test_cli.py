@@ -355,7 +355,24 @@ def test_reduce_reports_unit_outer_d_and_shared_corollary(capsys):
         got = complex(float(term["D_at_unit_outer"]["re"]), float(term["D_at_unit_outer"]["im"]))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     report = evaluator.verify_parity(spec, M=120, M_outer=120, tol=1e-2)
-    assert payload["corollary"] == evaluator.corollary_json(report.corollary())
+    assert payload["corollary"] == cli._corollary_json(report.corollary())
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SPECS.glob("*.json")))
+def test_verify_and_reduce_show_one_computation(capsys, name):
+    # reduce tabulates the reduced side verify compares, term by term, and
+    # both read the corollary off the same direct sum
+    argv = ["--spec", str(SPECS / f"{name}.json"), "--M", "60", "--M-outer", "20",
+            "--output", "json"]
+    verify = json.loads(_run(capsys, ["verify", *argv])[1])
+    reduce = json.loads(_run(capsys, ["reduce", *argv])[1])
+    per_J, terms = verify["rhs"]["per_J"], reduce["terms"]
+    assert len(per_J) == len(terms) == 2**len(verify["spec"]["h"]) - 1
+    for v, t in zip(per_J, terms):
+        assert (v["J"], v["I"], v["sign"], v["rho"], v["value_re"], v["value_im"], v["tail"]) == (
+            t["J"], t["I"], t["sign"], t["rho"], t["T"]["re"], t["T"]["im"], t["tail"]
+        )
+    assert verify["corollary"] == reduce["corollary"]
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])

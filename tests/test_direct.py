@@ -108,10 +108,10 @@ def test_verify_zeta_minus_matches_independent_negated_twist(capsys, tmp_path, d
     lhs = json.loads(capsys.readouterr().out)["lhs"]
     spec = model.parse_spec(data)
     independent = evaluator.zeta_refined(spec.negated_twist(), 150)
-    assert lhs["zeta_minus"] == evaluator._cnum(independent.value)
-    assert lhs["zeta_minus_tail"] == evaluator._fnum(independent.uncertainty)
+    assert lhs["zeta_minus"] == cli._cnum(independent.value)
+    assert lhs["zeta_minus_tail"] == cli._fnum(independent.uncertainty)
     plus = evaluator.zeta_refined(spec, 150)
-    assert lhs["zeta_plus"] == evaluator._cnum(plus.value)
+    assert lhs["zeta_plus"] == cli._cnum(plus.value)
     if any(spec.y[j].denominator > 2 for j in range(spec.r)):
         assert float(lhs["zeta_minus"]["im"]) == -float(lhs["zeta_plus"]["im"]) != 0
     else:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from mdzeta import evaluator, model
+from mdzeta import cli, evaluator, model
 from mdzeta.evaluator import (
     ConvergenceNotEstablished,
     _power_estimate,
@@ -180,9 +180,16 @@ def test_verify_parity_antisymmetric_case():
     assert report.corollary()["case"] == "imag-part"
 
 
-def test_verify_parity_report_serializes_deterministically():
-    a = verify_parity(MT, M=120, M_outer=120, tol=1e-2).to_json_dict()
-    b = verify_parity(MT, M=120, M_outer=120, tol=1e-2).to_json_dict()
+def test_verify_parity_report_serializes_deterministically(capsys, tmp_path):
+    path = tmp_path / "mt.json"
+    path.write_text(json.dumps(model.spec_to_dict(MT)))
+    argv = ["verify", "--spec", str(path), "--M", "120", "--M-outer", "120", "--tol", "1e-2",
+            "--output", "json"]
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    a, b = map(json.loads, outs)
     assert a == b
     text = json.dumps(a, sort_keys=True)
     assert json.loads(text) == a

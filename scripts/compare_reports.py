@@ -3,9 +3,12 @@
 
     python3 scripts/compare_reports.py OTHER_CHECKOUT
 
-The calls are every run of scripts/run_demos.py and every call of the
-benchmark's workloads at seed 1 (perfbench/workloads.py, full sizes), each
-in json, text and csv with MDZETA_OUTPUT_DIR set.  Their spec files are
+The calls are every run of scripts/run_demos.py, every call of the
+benchmark's workloads at seed 1 (perfbench/workloads.py, full sizes), and
+verify and reduce of every bundled spec at small sizes and of the r = 4
+Mordell-Tornheim spec below (their reduced sides share terms across
+subsets J of one symmetry class), each in json, text and csv with
+MDZETA_OUTPUT_DIR set.  Their spec files are
 written once, from this checkout, into one temporary directory that both
 sides read.  Each checkout runs all calls in its own process, with
 PYTHONPATH=<checkout>/src and PYTHONDONTWRITEBYTECODE=1.  For each call the
@@ -32,6 +35,10 @@ sys.dont_write_bytecode = True  # read perfbench/ and src/, write nothing there
 
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("json", "text", "csv")
+# verify and reduce of each bundled spec at these sizes
+BUNDLED_SIZES = ("--M", "40", "--M-outer", "20")
+MT_R4 = {"h": [1, 1, 1, 1], "k": [3], "y": ["0", "0", "0", "0"], "A": [[1, 1, 1, 1]]}
+MT_R4_SIZES = ("--M", "12", "--M-outer", "8")
 
 
 def _load(path: Path):
@@ -57,6 +64,19 @@ def write_calls(work: Path) -> list[dict]:
         shutil.copyfile(ROOT / "specs" / name, work / "demos" / name)
         argv[pos] = str(work / "demos" / name)
         calls.append({"label": f"demo {' '.join(run)}", "argv": argv})
+
+    shared = work / "shared"
+    shared.mkdir()
+    sized = []
+    for path in sorted((ROOT / "specs").glob("*.json")):
+        shutil.copyfile(path, shared / path.name)
+        sized.append((path.name, BUNDLED_SIZES))
+    (shared / "mt_r4.json").write_text(json.dumps(MT_R4), encoding="utf-8")
+    sized.append(("mt_r4.json", MT_R4_SIZES))
+    for name, sizes in sized:
+        for command in ("verify", "reduce"):
+            argv = [command, "--spec", str(shared / name), *sizes]
+            calls.append({"label": f"shared: {command} {name} {' '.join(sizes)}", "argv": argv})
 
     def proved(spec: dict) -> bool:
         return model.convergence_check(model.parse_spec(spec)).status == "proved-sufficient"

@@ -47,8 +47,8 @@ from fractions import Fraction
 
 from . import evaluator, exact, genfun, mpseries
 from .model import (
-    WORK_BUDGET, SpecError, convergence_check, load_spec, nonempty_subsets, parse_spec,
-    spec_to_dict,
+    WORK_BUDGET, SpecError, convergence_check, load_spec, parse_spec, spec_to_dict,
+    subset_classes,
 )
 
 
@@ -161,8 +161,10 @@ def _check_budget(spec, M: int, M_outer: int | None = None) -> None:
         return
     # the reduced side reads every coset representative of every basis of
     # Lambda_J at every outer tuple over Jbar; the count is known from the
-    # basis determinants, before any coset is enumerated
-    for J in nonempty_subsets(spec.r):
+    # basis determinants, before any coset is enumerated.  It and |Jbar| are
+    # the same across a class, whose first member comes first in subset
+    # order, so counting each class's first member finds the same first J
+    for J, *_ in subset_classes(spec):
         count, outer = genfun.coset_count(spec, J), spec.r - len(J)
         if count * M_outer**outer > WORK_BUDGET:
             raise _over_budget(

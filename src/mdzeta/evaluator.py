@@ -33,6 +33,7 @@ from .model import (
     SeriesSpec,
     convergence_check,
     nonempty_subsets,
+    subset_classes,
     subset_context,
     wt,
 )
@@ -441,10 +442,19 @@ def term_T(spec: SeriesSpec, J, M_outer: int, rho_variant: int = 0) -> TermSumma
 def rhs_total(
     spec: SeriesSpec, M_outer: int, rho_variant: int = 0
 ) -> RhsBreakdown:
-    """Sum of the reduced-side contributions over all nonempty subsets J."""
-    terms = []
-    for J in nonempty_subsets(spec.r):
-        terms.append(term_T(spec, J, M_outer, rho_variant=rho_variant))
+    """Sum of the reduced-side contributions over all nonempty subsets J.
+
+    Terms come in nonempty_subsets order.  Subsets whose data agree up to
+    relabelling (model.subset_classes) share one evaluation: term_T runs
+    for the first member of each class, and every other member takes that
+    term (sign, rho, refined sum, exact flag, unit_D) under its own J and I.
+    """
+    by_J: dict[tuple[int, ...], TermSummary] = {}
+    for first, *others in subset_classes(spec):
+        by_J[first] = term_T(spec, first, M_outer, rho_variant=rho_variant)
+        for J in others:
+            by_J[J] = replace(by_J[first], J=J, I=subset_context(spec, J).I)
+    terms = [by_J[J] for J in nonempty_subsets(spec.r)]
     total = _fsum([t.value for t in terms])
     tails = sum(t.refined.uncertainty for t in terms)
     return RhsBreakdown(total=total, tails_total=tails, terms=tuple(terms))

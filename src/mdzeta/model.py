@@ -8,7 +8,8 @@ zero column.  The series attached to it is
                                       prod_i (a_i1 m_1 + ... + a_ir m_r)^{-k_i}
 
 with e(t) = exp(2 pi i t).  Everything downstream (subset contexts for the
-reduction, convergence checking, JSON I/O) lives here too.
+reduction and their classes of equal terms, convergence checking, JSON I/O)
+lives here too.
 """
 
 from __future__ import annotations
@@ -161,6 +162,37 @@ def nonempty_subsets(r: int) -> list[tuple[int, ...]]:
     for size in range(1, r + 1):
         out.extend(itertools.combinations(range(1, r + 1), size))
     return out
+
+
+def subset_classes(spec: SeriesSpec) -> list[tuple[tuple[int, ...], ...]]:
+    """The nonempty subsets J in classes of equal reduced-side terms.
+
+    The key of J holds h and y on J, in J's order; h and y on Jbar; and the
+    multiset of forms as (k_i, form on J, form on Jbar), with Jbar put in
+    an order read off the data alone: by (h_j, y_j, sorted column j of A),
+    ties in index order.  Equal keys give a relabelling of variables and
+    forms that carries one term's data onto the other's, so the two terms
+    T_J have the same sign, rho and value, up to rounding: the outer sum
+    and the members of Lambda_J are taken in another order.  The key may
+    miss a symmetry, never join different data.  Classes come in
+    nonempty_subsets order of their first members, each in that order.
+    """
+    # per variable, 0-based: h_j and y_j as integers; Jbar keeps the order
+    # of all variables by (h_j, y_j, sorted column)
+    data = [(h, y.numerator, y.denominator) for h, y in zip(spec.h, spec.y)]
+    columns = list(zip(*spec.A))
+    order = sorted(range(spec.r), key=lambda j: (data[j], sorted(columns[j])))
+    classes: dict[tuple, list[tuple[int, ...]]] = {}
+    for J in nonempty_subsets(spec.r):
+        inner = [j - 1 for j in J]
+        outer = [j for j in order if j + 1 not in J]
+        forms = sorted(
+            (k, tuple([row[j] for j in inner]), tuple([row[j] for j in outer]))
+            for k, row in zip(spec.k, spec.A)
+        )
+        key = (tuple([data[j] for j in inner]), tuple([data[j] for j in outer]), tuple(forms))
+        classes.setdefault(key, []).append(J)
+    return [tuple(members) for members in classes.values()]
 
 
 @dataclass(frozen=True)

@@ -444,6 +444,25 @@ def test_work_budget_admits_boxes_up_to_the_limit(capsys, monkeypatch):
     assert code == 2 and "2 coset representatives times 201^1 outer tuples = 402" in err
 
 
+def test_budget_counts_cosets_once_per_subset_class(monkeypatch):
+    # 3 calls for mt_r3's 7 subsets and 4 for r = 4 MT's 15: one per class
+    calls, count = [], genfun.coset_count
+
+    def counted(spec, J):
+        calls.append(J)
+        return count(spec, J)
+
+    monkeypatch.setattr(genfun, "coset_count", counted)
+    mt_r4 = model.parse_spec({"h": [1] * 4, "k": [3], "y": ["0"] * 4, "A": [[1] * 4]})
+    for spec, want in (
+        (model.load_spec(str(SPECS / "mt_r3.json")), [(1,), (1, 2), (1, 2, 3)]),
+        (mt_r4, [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)]),
+    ):
+        calls.clear()
+        cli._check_budget(spec, 10, 10)
+        assert calls == want
+
+
 def _no_cosets(*args, **kwargs):
     raise AssertionError("coset representatives enumerated")
 

@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from mdzeta import cli, evaluator, model
@@ -213,3 +215,116 @@ def test_verify_parity_residual_improves_with_depth():
     ]
     assert residuals[0] > residuals[1] > residuals[2]
     assert residuals[2] <= 1e-6
+
+
+# --------------------------------------------- one evaluation per subset class
+
+
+def _spec(h, k, A, y=None):
+    return model.parse_spec({"h": h, "k": k, "y": y or ["0"] * len(h), "A": A})
+
+
+A2 = [[1, 0], [0, 1], [1, 1]]
+A3 = [[1, 1, 0], [0, 1, 1], [1, 1, 1]]
+# spec and outer box; the last two have no two subsets in one class
+SHARING = {
+    "mt_r2": (MT, 40),
+    "mt_r2_null": (NULL, 40),
+    "mt_r3": (_spec([1, 1, 1], [2], [[1, 1, 1]]), 20),
+    "mt_r3_twisted": (_spec([1, 1, 1], [2], [[1, 1, 1]], ["1/3"] * 3), 20),
+    "mt_r4": (_spec([1, 1, 1, 1], [3], [[1, 1, 1, 1]]), 8),
+    "root_a2": (_spec([1, 1], [1, 1, 1], A2), 40),
+    "a2_twisted": (_spec([2, 2], [2, 2, 2], A2, ["1/4", "1/4"]), 40),
+    "a3": (_spec([1, 1, 1], [1, 1, 1], A3), 20),
+    "mt_r2_twisted": (_spec([2, 2], [2], [[1, 1]], ["1/2", "0"]), 40),
+    "b2": (_spec([1, 1], [1, 1], [[1, 1], [1, 2]]), 40),
+}
+
+
+def _check_shared_terms(spec, M_outer, rtol=1e-12, own_scale=False):
+    """Every term of rhs_total against term_T of its own J: the same J, I,
+    sign, rho and exact flag; value, uncertainty and unit_D within rtol of
+    the largest |T_J|, or with own_scale unit_D within rtol of the largest
+    |unit_D| (a shared term sums the outer box in another order)."""
+    rhs = rhs_total(spec, M_outer)
+    own = [term_T(spec, J, M_outer) for J in model.nonempty_subsets(spec.r)]
+    assert [t.J for t in rhs.terms] == [t.J for t in own]
+    scale = max(abs(t.value) for t in own)
+    unit_scale = max(abs(t.unit_D) for t in own) if own_scale else scale
+    for shared, alone in zip(rhs.terms, own):
+        assert (shared.J, shared.I, shared.sign, shared.rho, shared.exact) == (
+            alone.J, alone.I, alone.sign, alone.rho, alone.exact
+        )
+        assert abs(shared.value - alone.value) <= rtol * scale
+        assert abs(shared.refined.uncertainty - alone.refined.uncertainty) <= rtol * scale
+        assert abs(shared.unit_D - alone.unit_D) <= rtol * unit_scale
+
+
+@pytest.mark.parametrize("name", sorted(SHARING))
+def test_shared_terms_match_their_own_evaluation(name):
+    _check_shared_terms(*SHARING[name])
+
+
+@st.composite
+def symmetric_instances(draw):
+    """r <= 3 data fixed by a permutation of the variables: h and y constant
+    on its orbits, and A the union of the orbits of a drawn form and, at
+    r = 2, of a form fixed by the swap.  Three forms at most, and k = 1 at
+    r = 3, keep the plans small."""
+    r = draw(st.integers(2, 3))
+    perm = (1, 0) if r == 2 else draw(st.sampled_from([(1, 0, 2), (1, 2, 0)]))
+    orbit = list(range(r))  # the least variable of each orbit
+    for _ in range(r):
+        orbit = [min(o, orbit[perm[j]]) for j, o in enumerate(orbit)]
+    h = {o: draw(st.integers(1, 2)) for o in sorted(set(orbit))}
+    y = {o: draw(st.sampled_from(["0", "1/2", "1/3"])) for o in sorted(set(orbit))}
+    base = [[draw(st.integers(0, 2)) for _ in range(r)]]
+    if r == 2 and draw(st.booleans()):
+        base.append([draw(st.integers(1, 2))] * 2)
+    for row in base:
+        row[0] = row[0] or int(not any(row))
+    for j in range(r):
+        if not any(row[jj] for row in base for jj in range(r) if orbit[jj] == orbit[j]):
+            base[0][j] = 1
+    A, k = [], []
+    for row in base:
+        kind = draw(st.integers(1, 4 - r))
+        for _ in range(r):
+            if row not in A:
+                A.append(row)
+                k.append(kind)
+            row = [row[perm.index(j)] for j in range(r)]
+    return _spec([h[o] for o in orbit], k, A, [y[o] for o in orbit])
+
+
+def test_equal_terms_agree_to_their_own_rounding():
+    # the three pair terms of this cyclic spec are equal; term_T reads them
+    # 2.2e-12 apart (relative), the G assembly's rounding for an r = 3,
+    # three-form spec, whichever member is summed
+    spec = _spec([2, 2, 2], [2, 2, 2], [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    values = [term_T(spec, J, 6).value for J in ((1, 2), (1, 3), (2, 3))]
+    assert max(abs(a - b) for a in values for b in values) <= 1e-11 * abs(values[0])
+
+
+@given(symmetric_instances())
+def test_shared_terms_match_on_symmetric_instances(spec):
+    if spec.r == 2:  # the swap fixes the data, and J = {1}, {2} differ by it
+        assert model.subset_classes(spec)[0] == ((1,), (2,))
+    # well above the rounding that independent evaluations of equal terms
+    # show, and far below what sharing a term of other data would give
+    _check_shared_terms(spec, 6, rtol=1e-9, own_scale=True)
+
+
+@pytest.mark.parametrize("name", ["mt_r3", "mt_r4", "root_a2", "a3", "mt_r2_twisted"])
+def test_verify_parity_evaluates_each_class_once(monkeypatch, name):
+    spec, M_outer = SHARING[name]
+    calls = []
+
+    def counted(spec, J, *args, **kwargs):
+        calls.append(J)
+        return term_T(spec, J, *args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "term_T", counted)
+    report = verify_parity(spec, M=8, M_outer=M_outer, tol=1.0)
+    assert len(report.rhs.terms) == 2**spec.r - 1
+    assert calls == [members[0] for members in model.subset_classes(spec)]

@@ -1,5 +1,6 @@
 """Instance parsing, validation, subset contexts, and the convergence checker."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from mdzeta.model import (
     nonempty_subsets,
     parse_spec,
     spec_to_dict,
+    subset_classes,
     subset_context,
     validate_spec,
     wt,
@@ -174,6 +176,86 @@ def test_subset_context_partitions_and_monotone(data_dict, data):
     assert ctx.I  # every column is nonzero, so some row meets J
     bigger = data.draw(st.sampled_from([K for K in subsets if set(J) <= set(K)]))
     assert set(ctx.I) <= set(subset_context(spec, bigger).I)
+
+
+def _classes(h, k, A, y=None):
+    y = y or ["0"] * len(h)
+    return subset_classes(parse_spec({"h": h, "k": k, "y": y, "A": A}))
+
+
+def test_subset_classes_pin_the_symmetric_families():
+    # Mordell-Tornheim: every permutation of the variables
+    assert _classes([1, 1, 1], [2], [[1, 1, 1]]) == [
+        ((1,), (2,), (3,)), ((1, 2), (1, 3), (2, 3)), ((1, 2, 3),)
+    ]
+    assert [len(c) for c in _classes([1, 1, 1, 1], [3], [[1, 1, 1, 1]])] == [4, 6, 4, 1]
+    assert _classes([1, 1], [1, 1, 1], [[1, 0], [0, 1], [1, 1]]) == [((1,), (2,)), ((1, 2),)]
+    # A3: the diagram flip 1 <-> 3 reverses J = {1, 2} against {2, 3}, which
+    # the key (J kept in its order) does not see; J = {1} and J = {3} match
+    # once Jbar = (2, 3) and (1, 2) are put in the data's order
+    a3 = [[1, 1, 0], [0, 1, 1], [1, 1, 1]]
+    assert _classes([1, 1, 1], [1, 1, 1], a3) == [
+        ((1,), (3,)), ((2,),), ((1, 2),), ((1, 3),), ((2, 3),), ((1, 2, 3),)
+    ]
+
+
+@pytest.mark.parametrize("h, k, A, y", [
+    ([2, 2], [2], [[1, 1]], ["1/2", "0"]),  # twist breaks the swap
+    ([1, 1], [1, 1], [[1, 1], [1, 2]], None),  # B2
+    ([1, 2], [1], [[1, 1]], None),
+    ([1, 1], [1, 2], [[1, 0], [0, 1]], None),  # the swap moves a form to another k
+    ([1, 1, 1], [1, 1, 1], [[1, 1, 0], [0, 1, 1], [1, 1, 1]], ["0", "0", "1/2"]),
+])
+def test_subset_classes_keep_asymmetric_subsets_apart(h, k, A, y):
+    classes = _classes(h, k, A, y)
+    assert all(len(c) == 1 for c in classes)
+    assert [J for (J,) in classes] == nonempty_subsets(len(h))
+
+
+def _relabels(spec, J, K) -> bool:
+    """Some permutation of the variables taking J onto K carries h, y and
+    the multiset of (k_i, row i of A) onto themselves (brute force)."""
+    forms = sorted(zip(spec.k, spec.A))
+    for perm in itertools.permutations(range(spec.r)):
+        if sorted(perm[j - 1] + 1 for j in J) != list(K):
+            continue
+        if any(spec.h[perm[j]] != spec.h[j] or spec.y[perm[j]] != spec.y[j]
+               for j in range(spec.r)):
+            continue
+        moved = sorted((ki, tuple(row[perm.index(j)] for j in range(spec.r)))
+                       for ki, row in zip(spec.k, spec.A))
+        if moved == forms:
+            return True
+    return False
+
+
+@st.composite
+def coarse_spec_dicts(draw):
+    """r in 2..3 over few values, so that many subsets share a class."""
+    r = draw(st.integers(2, 3))
+    ell = draw(st.integers(1, 3))
+    A = [[draw(st.integers(0, 1)) for _ in range(r)] for _ in range(ell)]
+    for i in range(max(r, ell)):  # no zero row or column
+        A[i % ell][i % r] = 1
+    return {
+        "h": [draw(st.integers(1, 2)) for _ in range(r)],
+        "k": [draw(st.integers(1, 2)) for _ in range(ell)],
+        "y": [draw(st.sampled_from(["0", "1/2"])) for _ in range(r)],
+        "A": A,
+    }
+
+
+@given(st.one_of(spec_dicts(), coarse_spec_dicts()))
+def test_subset_classes_partition_and_join_only_relabelled_data(data_dict):
+    spec = parse_spec(data_dict)
+    classes = subset_classes(spec)
+    assert sorted(J for c in classes for J in c) == sorted(nonempty_subsets(spec.r))
+    firsts = [c[0] for c in classes]
+    order = nonempty_subsets(spec.r)
+    assert firsts == sorted(firsts, key=order.index)
+    for members in classes:
+        assert list(members) == sorted(members, key=order.index)
+        assert all(_relabels(spec, members[0], J) for J in members[1:])
 
 
 @given(spec_dicts())

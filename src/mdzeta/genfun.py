@@ -8,10 +8,11 @@ outer tuple m frozen, a form member also carries the constant -sum over
 Jbar of a_ij m_j.  G is a sum over the bases B extracted from Lambda of
 coset-averaged Bernoulli-polynomial factors (for members of B) times
 geometric factors -t_g/(d_g - L_g(t)) (for the rest).  Per pattern of
-vanishing d_g, each basis term is compiled once into coefficient rows of
-the monomials in the 1/d_g of its nonvanishing factors, one row per
-coset rep, so a batch of outer tuples is one matrix product per basis,
-and a caller that needs only G's top coefficient reads one column.
+vanishing d_g, each basis term is compiled once into a record of its own:
+coefficient rows of the monomials in the 1/d_g of its nonvanishing
+factors, one row per coset rep, built by a recursion over the factors.
+A batch of outer tuples is then one matrix product per basis, and a
+caller that needs only G's top coefficient reads one column.
 Whenever some d_g vanishes the per-basis terms are singular while the
 sum is not; those tuples are assembled over a common denominator of
 primitive linear forms and resolved by exact truncated division with a
@@ -22,7 +23,6 @@ precision lets the remainder check read is refused.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections import Counter
@@ -117,33 +117,32 @@ def _expand_geometric(space, rows, factors, degree) -> tuple[np.ndarray, np.ndar
     above degree is identically zero (the caller's rows hold no key of
     degree below space.total_cap - degree) and is left out, so there are
     C(degree, G) blocks.  Truncated products commute in a space closed
-    downward, so the rows take every -t_g first.  Blocks are kept in
-    increasing total exponent, so those that can still take a higher power
-    of the next L_g are a prefix of the stack: per factor the stack is
-    multiplied by L_g at most degree - 1 times, each block only while it
-    can still grow.  Returns the exponents (A, G) and the blocks stacked as
-    (A * K, N), block a in rows a*K to a*K + K - 1.
+    downward, so the rows take every -t_g first.  Then a block over the
+    first g factors is its parent block over the first g - 1 times L_g
+    once per step of e_g past 1.  Blocks come in increasing total exponent,
+    then increasing last exponent, then in their parents' order.  Returns
+    the exponents (A, G) and the blocks stacked as (A * K, N), block a in
+    rows a*K to a*K + K - 1.
     """
-    K = len(rows)
     for _, unit in factors:
         rows = space.mul_linear(rows, [-u for u in unit])
-    exponents, totals, stack = [()], [0], rows
-    for weights, _ in factors:
-        grown, grown_totals, blocks, power = [], [], [], stack
-        for e in range(1, degree + 1):
-            alive = bisect.bisect_right(totals, degree - e)
-            if not alive:
-                break
-            power = power[:alive * K] if e == 1 else space.mul_linear(power[:alive * K], weights)
-            grown += [x + (e,) for x in exponents[:alive]]
-            grown_totals += [t + e for t in totals[:alive]]
-            blocks.append(power)
-        order = sorted(range(len(grown)), key=grown_totals.__getitem__)
-        exponents = [grown[i] for i in order]
-        totals = [grown_totals[i] for i in order]
-        stack = np.concatenate(blocks).reshape(len(order), K, -1)[order].reshape(len(order) * K, -1)
-    shape = (len(exponents), len(factors))
-    return np.array(exponents, dtype=np.int64).reshape(shape), stack
+    exponents, blocks = zip(*_blocks(space, rows, factors, degree))
+    stacked = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)  # a lone block uncopied
+    return np.array(exponents, dtype=np.int64), stacked
+
+
+def _blocks(space, rows, factors, top) -> list:
+    """(exponents, block) over the given factors, of total exponent at most
+    top, in the order _expand_geometric returns them."""
+    if not factors:
+        return [((), rows)]
+    out = []
+    for exps, block in _blocks(space, rows, factors[:-1], top - 1):
+        for e in range(1, top - sum(exps) + 1):
+            if e > 1:
+                block = space.mul_linear(block, factors[-1][0])
+            out.append((exps + (e,), block))
+    return sorted(out, key=lambda item: (sum(item[0]), item[0][-1]))
 
 
 class GeneratingFunctionPlan:
@@ -166,6 +165,12 @@ class GeneratingFunctionPlan:
         # t_j for variable j and t_{r+i} for form i, as error messages name them
         self.variables = tuple(f"t{j}" for j in ctx.J) + tuple(f"t{spec.r + i}" for i in ctx.I)
         caps = [spec.h[j - 1] for j in ctx.J] + [spec.k[i - 1] for i in ctx.I]
+        # each member lies in some basis, so each cap is a Bernoulli order
+        if max(caps) > mpseries.MAX_BERNOULLI_ORDER:
+            raise mpseries.OrderPastFloatRange(
+                f"Bernoulli order {max(caps)} for J = {ctx.J} is past float range "
+                f"(at most {mpseries.MAX_BERNOULLI_ORDER})"
+            )
         self.caps = tuple(caps)
         self.total_cap = sum(caps)
         # dot part of each member as an integer form in the outer tuple: 0
@@ -320,10 +325,9 @@ class GeneratingFunctionPlan:
         per_basis = [
             Counter(normal[k][0] for k, _, _ in b.complement if k in pattern) for b in self.bases
         ]
-        max_mult: dict[tuple, int] = {}
+        max_mult = Counter()
         for cnt in per_basis:
-            for form, mult in cnt.items():
-                max_mult[form] = max(max_mult.get(form, 0), mult)
+            max_mult |= cnt
         total_cap = self.total_cap + sum(max_mult.values())
         pivots = {mpseries.pivot(form) for form in max_mult}
         caps = tuple(total_cap if v in pivots else c for v, c in enumerate(self.caps))
@@ -336,27 +340,23 @@ class GeneratingFunctionPlan:
                     f"compiled table of {entries} entries for J = {self.ctx.J} is over the "
                     f"work budget of {WORK_BUDGET}"
                 )
-        pairs, dens, exponents, stacked = [], [], [], []
+        compiled = []
         for b, cnt, rows in zip(self.bases, per_basis, self._bernoulli_products(space)):
             scale = Fraction(1, b.den)  # the coset average 1/|det|, then the singular scales
-            factors = []
+            pairs, factors = [], []
             for k, g, row in b.complement:
                 if k in pattern:
                     rows = space.mul_linear(rows, self._unit_key(g))
                     scale /= normal[k][1]
                 else:
                     pairs.append(k)
-                    dens.append(b.den)
                     factors.append((tuple(c / b.den for c in row), self._unit_key(g)))
-            for form, mult in max_mult.items():
-                for _ in range(mult - cnt.get(form, 0)):
-                    rows = space.mul_linear(rows, form)
+            for form in (max_mult - cnt).elements():  # the forms it lacks, in max_mult order
+                rows = space.mul_linear(rows, form)
             exps, expanded = _expand_geometric(space, rows * float(scale), factors, self.total_cap)
-            exponents.append(exps)
-            stacked.append(expanded)
+            compiled.append((np.array(pairs, dtype=np.int64), exps, expanded))
         tables = _Tables(
-            space, np.array(pairs, dtype=np.int64), np.array(dens, dtype=float), tuple(exponents),
-            tuple(stacked), tuple(max_mult.items()), space.locate(self.space.keys),
+            space, tuple(compiled), tuple(max_mult.items()), space.locate(self.space.keys)
         )
         self._tables_cache[pattern] = tables
         return tables
@@ -418,31 +418,28 @@ class GeneratingFunctionPlan:
         over the given columns of the tables' space, and per row, column and
         part (real, imaginary) the sum over bases of its magnitudes.
 
-        The powers of every nonvanishing 1/d_g are built once per batch.
-        Per basis, the monomials prod_g d_g^-e_g of the exponent rows are
-        products of those powers, (B, A); their outer product
-        with the coset phases, (B, A * K), times the compiled rows is the
-        basis term.  Real and imaginary parts that cancel between bases to
-        within rounding (_CANCELLED of their summed magnitudes) are set to an
-        exact zero, so a vanishing coefficient reads 0 rather than rounding
-        noise.
+        Per basis, the powers of its nonvanishing 1/d_g (its |det| over the
+        tuples' values of its _d_rows columns) are built by products, and the
+        monomials prod_g d_g^-e_g of its exponent rows are products of those
+        powers, (B, A); their outer product with the coset phases,
+        (B, A * K), times the compiled rows is the basis term.  Real and
+        imaginary parts that cancel between bases to within rounding
+        (_CANCELLED of their summed magnitudes) are set to an exact zero, so
+        a vanishing coefficient reads 0 rather than rounding noise.
         """
         count = len(tuples)
         total = np.zeros((count, len(range(tables.space.size)[columns])), dtype=complex)
         scale = np.zeros(total.shape + (2,))
-        # powers[e] = 1/d_g^e by products: pow() is slow at negative bases
-        inv = tables.dens / dnum[:, tables.pairs]
-        powers = np.ones((self.total_cap + 1,) + inv.shape)
-        for e in range(1, len(powers)):
-            np.multiply(powers[e - 1], inv, out=powers[e])
-        first = 0  # the basis's first pair
-        for b, exps, rows in zip(self.bases, tables.exponents, tables.rows):
+        for b, (pairs, exponents, rows) in zip(self.bases, tables.bases):
             coef = self._phases(b, tuples)
-            if exps.shape[1]:  # else the one monomial is 1
-                own = np.arange(first, first + exps.shape[1])
-                monomials = powers[exps, :, own].prod(axis=1)  # (A, B)
+            if len(pairs):  # else the one monomial is 1
+                # powers[e] = 1/d_g^e by products: pow() is slow at negative bases
+                inv = b.den / dnum[:, pairs]
+                powers = np.ones((self.total_cap + 1,) + inv.shape)
+                for e in range(1, len(powers)):
+                    np.multiply(powers[e - 1], inv, out=powers[e])
+                monomials = powers[exponents, :, np.arange(len(pairs))].prod(axis=1)  # (A, B)
                 coef = (monomials.T[:, :, None] * coef[:, None, :]).reshape(count, -1)
-                first += exps.shape[1]
             term = coef @ rows[:, columns]
             total += term
             scale += np.abs(term.view(float).reshape(scale.shape))
@@ -452,13 +449,13 @@ class GeneratingFunctionPlan:
 
     def _chunks(self, tables, count: int, columns: int) -> list[slice]:
         """Slices of count rows in which no per-row array of _numerator holds
-        more than _BATCH_ENTRIES entries: the numerator over its columns, the
-        powers of the 1/d_g ((total cap + 1) * pairs), and per basis the
+        more than _BATCH_ENTRIES entries: the numerator over its columns, and
+        per basis the powers of its 1/d_g ((total cap + 1) * G), the
         monomials (A * G) and their products with the phases (A * K)."""
-        width = max(
-            columns, (self.total_cap + 1) * len(tables.pairs),
-            *(max(exps.size, len(rows)) for exps, rows in zip(tables.exponents, tables.rows)),
-        )
+        width = max(columns, *(
+            max((self.total_cap + 1) * len(pairs), exponents.size, len(rows))
+            for pairs, exponents, rows in tables.bases
+        ))
         step = max(1, _BATCH_ENTRIES // width)
         return [slice(start, start + step) for start in range(0, count, step)]
 
@@ -544,20 +541,17 @@ class _Basis:
 class _Tables:
     """Tuple-independent data of one assembly path, dense over its space.
 
-    pairs holds the columns of _d_rows of every nonvanishing d_g, basis by
-    basis in complement order, and dens the |det| of each one's basis.  Per
-    basis bi: exponents[bi], one row per monomial prod_g d_g^-e_g over its
-    G pairs (A x G); rows[bi], per monomial one row per coset rep
-    (A * K x N): the Bernoulli products over |det| times the fixed singular
-    factors and the monomial's share of the geometric factors.  forms lists
-    the primitive forms to divide out, with multiplicity; narrow picks the
-    plan space's keys.
+    bases holds one record per basis, in plan order: (pairs, the columns
+    of _d_rows of its G nonvanishing d_g in complement order; exponents,
+    one row per monomial prod_g d_g^-e_g (A x G, see _expand_geometric);
+    rows, per monomial one row per coset rep (A * K x N): the Bernoulli
+    products over |det| times the fixed singular factors and the
+    monomial's share of the geometric factors).  forms lists the primitive
+    forms to divide out, with multiplicity; narrow picks the plan space's
+    keys.
     """
 
     space: mpseries.DenseSpace
-    pairs: np.ndarray
-    dens: np.ndarray
-    exponents: tuple
-    rows: tuple
+    bases: tuple
     forms: tuple
     narrow: np.ndarray

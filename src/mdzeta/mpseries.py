@@ -41,10 +41,11 @@ class SingularConfiguration(SeriesError):
 
 
 class OrderPastFloatRange(SeriesError):
-    """A Bernoulli order n whose n! no float holds: n above 170."""
+    """A Bernoulli order n whose n! no float holds: n above MAX_BERNOULLI_ORDER."""
 
 
 _I_POWERS = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
+MAX_BERNOULLI_ORDER = 170  # the largest n whose n! a float holds
 
 
 def two_pi_i_power(n: int) -> complex:
@@ -122,8 +123,10 @@ def bernoulli_coefficients(nmax: int, offset) -> list[complex]:
     integer D q^n B_n(p/q) = sum_k C(n,k) (D B_k) p^(n-k) q^k is divided by
     D q^n in one correctly rounded step: the float of the exact B_n(p/q).
     """
-    if nmax > 170:
-        raise OrderPastFloatRange(f"Bernoulli order {nmax} is past float range (at most 170)")
+    if nmax > MAX_BERNOULLI_ORDER:
+        raise OrderPastFloatRange(
+            f"Bernoulli order {nmax} is past float range (at most {MAX_BERNOULLI_ORDER})"
+        )
     offset = Fraction(offset)
     p, q = offset.numerator, offset.denominator
     numbers = [BERNOULLI.number(k) for k in range(nmax + 1)]

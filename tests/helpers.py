@@ -399,19 +399,16 @@ def full_simplex_batch(plan, tuples) -> np.ndarray:
         _, _, max_mult = _pattern_forms(plan, pattern)
         total_cap = plan.total_cap + sum(max_mult.values())
         space = mpseries.dense_space((total_cap,) * len(plan.variables), total_cap)
-        pairs, dens, exponents, stacked = [], [], [], []
+        compiled = []
         for b, bprod in zip(plan.bases, _dense_bprods(plan, pattern, space)):
             factors = _regular_factors(plan, b, pattern)
             exps, expanded = genfun._expand_geometric(
                 space, bprod * (1.0 / b.den), [(w, u) for _, w, u in factors], plan.total_cap
             )
-            pairs += [k for k, _, _ in factors]
-            dens += [b.den] * len(factors)
-            exponents.append(exps)
-            stacked.append(expanded)
+            pairs = np.array([k for k, _, _ in factors], dtype=np.int64)
+            compiled.append((pairs, exps, expanded))
         tables = genfun._Tables(
-            space, np.array(pairs, dtype=np.int64), np.array(dens, dtype=float), tuple(exponents),
-            tuple(stacked), tuple(max_mult.items()), space.locate(plan.space.keys),
+            space, tuple(compiled), tuple(max_mult.items()), space.locate(plan.space.keys)
         )
         numer = plan._numerator(tables, tuples[rows], dnum[rows])[0]
         threshold = 1e-8 * np.maximum(1.0, np.abs(numer).max(axis=1))

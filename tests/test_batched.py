@@ -70,6 +70,28 @@ def test_geometric_factor_matches_series_mul(data):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want), initial=0.0)
 
 
+def test_geometric_blocks_come_by_total_then_last_exponent():
+    # the block order fixes the summation order of coef @ rows, and so the
+    # report bytes: for G = 2 at degree 4, by total exponent, then by the
+    # last exponent, then in the parent's order; each block is, to the
+    # last bit, the rows times prod_g (-t_g L_g^(e_g - 1)), built one
+    # monomial at a time with the products in the same order
+    space = dense_space((3, 3, 2), 5)
+    rng = np.random.default_rng(7)
+    rows = rng.uniform(-2, 2, (2, space.size)) + 1j * rng.uniform(-2, 2, (2, space.size))
+    factors = [((0.5, -1.25, 2.0), (0, 0, 1)), ((1.5, 0.75, -0.5), (0, 1, 0))]
+    exponents, stacked = genfun._expand_geometric(space, rows, factors, 4)
+    assert exponents.tolist() == [[1, 1], [2, 1], [1, 2], [3, 1], [2, 2], [1, 3]]
+    for exps, block in zip(exponents.tolist(), stacked.reshape(len(exponents), len(rows), -1)):
+        want = rows
+        for _, unit in factors:
+            want = space.mul_linear(want, [-u for u in unit])
+        for (weights, _), e in zip(factors, exps):
+            for _ in range(e - 1):
+                want = space.mul_linear(want, weights)
+        assert np.array_equal(block, want)
+
+
 @given(st.data())
 def test_batched_division_matches_divide_linear(data):
     # mpseries.divide_linear on a batch against the dict division of each row
@@ -282,7 +304,7 @@ def test_assembly_chunks_keep_rows_times_width_under_the_cap(monkeypatch, cap, d
     # a 4096-row call, at its top and over the whole space: no _numerator
     # call holds more rows x width than the cap, the width being that of its
     # widest per-row array: the columns it sums (the widened keys on the
-    # singular path), A * K or A * G of a basis, or the powers of the 1/d_g;
+    # singular path), or of a basis A * K, A * G or the powers of its 1/d_g;
     # and the chunked rows equal one unchunked pass
     plan = genfun.GeneratingFunctionPlan(model.parse_spec(data), J)
     tuples = np.arange(1, 4097, dtype=np.int64).reshape(-1, 1)
@@ -292,8 +314,9 @@ def test_assembly_chunks_keep_rows_times_width_under_the_cap(monkeypatch, cap, d
     seen, numerator = [], plan._numerator
 
     def spy(tables, rows, dnum, columns=slice(None)):
-        widths = [len(range(tables.space.size)[columns]), (plan.total_cap + 1) * len(tables.pairs)]
-        widths += [len(r) for r in tables.rows] + [e.size for e in tables.exponents]
+        widths = [len(range(tables.space.size)[columns])]
+        for pairs, exponents, compiled in tables.bases:
+            widths += [(plan.total_cap + 1) * len(pairs), len(compiled), exponents.size]
         seen.append((len(rows), max(widths)))
         return numerator(tables, rows, dnum, columns)
 

@@ -6,12 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import helpers
-from mdzeta import cli, evaluator, genfun, model, mpseries
+from mdzeta import cli, evaluator, exact, genfun, model, mpseries
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 MT_PATH = str(SPECS / "mt_r2.json")
@@ -310,6 +311,35 @@ def test_bernoulli_orders_past_float_range_exit_2(capsys, tmp_path, data, argv):
     path = tmp_path / "high_order.json"
     path.write_text(json.dumps(data))
     code, out, err = _run(capsys, [*argv, "--spec", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: Bernoulli order") and err.count("\n") == 1
+
+
+def _no_space(*args, **kwargs):
+    raise AssertionError("exact layer or series space reached")
+
+
+@pytest.mark.parametrize(
+    "data, command",
+    [
+        ({"h": [200000], "k": [1], "y": ["0"], "A": [[1]]}, "verify"),
+        ({"h": [200000], "k": [1], "y": ["0"], "A": [[1]]}, "reduce"),
+        ({"h": [1], "k": [10**8], "y": ["0"], "A": [[1]]}, "reduce"),
+    ],
+)
+def test_caps_past_float_range_exit_2_before_any_series_space(
+    capsys, monkeypatch, tmp_path, data, command
+):
+    # every cap is the Bernoulli order of some basis member, so the plan
+    # refuses one past float range before its cosets or its series space,
+    # whose key count alone costs O(total cap * cap), are built
+    monkeypatch.setattr(exact, "coset_representatives", _no_space)
+    monkeypatch.setattr(mpseries, "key_count", _no_space)
+    path = tmp_path / "huge_cap.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, [command, "--spec", str(path), "--M", "2", "--M-outer", "2"])
+    assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: Bernoulli order") and err.count("\n") == 1
 

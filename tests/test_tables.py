@@ -63,14 +63,13 @@ def _check_tables(plan, pattern):
     space, bprods, geometric, forms = helpers.reference_tables(plan, pattern)
     assert tables.space is space and tables.forms == forms
     assert np.array_equal(tables.narrow, space.locate(plan.space.keys))
-    assert len(tables.rows) == len(bprods) == len(plan.bases)
-    # pair indices and their bases' |det|, exact
-    assert tables.pairs.tolist() == [k for factors in geometric for k, _, _ in factors]
-    assert tables.dens.tolist() == [b.den for b, fs in zip(plan.bases, geometric) for _ in fs]
+    assert len(tables.bases) == len(bprods) == len(plan.bases)
     T = plan.total_cap
-    for b, exponents, rows, bprod, factors in zip(
-        plan.bases, tables.exponents, tables.rows, bprods, geometric
+    for b, (pairs, exponents, rows), bprod, factors in zip(
+        plan.bases, tables.bases, bprods, geometric
     ):
+        # the basis's pair indices, exact
+        assert pairs.tolist() == [k for k, _, _ in factors]
         # one monomial per exponent tuple e >= 1 of total at most T
         assert sorted(map(tuple, exponents.tolist())) == [
             e for e in itertools.product(range(1, T + 1), repeat=len(factors)) if sum(e) <= T

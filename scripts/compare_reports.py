@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that another checkout prints the same reports as this one.
 
-    python3 scripts/compare_reports.py OTHER_CHECKOUT
+    python3 scripts/compare_reports.py OTHER_CHECKOUT [--rtol X]
 
 The calls are every run of scripts/run_demos.py, every call of the
 benchmark's workloads at seed 1 (perfbench/workloads.py, full sizes), and
@@ -16,6 +16,15 @@ exit code, stdout, stderr and the report file are compared; the first
 difference is printed and the exit code is 1.  Exit code 0 means every
 output matched byte for byte.  `python3 scripts/compare_reports.py .`
 checks that a checkout's output does not change between runs.
+
+With --rtol X, the numbers in stdout, stderr and the report files may
+move by X relative: the text is split into tokens at blanks, commas,
+parentheses and JSON punctuation (quotes, colons, brackets, braces), as
+tests/test_demos.py splits its lines, and a pair of finite numbers (a
+trailing i stripped) matches when |a - b| <= X max(|a|, |b|).  Every
+other token, every separator and every exit code must match byte for
+byte.  Each call whose numbers moved is printed with its largest
+relative move, and the largest of all with the call it came from.
 """
 
 from __future__ import annotations
@@ -24,7 +33,9 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -144,27 +155,84 @@ def _first_difference(a, b) -> str:
     return f"\n  this:  {a!r}\n  other: {b!r}"
 
 
-def compare(other: Path) -> int:
+# the separators of tests/test_demos.py, and the quotes, colons, brackets
+# and braces around numbers in a JSON report
+_TOKENS = re.compile(r'([\s,()":\[\]{}]+)')
+
+
+def _number(token: str) -> float | None:
+    """The finite float a token spells (a trailing i stripped), or None."""
+    try:
+        x = float(token.removesuffix("i"))
+    except ValueError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _moved(a: str, b: str, rtol: float) -> tuple[float, str | None]:
+    """(largest relative move of a number, first mismatch or None) between two texts."""
+    worst = 0.0
+    for n, (line_a, line_b) in enumerate(zip(a.splitlines(), b.splitlines()), start=1):
+        tokens_a, tokens_b = _TOKENS.split(line_a), _TOKENS.split(line_b)
+        if len(tokens_a) != len(tokens_b):
+            return worst, f"line {n}:\n  this:  {line_a!r}\n  other: {line_b!r}"
+        for x, y in zip(tokens_a, tokens_b):
+            if x == y:
+                continue
+            u, v = _number(x), _number(y)
+            move = math.inf if u is None or v is None else abs(u - v) / max(abs(u), abs(v))
+            if move > rtol:
+                lines = f"\n  this:  {line_a!r}\n  other: {line_b!r}"
+                return worst, f"line {n}, {x!r} against {y!r}:{lines}"
+            worst = max(worst, move)
+    if len(a.splitlines()) != len(b.splitlines()) or a.endswith("\n") != b.endswith("\n"):
+        return worst, _first_difference(a, b)
+    return worst, None
+
+
+def _fields(result: dict):
+    """(field, value) of one call's outcome: exit code, stdout, stderr, then its report files."""
+    files = result["report file"]
+    yield from ((field, result[field]) for field in ("exit code", "stdout", "stderr"))
+    yield "report file names", sorted(files)
+    yield from ((f"report file {name}", files[name]) for name in sorted(files))
+
+
+def compare(other: Path, rtol: float | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
         work = Path(tmp)
         calls = write_calls(work)
         calls_file = work / "calls.json"
         calls_file.write_text(json.dumps(calls), encoding="utf-8")
         here, there = _side(ROOT, work, calls_file, "this"), _side(other, work, calls_file, "other")
+    worst, worst_at = 0.0, ""
     for a, b in zip(here, there):
-        for field in ("exit code", "stdout", "stderr", "report file"):
-            x, y = a[field], b[field]
-            if field == "report file" and x != y:
-                if x.keys() != y.keys():
-                    field, x, y = "report file names", sorted(x), sorted(y)
-                else:
-                    name = next(n for n in x if x[n] != y[n])
-                    field, x, y = f"report file {name}", x[name], y[name]
-            if x != y:
-                print(f"differs: {a['label']}: {field}, {_first_difference(x, y)}")
-                return 1
-    print(f"identical: {len(calls)} calls x {len(FORMATS)} formats "
-          "(exit code, stdout, stderr, report file)")
+        moved, moved_at = 0.0, ""
+        # the file names come before the files, so the files pair up by name
+        for (field, x), (_, y) in zip(_fields(a), _fields(b)):
+            if x == y:
+                continue
+            if rtol is not None and isinstance(x, str) and isinstance(y, str):
+                move, mismatch = _moved(x, y, rtol)
+                if mismatch is None:
+                    if move > moved:
+                        moved, moved_at = move, field
+                    continue
+            else:
+                mismatch = _first_difference(x, y)
+            print(f"differs: {a['label']}: {field}, {mismatch}")
+            return 1
+        if moved:
+            print(f"moved: {a['label']}: {moved:.3g} relative, in {moved_at}")
+            if moved > worst:
+                worst, worst_at = moved, f", in {a['label']}: {moved_at}"
+    outputs = (f"{len(calls)} calls x {len(FORMATS)} formats "
+               "(exit code, stdout, stderr, report file)")
+    if rtol is None:
+        print(f"identical: {outputs}")
+    else:
+        print(f"within rtol {rtol:g}: {outputs}")
+        print(f"largest relative move: {worst:.3g}{worst_at}")
     return 0
 
 
@@ -172,10 +240,14 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--run-calls"] and len(argv) == 4:
         return run_calls(Path(argv[1]).resolve(), Path(argv[2]), Path(argv[3]))
-    if len(argv) != 1 or not (Path(argv[0]) / "src" / "mdzeta").is_dir():
+    flag = len(argv) == 3 and argv[1] == "--rtol"
+    rtol = _number(argv[2]) if flag else None
+    if len(argv) != (3 if flag else 1) or not (Path(argv[0]) / "src" / "mdzeta").is_dir() or (
+        flag and (rtol is None or rtol < 0)
+    ):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
-    return compare(Path(argv[0]).resolve())
+    return compare(Path(argv[0]).resolve(), rtol)
 
 
 if __name__ == "__main__":

@@ -3,15 +3,21 @@
 Both sides walk an integer box in lexicographic order, bucket the terms
 into max-norm shells and total the shells with math.fsum, keeping
 per-shell magnitudes for tail work.  The direct side is the series over
-[1, M]^r, summed tile by tile (_direct_shells): the weights 1/form^k that
+[1, M]^r, summed tile by tile (_box_shells): the weights 1/form^k that
 couple a run of leading tuples to a run of m_r are read from strided
 windows of the 1/f^k tables, and the factors of each run alone come from
-_weights.  The reduced side is, per nonempty subset J, the outer sum over
-[1, M_outer]^|Jbar| of G's top coefficient, each block of outer tuples
-weighed by _weights.  Partial sums are then refined by fitting the shell
-decay (a + b log n)/n^w on a trailing window and integrating the fit past
-the box; the fit is attempted only when a component is decaying with a
-fixed sign, and every correction carries its own uncertainty.
+_weights.  For r = 2 and M large enough, _direct_shells instead sums each
+shell's row and column in O(M) work per pole order (_r2_shells): the
+inner summand is a rational function whose poles scale with the outer
+coordinate, so exact partial fractions turn each line sum into
+differences of tabulated suffix sums; shells where the pieces cancel too
+much come from the box.  The reduced side is, per nonempty subset J,
+the outer sum over [1, M_outer]^|Jbar| of G's top coefficient, each
+block of outer tuples weighed by _weights.  Partial sums are then
+refined by fitting the shell decay (a + b log n)/n^w on a trailing
+window and integrating the fit past the box; the fit is attempted only
+when a component is decaying with a fixed sign, and every correction
+carries its own uncertainty.
 verify_parity ties the two sides together; as h, k and A are
 real, it takes zeta(-y) as the conjugate of zeta(y).  The module returns
 numbers (sums, terms, a VerificationReport); cli renders every report.
@@ -189,6 +195,16 @@ def _weights(rows: np.ndarray, h, twists, forms) -> tuple[np.ndarray, np.ndarray
 
 # The direct side walks the box [1, M]^r in blocks of at most this many terms.
 _DIRECT_BLOCK = 2**14
+# An r = 2 box of side M below this is summed term by term: under it the
+# partial-fraction route's fixed cost (exact coefficients, per-order numpy
+# calls) outweighs the M^2 terms it saves.
+_ROUTE_MIN_M = 256
+
+
+def _parts(spec: SeriesSpec) -> int:
+    """How many of [abs, re, im] a term needs: 1 untwisted, 2 if every e(m y_j) is real."""
+    # an untwisted term equals its magnitude, and e(m/2) is real
+    return 1 if not any(spec.y) else 2 if all(v.denominator <= 2 for v in spec.y) else 3
 
 
 def _times(a, b) -> list:
@@ -201,8 +217,8 @@ def _times(a, b) -> list:
     return out
 
 
-def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and abs-sum of the terms over each shell max(m) = n of [1, M]^r.
+def _box_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and abs-sum of the terms over each shell max(m) = n of [1, M]^r, term by term.
 
     Returns two arrays indexed by n - 1.  The box is walked in lexicographic
     order in tiles of at most _DIRECT_BLOCK terms: a run of leading tuples
@@ -221,9 +237,7 @@ def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
     values[0] = 1.0  # never read
     inv_k = [values ** -k for k in spec.k]
     twist = [_twist_table(v, M) for v in spec.y]
-    # parts: the magnitude, then the real and imaginary parts if twisted;
-    # e(m/2) is real, and an untwisted term equals its magnitude
-    parts = 1 if not any(spec.y) else 2 if all(v.denominator <= 2 for v in spec.y) else 3
+    parts = _parts(spec)
 
     def split(magnitude, phase):
         return np.stack([magnitude, magnitude * phase.real, magnitude * phase.imag][:parts])
@@ -286,6 +300,149 @@ def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
     if parts == 3:
         shells.imag = sums[2][1:]
     return shells, sums[0][1:]
+
+
+def _partial_fractions(h: int, forms) -> dict[tuple[int, int], list[Fraction]]:
+    """u^-h prod (a + b u)^-k over forms (a, b, k), as sum of d_j (a' + b' u)^-j.
+
+    Returns {(a', b'): [d_1, ..., d_mu]}, one entry per pole u = -a'/b', with
+    a' >= 0 and b' > 0 coprime, and mu the pole's order.  Proportional forms
+    share a pole, a form with a = 0 joins the pole (0, 1) at u = 0, and a
+    form with b = 0 is a constant a^-k.  Near its pole, in v = a' + b' u,
+    every other factor (c + d u)^-nu is b'^nu (delta + d v)^-nu with delta
+    = c b' - d a' != 0, and delta^(nu + mu - 1) (delta + d v)^-nu is, to
+    order mu - 1, the integer series sum_i C(nu + i - 1, i) (-d)^i
+    delta^(mu - 1 - i) v^i.  d_j is the coefficient of v^(mu - j) in the
+    product of these series, over the product of the scalings.
+    """
+    scale = Fraction(1)
+    order = {(0, 1): h}
+    for a, b, k in forms:
+        g = math.gcd(a, b)
+        scale /= g**k
+        if b:
+            pole = (a // g, b // g)
+            order[pole] = order.get(pole, 0) + k
+    poles = {}
+    for (a, b), mu in order.items():
+        series, numerator, denominator = [1] + [0] * (mu - 1), scale.numerator, scale.denominator
+        for (c, d), nu in order.items():
+            if (c, d) == (a, b):
+                continue
+            delta = c * b - d * a
+            numerator *= b**nu
+            denominator *= delta ** (nu + mu - 1)
+            factor = [
+                math.comb(nu + i - 1, i) * (-d) ** i * delta ** (mu - 1 - i) for i in range(mu)
+            ]
+            series = [sum(series[i] * factor[e - i] for i in range(e + 1)) for e in range(mu)]
+        poles[a, b] = [Fraction(numerator * c, denominator) for c in reversed(series)]
+    return poles
+
+
+def _suffix_sums(x: np.ndarray, b: int) -> np.ndarray:
+    """S[i] = x[i] + x[i + b] + x[i + 2b] + ..., summed from the large end; b divides len(x)."""
+    runs = x.reshape(-1, b)
+    out = np.empty_like(runs)
+    np.cumsum(runs[::-1], axis=0, out=out[::-1])
+    return out.reshape(-1)
+
+
+def _line_sums(h_t, h_n, y_t, y_n, forms, M: int, last: int, parts: int):
+    """Sums over t = 1..n - last of e(t y_t + n y_n) t^-h_t n^-h_n prod (a n + b t)^-k.
+
+    forms are (a, b, k); n runs over 1..M.  Returns, per n, the sum (None
+    when parts is 1: the terms are their magnitudes), the same sum at
+    y = 0, and the magnitude of the pieces it is made of: the sum of
+    |d_j| n^(j - W) times the two suffix sums at y = 0 it subtracts.  The
+    inner factor is n^-W f(t/n), W the weight h_t + sum k, and f(u) =
+    sum_p sum_j d_j (a_p + b_p u)^-j by _partial_fractions, so each piece
+    is d_j n^(j - W) times a line sum of e(t y_t) (a_p n + b_p t)^-j.  With
+    s = a_p n + b_p t that is e(-floor(a_p n / b_p) y_t) times the
+    difference of two suffix sums of s^-j e(floor(s / b_p) y_t) in steps
+    of b_p, at s = a_p n + b_p and s = a_p n + b_p (n - last + 1): every
+    phase is a twist table entry, and the tables hold one pole order at a
+    time.
+    """
+    n = np.arange(1, M + 1)
+    n_float = n.astype(float)
+    weight = h_t + sum(k for _, _, k in forms)
+    sums = np.zeros(M, dtype=complex if parts == 3 else float) if parts > 1 else None
+    abs_sums, pieces = np.zeros(M), np.zeros(M)
+    for (a, b), coefficients in _partial_fractions(h_t, forms).items():
+        runs = a * M // b + M + 1  # values of floor(s / b) from 1 on
+        inverse = 1.0 / np.arange(b, b * (runs + 1), dtype=float)
+        lo, hi = a * n, a * n + b * (n - last)  # positions of s - b
+        twisted, shift = sums is not None and y_t != 0, 1.0
+        if twisted:
+            phase = _twist_table(y_t, runs)[1:, None]
+            shift = _twist_table(-y_t, a * M // b)[a * n // b]
+            if parts == 2:
+                phase, shift = phase.real, shift.real
+        x = inverse
+        for j, d in enumerate(coefficients, start=1):
+            scale = float(d) * n_float ** (j - weight)
+            total = _suffix_sums(x, b)
+            at_lo, at_hi = total[lo], total[hi]
+            abs_sums += scale * (at_lo - at_hi)
+            pieces += abs(scale) * (at_lo + at_hi)
+            if twisted:
+                total = _suffix_sums((x.reshape(-1, b) * phase).reshape(-1), b)
+            if sums is not None:
+                sums += scale * shift * (total[lo] - total[hi])
+            x = x * inverse
+    outer = n_float**-h_n
+    if sums is not None:
+        twist = _twist_table(y_n, M)[1:]
+        sums = sums * outer * (twist.real if parts == 2 else twist)
+    return sums, abs_sums * outer, pieces * outer
+
+
+def _r2_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """_box_shells of an r = 2 spec, by partial fractions over suffix sums.
+
+    Shell n is the row m_1 = n (m_2 = 1..n) plus the column m_2 = n
+    (m_1 = 1..n-1), and each is a _line_sums over its inner coordinate.
+    Rounding in the pieces of a shell's sums costs up to about 2 * 2^-53
+    times their magnitude (measured on 65 instances, up to G2 and h = k =
+    (12, 12)).  Where that magnitude is over 2^10 times the abs shell, the
+    error could pass 2^-42 ~ 2.3e-13 of it, so shells 1..n0, n0 the last
+    such shell, come from _box_shells over [1, n0]^2 instead.
+    """
+    (h1, h2), (y1, y2) = spec.h, spec.y
+    parts = _parts(spec)
+    forms = [(a1, a2, k) for (a1, a2), k in zip(spec.A, spec.k)]
+    try:
+        row = _line_sums(h2, h1, y2, y1, forms, M, 0, parts)
+        col = _line_sums(h1, h2, y1, y2, [(a2, a1, k) for a1, a2, k in forms], M, 1, parts)
+    except OverflowError:  # a partial-fraction coefficient beyond the float range
+        return _box_shells(spec, M)
+    abs_shells = row[1] + col[1]
+    shells = np.array(abs_shells if parts == 1 else row[0] + col[0], dtype=complex)
+    (ill,) = np.nonzero(~(row[2] + col[2] <= 2**10 * abs_shells))  # NaN counts as ill
+    if ill.size:
+        n0 = int(ill[-1]) + 1
+        shells[:n0], abs_shells[:n0] = _box_shells(spec, n0)
+    return shells, abs_shells
+
+
+def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and abs-sum of the terms over each shell max(m) = n of [1, M]^r.
+
+    Returns two arrays indexed by n - 1.  An r = 2 box is summed by
+    _r2_shells when M is at least _ROUTE_MIN_M and at least four times the
+    sum over poles of mu (a + b) in both directions, the entries per unit
+    of M of its suffix tables: the route's work grows with that sum, and
+    timed break-evens lay at M between 1.5 and 10 times it.  Every other
+    box is summed term by term (_box_shells).
+    """
+    if spec.r == 2:
+        entries = sum(spec.h) + sum(
+            k * (a + b) // math.gcd(a, b) * ((a > 0) + (b > 0)) for (a, b), k in zip(spec.A, spec.k)
+        )
+        if M >= max(_ROUTE_MIN_M, 4 * entries):
+            return _r2_shells(spec, M)
+    return _box_shells(spec, M)
 
 
 def _direct_power(spec: SeriesSpec) -> int:

@@ -200,7 +200,7 @@ def test_bincount_sees_one_entry_per_tile_row(monkeypatch, data, M):
         return bincount(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "bincount", counted)
-    evaluator._direct_shells(spec, M)
+    evaluator._box_shells(spec, M)
     assert sizes and max(sizes) <= block // cols
     assert sum(sizes) < M**spec.r // 10
 

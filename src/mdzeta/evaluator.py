@@ -4,16 +4,17 @@ Both sides walk an integer box in lexicographic order, bucket the terms
 into max-norm shells and total the shells with math.fsum, keeping
 per-shell magnitudes for tail work.  The direct side is the series over
 [1, M]^r, summed tile by tile (_box_shells): the weights 1/form^k that
-couple a run of leading tuples to a run of m_r are read from strided
-windows of the 1/f^k tables, and the factors of each run alone come from
-_weights.  For r = 2 and M large enough, _direct_shells instead sums each
-shell's row and column in O(M) work per pole order (_r2_shells): the
-inner summand is a rational function whose poles scale with the outer
-coordinate, so exact partial fractions turn each line sum into
-differences of tabulated suffix sums; shells where the pieces cancel too
-much come from the box.  The reduced side is, per nonempty subset J,
-the outer sum over [1, M_outer]^|Jbar| of G's top coefficient, each
-block of outer tuples weighed by _weights.  Partial sums are then
+couple a run of leading tuples to a run of m_r are read from one strided
+window per form over its 1/f^k table, one mask per tile sends each term
+to its row's or its column's shell, and the factors of each run alone
+come from _weights.  For r = 2 and M large enough, _direct_shells
+instead sums each shell's row and column in O(M) work per pole order
+(_r2_shells): the inner summand is a rational function whose poles scale
+with the outer coordinate, so exact partial fractions turn each line sum
+into differences of tabulated suffix sums; shells where the pieces
+cancel too much come from the box.  The reduced side is, per nonempty
+subset J, the outer sum over [1, M_outer]^|Jbar| of G's top coefficient,
+each block of outer tuples weighed by _weights.  Partial sums are then
 refined by fitting the shell decay (a + b log n)/n^w on a trailing
 window and integrating the fit past the box; the fit is attempted only
 when a component is decaying with a fixed sign, and every correction
@@ -223,17 +224,21 @@ def _box_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
     Returns two arrays indexed by n - 1.  The box is walked in lexicographic
     order in tiles of at most _DIRECT_BLOCK terms: a run of leading tuples
     (m_1, ..., m_{r-1}) from _box_rows times a run of m_r.  A tile holds
-    only the weights 1/form_i^k_i that couple the two, read from strided
-    windows of the 1/f^k tables; the leading and last-coordinate factors
-    are _weights of their own variables, kept as per-row and per-column
-    part vectors [abs, re, im].  A term belongs to shell max(L, m_r), L its
-    leading tuple's max: columns above every row's L are contracted over the
-    rows, rows whose L is at or above every column are contracted over the
-    columns and bucketed by L, and only the band of columns between the
-    smallest and largest L is split by a mask.
+    only the weights 1/form_i^k_i that couple the two, read from one strided
+    window per form over its 1/f^k table; the leading and last-coordinate
+    factors are _weights of their own variables, kept as per-row and
+    per-column part vectors [abs, re, im].  A term belongs to shell
+    max(L, m_r), L its leading tuple's max: one mask m_r > L per tile sends
+    each term either to a contraction over the columns, whose per-row sums
+    are bucketed by L, or to a contraction over the rows, which gives the
+    columns' shells.
     """
     r = spec.r
-    values = np.arange(spec.max_row_sum * M + 1, dtype=float)
+    cols = min(M, max(math.isqrt(_DIRECT_BLOCK), _DIRECT_BLOCK // M ** (r - 1)))
+    rows = max(1, _DIRECT_BLOCK // cols)
+    # the padding lets a short last run of m_r read a full window's row
+    pad = max(row[-1] for row in spec.A) * cols
+    values = np.arange(spec.max_row_sum * M + 1 + pad, dtype=float)
     values[0] = 1.0  # never read
     inv_k = [values ** -k for k in spec.k]
     twist = [_twist_table(v, M) for v in spec.y]
@@ -243,22 +248,16 @@ def _box_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
         return np.stack([magnitude, magnitude * phase.real, magnitude * phase.imag][:parts])
 
     sums = np.zeros((parts, M + 1))
-    cols = min(M, max(math.isqrt(_DIRECT_BLOCK), _DIRECT_BLOCK // M ** (r - 1)))
-    rows = max(1, _DIRECT_BLOCK // cols)
-    # windows[i, width][s, c] = 1/(s + a c)^k_i, a the last entry of row i of A
+    # windows[i][s, c] = 1/(s + a c)^k_i, a the last entry of row i of A
     windows = {
-        (i, width): sliding_window_view(table, row[-1] * (width - 1) + 1)[:, ::row[-1]]
+        i: sliding_window_view(table, row[-1] * (cols - 1) + 1)[:, ::row[-1]]
         for i, (row, table) in enumerate(zip(spec.A, inv_k)) if row[-1]
-        for width in {cols, M - (M - 1) // cols * cols}
     }
     lead_A = np.array([row[:-1] for row in spec.A], dtype=np.int64)
     # forms free of m_r weigh the leading tuple alone: constant along its row
     lead_only = [(row[:-1], k) for row, k in zip(spec.A, spec.k) if not row[-1]]
     last_all = split(*_weights(_box_rows(0, M, M, 1), spec.h[-1:], twist[-1:], []))
     leading = M ** (r - 1)
-    # the masked band copies reuse these rows: fresh copies per band tile made
-    # malloc trim the heap top and fault it back in at the next band tile
-    band = np.empty((2, rows * cols))
     for start in range(0, leading, rows):
         lead_rows = _box_rows(start, min(start + rows, leading), M, r - 1)
         lead_max = lead_rows.max(axis=1, initial=0)
@@ -269,32 +268,18 @@ def _box_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
             width = min(cols, M + 1 - first)
             # A has no zero column, so some form varies along m_r
             tile = functools.reduce(np.multiply, (
-                windows[i, width][form + row[-1] * first]
-                for i, (form, row) in enumerate(zip(lead_forms, spec.A)) if row[-1]
+                window[lead_forms[i] + spec.A[i][-1] * first, :width]
+                for i, window in windows.items()
             ))
             last = last_all[:, first - 1:first - 1 + width]
-            # columns [0, below) lie at or below every L, [above, width) above every L
-            below = min(max(lo + 1 - first, 0), width)
-            above = min(max(hi + 1 - first, 0), width)
-            to_rows, to_cols = tile[:, :above], tile[:, below:]
-            if below < above:
-                mask = np.arange(first + below, first + above) > lead_max[:, None]
-                n = len(lead_rows)
-                to_rows = band[0, :n * above].reshape(n, above)
-                to_rows[...] = tile[:, :above]
-                to_rows[:, below:] *= ~mask
-                to_cols = band[1, :n * (width - below)].reshape(n, width - below)
-                to_cols[...] = tile[:, below:]
-                to_cols[:, :above - below] *= mask
-            if above > 0:
-                per_row = _times(lead, (to_rows @ last[:, :above].T).T)
-                shell = lead_max - lo
-                for total, part in zip(sums, per_row):
-                    total[lo:hi + 1] += np.bincount(shell, weights=part)
-            if below < width:
-                per_col = _times(lead @ to_cols, last[:, below:])
-                for total, part in zip(sums, per_col):
-                    total[first + below:first + width] += part
+            # a term with m_r > L is in its column's shell, any other in its row's
+            above = np.arange(first, first + width) > lead_max[:, None]
+            per_row = _times(lead, ((tile * ~above) @ last.T).T)
+            for total, part in zip(sums, per_row):
+                total[lo:hi + 1] += np.bincount(lead_max - lo, weights=part)
+            per_col = _times(lead @ (tile * above), last)
+            for total, part in zip(sums, per_col):
+                total[first:first + width] += part
     shells = np.zeros(M, dtype=complex)
     shells.real = sums[min(parts, 2) - 1][1:]  # an untwisted term is its magnitude
     if parts == 3:

@@ -315,6 +315,33 @@ def test_bernoulli_orders_past_float_range_exit_2(capsys, tmp_path, data, argv):
     assert err.startswith("error: Bernoulli order") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "reduce"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"h": [170], "k": [1], "y": ["0"], "A": [[1]]},
+        {"h": [169, 1], "k": [1], "y": ["0", "0"], "A": [[1, 1]]},
+    ],
+    ids=["h170", "h169-1"],
+)
+def test_widened_cap_past_float_range_exits_2_before_the_direct_side(
+    capsys, monkeypatch, tmp_path, data, command
+):
+    # the plan's caps pass the early check, but a singular pattern widens a
+    # pivot's cap to order 172; the reduced side is evaluated first, so the
+    # refusal comes before any direct shell is summed
+    def no_work(*args, **kwargs):
+        raise AssertionError("direct side summed")
+
+    monkeypatch.setattr(evaluator, "_direct_shells", no_work)
+    path = tmp_path / "widened_cap.json"
+    path.write_text(json.dumps(data))
+    argv = [command, "--spec", str(path), "--M", "2000", "--M-outer", "10"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: Bernoulli order 172") and err.count("\n") == 1
+
+
 def _no_space(*args, **kwargs):
     raise AssertionError("exact layer or series space reached")
 

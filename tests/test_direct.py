@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import helpers
@@ -40,15 +40,19 @@ def _reference_shells(spec, M):
     return np.array(sums), np.array(abs_sums)
 
 
-def _check_against_reference(spec, M):
-    got, got_abs = evaluator._direct_shells(spec, M)
+def _assert_matches_reference(got, spec, M):
+    shells, abs_shells = got
     want, want_abs = _reference_shells(spec, M)
-    assert got.shape == got_abs.shape == (M,)
-    assert np.all(np.abs(got - want) <= SHELL_RTOL * want_abs)
-    assert np.all(np.abs(got_abs - want_abs) <= SHELL_RTOL * want_abs)
+    assert shells.shape == abs_shells.shape == (M,)
+    assert np.all(np.abs(shells - want) <= SHELL_RTOL * want_abs)
+    assert np.all(np.abs(abs_shells - want_abs) <= SHELL_RTOL * want_abs)
     # exact zeros (e.g. the imaginary part under real twists) stay exact
-    assert np.array_equal(got.real == 0, want.real == 0)
-    assert np.array_equal(got.imag == 0, want.imag == 0)
+    assert np.array_equal(shells.real == 0, want.real == 0)
+    assert np.array_equal(shells.imag == 0, want.imag == 0)
+
+
+def _check_against_reference(spec, M):
+    _assert_matches_reference(evaluator._direct_shells(spec, M), spec, M)
 
 
 @st.composite
@@ -205,6 +209,15 @@ def test_bincount_sees_one_entry_per_tile_row(monkeypatch, data, M):
     assert sum(sizes) < M**spec.r // 10
 
 
+def test_twisted_r3_box_at_benchmark_size_is_repeatable_and_matches():
+    # mt_r3 with twists at the M of the benchmark's mt_r3 call: 60^2 leading
+    # tuples in tiles of 273 x 60, each across the diagonal
+    spec = model.parse_spec({"h": [1, 1, 1], "k": [2], "y": ["1/3", "0", "1/4"], "A": [[1, 1, 1]]})
+    first, second = evaluator._box_shells(spec, 60), evaluator._box_shells(spec, 60)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+    _assert_matches_reference(first, spec, 60)
+
+
 def test_direct_shells_are_bitwise_repeatable():
     spec = model.parse_spec({"h": [2, 1], "k": [2, 1], "y": ["1/3", "1/4"], "A": [[1, 2], [1, 0]]})
     first, second = evaluator._direct_shells(spec, 700), evaluator._direct_shells(spec, 700)
@@ -223,6 +236,41 @@ def test_direct_power_is_the_face_minimum(spec):
         for S in faces
     )
     assert evaluator._direct_power(spec) == want
+
+
+@st.composite
+def valid_instances(draw):
+    """Any valid spec with r in 1..3, h and k in 1..3, A over 0..3 with no zero row or column."""
+    r = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, 3), min_size=r, max_size=r).filter(any)
+    A = draw(st.lists(row, min_size=1, max_size=3).filter(lambda A: all(map(any, zip(*A)))))
+    return model.parse_spec({
+        "h": draw(st.lists(st.integers(1, 3), min_size=r, max_size=r)),
+        "k": draw(st.lists(st.integers(1, 3), min_size=len(A), max_size=len(A))),
+        "y": draw(st.lists(st.sampled_from(("0", "1/2", "1/3", "2/5")), min_size=r, max_size=r)),
+        "A": A,
+    })
+
+
+# convergence_check proves no sufficient condition for this one
+UNKNOWN = model.parse_spec({"h": [1, 1], "k": [1], "y": ["0", "0"], "A": [[1, 2]]})
+
+
+def test_absolute_convergence_example_is_unknown_to_the_check():
+    assert model.convergence_check(UNKNOWN).status == "unknown"
+
+
+@given(valid_instances(), st.integers(1, 20))
+@example(UNKNOWN, 20)
+def test_every_valid_instance_converges_absolutely(spec, M):
+    # the largest coordinate n of a term meets some form, whose value is then
+    # at least n, and every other coordinate m_j gives at most 1/m_j: shell n
+    # is at most r n^-2 H_n^(r-1), which sums to a finite total
+    assert evaluator._direct_power(spec) >= 2
+    _, abs_shells = evaluator._box_shells(spec, M)
+    n = np.arange(1, M + 1)
+    bound = spec.r * n**-2.0 * np.cumsum(1.0 / n) ** (spec.r - 1)
+    assert np.all(abs_shells <= (1 + 1e-12) * bound)
 
 
 def test_root_a2_verify_is_not_a_false_fail():

@@ -10,20 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdzeta import evaluator, model
-from test_direct import SHELL_RTOL, _reference_shells
+from test_direct import _assert_matches_reference
 
 TWISTS = ("0", "1/2", "1/3", "1/4", "5/12")
 G2 = {"h": [2, 2], "k": [2, 2, 2, 2], "A": [[1, 1], [1, 2], [1, 3], [2, 3]]}
-
-
-def _assert_matches_reference(got, spec, M):
-    shells, abs_shells = got
-    want, want_abs = _reference_shells(spec, M)
-    assert shells.shape == abs_shells.shape == (M,)
-    assert np.all(np.abs(shells - want) <= SHELL_RTOL * want_abs)
-    assert np.all(np.abs(abs_shells - want_abs) <= SHELL_RTOL * want_abs)
-    assert np.array_equal(shells.real == 0, want.real == 0)
-    assert np.array_equal(shells.imag == 0, want.imag == 0)
 
 
 @st.composite

@@ -107,8 +107,8 @@ def _normalize_linear(row: tuple[int, ...], den: int):
 
 
 def _expand_geometric(space, rows, factors, degree) -> tuple[np.ndarray, np.ndarray]:
-    """The (K, N) rows times every geometric factor, one block per monomial
-    in the 1/d_g.
+    """The K series of the (N, K) rows (an (N,) array when K = 1) times
+    every geometric factor, one block per monomial in the 1/d_g.
 
     factors lists per factor the weights of L_g and the key of t_g.  As
     -t_g/(d_g - L_g) = -sum_{n>=0} d_g^-(n+1) t_g L_g^n, the product is the
@@ -117,17 +117,20 @@ def _expand_geometric(space, rows, factors, degree) -> tuple[np.ndarray, np.ndar
     above degree is identically zero (the caller's rows hold no key of
     degree below space.total_cap - degree) and is left out, so there are
     C(degree, G) blocks.  Truncated products commute in a space closed
-    downward, so the rows take every -t_g first.  Then a block over the
+    downward, so the rows first take the product of every -t_g, one
+    signed shift by their monomial.  Then a block over the
     first g factors is its parent block over the first g - 1 times L_g
     once per step of e_g past 1.  Blocks come in increasing total exponent,
     then increasing last exponent, then in their parents' order.  Returns
-    the exponents (A, G) and the blocks stacked as (A * K, N), block a in
-    rows a*K to a*K + K - 1.
+    the exponents (A, G) and the blocks stacked as (N, A * K), block a in
+    columns a*K to a*K + K - 1.
     """
-    for _, unit in factors:
-        rows = space.mul_linear(rows, [-u for u in unit])
+    if factors:
+        monomial = np.sum([unit for _, unit in factors], axis=0)
+        rows = space.shift(rows, monomial, (-1) ** len(factors))
     exponents, blocks = zip(*_blocks(space, rows, factors, degree))
-    stacked = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)  # a lone block uncopied
+    # a lone block uncopied; one series is a column of its own
+    stacked = blocks[0].reshape(space.size, -1) if len(blocks) == 1 else np.column_stack(blocks)
     return np.array(exponents, dtype=np.int64), stacked
 
 
@@ -263,7 +266,8 @@ class GeneratingFunctionPlan:
         return np.array(values, dtype=complex)[inverse.reshape(residues.shape)]
 
     def _bernoulli_products(self, space) -> list:
-        """Per basis: the Bernoulli factor product of each coset rep, (K, N).
+        """Per basis: the Bernoulli factor product of each coset rep, (N, K),
+        or (N,) for a basis of one coset rep.
 
         Each factor is a series in its own basis variable, so the product's
         coefficient at a key is the product of one coefficient per factor,
@@ -287,15 +291,12 @@ class GeneratingFunctionPlan:
                         row = mpseries.bernoulli_coefficients(nmax, Fraction(rs[fi], b.fden))
                         self._bernoulli_memo[(rs[fi], b.fden)] = row
                     factor.append(row[:nmax + 1])
-                values = np.array(factor, dtype=complex)[:, space.keys[inside, fpos]]
+                values = np.array(factor, dtype=complex).T[space.keys[inside, fpos]]
                 product = values if product is None else product * values
-            table = np.zeros((len(b.residues), space.size), dtype=complex)
-            table[:, inside] = product
-            out.append(table)
+            table = np.zeros((space.size, len(b.residues)), dtype=complex)
+            table[inside] = product
+            out.append(_series(table))
         return out
-
-    def _unit_key(self, pos: int) -> tuple[int, ...]:
-        return tuple(1 if p == pos else 0 for p in range(len(self.variables)))
 
     def _tables(self, pattern: frozenset) -> "_Tables":
         """Tables for the tuples whose vanishing d_g are the columns in pattern.
@@ -303,7 +304,8 @@ class GeneratingFunctionPlan:
         The empty pattern is the regular path, in the plan's own space.
         Otherwise each basis term is put over the common denominator: its
         singular factors -t_g/(0 - L_g) become t_g/(scale * primitive form),
-        and it is multiplied by the primitive forms it lacks, so the
+        their t_g taken as one shift by their monomial, and it is
+        multiplied by the primitive forms it lacks, so the
         numerator is a polynomial to be divided by every form at its largest
         multiplicity.  The total cap widens by those multiplicities, and so
         does the cap of each form's pivot (mpseries.pivot), as division
@@ -340,21 +342,25 @@ class GeneratingFunctionPlan:
                     f"compiled table of {entries} entries for J = {self.ctx.J} is over the "
                     f"work budget of {WORK_BUDGET}"
                 )
+        units = np.eye(len(self.variables), dtype=np.int64)
         compiled = []
         for b, cnt, rows in zip(self.bases, per_basis, self._bernoulli_products(space)):
             scale = Fraction(1, b.den)  # the coset average 1/|det|, then the singular scales
-            pairs, factors = [], []
+            pairs, factors, singular = [], [], []
             for k, g, row in b.complement:
                 if k in pattern:
-                    rows = space.mul_linear(rows, self._unit_key(g))
+                    singular.append(g)
                     scale /= normal[k][1]
                 else:
                     pairs.append(k)
-                    factors.append((tuple(c / b.den for c in row), self._unit_key(g)))
+                    factors.append((tuple(c / b.den for c in row), units[g]))
+            if singular:
+                rows = space.shift(rows, units[singular].sum(axis=0))
             for form in (max_mult - cnt).elements():  # the forms it lacks, in max_mult order
                 rows = space.mul_linear(rows, form)
             exps, expanded = _expand_geometric(space, rows * float(scale), factors, self.total_cap)
-            compiled.append((np.array(pairs, dtype=np.int64), exps, expanded))
+            rows = np.ascontiguousarray(expanded.T)  # (A * K, N), see _Tables
+            compiled.append((np.array(pairs, dtype=np.int64), exps, rows))
         tables = _Tables(
             space, tuple(compiled), tuple(max_mult.items()), space.locate(self.space.keys)
         )
@@ -422,7 +428,9 @@ class GeneratingFunctionPlan:
         tuples' values of its _d_rows columns) are built by products, and the
         monomials prod_g d_g^-e_g of its exponent rows are products of those
         powers, (B, A); their outer product with the coset phases,
-        (B, A * K), times the compiled rows is the basis term.  Real and
+        (B, A * K), times the compiled rows (A * K, N) is the basis term.
+        Both sums have one row per outer tuple, (B, columns); _divide
+        divides the numerator's key-major transpose.  Real and
         imaginary parts that cancel between bases to within rounding
         (_CANCELLED of their summed magnitudes) are set to an exact zero, so
         a vanishing coefficient reads 0 rather than rounding noise.
@@ -469,13 +477,14 @@ class GeneratingFunctionPlan:
     def _assemble_singular(self, pattern, tuples, dnum, columns=slice(None)) -> np.ndarray:
         tables = self._tables(pattern)
         return np.concatenate([
-            self._divide(tables, tuples[rows], dnum[rows])[:, tables.narrow[columns]]
+            self._divide(tables, tuples[rows], dnum[rows])[tables.narrow[columns]].T
             for rows in self._chunks(tables, len(tuples), tables.space.size)
         ])
 
     def _divide(self, tables, tuples, dnum) -> np.ndarray:
         """The quotient of a singular pattern's numerator by its forms, over
-        the pattern's space, with the precision and remainder checks."""
+        the pattern's space, key-major (N, B), with the precision and
+        remainder checks."""
         numer, scale = self._numerator(tables, tuples, dnum)
         magnitude = scale.max(axis=(1, 2), initial=0.0)
         # per row: a pole cancels when what division leaves is negligible
@@ -491,6 +500,7 @@ class GeneratingFunctionPlan:
                 f"poles cannot be checked, for J = {self.ctx.J}, outer tuple "
                 f"{dict(zip(self.ctx.Jbar, tuples[bad[0]].tolist()))}"
             )
+        numer = _series(numer.T)
         for form, mult in tables.forms:
             for _ in range(mult):
                 numer, leftover = mpseries.divide_linear(tables.space, numer, form)
@@ -499,10 +509,19 @@ class GeneratingFunctionPlan:
                     weights = {v: c for v, c in zip(self.variables, form) if c}
                     raise SingularConfiguration(
                         f"pole along {weights} does not cancel (remainder "
-                        f"{leftover[bad[0]]:.3e}) for J = {self.ctx.J}, outer tuple "
-                        f"{dict(zip(self.ctx.Jbar, tuples[bad[0]].tolist()))}"
+                        f"{np.atleast_1d(leftover)[bad[0]]:.3e}) for J = {self.ctx.J}, "
+                        f"outer tuple {dict(zip(self.ctx.Jbar, tuples[bad[0]].tolist()))}"
                     )
-        return numer
+        return numer.reshape(len(numer), -1)
+
+
+def _series(batch: np.ndarray) -> np.ndarray:
+    """An (N, B) batch of one series as its (N,) array, else the batch.
+
+    The series kernels read both, and numpy gathers and scatters keys of a
+    1-D array about three times faster than of an (N, 1) one.
+    """
+    return batch[:, 0] if batch.shape[1] == 1 else batch
 
 
 def group_rows(flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -546,7 +565,10 @@ class _Tables:
     one row per monomial prod_g d_g^-e_g (A x G, see _expand_geometric);
     rows, per monomial one row per coset rep (A * K x N): the Bernoulli
     products over |det| times the fixed singular factors and the
-    monomial's share of the geometric factors).  forms lists the primitive
+    monomial's share of the geometric factors).  rows is the transpose of
+    _expand_geometric's key-major blocks, so _numerator's matrix product
+    rounds as it always has: with the transpose of an (N, A * K) array it
+    differs in the last bit at one outer tuple.  forms lists the primitive
     forms to divide out, with multiplicity; narrow picks the plan space's
     keys.
     """

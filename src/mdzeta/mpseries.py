@@ -1,15 +1,16 @@
 """Truncated multivariate power series over complex coefficients, held dense.
 
 A space is a per-variable degree cap and a total-degree cap.  DenseSpace
-holds a batch of series in one space as a (B, N) complex array over the
-space's admissible keys and multiplies it by a linear form; divide_linear
-divides a batch exactly by an integer linear form, in any space whose
-pivot variable has the total cap, which is what makes removable
-singularities computable.  With per-row scalars and matrix
-products these are all the series algebra the generating-function layer
-needs to build its tables and to evaluate many outer tuples at once.  The
-module also carries the exact Bernoulli numbers and polynomials behind the
-Bernoulli factors of basis members.
+holds series in one space key-major: one series is an (N,) complex array
+over the space's admissible keys and a batch of B series is an (N, B)
+array, one column per series.  It multiplies a batch by a linear form or
+shifts it by a signed monomial; divide_linear divides a batch exactly by
+an integer linear form, in any space whose pivot variable has the total
+cap, which is what makes removable singularities computable.  With
+per-series scalars and matrix products these are all the series algebra
+the generating-function layer needs to build its tables and to evaluate
+many outer tuples at once.  The module also carries the exact Bernoulli
+numbers and polynomials behind the Bernoulli factors of basis members.
 """
 
 from __future__ import annotations
@@ -159,9 +160,10 @@ def key_count(caps, total_cap) -> int:
 class DenseSpace:
     """The admissible keys of a (caps, total_cap) space, lexicographically.
 
-    A batch of B series in the space is a (B, N) complex array with one
-    column per key, so per-row linear combinations of K fixed series are
-    the matrix product of (B, K) scalars with their (K, N) rows.  Keys are
+    Series are key-major: one series is an (N,) complex array, and a batch
+    of B series is an (N, B) array with one row per key and one column per
+    series, so every product and division indexes keys on axis 0 and reads
+    a single series and a batch through the same code.  Keys are
     the rows of an (N, nvars) array, located by their codes in base
     2 * max cap + 1, which increase with the lexicographic order and stay
     distinct for sums of two keys.  The O(N) shift and division index
@@ -216,18 +218,47 @@ class DenseSpace:
         return self._shift_cache[i]
 
     def mul_linear(self, batch: np.ndarray, weights) -> np.ndarray:
-        """Row-wise truncated product of a (..., N) batch with sum_i weights[i] t_i.
+        """Truncated product of each series of an (N,) or (N, B) batch with
+        sum_i weights[i] t_i.
 
         One gather-add per nonzero weight, in increasing i, through the O(N)
         shift index arrays of the space.  The space is closed downward, so
         every key of the product that stays inside it comes from a key of
         the batch, and the keys that leave it are simply never written.
+        Gathers and scatters are take() and one assignment on axis 0, which
+        numpy does faster than an in-place fancy-indexed add.
         """
         out = np.zeros(np.shape(batch), dtype=complex)
         for i, w in enumerate(weights):
             if w:
                 targets, sources = self._shift(i)
-                out[..., targets] += w * batch[..., sources]
+                added = out.take(targets, axis=0)
+                added += w * batch.take(sources, axis=0)
+                out[targets] = added
+        return out
+
+    def shift(self, batch: np.ndarray, monomial, sign: int = 1) -> np.ndarray:
+        """Truncated product of each series of an (N,) or (N, B) batch with
+        sign * t^monomial, for a nonzero monomial and sign +1 or -1.
+
+        The key k of the product reads the batch at k - monomial, found by
+        composing the space's shift index arrays one unit at a time, and
+        keys that leave the space are never written.  Each value is
+        0.0 + sign * x, so a zero comes out +0.0 as from mul_linear's
+        zero-filled sums, and the result is bitwise that of mul_linear by
+        the monomial's unit keys in turn, with signs whose product is sign.
+        """
+        units = [i for i, e in enumerate(monomial) for _ in range(e)]
+        targets, sources = self._shift(units[0])
+        for i in units[1:]:
+            index = np.full(self.size, -1)  # per key k: the column of k - units so far, or -1
+            index[targets] = sources
+            unit_targets, unit_sources = self._shift(i)
+            reached = index[unit_sources]
+            inside = reached >= 0
+            targets, sources = unit_targets[inside], reached[inside]
+        out = np.zeros(np.shape(batch), dtype=complex)
+        out[targets] = 0.0 + sign * batch.take(sources, axis=0)
         return out
 
     def _division_steps(self, form: tuple[int, ...]):
@@ -280,10 +311,12 @@ def dense_space(caps: tuple[int, ...], total_cap: int) -> DenseSpace:
 
 
 def divide_linear(space: DenseSpace, numer: np.ndarray, form) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise exact division of a (B, N) batch by an integer linear form.
+    """Exact division of each series of an (N,) or (N, B) batch by an
+    integer linear form.
 
-    Returns (quotient batch, per-row remainder bound: the largest coefficient
-    magnitude that could not be divided out, 0.0 for an exact multiple).
+    Returns (quotient batch, per-series remainder bound: the largest
+    coefficient magnitude that could not be divided out, 0.0 for an exact
+    multiple; a scalar for one (N,) series, else (B,)).
     The pivot's cap must be the space's total cap; the other variables may
     keep smaller caps (see DenseSpace._division_steps).  The whole batch is
     divided level by level in the exponent of the pivot t_p, highest first:
@@ -295,15 +328,17 @@ def divide_linear(space: DenseSpace, numer: np.ndarray, form) -> tuple[np.ndarra
     is left on the keys of the space free of t_p is the remainder.
     """
     pivot_weight, free, levels = space._division_steps(tuple(int(w) for w in form))
-    work = np.array(numer, dtype=complex)
+    work = np.array(numer, dtype=complex, order="C")
     quotient = np.zeros_like(work)
     for src, qcols, moves in levels:
-        level = work[:, src]
-        level.real /= pivot_weight  # each part on its own, as complex / int does
-        level.imag /= pivot_weight
-        quotient[:, qcols] = level
+        level = work.take(src, axis=0)
+        parts = level.view(float)  # each part on its own, as complex / int does
+        parts /= pivot_weight
+        quotient[qcols] = level
         for weight, rows, targets in moves:
-            work[:, targets] -= weight * level[:, rows]
-    left = work[:, free]
+            updated = work.take(targets, axis=0)
+            updated -= weight * level[rows]
+            work[targets] = updated
+    left = work.take(free, axis=0)
     # hypot, as abs() of a Python complex; np.abs differs in the last bit
-    return quotient, np.hypot(left.real, left.imag).max(axis=1, initial=0.0)
+    return quotient, np.hypot(left.real, left.imag).max(axis=0, initial=0.0)

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 import dictseries as ds
+import rowmajor
 from mdzeta import exact, genfun, mpseries
 from mdzeta.exact import dual_basis
 from mdzeta.phase import unit_phase
@@ -317,46 +318,53 @@ def reference_tables(plan, pattern):
     return space, bprods, tuple(geometric), tuple(max_mult.items())
 
 
+def _unit_key(plan, pos):
+    return tuple(int(p == pos) for p in range(len(plan.variables)))
+
+
 def _dense_bprods(plan, pattern, space):
     """Per basis, its Bernoulli rows times its fixed singular factors in
-    space, built densely as plan._tables builds them: t_g per vanishing d_g,
-    the primitive forms the basis lacks, then the scale."""
+    space, (K, N), built densely as plan._tables builds them but with one
+    mul_linear by t_g per vanishing d_g, then the primitive forms the basis
+    lacks, then the scale."""
     normal, per_basis, max_mult = _pattern_forms(plan, pattern)
     bprods = []
     for bi, (b, table) in enumerate(zip(plan.bases, plan._bernoulli_products(space))):
+        table = table.reshape(space.size, -1)  # one coset rep: an (N,) series
         scale = Fraction(1)
         for k, gpos, _ in b.complement:
             if k in pattern:
-                table = space.mul_linear(table, plan._unit_key(gpos))
+                table = space.mul_linear(table, _unit_key(plan, gpos))
                 scale /= normal[k][1]
         for form, mult in max_mult.items():
             for _ in range(mult - per_basis[bi].get(form, 0)):
                 table = space.mul_linear(table, form)
-        bprods.append(table * float(scale))
+        bprods.append((table * float(scale)).T)
     return bprods
 
 
 def _regular_factors(plan, b, pattern):
     """(_d_rows column, L_g weights, key of t_g) per nonvanishing d_g of b."""
     return [
-        (k, tuple(c / b.den for c in row), plan._unit_key(gpos))
+        (k, tuple(c / b.den for c in row), _unit_key(plan, gpos))
         for k, gpos, row in b.complement if k not in pattern
     ]
 
 
 def times_geometric(space, batch, inv, weights, unit) -> np.ndarray:
-    """Each row of batch times -t_g/(d - L_g), with inv = 1/d per row.
+    """Each row of the (B, N) batch times -t_g/(d - L_g), with inv = 1/d per row.
 
     The Horner reference of genfun._expand_geometric: the factor is
     -(1/d) t_g sum_n (L_g/d)^n, and t_g L_g^n leaves the space once n
     reaches total_cap, so Horner in L_g/d takes total_cap - 1 steps of
-    mul_linear by the weights of L_g, and one more by t_g (unit).
+    the row-major mul_linear by the weights of L_g, and one more by t_g
+    (unit).
     """
     inv = inv[:, None]
     acc = batch
     for _ in range(space.total_cap - 1):
-        acc = batch + inv * space.mul_linear(acc, weights)
-    return -inv * space.mul_linear(acc, unit)
+        acc = batch + inv * rowmajor.mul_linear(space, acc, weights)
+    return -inv * rowmajor.mul_linear(space, acc, unit)
 
 
 def horner_numerator(plan, pattern, tuples, dnum):
@@ -382,8 +390,8 @@ def full_simplex_batch(plan, tuples) -> np.ndarray:
 
     The tables are built densely as plan._tables builds them, in the larger
     space; the numerator is plan._numerator's, divided there by every form
-    with mpseries.divide_linear, and a remainder over 1e-8 of the row's
-    numerator raises SingularConfiguration.  No precision check is made.
+    with the row-major rowmajor.divide_linear, and a remainder over 1e-8 of
+    the row's numerator raises SingularConfiguration.  No precision check is made.
     Returns the rows over plan.space, as plan.evaluate_batch does.
     """
     tuples = np.asarray(tuples, dtype=np.int64)
@@ -403,10 +411,10 @@ def full_simplex_batch(plan, tuples) -> np.ndarray:
         for b, bprod in zip(plan.bases, _dense_bprods(plan, pattern, space)):
             factors = _regular_factors(plan, b, pattern)
             exps, expanded = genfun._expand_geometric(
-                space, bprod * (1.0 / b.den), [(w, u) for _, w, u in factors], plan.total_cap
+                space, bprod.T * (1.0 / b.den), [(w, u) for _, w, u in factors], plan.total_cap
             )
             pairs = np.array([k for k, _, _ in factors], dtype=np.int64)
-            compiled.append((pairs, exps, expanded))
+            compiled.append((pairs, exps, np.ascontiguousarray(expanded.T)))
         tables = genfun._Tables(
             space, tuple(compiled), tuple(max_mult.items()), space.locate(plan.space.keys)
         )
@@ -414,7 +422,7 @@ def full_simplex_batch(plan, tuples) -> np.ndarray:
         threshold = 1e-8 * np.maximum(1.0, np.abs(numer).max(axis=1))
         for form, mult in tables.forms:
             for _ in range(mult):
-                numer, leftover = mpseries.divide_linear(space, numer, form)
+                numer, leftover = rowmajor.divide_linear(space, numer, form)
                 if np.any(leftover > threshold):
                     raise mpseries.SingularConfiguration(f"pole along {form} does not cancel")
         out[rows] = numer[:, tables.narrow]

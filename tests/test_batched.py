@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import dictseries as ds
 import helpers
+import rowmajor
 from mdzeta import evaluator, exact, genfun, model, mpseries
 from mdzeta.mpseries import CapExceeded, SingularConfiguration, dense_space, series_mul
 
@@ -33,11 +34,12 @@ def spaces(draw, full_simplex=False):
 
 
 def _batch(draw, space, rows):
-    """Random coefficients, about a third of them zero, from a drawn seed."""
+    """Random coefficients of rows series, key-major (N, rows), about a
+    third of them zero, from a drawn seed."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (rows, space.size)
     values = rng.uniform(-2, 2, shape) + 1j * rng.uniform(-2, 2, shape)
-    return values * (rng.random(shape) < 0.7)
+    return np.ascontiguousarray((values * (rng.random(shape) < 0.7)).T)
 
 
 @given(st.data())
@@ -62,9 +64,9 @@ def test_geometric_factor_matches_series_mul(data):
         total,
     )
     assert exponents.tolist() == [[e] for e in range(1, total + 1)]
-    blocks = stacked.reshape(len(exponents), len(denoms), space.size)
-    for r, (row, d) in enumerate(zip(batch, denoms)):
-        got = sum(float(d) ** -int(e) * block[r] for (e,), block in zip(exponents, blocks))
+    blocks = stacked.reshape(space.size, len(exponents), len(denoms))
+    for r, (row, d) in enumerate(zip(batch.T, denoms)):
+        got = sum(float(d) ** -int(e) * blocks[:, a, r] for a, (e,) in enumerate(exponents))
         factor = helpers.rational_factor(variables, caps, total, gname, d, weights)
         want = ds.to_dense(space, series_mul(ds.from_dense(space, variables, row), factor))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want), initial=0.0)
@@ -78,11 +80,13 @@ def test_geometric_blocks_come_by_total_then_last_exponent():
     # monomial at a time with the products in the same order
     space = dense_space((3, 3, 2), 5)
     rng = np.random.default_rng(7)
-    rows = rng.uniform(-2, 2, (2, space.size)) + 1j * rng.uniform(-2, 2, (2, space.size))
+    rows = rng.uniform(-2, 2, (space.size, 2)) + 1j * rng.uniform(-2, 2, (space.size, 2))
     factors = [((0.5, -1.25, 2.0), (0, 0, 1)), ((1.5, 0.75, -0.5), (0, 1, 0))]
     exponents, stacked = genfun._expand_geometric(space, rows, factors, 4)
     assert exponents.tolist() == [[1, 1], [2, 1], [1, 2], [3, 1], [2, 2], [1, 3]]
-    for exps, block in zip(exponents.tolist(), stacked.reshape(len(exponents), len(rows), -1)):
+    blocks = stacked.reshape(space.size, len(exponents), 2)
+    for a, exps in enumerate(exponents.tolist()):
+        block = blocks[:, a]
         want = rows
         for _, unit in factors:
             want = space.mul_linear(want, [-u for u in unit])
@@ -110,7 +114,9 @@ def test_batched_division_matches_divide_linear(data):
     for rows in (data.draw(st.integers(1, 3)), space.size + data.draw(st.integers(1, 3))):
         numer = _batch(data.draw, space, rows)
         try:
-            want = [ds.divide_linear(ds.from_dense(space, variables, row), weights) for row in numer]
+            want = [
+                ds.divide_linear(ds.from_dense(space, variables, row), weights) for row in numer.T
+            ]
         except CapExceeded:
             with pytest.raises(CapExceeded):
                 mpseries.divide_linear(space, numer, form)
@@ -119,7 +125,7 @@ def test_batched_division_matches_divide_linear(data):
         assert quotient.shape == numer.shape and remainder.shape == (rows,)
         # the same operations in the same order: equal to the last bit
         for r, (q, rem) in enumerate(want):
-            assert np.array_equal(quotient[r], ds.to_dense(space, q))
+            assert np.array_equal(quotient[:, r], ds.to_dense(space, q))
             assert remainder[r] == rem
 
 
@@ -133,16 +139,120 @@ def test_batched_division_refuses_where_divide_linear_does():
     with pytest.raises(CapExceeded):
         ds.divide_linear(ds.from_dense(space, variables, divisible), {"a": 1, "b": 1})
     with pytest.raises(CapExceeded):
-        mpseries.divide_linear(space, np.array([divisible]), (1, 1))
+        mpseries.divide_linear(space, divisible[:, None], (1, 1))
     divisible = ds.to_dense(space, ds.linear_form({"a": 1, "b": 2}, variables, (1, 2), 2))
-    quotient, remainder = mpseries.divide_linear(space, np.array([divisible]), (1, 2))
-    assert quotient[0].tolist() == [1] + [0] * (space.size - 1) and remainder.tolist() == [0.0]
+    quotient, remainder = mpseries.divide_linear(space, divisible[:, None], (1, 2))
+    assert quotient[:, 0].tolist() == [1] + [0] * (space.size - 1) and remainder.tolist() == [0.0]
 
 
 def test_batched_division_rejects_the_zero_form():
     space = dense_space((2, 2), 2)
     with pytest.raises(mpseries.SeriesError, match="zero form"):
-        mpseries.divide_linear(space, np.ones((2, space.size), dtype=complex), (0, 0))
+        mpseries.divide_linear(space, np.ones((space.size, 2), dtype=complex), (0, 0))
+
+
+def _bits(values) -> np.ndarray:
+    """The float64 bit patterns of an array, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(values, dtype=np.result_type(values, float)).view(np.uint64)
+
+
+def _assert_bitwise(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def _unit_products(mul, batch, monomial, sign):
+    """batch times sign * t^monomial by mul(batch, weights), one unit key at
+    a time, the first unit carrying the sign."""
+    for unit in np.repeat(np.eye(len(monomial), dtype=np.int64), monomial, axis=0):
+        batch, sign = mul(batch, sign * unit), 1
+    return batch
+
+
+@given(st.data())
+def test_one_series_is_a_batch_of_one_and_a_shift_is_its_unit_products(data):
+    # one series as an (N,) array and as an (N, 1) batch: bitwise the same
+    # products, shifts, quotients and remainders; and the signed monomial
+    # shift is the product by its unit keys in turn, to the last bit, with
+    # exponents that carry keys out of the space and signed zeros in the
+    # series (a product leaves +0.0 wherever the value is zero)
+    variables, caps, total = data.draw(spaces(full_simplex=data.draw(st.booleans())))
+    space = dense_space(caps, total)
+    series = _batch(data.draw, space, 1)[:, 0]
+    zeros = data.draw(st.lists(st.integers(0, space.size - 1), max_size=3))
+    series[zeros] = complex(-0.0, -0.0)
+    one = series[:, None]
+    weights = data.draw(st.tuples(*[st.sampled_from([0, 1, -2, 0.5, -1.25])] * len(caps)))
+    _assert_bitwise(space.mul_linear(series, weights), space.mul_linear(one, weights)[:, 0])
+    monomial = list(data.draw(st.tuples(*[st.integers(0, c + 1) for c in caps])))
+    if not any(monomial):
+        monomial[0] = 1
+    for sign in (1, -1):
+        shifted = space.shift(series, monomial, sign)
+        _assert_bitwise(shifted, space.shift(one, monomial, sign)[:, 0])
+        _assert_bitwise(shifted, _unit_products(space.mul_linear, series, monomial, sign))
+        assert not np.signbit(shifted.view(float)[shifted.view(float) == 0]).any()
+    form = data.draw(st.tuples(*[st.integers(-3, 3)] * len(caps)).filter(any))
+    if caps[mpseries.pivot(form)] < total:
+        with pytest.raises(CapExceeded):
+            mpseries.divide_linear(space, series, form)
+        return
+    quotient, remainder = mpseries.divide_linear(space, series, form)
+    batch_quotient, batch_remainder = mpseries.divide_linear(space, one, form)
+    assert np.shape(remainder) == () and batch_remainder.shape == (1,)
+    _assert_bitwise(quotient, batch_quotient[:, 0])
+    _assert_bitwise(remainder, batch_remainder[0])
+
+
+def _pattern_spaces(spec):
+    """(J, pattern space, its forms) per pattern the outer tuples in
+    [1, 4]^|Jbar| reach, the regular one included, for every J of spec."""
+    for J in model.nonempty_subsets(spec.r):
+        plan = genfun.GeneratingFunctionPlan(spec, J)
+        rows = list(itertools.product(range(1, 5), repeat=len(plan.ctx.Jbar)))
+        tuples = np.array(rows, dtype=np.int64).reshape(len(rows), len(plan.ctx.Jbar))
+        flags, _ = genfun.group_rows((tuples @ plan._d_rows) == 0)
+        for pattern in {frozenset()} | {frozenset(np.flatnonzero(f).tolist()) for f in flags}:
+            tables = plan._tables(pattern)
+            yield J, tables.space, tables.forms
+
+
+@pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")), ids=lambda p: p.stem)
+def test_key_major_kernels_match_the_row_major_reference(path):
+    # every pattern space the bundled specs build (root_a2's J = [r] space
+    # of 1156 keys among them), on random batches of 1, 2 and 12 series
+    # with signed zeros: mul_linear, shift (against row-major unit
+    # products) and divide_linear by each of the pattern's forms agree with
+    # the row-major kernels kept in tests/rowmajor.py to the last bit
+    spec = model.load_spec(str(path))
+    rng = np.random.default_rng(len(path.stem))
+    sizes = set()
+    for J, space, forms in _pattern_spaces(spec):
+        sizes.add((J, space.size))
+        nvars = len(space.caps)
+        for count in (1, 2, 12):
+            shape = (count, space.size)
+            rows = (rng.uniform(-2, 2, shape) + 1j * rng.uniform(-2, 2, shape)) * (
+                rng.random(shape) < 0.7
+            )
+            batch = np.ascontiguousarray(rows.T)
+            def row_major_mul(rows, weights):
+                return rowmajor.mul_linear(space, rows, weights)
+
+            weights = tuple(rng.choice([0, 1, -3, 0.5, -1.25], nvars))
+            _assert_bitwise(space.mul_linear(batch, weights), row_major_mul(rows, weights).T)
+            monomial = rng.integers(0, 3, nvars)
+            monomial[rng.integers(nvars)] += 1
+            for sign in (1, -1):
+                want = _unit_products(row_major_mul, rows, monomial, sign)
+                _assert_bitwise(space.shift(batch, monomial, sign), want.T)
+            for form, _ in forms:
+                quotient, remainder = mpseries.divide_linear(space, batch, form)
+                want_quotient, want_remainder = rowmajor.divide_linear(space, rows, form)
+                _assert_bitwise(quotient, want_quotient.T)
+                _assert_bitwise(remainder, want_remainder)
+    if path.stem == "root_a2":
+        assert ((1, 2), 1156) in sizes
 
 
 @pytest.mark.parametrize("pairs", [6, 70])

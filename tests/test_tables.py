@@ -77,10 +77,10 @@ def _check_tables(plan, pattern):
         # the rows: the reference's Bernoulli rows over |det|, L_g weights
         # and t_g keys, expanded
         want_exponents, want_rows = genfun._expand_geometric(
-            space, bprod / b.den, [(weights, unit) for _, weights, unit in factors], T
+            space, bprod.T / b.den, [(weights, unit) for _, weights, unit in factors], T
         )
         assert np.array_equal(exponents, want_exponents)
-        _assert_rows_close(rows, want_rows)
+        _assert_rows_close(rows, want_rows.T)
 
 
 @given(instances())

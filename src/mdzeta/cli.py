@@ -8,8 +8,8 @@ Subcommands:
   selftest   quick internal consistency checks, no instance needed
 
 Each subcommand but selftest runs one pre-flight, _prepare (load the spec;
-for a box, the work budget and the convergence gate; make MDZETA_OUTPUT_DIR),
-and one emitter, _emit (the JSON report to
+for a box, the direct side's work budget and the convergence gate; make
+MDZETA_OUTPUT_DIR), and one emitter, _emit (the JSON report to
 MDZETA_OUTPUT_DIR/<subcommand>_report.json when that is set, then text, json
 or csv on stdout).  reduce shows the report of verify's computation,
 evaluator.verify_parity, per term.  All rendering lives here: the
@@ -24,15 +24,17 @@ file in it that cannot be written.
 Box sizes --M and --M-outer below 1 are invalid input, and so are a --tol
 that is negative or not finite (nan, inf) and a negative --rho-variant.
 So are boxes over the work budget: more than WORK_BUDGET direct terms
-(M**r), direct form values (the largest row sum of A times M), or, for
-some subset J, coset representatives times outer tuples (the sum of
-|det B| over the bases B of Lambda_J, one genfun._Basis record each in
-the plan, times M_outer**(r-|J|)).  A reduced side cannot be assembled
-when a pole does not cancel, the exact layer fails, or it needs a
-Bernoulli order past float range (above 170).  Every refusal raises an
-exception that main turns into one error: line and exit 2, with nothing
-on stdout and no traceback; the pre-flight's refusals come before any
-summation and create nothing.
+(M**r) or direct form values (the largest row sum of A times M), refused
+by the pre-flight, or, for some subset J, coset representatives times
+outer tuples (the plan's coset_count, the sum of |det B| over the bases
+B of Lambda_J, times M_outer**(r-|J|)), refused by evaluator.rhs_total
+when it builds its plans: after the convergence gate and after
+MDZETA_OUTPUT_DIR is made, but before any coset is enumerated or any
+shell summed.  A reduced side cannot be assembled when a pole does not
+cancel, the exact layer fails, or it needs a Bernoulli order past float
+range (above 170).  Every refusal raises an exception that main turns
+into one error: line and exit 2, with nothing on stdout and no traceback;
+the pre-flight's refusals come before any summation and create nothing.
 """
 
 from __future__ import annotations
@@ -46,10 +48,7 @@ import sys
 from fractions import Fraction
 
 from . import evaluator, exact, genfun, mpseries
-from .model import (
-    WORK_BUDGET, SpecError, convergence_check, load_spec, parse_spec, spec_to_dict,
-    subset_classes,
-)
+from .model import WORK_BUDGET, SpecError, convergence_check, load_spec, parse_spec, spec_to_dict
 
 
 def _box_size(value: str) -> int:
@@ -73,19 +72,19 @@ def _tolerance(value: str) -> float:
     return tol
 
 
-def _prepare(args, M: int | None = None, M_outer: int | None = None):
+def _prepare(args, M: int | None = None):
     """(spec, convergence verdict); every refusal raises SpecError.
 
-    Loads the spec; for a box M (and M_outer) checks the work budget and
+    Loads the spec; for a box M checks the direct side's work budget and
     gates on convergence; then makes MDZETA_OUTPUT_DIR.  A refused run has
-    summed nothing and created nothing.
+    summed nothing and created nothing.  The coset budget is rhs_total's.
     """
     try:
         spec = load_spec(args.spec)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SpecError(exc) from exc
     if M is not None:
-        _check_budget(spec, M, M_outer)
+        _check_budget(spec, M)
     verdict = convergence_check(spec, user_asserted=args.assert_convergence)
     if M is not None and not verdict.established:
         raise SpecError(f"convergence not established: {verdict.reason}")
@@ -146,35 +145,17 @@ def _spec_line(spec) -> str:
     )
 
 
-def _check_budget(spec, M: int, M_outer: int | None = None) -> None:
-    """Raise SpecError when a box does not fit WORK_BUDGET."""
-    if M**spec.r > WORK_BUDGET:
-        raise _over_budget(f"--M {M} at r={spec.r} gives {M}^{spec.r} = {M**spec.r} direct terms")
-    # the direct side tabulates 1/f^k for every form value f up to this
-    values = spec.max_row_sum * M
-    if values > WORK_BUDGET:
-        raise _over_budget(
-            f"--M {M} with a largest row sum of A of {spec.max_row_sum} gives "
-            f"{values} direct form values"
-        )
-    if M_outer is None:
-        return
-    # the reduced side reads every coset representative of every basis of
-    # Lambda_J at every outer tuple over Jbar; the count is known from the
-    # basis determinants, before any coset is enumerated.  It and |Jbar| are
-    # the same across a class, whose first member comes first in subset
-    # order, so counting each class's first member finds the same first J
-    for J, *_ in subset_classes(spec):
-        count, outer = genfun.coset_count(spec, J), spec.r - len(J)
-        if count * M_outer**outer > WORK_BUDGET:
-            raise _over_budget(
-                f"--M-outer {M_outer} at J={set(J)} gives {count} coset representatives "
-                f"times {M_outer}^{outer} outer tuples = {count * M_outer**outer}"
-            )
-
-
-def _over_budget(why: str) -> SpecError:
-    return SpecError(f"{why}, over the work budget of {WORK_BUDGET}")
+def _check_budget(spec, M: int) -> None:
+    """Raise SpecError when a direct box does not fit WORK_BUDGET."""
+    # the direct side tabulates 1/f^k for every form value f up to values
+    row_sum = spec.max_row_sum
+    terms, values = M**spec.r, row_sum * M
+    for work, what in (
+        (terms, f"at r={spec.r} gives {M}^{spec.r} = {terms} direct terms"),
+        (values, f"with a largest row sum of A of {row_sum} gives {values} direct form values"),
+    ):
+        if work > WORK_BUDGET:
+            raise SpecError(f"--M {M} {what}, over the work budget of {WORK_BUDGET}")
 
 
 # ----------------------------------------------------------------- validate
@@ -229,7 +210,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec, _ = _prepare(args, args.M, args.M_outer)
+    spec, _ = _prepare(args, args.M)
     report = evaluator.verify_parity(
         spec, M=args.M, M_outer=args.M_outer, tol=args.tol,
         rho_variant=args.rho_variant, assume_convergence=args.assert_convergence,
@@ -302,7 +283,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    spec, verdict = _prepare(args, args.M, args.M_outer)
+    spec, verdict = _prepare(args, args.M)
     # the reduced side of verify's computation, term by term; its series
     # side feeds the corollary check
     report = evaluator.verify_parity(

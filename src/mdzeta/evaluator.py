@@ -36,8 +36,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .genfun import GeneratingFunctionPlan
 from .model import (
+    WORK_BUDGET,
     ConvergenceVerdict,
     SeriesSpec,
+    SpecError,
     convergence_check,
     nonempty_subsets,
     subset_classes,
@@ -539,19 +541,17 @@ def term_sign(spec: SeriesSpec, ctx) -> int:
     return -1 if (outer_h + outer_k + spec.r + len(ctx.I)) % 2 else 1
 
 
-def term_T(spec: SeriesSpec, J, M_outer: int, rho_variant: int = 0) -> TermSummary:
-    """The contribution of one subset J to the reduced side."""
-    plan = GeneratingFunctionPlan(spec, tuple(J), rho_variant=rho_variant)
-    ctx = plan.ctx
+def term_T(plan: GeneratingFunctionPlan, M_outer: int) -> TermSummary:
+    """The contribution of the plan's subset J to the reduced side: its
+    outer sum over [1, M_outer]^|Jbar|, or G's top coefficient at J = [r]."""
+    spec, ctx = plan.spec, plan.ctx
     sign = term_sign(spec, ctx)
     factorials = math.prod(math.factorial(c) for c in plan.caps)
     if not ctx.Jbar:
         value = complex(plan.top_coefficients(np.zeros((1, 0), dtype=np.int64))[0])
         partial = PartialSum(value=value, M=0, terms=1, tail_estimate=0.0, slow=False)
         refined = RefinedSum(partial, 0.0 + 0.0j, 0.0, True)
-        return TermSummary(
-            ctx.J, ctx.I, sign, refined, plan.rho, True, value * factorials
-        )
+        return TermSummary(ctx.J, ctx.I, sign, refined, plan.rho, True, value * factorials)
     if M_outer < 1:
         raise ValueError("M_outer must be >= 1")
     f = len(ctx.Jbar)
@@ -576,24 +576,35 @@ def term_T(spec: SeriesSpec, J, M_outer: int, rho_variant: int = 0) -> TermSumma
     abs_shells = sums[0, 1:]
     w = _power_estimate(abs_shells)
     refined = _refine(_partial(shells, abs_shells, M_outer, M_outer**f, w), w)
-    return TermSummary(
-        ctx.J, ctx.I, sign, refined, plan.rho, False, unit_raw * factorials
-    )
+    return TermSummary(ctx.J, ctx.I, sign, refined, plan.rho, False, unit_raw * factorials)
 
 
-def rhs_total(
-    spec: SeriesSpec, M_outer: int, rho_variant: int = 0
-) -> RhsBreakdown:
+def rhs_total(spec: SeriesSpec, M_outer: int, rho_variant: int = 0) -> RhsBreakdown:
     """Sum of the reduced-side contributions over all nonempty subsets J.
 
     Terms come in nonempty_subsets order.  Subsets whose data agree up to
-    relabelling (model.subset_classes) share one evaluation: term_T runs
-    for the first member of each class, and every other member takes that
-    term (sign, rho, refined sum, exact flag, unit_D) under its own J and I.
+    relabelling (model.subset_classes) share one evaluation: the first
+    member of each class gets a plan, and the first plan whose coset
+    representatives times outer tuples pass WORK_BUDGET is refused before
+    any coset is enumerated.  term_T then sums each plan, dropped once its
+    term is in, and every other member takes that term (sign, rho, refined
+    sum, exact flag, unit_D) under its own J and I.
     """
+    classes = subset_classes(spec)
+    plans = {}
+    for first, *_ in classes:
+        plan = GeneratingFunctionPlan(spec, first, rho_variant=rho_variant)
+        count, outer = plan.coset_count, len(plan.ctx.Jbar)
+        if (work := count * M_outer**outer) > WORK_BUDGET:
+            raise SpecError(
+                f"--M-outer {M_outer} at J={set(first)} gives {count} coset representatives "
+                f"times {M_outer}^{outer} outer tuples = {work}, over the work budget of "
+                f"{WORK_BUDGET}"
+            )
+        plans[first] = plan
     by_J: dict[tuple[int, ...], TermSummary] = {}
-    for first, *others in subset_classes(spec):
-        by_J[first] = term_T(spec, first, M_outer, rho_variant=rho_variant)
+    for first, *others in classes:
+        by_J[first] = term_T(plans.pop(first), M_outer)
         for J in others:
             by_J[J] = replace(by_J[first], J=J, I=subset_context(spec, J).I)
     terms = [by_J[J] for J in nonempty_subsets(spec.r)]

@@ -23,6 +23,7 @@ precision lets the remainder check read is refused.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -87,12 +88,6 @@ def enumerate_bases(vecs) -> dict[tuple[int, ...], tuple]:
     return out
 
 
-def coset_count(spec: SeriesSpec, J) -> int:
-    """Coset representatives a plan for (spec, J) enumerates: sum of |det B|."""
-    vecs = build_lambda(spec, subset_context(spec, tuple(J)))
-    return sum(abs(det) for det, _ in enumerate_bases(vecs).values())
-
-
 def _normalize_linear(row: tuple[int, ...], den: int):
     """Split the linear form row / den (den > 0) into (primitive form, scale).
 
@@ -154,10 +149,12 @@ class GeneratingFunctionPlan:
     One _Basis record per basis of Lambda (self.bases) holds the basis's
     |det|, coset fractional parts and phases, and the linear forms L_g of
     its geometric factors; _d_rows holds every d_g as an integer form in the
-    outer tuple.  evaluate_batch() and top_coefficients() then do only
-    per-batch work: evaluate the d_g and the phases for every row, group
-    rows by which d_g vanish, and per basis multiply the monomials in the
-    1/d_g, times the phases, with the pattern's compiled rows (_tables).
+    outer tuple.  The cosets are enumerated on first use of self.bases, so
+    a caller can weigh coset_count (the sum of |det B|) before any is
+    built.  evaluate_batch() and top_coefficients() then do only per-batch
+    work: evaluate the d_g and the phases for every row, group rows by
+    which d_g vanish, and per basis multiply the monomials in the 1/d_g,
+    times the phases, with the pattern's compiled rows (_tables).
     """
 
     def __init__(self, spec: SeriesSpec, J, rho_variant: int = 0):
@@ -181,24 +178,49 @@ class GeneratingFunctionPlan:
         dots = tuple((0,) * len(ctx.Jbar) for _ in ctx.J) + tuple(
             tuple(-spec.a(i, j) for j in ctx.Jbar) for i in ctx.I
         )
-        dot_cols = tuple(zip(*dots))  # per j in Jbar: its coefficient in each member
+        self._dot_cols = tuple(zip(*dots))  # per j in Jbar: its coefficient in each member
         duals = enumerate_bases(self.vecs)
         self.rho = exact.choose_rho(
             [row for _, rows in duals.values() for row in rows], variant=rho_variant
         )
-        # All exact data below are integers.  Each basis's dual is integer
-        # rows over den = |det|; with the twist y_J over the common
-        # denominator Q, <y + w, dual_f> is an integer over Q * den, and L_g
-        # and d_g are integer rows over den.
-        y_J = tuple(spec.y[j - 1] for j in ctx.J)
+        # the coset representatives every basis term reads: sum of |det B|
+        self.coset_count = sum(abs(det) for det, _ in duals.values())
+        # each dual is integer rows over den = |det|, and so are L_g and d_g
+        self._duals = []  # per basis: (members, den, rows with det > 0, complement)
+        d_rows = []  # per (basis, complement member): den * d_g over Jbar
+        for members, (det, rows) in duals.items():
+            den = abs(det)
+            if det < 0:
+                rows = tuple(tuple(-v for v in row) for row in rows)
+            complement = []
+            for g in (p for p in range(len(self.vecs)) if p not in members):
+                row = [0] * len(self.vecs)
+                row[g] = den
+                for f, dual in zip(members, rows):
+                    row[f] = -exact.dot(self.vecs[g], dual)
+                complement.append((len(d_rows), g, tuple(row)))
+                d_rows.append([exact.dot(row, col) for col in self._dot_cols])
+            self._duals.append((members, den, rows, tuple(complement)))
+        self.space = mpseries.dense_space(self.caps, self.total_cap)
+        self.top = int(self.space.locate([self.caps])[0])
+        # d_g = (tuples @ _d_rows[:, k]) / den at the outer tuples, for the
+        # complement entry (k, g, _) of a basis of denominator den
+        self._d_rows = np.array(d_rows, dtype=np.int64).reshape(len(d_rows), len(ctx.Jbar)).T
+        self._phase_memo: dict[int, dict[int, complex]] = {}  # q -> residue -> e(res/q)
+        self._bernoulli_memo: dict[tuple[int, int], list[complex]] = {}  # (residue, fden) -> row
+        self._tables_cache: dict[frozenset, _Tables] = {}
+
+    @functools.cached_property
+    def bases(self) -> tuple["_Basis", ...]:
+        """One _Basis record per basis, its cosets enumerated on first use.
+        With y_J over the common denominator Q, <y + w, dual_f> is an
+        integer over fden = Q * den for each coset rep w."""
+        y_J = tuple(self.spec.y[j - 1] for j in self.ctx.J)
         Q = math.lcm(*(y.denominator for y in y_J))
         yQ = tuple(y.numerator * (Q // y.denominator) for y in y_J)
         bases = []
-        d_rows = []  # per (basis, complement member): den * d_g over Jbar
-        for members, (det, rows) in duals.items():
-            den, fden = abs(det), Q * abs(det)
-            if det < 0:
-                rows = tuple(tuple(-v for v in row) for row in rows)
+        for members, den, rows, complement in self._duals:
+            fden = Q * den
             reps = exact.coset_representatives([self.vecs[p] for p in members]).representatives
             pairing = [exact.dot(self.rho, row) for row in rows]
             shift = [exact.dot(yQ, row) for row in rows]
@@ -209,14 +231,6 @@ class GeneratingFunctionPlan:
                 )
                 for w in reps
             )
-            complement = []
-            for g in (p for p in range(len(self.vecs)) if p not in members):
-                row = [0] * len(self.vecs)
-                row[g] = den
-                for f, dual in zip(members, rows):
-                    row[f] = -exact.dot(self.vecs[g], dual)
-                complement.append((len(d_rows), g, tuple(row)))
-                d_rows.append([exact.dot(row, col) for col in dot_cols])
             # the coset phases e(-<dots, c>): the member dots are integer
             # forms in the outer tuple, so each phase is a q-th root of unity
             # read at an integer form mod q, q the lcm of the reduced
@@ -224,25 +238,17 @@ class GeneratingFunctionPlan:
             # are kept in [0, q), so its value at outer coordinates up to
             # WORK_BUDGET (the largest --M-outer admitted) stays inside int64.
             q = fden // gcd(fden, *(r for rs in residues for r in rs))
-            if len(ctx.Jbar) * WORK_BUDGET * (q - 1) > np.iinfo(np.int64).max:
+            if len(self.ctx.Jbar) * WORK_BUDGET * (q - 1) > np.iinfo(np.int64).max:
                 raise exact.ExactError(
-                    f"coset phase denominator {q} for J = {ctx.J} is too large: residues "
+                    f"coset phase denominator {q} for J = {self.ctx.J} is too large: residues "
                     f"mod {q} could leave int64 at outer coordinates up to {WORK_BUDGET}"
                 )
             coef = np.array([
                 [-sum(col[f] * (r * q // fden) for r, f in zip(rs, members)) % q for rs in residues]
-                for col in dot_cols
-            ], dtype=np.int64).reshape(len(dot_cols), len(residues))
-            bases.append(_Basis(members, den, fden, residues, q, coef, tuple(complement)))
-        self.bases = tuple(bases)
-        self.space = mpseries.dense_space(self.caps, self.total_cap)
-        self.top = int(self.space.locate([self.caps])[0])
-        # d_g = (tuples @ _d_rows[:, k]) / den at the outer tuples, for the
-        # complement entry (k, g, _) of a basis of denominator den
-        self._d_rows = np.array(d_rows, dtype=np.int64).reshape(len(d_rows), len(ctx.Jbar)).T
-        self._phase_memo: dict[int, dict[int, complex]] = {}  # q -> residue -> e(res/q)
-        self._bernoulli_memo: dict[tuple[int, int], list[complex]] = {}  # (residue, fden) -> row
-        self._tables_cache: dict[frozenset, _Tables] = {}
+                for col in self._dot_cols
+            ], dtype=np.int64).reshape(len(self._dot_cols), len(residues))
+            bases.append(_Basis(members, den, fden, residues, q, coef, complement))
+        return tuple(bases)
 
     def _phases(self, basis: "_Basis", tuples) -> np.ndarray:
         """The coset phases of a basis, one row per outer tuple, (B, K).

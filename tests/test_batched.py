@@ -452,9 +452,9 @@ def test_box_rows_walk_the_box_lexicographically():
 
 def test_term_does_not_depend_on_block_size(monkeypatch):
     spec = model.load_spec(str(SPECS / "mt_r3.json"))
-    default = evaluator.term_T(spec, (1,), M_outer=12)
+    default = evaluator.term_T(genfun.GeneratingFunctionPlan(spec, (1,)), M_outer=12)
     monkeypatch.setattr(evaluator, "_OUTER_BLOCK", 7)
-    small = evaluator.term_T(spec, (1,), M_outer=12)
+    small = evaluator.term_T(genfun.GeneratingFunctionPlan(spec, (1,)), M_outer=12)
     assert abs(small.value - default.value) <= 1e-14 * abs(default.value)
     assert small.refined.fitted == default.refined.fitted
     assert abs(small.refined.uncertainty - default.refined.uncertainty) <= (
@@ -484,7 +484,7 @@ def test_term_shells_match_the_per_tuple_reference(monkeypatch, data):
     monkeypatch.setattr(evaluator, "_partial", record)
     for J in model.nonempty_subsets(spec.r)[:-1]:  # every J with an outer sum
         seen.clear()
-        evaluator.term_T(spec, J, M_outer=12)
+        evaluator.term_T(genfun.GeneratingFunctionPlan(spec, J), M_outer=12)
         [(shells, abs_shells)] = seen
         want, want_abs = helpers.reference_shells(spec, J, 12)
         assert len(shells) == len(abs_shells) == len(want) == 12
@@ -498,7 +498,7 @@ def test_term_shells_match_the_per_tuple_reference(monkeypatch, data):
 def test_term_reports_unit_outer_d():
     spec = model.load_spec(str(SPECS / "root_a2.json"))
     for J in model.nonempty_subsets(spec.r):
-        term = evaluator.term_T(spec, J, M_outer=3)
+        term = evaluator.term_T(genfun.GeneratingFunctionPlan(spec, J), M_outer=3)
         plan = genfun.GeneratingFunctionPlan(spec, J)
         raw = plan.evaluate({j: 1 for j in plan.ctx.Jbar})[plan.top]
         want = raw * math.prod(math.factorial(c) for c in plan.caps)

@@ -239,6 +239,27 @@ def test_selftest_fails_on_a_wrong_geometric_factor(capsys, monkeypatch):
     assert any(line.endswith(": FAIL") for line in out.splitlines())
 
 
+def test_selftest_fails_on_a_wrong_singleton_coefficient(capsys, monkeypatch):
+    coefficients = mpseries.bernoulli_coefficients
+
+    def off(nmax, offset):
+        row = coefficients(nmax, offset)
+        return row[:-1] + [row[-1] * 1.001] if offset == 0 else row
+
+    monkeypatch.setattr(mpseries, "bernoulli_coefficients", off)
+    code, out, _ = _run(capsys, ["selftest"])
+    assert code == 1
+    assert "selftest: singleton coefficients: FAIL" in out.splitlines()
+
+
+def test_spec_without_forms_is_invalid(capsys, tmp_path):
+    path = tmp_path / "no_forms.json"
+    path.write_text('{"h": [1], "k": [], "y": ["0"], "A": []}')
+    code, out, err = _run(capsys, ["validate", "--spec", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: need at least one linear form\n"
+
+
 def test_output_dir_mirrors_stdout_report(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MDZETA_OUTPUT_DIR", str(tmp_path))
     boxes = ["--M", "120", "--M-outer", "120"]
@@ -477,20 +498,36 @@ def test_oversized_boxes_are_rejected_before_any_work(capsys, monkeypatch, argv)
     def no_work(*args, **kwargs):
         raise AssertionError("summation started")
 
-    for name in ("zeta_direct", "zeta_refined", "rhs_total", "term_T", "verify_parity"):
-        monkeypatch.setattr(evaluator, name, no_work)
-    monkeypatch.setattr(cli, "convergence_check", no_work)
+    if argv[-2:] == ["--M-outer", "4000"]:
+        # the coset budget: rhs_total refuses it as it builds its plans,
+        # before any coset, term or direct shell
+        monkeypatch.setattr(genfun.exact, "coset_representatives", no_work)
+        monkeypatch.setattr(evaluator, "term_T", no_work)
+        monkeypatch.setattr(evaluator, "_direct_shells", no_work)
+    else:
+        for name in ("zeta_direct", "zeta_refined", "rhs_total", "term_T", "verify_parity"):
+            monkeypatch.setattr(evaluator, name, no_work)
+        monkeypatch.setattr(cli, "convergence_check", no_work)
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: --M") and f"work budget of {cli.WORK_BUDGET}" in err
 
 
+def _coset_work(spec, M_outer: int) -> int:
+    """The largest coset representatives times outer tuples of a class of spec."""
+    plans = [genfun.GeneratingFunctionPlan(spec, J) for J, *_ in model.subset_classes(spec)]
+    return max(plan.coset_count * M_outer ** len(plan.ctx.Jbar) for plan in plans)
+
+
 def test_work_budget_admits_boxes_up_to_the_limit(capsys, monkeypatch):
     # the largest sizes the benchmark, demos and tests use fit the real budget
-    mt_r3 = model.load_spec(str(SPECS / "mt_r3.json"))
-    cli._check_budget(model.load_spec(MT_PATH), 3000, 3000)
-    cli._check_budget(mt_r3, 120, 2000)
+    mt_r2, mt_r3 = model.load_spec(MT_PATH), model.load_spec(str(SPECS / "mt_r3.json"))
+    cli._check_budget(mt_r2, 3000)
+    cli._check_budget(mt_r3, 120)
+    assert _coset_work(mt_r2, 3000) <= evaluator.WORK_BUDGET
+    assert _coset_work(mt_r3, 2000) <= evaluator.WORK_BUDGET
     monkeypatch.setattr(cli, "WORK_BUDGET", 400)
+    monkeypatch.setattr(evaluator, "WORK_BUDGET", 400)
     argv = ["verify", "--spec", MT_PATH, "--output", "json"]
     # 20^2 terms; J = {1} and J = {2} have 2 coset representatives, 200^1 tuples
     code, out, err = _run(capsys, argv + ["--M", "20", "--M-outer", "200"])
@@ -501,23 +538,22 @@ def test_work_budget_admits_boxes_up_to_the_limit(capsys, monkeypatch):
     assert code == 2 and "2 coset representatives times 201^1 outer tuples = 402" in err
 
 
-def test_budget_counts_cosets_once_per_subset_class(monkeypatch):
-    # 3 calls for mt_r3's 7 subsets and 4 for r = 4 MT's 15: one per class
-    calls, count = [], genfun.coset_count
+@pytest.mark.parametrize("r, classes", [(3, 3), (4, 4)], ids=["mt_r3", "mt_r4"])
+def test_verify_enumerates_bases_once_per_subset_class(capsys, monkeypatch, tmp_path, r, classes):
+    # one pass over each class's Lambda_J per call: mt_r3 has 3 classes of
+    # its 7 subsets, r = 4 MT 4 of its 15
+    calls, enumerate_bases = [], genfun.enumerate_bases
 
-    def counted(spec, J):
-        calls.append(J)
-        return count(spec, J)
+    def counted(vecs):
+        calls.append(vecs)
+        return enumerate_bases(vecs)
 
-    monkeypatch.setattr(genfun, "coset_count", counted)
-    mt_r4 = model.parse_spec({"h": [1] * 4, "k": [3], "y": ["0"] * 4, "A": [[1] * 4]})
-    for spec, want in (
-        (model.load_spec(str(SPECS / "mt_r3.json")), [(1,), (1, 2), (1, 2, 3)]),
-        (mt_r4, [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)]),
-    ):
-        calls.clear()
-        cli._check_budget(spec, 10, 10)
-        assert calls == want
+    monkeypatch.setattr(genfun, "enumerate_bases", counted)
+    path = tmp_path / "mt.json"
+    path.write_text(json.dumps({"h": [1] * r, "k": [r - 1], "y": ["0"] * r, "A": [[1] * r]}))
+    code, _, err = _run(capsys, ["verify", "--spec", str(path), "--M", "4", "--M-outer", "3"])
+    assert code in (0, 1, 3) and err == ""
+    assert len(calls) == classes
 
 
 def _no_cosets(*args, **kwargs):
@@ -531,9 +567,10 @@ def test_coset_count_is_refused_before_any_coset_is_enumerated(
     # J = {1, 2}: bases of det 1, 3 and -1, so 5 coset representatives
     path = tmp_path / "steep_form.json"
     path.write_text('{"h": [2, 2], "k": [2], "y": ["0", "0"], "A": [[1, 3]]}')
-    assert genfun.coset_count(model.load_spec(str(path)), (1, 2)) == 5
+    plan = genfun.GeneratingFunctionPlan(model.load_spec(str(path)), (1, 2))
+    assert plan.coset_count == 5
     monkeypatch.setattr(genfun.exact, "coset_representatives", _no_cosets)
-    monkeypatch.setattr(cli, "WORK_BUDGET", 4)
+    monkeypatch.setattr(evaluator, "WORK_BUDGET", 4)
     argv = [command, "--spec", str(path), "--M", "1", "--M-outer", "1"]
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
@@ -542,7 +579,7 @@ def test_coset_count_is_refused_before_any_coset_is_enumerated(
         "outer tuples = 5, over the work budget of 4\n"
     )
     # one step higher the same box is admitted and the plans start
-    monkeypatch.setattr(cli, "WORK_BUDGET", 5)
+    monkeypatch.setattr(evaluator, "WORK_BUDGET", 5)
     with pytest.raises(AssertionError, match="coset representatives enumerated"):
         cli.main(argv)
 
@@ -560,6 +597,28 @@ def test_large_entry_bases_are_refused_at_the_real_budget(capsys, monkeypatch, t
         code, out, err = _run(capsys, [command, "--spec", str(path), "--M", "1", "--M-outer", "1"])
         assert code == 2 and out == ""
         assert err.startswith("error: --M-outer 1 at J={1, 2}") and err.count("\n") == 1
+
+
+def test_large_entry_bases_are_refused_from_python(capsys, monkeypatch, tmp_path):
+    # rhs_total owns the coset budget, so a caller from Python is refused
+    # as the CLI is, with its message, and no coset is enumerated
+    path = tmp_path / "large_entries.json"
+    path.write_text(
+        '{"h": [2, 2], "k": [2, 2], "y": ["0", "0"],'
+        ' "A": [[3000017, 3000019], [2999999, 3000001]]}'
+    )
+    spec = model.load_spec(str(path))
+    calls = []
+    monkeypatch.setattr(genfun.exact, "coset_representatives", lambda *a: calls.append(a))
+    code, out, err = _run(capsys, ["verify", "--spec", str(path), "--M", "1", "--M-outer", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --M-outer 1 at J={1, 2} gives 12000073 coset representatives")
+    for call in (lambda: evaluator.rhs_total(spec, 1),
+                 lambda: evaluator.verify_parity(spec, M=1, M_outer=1)):
+        with pytest.raises(model.SpecError) as exc:
+            call()
+        assert f"error: {exc.value}\n" == err
+    assert calls == []
 
 
 def _steep_pole_spec(tmp_path, entry):

@@ -22,6 +22,7 @@ from mdzeta.evaluator import (
     zeta_direct,
     zeta_refined,
 )
+from mdzeta.genfun import GeneratingFunctionPlan
 from mdzeta.phase import unit_phase
 
 MT = model.parse_spec({"h": [1, 1], "k": [1], "y": ["0", "0"], "A": [[1, 1]]})
@@ -131,8 +132,13 @@ def test_term_sign_flips_with_subset():
     assert term_sign(NULL, model.subset_context(NULL, (2,))) == 1
 
 
+def test_term_needs_an_outer_box():
+    with pytest.raises(ValueError, match="M_outer must be >= 1"):
+        term_T(GeneratingFunctionPlan(MT, (1,)), M_outer=0)
+
+
 def test_term_for_full_subset_is_exact():
-    t = term_T(MT, (1, 2), M_outer=1)
+    t = term_T(GeneratingFunctionPlan(MT, (1, 2)), M_outer=1)
     assert t.exact
     assert t.J == (1, 2) and t.I == (1,)
     assert t.sign == -1
@@ -247,7 +253,7 @@ def _check_shared_terms(spec, M_outer, rtol=1e-12, own_scale=False):
     the largest |T_J|, or with own_scale unit_D within rtol of the largest
     |unit_D| (a shared term sums the outer box in another order)."""
     rhs = rhs_total(spec, M_outer)
-    own = [term_T(spec, J, M_outer) for J in model.nonempty_subsets(spec.r)]
+    own = [term_T(GeneratingFunctionPlan(spec, J), M_outer) for J in model.nonempty_subsets(spec.r)]
     assert [t.J for t in rhs.terms] == [t.J for t in own]
     scale = max(abs(t.value) for t in own)
     unit_scale = max(abs(t.unit_D) for t in own) if own_scale else scale
@@ -302,7 +308,7 @@ def test_equal_terms_agree_to_their_own_rounding():
     # 2.2e-12 apart (relative), the G assembly's rounding for an r = 3,
     # three-form spec, whichever member is summed
     spec = _spec([2, 2, 2], [2, 2, 2], [[0, 1, 2], [2, 0, 1], [1, 2, 0]])
-    values = [term_T(spec, J, 6).value for J in ((1, 2), (1, 3), (2, 3))]
+    values = [term_T(GeneratingFunctionPlan(spec, J), 6).value for J in ((1, 2), (1, 3), (2, 3))]
     assert max(abs(a - b) for a in values for b in values) <= 1e-11 * abs(values[0])
 
 
@@ -320,9 +326,9 @@ def test_verify_parity_evaluates_each_class_once(monkeypatch, name):
     spec, M_outer = SHARING[name]
     calls = []
 
-    def counted(spec, J, *args, **kwargs):
-        calls.append(J)
-        return term_T(spec, J, *args, **kwargs)
+    def counted(plan, *args, **kwargs):
+        calls.append(plan.ctx.J)
+        return term_T(plan, *args, **kwargs)
 
     monkeypatch.setattr(evaluator, "term_T", counted)
     report = verify_parity(spec, M=8, M_outer=M_outer, tol=1.0)

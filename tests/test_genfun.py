@@ -126,7 +126,7 @@ def test_unit_d_reads_top_coefficient_times_factorials():
     spec = model.parse_spec({"h": [2], "k": [2], "y": ["0"], "A": [[2]]})
     plan = genfun.GeneratingFunctionPlan(spec, (1,))
     raw = plan.evaluate()[plan.top]
-    assert evaluator.term_T(spec, (1,), M_outer=1).unit_D == raw * 4
+    assert evaluator.term_T(plan, M_outer=1).unit_D == raw * 4
     assert abs(raw - math.pi**4 / 180) <= 1e-12
 
 
@@ -249,7 +249,7 @@ def test_singular_path_on_steep_forms(spec):
     family = len(spec.A) == 1 and spec.A[0][0] == 1
     tuples = np.array([[1], [2], [3]], dtype=np.int64)
     for J in model.nonempty_subsets(spec.r):
-        if genfun.coset_count(spec, J) > 2000:
+        if genfun.GeneratingFunctionPlan(spec, J).coset_count > 2000:
             continue
         tops = []
         for variant in (0, 1):

@@ -144,6 +144,12 @@ def test_space_construction_guards():
         linear_form({"c": 1.0}, ("a", "b"), (1, 1))
 
 
+def test_dense_space_refuses_a_negative_cap():
+    for caps, total_cap in (((1, -1), 2), ((1, 1), -1)):
+        with pytest.raises(SeriesError, match="negative cap"):
+            mpseries.DenseSpace(caps, total_cap)
+
+
 def test_product_truncates_to_caps():
     one_plus = series_add(constant(1.0, ("t",), (2,)), monomial(("t",), (2,), (1,)))
     one_minus = series_sub(constant(1.0, ("t",), (2,)), monomial(("t",), (2,), (1,)))

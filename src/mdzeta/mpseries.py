@@ -164,11 +164,11 @@ class DenseSpace:
     of B series is an (N, B) array with one row per key and one column per
     series, so every product and division indexes keys on axis 0 and reads
     a single series and a batch through the same code.  Keys are
-    the rows of an (N, nvars) array, located by their codes in base
-    2 * max cap + 1, which increase with the lexicographic order and stay
-    distinct for sums of two keys.  The O(N) shift and division index
-    arrays depend only on the space, so dense_space() shares one instance
-    per space.  A space of more than WORK_BUDGET entries in its key array
+    the rows of an (N, nvars) array, located by their codes in the mixed
+    radix 2 * cap_i + 1 per variable, which increase with the lexicographic
+    order and stay distinct for sums of two keys.  The O(N) shift and
+    division index arrays depend only on the space, so dense_space() shares
+    one instance per space.  A space of more than WORK_BUDGET entries in its key array
     is refused before any key is built.
     """
 
@@ -183,10 +183,11 @@ class DenseSpace:
             )
         self.caps = caps
         self.total_cap = total_cap
-        radix = 2 * max(caps, default=0) + 1
-        if radix ** len(caps) >= 2**62:
+        radices = [2 * c + 1 for c in caps]
+        if math.prod(radices) >= 2**62:
             raise SeriesError("space too large to index")
-        self._weights = radix ** np.arange(len(caps), dtype=np.int64)[::-1]
+        weights = [math.prod(radices[i + 1:]) for i in range(len(caps))]
+        self._weights = np.array(weights, dtype=np.int64)
         keys = np.zeros((1, 0), dtype=np.int64)
         for c in caps:
             keys = np.concatenate([np.column_stack([keys, np.full(len(keys), e)]) for e in range(c + 1)])

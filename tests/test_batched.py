@@ -298,6 +298,18 @@ def test_dense_space_is_shared_per_space():
         space.locate([(1, 2)])
 
 
+def test_space_is_indexed_by_its_caps_not_by_the_largest_cap():
+    # caps (110, 1, 1, 1, 2, 2, 2, 2): one radix 2 * 110 + 1 for all eight
+    # variables would code past 2^62, the radices 2 * cap_i + 1 do not
+    spec = model.parse_spec({"h": [110, 1, 1, 1], "k": [2] * 4, "y": ["0"] * 4,
+                             "A": [[int(i == j) for j in range(4)] for i in range(4)]})
+    space = genfun.GeneratingFunctionPlan(spec, (1, 2, 3, 4)).space
+    assert space.size == 71928
+    keys = space.keys.tolist()
+    assert keys == sorted(keys)
+    assert space.locate(keys).tolist() == list(range(space.size))
+
+
 def _golden_cases():
     doc = json.loads(GOLDEN.read_text(encoding="utf-8"))
     for case in doc["cases"]:

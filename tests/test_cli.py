@@ -90,27 +90,57 @@ def test_eval_reports_refined_value(capsys):
     assert payload["terms"] == 300**2
 
 
-def test_convergence_gate_exit_codes(capsys, monkeypatch, tmp_path):
+def test_every_subcommand_runs_a_spec_beyond_the_classical_shapes(capsys, monkeypatch, tmp_path):
+    # A = [[1, 2]] is neither the all-ones form nor covered by exponent >= 2;
+    # it converges absolutely like every valid spec, and every subcommand
+    # runs it with no flag, stating the proof once per call
     path = tmp_path / "thin.json"
     path.write_text('{"h": [1, 1], "k": [1], "y": ["0", "0"], "A": [[1, 2]]}')
-    # a refused run creates no output directory
-    monkeypatch.setenv("MDZETA_OUTPUT_DIR", str(tmp_path / "reports"))
-    for argv in (
-        ["eval", "--spec", str(path), "--M", "50"],
-        ["verify", "--spec", str(path), "--M", "50", "--M-outer", "50"],
-        ["reduce", "--spec", str(path), "--M", "50", "--M-outer", "50"],
+    calls, check = [], cli.convergence_check
+
+    def counted(spec):
+        calls.append(spec)
+        return check(spec)
+
+    monkeypatch.setattr(cli, "convergence_check", counted)
+    boxes = ["--M", "50", "--M-outer", "20"]
+    for argv, codes in (
+        (["validate"], (0,)),
+        (["eval", "--M", "50"], (0,)),
+        (["verify", *boxes], (0, 3)),
+        (["reduce", *boxes], (0,)),
     ):
-        code, _, err = _run(capsys, argv)
-        assert code == 2
-        assert "convergence not established" in err
-    assert not (tmp_path / "reports").exists()
-    monkeypatch.delenv("MDZETA_OUTPUT_DIR")
-    code, out, _ = _run(
-        capsys,
-        ["validate", "--spec", str(path), "--assert-convergence", "--output", "json"],
-    )
-    assert code == 0
-    assert json.loads(out)["convergence"]["status"] == "user-asserted"
+        calls.clear()
+        code, out, err = _run(capsys, [*argv, "--spec", str(path), "--output", "json"])
+        assert code in codes and err == ""
+        assert json.loads(out)["convergence"]["status"] == "proved-absolute"
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "eval", "verify", "reduce"])
+def test_assert_convergence_is_no_option(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0 and "--assert-convergence" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--spec", MT_PATH, "--assert-convergence"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --assert-convergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [
+    {"h": [1, 1], "k": [1], "y": ["1/4", "0"], "A": [[2, 1]]},
+    {"h": [1, 2], "k": [1], "y": ["0", "0"], "A": [[1, 2]]},
+])
+def test_true_identities_with_short_outer_sums_are_not_a_fail(capsys, tmp_path, data):
+    # at M_outer 12 the unfitted outer sum of J = {1} of the first is 0.127
+    # from its limit, and that of J = {2} of the second 0.262: a tail rule
+    # that states less than that turns these true identities into fail
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(data))
+    argv = ["verify", "--spec", str(path), "--M", "100", "--M-outer", "12", "--tol", "1e-6"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 3 and "verdict: inconclusive" in out
 
 
 def test_verify_passes_and_prints_verdict(capsys):
@@ -677,8 +707,7 @@ def test_numerator_past_float_precision_exits_2(capsys, monkeypatch, tmp_path, c
     path.write_text(json.dumps({"h": [3, 3], "k": [1, 3], "y": ["0", "0"],
                                 "A": [[188, 1], [2, 0]]}))
     monkeypatch.setattr(evaluator, "zeta_refined", _no_work)
-    code, out, err = _run(capsys, [command, "--spec", str(path), "--M", "20", "--M-outer", "20",
-                                   "--assert-convergence"])
+    code, out, err = _run(capsys, [command, "--spec", str(path), "--M", "20", "--M-outer", "20"])
     assert code == 2 and out == ""
     assert err.startswith("error: numerator cancels past float precision")
     assert err.count("\n") == 1
@@ -693,6 +722,19 @@ def test_series_space_over_the_work_budget_exits_2(capsys, tmp_path):
     code, out, err = _run(capsys, ["reduce", "--spec", str(path), "--M", "3", "--M-outer", "2"])
     assert code == 2 and out == ""
     assert err.startswith("error: series space of") and err.count("\n") == 1
+
+
+def test_series_space_of_one_large_cap_is_counted_by_its_size(capsys, tmp_path):
+    # every plan's space indexes, J = {1, 2, 3, 4}'s too, with one cap of 110
+    # among small caps; a singular pattern's table then widens a pivot's
+    # cap, and that space is refused by its size, before it is built
+    path = tmp_path / "h110.json"
+    path.write_text(json.dumps({"h": [110, 1, 1, 1], "k": [2] * 4, "y": ["0"] * 4,
+                                "A": [[int(i == j) for j in range(4)] for i in range(4)]}))
+    code, out, err = _run(capsys, ["verify", "--spec", str(path), "--M", "3", "--M-outer", "2"])
+    assert code == 2 and out == ""
+    assert err == (f"error: series space of 7778700 keys over 6 variables is over "
+                   f"the work budget of {cli.WORK_BUDGET}\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "reduce"])
@@ -743,7 +785,6 @@ def test_large_form_values_are_rejected_before_any_work(capsys, monkeypatch, tmp
         raise AssertionError("summation started")
 
     monkeypatch.setattr(evaluator, "_direct_shells", no_work)
-    monkeypatch.setattr(evaluator, "convergence_check", no_work)
     monkeypatch.setattr(cli, "convergence_check", no_work)
     monkeypatch.setattr(cli, "WORK_BUDGET", 1000)
     argv = [command, "--spec", str(path), "--M", "100"]
@@ -796,15 +837,12 @@ def test_consecutive_calls_share_the_parser_but_not_their_options(capsys, monkey
 
     monkeypatch.setattr(cli.evaluator, "verify_parity", record)
     small = ["--M", "20", "--M-outer", "20"]
-    explicit = ["verify", "--spec", MT_PATH, *small, "--tol", "1e-3", "--rho-variant", "1",
-                "--assert-convergence"]
+    explicit = ["verify", "--spec", MT_PATH, *small, "--tol", "1e-3", "--rho-variant", "1"]
     assert _run(capsys, explicit)[0] in (0, 3)
     assert _run(capsys, ["eval", "--spec", MT_PATH, "--M", "20", "--output", "csv"])[0] == 0
     assert _run(capsys, ["verify", "--spec", MT_PATH, *small])[0] in (0, 3)
     assert cli._parser() is cli._parser()
-    assert [(kw["tol"], kw["rho_variant"], kw["assume_convergence"]) for kw in seen] == [
-        (1e-3, 1, True), (1e-6, 0, False)
-    ]
+    assert [(kw["tol"], kw["rho_variant"]) for kw in seen] == [(1e-3, 1), (1e-6, 0)]
     # the output format of the csv call does not leak into the next call
     code, out, _ = _run(capsys, ["validate", "--spec", MT_PATH])
     assert code == 0 and out.startswith("instance:")

@@ -252,16 +252,20 @@ def valid_instances(draw):
     })
 
 
-# convergence_check proves no sufficient condition for this one
-UNKNOWN = model.parse_spec({"h": [1, 1], "k": [1], "y": ["0", "0"], "A": [[1, 2]]})
+# neither classical shape of convergence_check matches this one
+THIN = model.parse_spec({"h": [1, 1], "k": [1], "y": ["0", "0"], "A": [[1, 2]]})
 
 
-def test_absolute_convergence_example_is_unknown_to_the_check():
-    assert model.convergence_check(UNKNOWN).status == "unknown"
+@given(valid_instances())
+@example(THIN)
+def test_every_valid_instance_has_a_convergence_proof(spec):
+    verdict = model.convergence_check(spec)
+    assert verdict.established
+    assert verdict.status in ("proved-sufficient", "proved-absolute")
 
 
 @given(valid_instances(), st.integers(1, 20))
-@example(UNKNOWN, 20)
+@example(THIN, 20)
 def test_every_valid_instance_converges_absolutely(spec, M):
     # the largest coordinate n of a term meets some form, whose value is then
     # at least n, and every other coordinate m_j gives at most 1/m_j: shell n

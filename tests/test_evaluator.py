@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import helpers
 from mdzeta import cli, evaluator, model
 from mdzeta.evaluator import (
-    ConvergenceNotEstablished,
     _power_estimate,
     fit_tail,
     rhs_total,
@@ -205,12 +204,10 @@ def test_verify_parity_report_serializes_deterministically(capsys, tmp_path):
     assert a["lhs"]["case"] == "symmetric"
 
 
-def test_verify_parity_requires_established_convergence():
+def test_verify_parity_runs_a_spec_beyond_the_classical_shapes():
+    # A = [[1, 2]] converges absolutely, as every valid spec does
     spec = model.parse_spec({"h": [1, 1], "k": [1], "y": ["0", "0"], "A": [[1, 2]]})
-    with pytest.raises(ConvergenceNotEstablished):
-        verify_parity(spec, M=50, M_outer=50)
-    report = verify_parity(spec, M=150, M_outer=150, tol=1e-2, assume_convergence=True)
-    assert report.convergence.status == "user-asserted"
+    report = verify_parity(spec, M=150, M_outer=150, tol=1e-2)
     assert report.verdict in ("pass", "inconclusive")
 
 

@@ -279,20 +279,23 @@ def test_matrix_rejection_matches_brute_scan(data):
             parse_spec(d)
 
 
-def test_convergence_checker_shapes():
-    assert convergence_check(parse_spec(MT)).status == "proved-sufficient"
+def test_convergence_check_states_a_proof_for_every_shape():
+    verdict = convergence_check(parse_spec(MT))
+    assert verdict.status == "proved-sufficient"
+    assert verdict.reason == "single all-ones form: converges for all rational twists"
     heavy = parse_spec({"h": [1], "k": [2], "y": ["0"], "A": [[2]]})
     assert convergence_check(heavy).established
     shared = parse_spec(
         {"h": [1], "k": [1, 1], "y": ["0"], "A": [[1], [3]]}
     )
-    assert convergence_check(shared).status == "proved-sufficient"
+    verdict = convergence_check(shared)
+    assert verdict.status == "proved-sufficient"
+    assert verdict.reason == "every variable is covered by forms of total exponent >= 2"
 
     thin = parse_spec({"h": [1, 1], "k": [1], "y": ["0", "0"], "A": [[1, 2]]})
     verdict = convergence_check(thin)
-    assert verdict.status == "unknown" and not verdict.established
-    asserted = convergence_check(thin, user_asserted=True)
-    assert asserted.status == "user-asserted" and asserted.established
+    assert verdict.status == "proved-absolute" and verdict.established
+    assert "r n^-2 H_n^(r-1)" in verdict.reason
 
 
 def test_weight_accessors():

@@ -11,10 +11,11 @@ Each subcommand but selftest runs one pre-flight, _prepare (load the spec;
 for a box, the direct side's work budget; state why the series converges;
 make MDZETA_OUTPUT_DIR), and one emitter, _emit (the JSON report to
 MDZETA_OUTPUT_DIR/<subcommand>_report.json when that is set, then text, json
-or csv on stdout).  reduce shows the report of verify's computation,
-evaluator.verify_parity, per term.  All rendering lives here: the
-evaluator returns numbers, and each subcommand turns them into its JSON
-payload and its text and csv lines, every float spelled by _fnum.
+or csv on stdout).  reduce shows the reduced side that verify sums, per
+term, and the corollary of its total against the direct sum, with no
+verdict.  All rendering lives here: the evaluator returns numbers, and
+each subcommand turns them into its JSON payload and its text and csv
+lines, every float spelled by _fnum.
 
 Exit codes: 0 success/pass, 1 fail, 2 invalid input or a reduced side
 that cannot be assembled, 3 inconclusive.
@@ -280,12 +281,10 @@ def cmd_verify(args) -> int:
 
 def cmd_reduce(args) -> int:
     spec, verdict = _prepare(args, args.M)
-    # the reduced side of verify's computation, term by term; its series
-    # side feeds the corollary check
-    report = evaluator.verify_parity(
-        spec, M=args.M, M_outer=args.M_outer, rho_variant=args.rho_variant
-    )
-    rhs, cor = report.rhs, report.corollary()
+    # verify's two sums in its order, the reduced side first; no verdict
+    rhs = evaluator.rhs_total(spec, args.M_outer, rho_variant=args.rho_variant)
+    series = evaluator.zeta_refined(spec, args.M).value
+    cor = evaluator.corollary(evaluator.parity_sign(spec), series, rhs.total)
     text = [
         _spec_line(spec),
         f"reduction over {len(rhs.terms)} nonempty subsets (M_outer={args.M_outer}):",

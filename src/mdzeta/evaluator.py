@@ -636,18 +636,22 @@ class VerificationReport:
         return "symmetric" if self.parity_sign == 1 else "antisymmetric"
 
     def corollary(self) -> dict:
-        """The one-sided consequence: Re (or Im) of the series from the RHS."""
-        series, total = self.zeta_plus.value, self.rhs.total
-        if self.parity_sign == 1:
-            case, series_side, reduced_side = "real-part", series.real, total / 2
-        else:
-            case, series_side, reduced_side = "imag-part", series.imag, total / 2j
-        return {
-            "case": case,
-            "series_side": series_side,
-            "reduced_side": reduced_side,
-            "delta": abs(complex(series_side, 0.0) - reduced_side),
-        }
+        return corollary(self.parity_sign, self.zeta_plus.value, self.rhs.total)
+
+
+def corollary(sign: int, series: complex, total: complex) -> dict:
+    """The one-sided consequence of the identity of parity sign: Re (or Im)
+    of the series value from the reduced side's total."""
+    if sign == 1:
+        case, series_side, reduced_side = "real-part", series.real, total / 2
+    else:
+        case, series_side, reduced_side = "imag-part", series.imag, total / 2j
+    return {
+        "case": case,
+        "series_side": series_side,
+        "reduced_side": reduced_side,
+        "delta": abs(complex(series_side, 0.0) - reduced_side),
+    }
 
 
 def verify_parity(

@@ -163,13 +163,14 @@ class DenseSpace:
     Series are key-major: one series is an (N,) complex array, and a batch
     of B series is an (N, B) array with one row per key and one column per
     series, so every product and division indexes keys on axis 0 and reads
-    a single series and a batch through the same code.  Keys are
-    the rows of an (N, nvars) array, located by their codes in the mixed
-    radix 2 * cap_i + 1 per variable, which increase with the lexicographic
-    order and stay distinct for sums of two keys.  The O(N) shift and
-    division index arrays depend only on the space, so dense_space() shares
-    one instance per space.  A space of more than WORK_BUDGET entries in its key array
-    is refused before any key is built.
+    a single series and a batch through the same code.  Keys are the rows
+    of an (N, nvars) array, coded in the mixed radix 2 * cap_i + 1 per
+    variable; codes increase with the lexicographic order, and k +- e_i has
+    the code of k +- weight_i, so every shifted key is found by one code
+    subtraction and one searchsorted.  The O(N) index arrays of each shift
+    and each divisor are memoized per space, and dense_space() shares one
+    instance per space.  A space of more than WORK_BUDGET entries in its
+    key array is refused before any key is built.
     """
 
     def __init__(self, caps: tuple[int, ...], total_cap: int):
@@ -190,14 +191,16 @@ class DenseSpace:
         self._weights = np.array(weights, dtype=np.int64)
         keys = np.zeros((1, 0), dtype=np.int64)
         for c in caps:
-            keys = np.concatenate([np.column_stack([keys, np.full(len(keys), e)]) for e in range(c + 1)])
+            grown = [np.column_stack([keys, np.full(len(keys), e)]) for e in range(c + 1)]
+            keys = np.concatenate(grown)
             keys = keys[keys.sum(axis=1) <= total_cap]
         codes = keys @ self._weights
         order = np.argsort(codes)
         self.keys = keys[order]
         self._codes = codes[order]
         self.size = len(self.keys)
-        self._shift_cache: dict[int, tuple] = {}
+        self._units = [tuple(row) for row in np.eye(len(caps), dtype=int).tolist()]
+        self._pairs_cache: dict[tuple[int, ...], tuple] = {}
         self._division_cache: dict[tuple[int, ...], tuple] = {}
 
     def locate(self, keys) -> np.ndarray:
@@ -209,30 +212,31 @@ class DenseSpace:
             raise CapExceeded("key outside the space")
         return index
 
-    def _shift(self, i: int):
-        """(columns of the keys holding t_i, columns of those keys minus e_i), cached."""
-        if i not in self._shift_cache:
-            targets = np.flatnonzero(self.keys[:, i] > 0)
-            lower = self.keys[targets]
-            lower[:, i] -= 1
-            self._shift_cache[i] = (targets, self.locate(lower))
-        return self._shift_cache[i]
+    def _pairs(self, monomial: tuple[int, ...]):
+        """(columns of the keys k >= monomial, columns of the keys k - monomial),
+        cached; the space is closed downward, so each k - monomial is a key."""
+        if monomial not in self._pairs_cache:
+            targets = np.flatnonzero((self.keys >= monomial).all(axis=1))
+            code = self._weights @ monomial
+            sources = np.searchsorted(self._codes, self._codes[targets] - code)
+            self._pairs_cache[monomial] = (targets, sources)
+        return self._pairs_cache[monomial]
 
     def mul_linear(self, batch: np.ndarray, weights) -> np.ndarray:
         """Truncated product of each series of an (N,) or (N, B) batch with
         sum_i weights[i] t_i.
 
-        One gather-add per nonzero weight, in increasing i, through the O(N)
-        shift index arrays of the space.  The space is closed downward, so
-        every key of the product that stays inside it comes from a key of
-        the batch, and the keys that leave it are simply never written.
-        Gathers and scatters are take() and one assignment on axis 0, which
-        numpy does faster than an in-place fancy-indexed add.
+        One gather-add per nonzero weight, in increasing i, through the
+        space's index arrays of the unit shift by t_i.  The space is closed
+        downward, so every key of the product that stays inside it comes
+        from a key of the batch, and the keys that leave it are simply never
+        written.  Gathers and scatters are take() and one assignment on axis
+        0, which numpy does faster than an in-place fancy-indexed add.
         """
         out = np.zeros(np.shape(batch), dtype=complex)
-        for i, w in enumerate(weights):
+        for unit, w in zip(self._units, weights):
             if w:
-                targets, sources = self._shift(i)
+                targets, sources = self._pairs(unit)
                 added = out.take(targets, axis=0)
                 added += w * batch.take(sources, axis=0)
                 out[targets] = added
@@ -242,22 +246,14 @@ class DenseSpace:
         """Truncated product of each series of an (N,) or (N, B) batch with
         sign * t^monomial, for a nonzero monomial and sign +1 or -1.
 
-        The key k of the product reads the batch at k - monomial, found by
-        composing the space's shift index arrays one unit at a time, and
-        keys that leave the space are never written.  Each value is
-        0.0 + sign * x, so a zero comes out +0.0 as from mul_linear's
-        zero-filled sums, and the result is bitwise that of mul_linear by
-        the monomial's unit keys in turn, with signs whose product is sign.
+        One gather: the key k of the product reads the batch at k -
+        monomial, through the space's index arrays of that monomial, and
+        keys that leave the space are never written.  Each value is 0.0 +
+        sign * x, so a zero comes out +0.0 as from mul_linear's zero-filled
+        sums, and the result is bitwise that of mul_linear by the monomial's
+        unit keys in turn, with signs whose product is sign.
         """
-        units = [i for i, e in enumerate(monomial) for _ in range(e)]
-        targets, sources = self._shift(units[0])
-        for i in units[1:]:
-            index = np.full(self.size, -1)  # per key k: the column of k - units so far, or -1
-            index[targets] = sources
-            unit_targets, unit_sources = self._shift(i)
-            reached = index[unit_sources]
-            inside = reached >= 0
-            targets, sources = unit_targets[inside], reached[inside]
+        targets, sources = self._pairs(tuple(map(int, monomial)))
         out = np.zeros(np.shape(batch), dtype=complex)
         out[targets] = 0.0 + sign * batch.take(sources, axis=0)
         return out
@@ -273,10 +269,11 @@ class DenseSpace:
         columns of those keys minus e_p (where the quotient goes), and per
         other variable i of nonzero weight, in decreasing i: (w_i, the
         level's entries whose key - e_p + e_i is in the space, the columns
-        of those keys).  The pivot's cap must be the total cap, so every
-        pivot exponent a key's total degree allows is there.  A move whose
-        target leaves the space is dropped: it raises t_i past its cap, and
-        the quotient at a key reads only keys with no more t_i than it has.
+        of those keys), all found by code.  The pivot's cap must be the
+        total cap, so every pivot exponent a key's total degree allows is
+        there.  A move is dropped where the level's key already holds t_i
+        at its cap: its target raises t_i past the cap, and the quotient at
+        a key reads only keys with no more t_i than it has.
         """
         if form not in self._division_cache:
             if not any(form):
@@ -290,16 +287,14 @@ class DenseSpace:
             levels = []
             for e in range(int(self.keys[:, p].max(initial=0)), 0, -1):
                 src = np.flatnonzero(self.keys[:, p] == e)
-                qkeys = self.keys[src]
-                qkeys[:, p] -= 1
+                lower = self._codes[src] - self._weights[p]
                 moves = []
                 for i in others:
-                    shifted = qkeys.copy()
-                    shifted[:, i] += 1
-                    inside = shifted[:, i] <= self.caps[i]
+                    inside = self.keys[src, i] < self.caps[i]
                     rows = slice(None) if inside.all() else np.flatnonzero(inside)
-                    moves.append((form[i], rows, self.locate(shifted[rows])))
-                levels.append((src, self.locate(qkeys), moves))
+                    targets = np.searchsorted(self._codes, lower[rows] + self._weights[i])
+                    moves.append((form[i], rows, targets))
+                levels.append((src, np.searchsorted(self._codes, lower), moves))
             free = np.flatnonzero(self.keys[:, p] == 0)
             self._division_cache[form] = (form[p], free, levels)
         return self._division_cache[form]

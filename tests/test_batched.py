@@ -255,6 +255,41 @@ def test_key_major_kernels_match_the_row_major_reference(path):
         assert ((1, 2), 1156) in sizes
 
 
+@given(st.data())
+def test_code_found_index_arrays_match_the_explicit_key_reference(data):
+    # on random small spaces (1-4 variables, caps 0-4, the pivot's cap
+    # raised to the total cap), the index arrays DenseSpace finds by code
+    # for monomial shifts (unit ones, and ones that carry every key out of
+    # the space) and for every level of a division equal those that
+    # tests/rowmajor.py finds with locate on explicit key arrays; and a
+    # move is dropped exactly where key - e_p + e_i would hold t_i past
+    # its cap
+    nvars = data.draw(st.integers(1, 4))
+    caps = [data.draw(st.integers(0, 4)) for _ in range(nvars)]
+    total = data.draw(st.integers(0, sum(caps)))
+    form = data.draw(st.tuples(*[st.integers(-3, 3)] * nvars).filter(any))
+    p = mpseries.pivot(form)
+    caps[p] = max(caps[p], total)
+    space = mpseries.DenseSpace(tuple(caps), total)
+    monomial = st.tuples(*[st.integers(0, c + 1) for c in caps]).filter(any)
+    for shift in data.draw(st.lists(monomial, max_size=4)) + space._units:
+        got, want = space._pairs(shift), rowmajor.pairs(space, shift)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    pivot_weight, free, levels = space._division_steps(form)
+    want_weight, want_free, want_levels = rowmajor.division_steps(space, form)
+    assert pivot_weight == want_weight and np.array_equal(free, want_free)
+    assert len(levels) == len(want_levels) == total
+    for (src, qcols, moves), (want_src, want_qcols, want_moves) in zip(levels, want_levels):
+        assert np.array_equal(src, want_src) and np.array_equal(qcols, want_qcols)
+        assert [m[0] for m in moves] == [m[0] for m in want_moves]
+        others = [i for i in reversed(range(nvars)) if form[i] and i != p]
+        for i, (_, rows, targets), (_, want_rows, want_targets) in zip(others, moves, want_moves):
+            kept = np.arange(len(src))[rows]
+            assert np.array_equal(kept, np.arange(len(src))[want_rows])
+            assert np.array_equal(targets, want_targets)
+            assert np.array_equal(kept, np.flatnonzero(space.keys[src, i] + 1 <= caps[i]))
+
+
 @pytest.mark.parametrize("pairs", [6, 70])
 def test_pattern_grouping_matches_unique_rows(pairs):
     # group_rows packs each row into bits; its groups, their order and the

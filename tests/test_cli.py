@@ -447,12 +447,22 @@ def test_empty_or_negative_boxes_are_rejected(capsys, argv):
     assert "box size must be >= 1" in capsys.readouterr().err
 
 
-def test_reduce_reports_unit_outer_d_and_shared_corollary(capsys):
+def test_reduce_reports_unit_outer_d_and_shared_corollary(capsys, monkeypatch):
+    # reduce computes no verdict: it runs verify's two sums itself, the
+    # reduced side first, and its corollary is the one verify's report gives
+    calls = []
+    for name in ("rhs_total", "zeta_refined"):
+        def record(*args, _fn=getattr(evaluator, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(evaluator, name, record)
+    monkeypatch.setattr(evaluator, "verify_parity", _no_work)
     code, out, _ = _run(
         capsys,
         ["reduce", "--spec", MT_PATH, "--M", "120", "--M-outer", "120", "--output", "json"],
     )
-    assert code == 0
+    assert code == 0 and calls == ["rhs_total", "zeta_refined"]
+    monkeypatch.undo()
     payload = json.loads(out)
     spec = model.load_spec(MT_PATH)
     for term in payload["terms"]:

@@ -11,8 +11,11 @@ come from _weights.  For r = 2 and M large enough, _direct_shells
 instead sums each shell's row and column in O(M) work per pole order
 (_r2_shells): the inner summand is a rational function whose poles scale
 with the outer coordinate, so exact partial fractions turn each line sum
-into differences of tabulated suffix sums; shells where the pieces
-cancel too much come from the box.  The reduced side is, per nonempty
+into differences of tabulated suffix sums.  For r >= 3 it sums one
+coordinate of each shell face the same way, row by row, with
+coefficients vectorised over the rows (_face_shells): O(M^(r-1)) work
+per pole order.  On both routes, shells where the pieces cancel too much
+come from the box.  The reduced side is, per nonempty
 subset J, the outer sum over [1, M_outer]^|Jbar| of G's top coefficient,
 each block of outer tuples weighed by _weights.  Partial sums are then
 refined by fitting the shell decay (a + b log n)/n^w on a trailing
@@ -407,6 +410,234 @@ def _r2_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
     return shells, abs_shells
 
 
+def _series(scale, c, mu, factors):
+    """[d_1, ..., d_mu] of one pole from the other poles' factors (s, x, nu).
+
+    d_j is the coefficient of v^(mu - j) in scale * prod (c x)^nu sum_i
+    C(nu + i - 1, i) (s x)^i v^i; None stands for an exact zero.
+    """
+    series = [scale]  # coefficients of v^0, v^1, ...
+    for s, x, nu in factors:
+        # by products: numpy's power is several times slower on negative values
+        term = functools.reduce(np.multiply, [x if c == 1 else c * x] * nu)
+        factor = [term]
+        for i in range(1, mu):
+            term = term * x * (s * (nu + i - 1) / i)
+            factor.append(term)
+        series = [
+            functools.reduce(np.add, [a * b for a, b in zip(series[:e + 1], factor[e::-1])])
+            for e in range(mu)
+        ]
+    return [None] * (mu - len(series)) + series[::-1]
+
+
+def _pole_coefficients(poles, scale) -> list[list]:
+    """Partial fractions, per row, of scale * prod (c u + L)^-mu over poles (c, L, mu).
+
+    L is an integer array over rows, or 0 for the pole at u = 0, and the
+    poles -L/c are distinct on every row.  Returns per pole the pairs (d_j,
+    m_j), j = 1..mu, with sum d_j (c u + L)^-j over poles and j equal to
+    the product; m_j sums the magnitudes of the terms d_j is made of, so
+    it bounds d_j's rounding.  Near the pole, in v = c u + L, another
+    pole's factor (c' u + L')^-nu is c^nu (delta + c' v)^-nu with the
+    integer delta = c L' - c' L, whose series is c^nu delta^-nu sum_i C(nu
+    + i - 1, i) (-c' / delta)^i v^i (_series).
+    """
+    inverse = {}
+    for p, (c, L, _) in enumerate(poles):
+        for q, (c2, L2, _) in enumerate(poles[:p]):
+            # the pole at 0 comes first, with c = 1 and L = 0
+            delta = L if q == 0 else (L2 if c == 1 else c * L2) - (L if c2 == 1 else c2 * L)
+            inverse[q, p] = (1.0 if q == 0 else -1.0) / delta
+            inverse[p, q] = -inverse[q, p]
+    out = []
+    for p, (c, _, mu) in enumerate(poles):
+        factors = [(c2, inverse[p, q], nu) for q, (c2, _, nu) in enumerate(poles) if q != p]
+        signed = _series(scale, c, mu, [(-c2, x, nu) for c2, x, nu in factors])
+        if mu > 1 and len(factors) > 1:  # a d_j sums several terms
+            bound = _series(scale, c, mu, [(c2, np.abs(x), nu) for c2, x, nu in factors])
+        else:
+            bound = [d if d is None else np.abs(d) for d in signed]
+        out.append(list(zip(signed, bound)))
+    return out
+
+
+# The r >= 3 route walks its rows in blocks of at most this many.  Timed on
+# a3 and mt_r3 at M 200, 2^12 rows ran 1.2-1.4 times faster than 2^14.
+_FACE_BLOCK = 2**12
+# An r >= 3 box is summed term by term (_box_shells) while a face holds
+# fewer rows, M^(r - 1), than this or than 32 times the largest row sum of
+# A, the entries per unit of M of each of the route's suffix tables.  Timed
+# break-evens lay at M 25-44 for seven r = 3 specs and 10-24 for three r =
+# 4 specs, and near M 40 and 150-200 for r = 3 row sums of 102 and 1002.
+_FACE_MIN_ROWS = 2**10
+
+
+def _face(spec: SeriesSpec, u: int):
+    """What summing coordinate u + 1 in closed form needs of spec, for any row.
+
+    Returns (others, c, rest, moving, meet, mu, scale): the other
+    coordinates; c_i, form i's coefficient of u; rest[i], its (coefficient,
+    position in others) pairs; the forms with both, whose poles are at
+    -L_i / c_i, L_i the form at u = 0; the pairs (a, b), b < a, of moving
+    forms whose poles may coincide; and the order and constant that u^-h
+    and the forms in u alone, (c u)^-k, give the pole at 0.  Poles i and j
+    coincide where c_j L_i - c_i L_j = 0, never if its coefficients are
+    nonzero and of one sign, as every m_j >= 1.
+    """
+    A = np.array(spec.A, dtype=np.int64)
+    others = [j for j in range(spec.r) if j != u]
+    c = A[:, u].tolist()
+    rest = [[(a, p) for p, a in enumerate(A[i, others].tolist()) if a] for i in range(spec.ell)]
+    moving = [i for i in range(spec.ell) if c[i] and rest[i]]
+    meet = [
+        (a, b) for a, i in enumerate(moving) for b, j in enumerate(moving[:a])
+        if not (w := c[j] * A[i, others] - c[i] * A[j, others]).any() or w.min() < 0 < w.max()
+    ]
+    alone = [i for i in range(spec.ell) if not rest[i]]
+    mu = spec.h[u] + sum(spec.k[i] for i in alone)
+    return others, c, rest, moving, meet, mu, math.prod(float(c[i]) ** -spec.k[i] for i in alone)
+
+
+def _face_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """_box_shells of an r >= 3 spec, with one coordinate of every term in closed form.
+
+    Shell n is split into r faces, face j holding the terms whose first
+    coordinate equal to n is m_j.  Faces 1..r-1 together are the leading
+    tuples (m_1, ..., m_(r-1)) of max n, with u = m_r summed over [1, n];
+    face r is the tuples (m_1, ..., m_(r-2), n) below n, with u = m_(r-1)
+    summed over [1, n - 1] at m_r = n.  Both walk [1, M]^(r-1) in blocks
+    of about _FACE_BLOCK rows, face r keeping the rows whose last entry is
+    above the rest.  On a row the summand is e(u y) u^-h prod (c_i u +
+    L_i)^-k_i with integer L_i (_face): forms free of u are constant on
+    the row, forms in u alone join the pole at 0, and the rows where some
+    other poles coincide are grouped by which.  Per group, partial
+    fractions (_pole_coefficients) make each row's sum a combination of
+    differences of suffix sums (table) at s = L + c and s = L + c (top +
+    1), each times e(-floor(L / c) y), since floor(s / c) - floor(L / c) =
+    u on s = c u + L.  Rounding in the pieces of a shell costs up to about
+    7 * 2^-53 times their magnitude (measured against exact sums on 340
+    instances, r = 3 and 4, h and k up to 6).  The guard is _r2_shells':
+    shells 1..n0 whose pieces pass 2^10 times the abs shell, where the
+    error could pass 2^-40 ~ 9.1e-13 of it, come from _box_shells over [1,
+    n0]^r, and a coefficient past the float range sends the whole box there.
+    """
+    r, parts = spec.r, _parts(spec)
+    faces = {u: _face(spec, u) for u in (r - 1, r - 2)}
+    size = spec.max_row_sum * M + 1  # every form value on the box is below size
+    values = np.arange(size, dtype=float)
+    values[0] = 1.0  # never read
+    power = {e: values**-e for e in {*spec.h, *spec.k}}
+    # e(t y) for t <= M, and up to size on a summed coordinate, real when
+    # every twist is; e(-t y) is its conjugate
+    twist = {v: _twist_table(v, size if v in spec.y[-2:] else M) for v in spec.y if parts > 1}
+    if parts == 2:
+        twist = {v: phase.real for v, phase in twist.items()}
+    downs = {u: twist[spec.y[u]].conj() for u in faces if parts > 1 and spec.y[u]}
+    memo = {}
+
+    def table(c, j, y):
+        """Suffix sums in steps of c of s^-j e(floor(s / c) y), at position s - c."""
+        if (c, j, y) not in memo:
+            runs = -(-size // c)  # values of floor(s / c) from 1 on
+            x = np.arange(c, c * (runs + 1), dtype=float) ** -j
+            if y:
+                x = (x.reshape(-1, c) * twist[y][1:runs + 1, None]).reshape(-1)
+            memo[c, j, y] = _suffix_sums(x, c)
+        return memo[c, j, y]
+
+    sums = np.zeros((parts + 1, M + 1))  # abs, [re, [im]], pieces per shell
+
+    def lines(u, rows, shell, top):
+        """Add to sums the rows (columns of the other coordinates) summed over u in [1, top]."""
+        others, c, rest, moving, meet, mu0, scale0 = faces[u]
+        L = [
+            functools.reduce(np.add, [rows[p] if a == 1 else a * rows[p] for a, p in pairs])
+            if pairs else None for pairs in rest
+        ]
+        magnitude = functools.reduce(np.multiply, [
+            *(power[spec.h[j]][col] for col, j in zip(rows, others)),
+            *(power[k][L[i]] for i, k in enumerate(spec.k) if not c[i]),
+        ])
+        if scale0 != 1:
+            magnitude *= scale0
+        same = [
+            (a, b, L[moving[a]] * c[moving[b]] == L[moving[b]] * c[moving[a]]) for a, b in meet
+        ]
+        groups = [(range(len(moving)), slice(None))]  # (pattern, rows) with distinct poles
+        if same and (special := functools.reduce(np.logical_or, [eq for *_, eq in same])).any():
+            # per row, firsts[a] is the first moving form whose pole is moving[a]'s
+            (sub,) = np.nonzero(special)
+            firsts = np.tile(np.arange(len(moving)), (len(sub), 1))
+            for a, b, eq in reversed(same):
+                firsts[eq[sub], a] = b
+            patterns, which = np.unique(firsts, axis=0, return_inverse=True)
+            groups = [(range(len(moving)), np.nonzero(~special)[0])] + [
+                (pattern, sub[which.reshape(-1) == g])
+                for g, pattern in enumerate(patterns.tolist())
+            ]
+        y, down = (spec.y[u], downs[u]) if u in downs else (0, None)
+        for pattern, g in groups:
+            scale, order = magnitude[g], {}
+            for i, b in zip(moving, pattern):
+                f = moving[b]
+                order[f] = order.get(f, 0) + spec.k[i]
+                if i != f:  # c_i u + L_i = (c_i / c_f) (c_f u + L_f)
+                    scale = scale * (c[i] / c[f]) ** -spec.k[i]
+            poles = [(1, 0, mu0)] + [(c[f], L[f][g], mu) for f, mu in order.items()]
+            U = top[g]
+            inner, abs_inner, pieces = 0.0, 0.0, 0.0
+            for (cp, Lp, _), ds in zip(poles, _pole_coefficients(poles, scale)):
+                hi = Lp + (U if cp == 1 else cp * U)
+                twisted = 0.0
+                for j, (d, bound) in enumerate(ds, start=1):
+                    if d is None:
+                        continue
+                    T = table(cp, j, 0)
+                    at_lo, at_hi = T[Lp], T[hi]
+                    abs_inner = abs_inner + d * (at_lo - at_hi)
+                    pieces = pieces + bound * (at_lo + at_hi)
+                    if y:
+                        T = table(cp, j, y)
+                        twisted = twisted + d * (T[Lp] - T[hi])
+                if y:
+                    inner = inner + twisted * down[Lp // cp]
+            parts_g = [abs_inner]
+            if parts > 1:
+                value = functools.reduce(np.multiply, [
+                    twist[spec.y[j]][col[g]] for col, j in zip(rows, others) if spec.y[j]
+                ], inner if y else abs_inner)
+                parts_g += [value] if parts == 2 else [value.real, value.imag]
+            for total, part in zip(sums, parts_g + [pieces]):
+                total += np.bincount(shell[g], weights=part, minlength=M + 1)
+
+    count = max(1, _FACE_BLOCK // M)  # prefixes (m_1, ..., m_(r-2)) per block
+    try:
+        with np.errstate(over="raise"):
+            for start in range(0, M ** (r - 2), count):
+                prefix = _box_rows(start, min(start + count, M ** (r - 2)), M, r - 2)
+                rows = [np.repeat(col, M) for col in prefix.T]
+                last = np.tile(np.arange(1, M + 1), len(prefix))
+                below = np.repeat(prefix.max(axis=1), M)
+                shell = np.maximum(below, last)
+                lines(r - 1, rows + [last], shell, shell)
+                (above,) = np.nonzero(last > below)
+                rows = [col[above] for col in rows + [last]]
+                lines(r - 2, rows, rows[-1], rows[-1] - 1)
+    except (FloatingPointError, OverflowError):  # a coefficient beyond the float range
+        return _box_shells(spec, M)
+    abs_shells, pieces = sums[0][1:], sums[-1][1:]
+    shells = np.zeros(M, dtype=complex)
+    shells.real = sums[min(parts, 2) - 1][1:]  # an untwisted term is its magnitude
+    if parts == 3:
+        shells.imag = sums[2][1:]
+    (ill,) = np.nonzero(~(pieces <= 2**10 * abs_shells))  # NaN counts as ill
+    if ill.size:
+        n0 = int(ill[-1]) + 1
+        shells[:n0], abs_shells[:n0] = _box_shells(spec, n0)
+    return shells, abs_shells
+
+
 def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum and abs-sum of the terms over each shell max(m) = n of [1, M]^r.
 
@@ -414,8 +645,12 @@ def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
     _r2_shells when M is at least _ROUTE_MIN_M and at least four times the
     sum over poles of mu (a + b) in both directions, the entries per unit
     of M of its suffix tables: the route's work grows with that sum, and
-    timed break-evens lay at M between 1.5 and 10 times it.  Every other
-    box is summed term by term (_box_shells).
+    timed break-evens lay at M between 1.5 and 10 times it.  An r >= 3 box
+    is summed by _face_shells when a face has at least _FACE_MIN_ROWS rows,
+    M^(r-1), at least 32 times the largest row sum of A, and at least as
+    many as the points at which its phase tables call unit_phase: from M 32
+    at r = 3 and M 11 at r = 4 for row sums up to 32.  Every other box is
+    summed term by term (_box_shells).
     """
     if spec.r == 2:
         entries = sum(spec.h) + sum(
@@ -423,6 +658,12 @@ def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
         )
         if M >= max(_ROUTE_MIN_M, 4 * entries):
             return _r2_shells(spec, M)
+    elif spec.r > 2:
+        # the route's phase tables call unit_phase at up to min(q, size) points
+        size = spec.max_row_sum * M
+        phases = max((min(v.denominator, size) for v in spec.y[-2:] if v), default=0)
+        if M ** (spec.r - 1) >= max(_FACE_MIN_ROWS, 32 * spec.max_row_sum, phases):
+            return _face_shells(spec, M)
     return _box_shells(spec, M)
 
 

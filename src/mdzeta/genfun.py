@@ -202,7 +202,7 @@ class GeneratingFunctionPlan:
                 d_rows.append([exact.dot(row, col) for col in self._dot_cols])
             self._duals.append((members, den, rows, tuple(complement)))
         self.space = mpseries.dense_space(self.caps, self.total_cap)
-        self.top = int(self.space.locate([self.caps])[0])
+        self.top = self.space.size - 1  # total_cap is sum(caps): the caps key comes last
         # d_g = (tuples @ _d_rows[:, k]) / den at the outer tuples, for the
         # complement entry (k, g, _) of a basis of denominator den
         self._d_rows = np.array(d_rows, dtype=np.int64).reshape(len(d_rows), len(ctx.Jbar)).T

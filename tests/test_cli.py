@@ -553,6 +553,24 @@ def test_oversized_boxes_are_rejected_before_any_work(capsys, monkeypatch, argv)
     assert err.startswith("error: --M") and f"work budget of {cli.WORK_BUDGET}" in err
 
 
+def test_r3_direct_budget_is_unchanged_by_the_face_route(capsys, monkeypatch):
+    # the r >= 3 route sums M^(r-1) rows, but the pre-flight still counts
+    # the M^r terms of the box: mt_r3 is admitted up to M 215 and no further
+    def no_work(*args, **kwargs):
+        raise AssertionError("summation started")
+
+    for name in ("_direct_shells", "zeta_direct", "zeta_refined", "rhs_total", "term_T"):
+        monkeypatch.setattr(evaluator, name, no_work)
+    argv = ["verify", "--spec", str(SPECS / "mt_r3.json"), "--M", "216", "--M-outer", "4"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: --M 216 at r=3 gives 216^3 = 10077696 direct terms, over the work budget of "
+        f"{cli.WORK_BUDGET}\n"
+    )
+    assert 215**3 <= cli.WORK_BUDGET < 216**3
+
+
 def _coset_work(spec, M_outer: int) -> int:
     """The largest coset representatives times outer tuples of a class of spec."""
     plans = [genfun.GeneratingFunctionPlan(spec, J) for J, *_ in model.subset_classes(spec)]

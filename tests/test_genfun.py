@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from mdzeta.genfun import _normalize_linear
 from mdzeta.mpseries import SingularConfiguration
 
 MT = model.parse_spec({"h": [1, 1], "k": [1], "y": ["0", "0"], "A": [[1, 1]]})
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def test_build_lambda_full_subset():
@@ -261,3 +263,13 @@ def test_singular_path_on_steep_forms(spec):
                 break
         if len(tops) == 2:
             assert np.all(np.abs(tops[0] - tops[1]) <= 1e-12 * np.abs(tops[0]))
+
+
+@pytest.mark.parametrize("path", sorted(SPECS.glob("*.json")), ids=lambda p: p.stem)
+def test_top_is_the_caps_key_of_every_bundled_plan(path):
+    # total_cap is the sum of the caps, so the caps key is the space's last
+    spec = model.load_spec(str(path))
+    for J in model.nonempty_subsets(spec.r):
+        plan = genfun.GeneratingFunctionPlan(spec, J)
+        assert tuple(plan.space.keys[plan.top]) == plan.caps
+        assert plan.top == int(plan.space.locate([plan.caps])[0])

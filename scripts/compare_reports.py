@@ -24,7 +24,9 @@ tests/test_demos.py splits its lines, and a pair of finite numbers (a
 trailing i stripped) matches when |a - b| <= X max(|a|, |b|).  Every
 other token, every separator and every exit code must match byte for
 byte.  Each call whose numbers moved is printed with its largest
-relative move, and the largest of all with the call it came from.
+relative and its largest absolute move, and the largest of each over all
+calls with the call it came from: a difference of two sums, such as a
+residual, can move far in relative terms by one rounding of the sums.
 """
 
 from __future__ import annotations
@@ -169,13 +171,13 @@ def _number(token: str) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _moved(a: str, b: str, rtol: float) -> tuple[float, str | None]:
-    """(largest relative move of a number, first mismatch or None) between two texts."""
-    worst = 0.0
+def _moved(a: str, b: str, rtol: float) -> tuple[float, float, str | None]:
+    """(largest relative move, largest absolute move, first mismatch or None) of two texts."""
+    worst = worst_abs = 0.0
     for n, (line_a, line_b) in enumerate(zip(a.splitlines(), b.splitlines()), start=1):
         tokens_a, tokens_b = _TOKENS.split(line_a), _TOKENS.split(line_b)
         if len(tokens_a) != len(tokens_b):
-            return worst, f"line {n}:\n  this:  {line_a!r}\n  other: {line_b!r}"
+            return worst, worst_abs, f"line {n}:\n  this:  {line_a!r}\n  other: {line_b!r}"
         for x, y in zip(tokens_a, tokens_b):
             if x == y:
                 continue
@@ -183,11 +185,11 @@ def _moved(a: str, b: str, rtol: float) -> tuple[float, str | None]:
             move = math.inf if u is None or v is None else abs(u - v) / max(abs(u), abs(v))
             if move > rtol:
                 lines = f"\n  this:  {line_a!r}\n  other: {line_b!r}"
-                return worst, f"line {n}, {x!r} against {y!r}:{lines}"
-            worst = max(worst, move)
+                return worst, worst_abs, f"line {n}, {x!r} against {y!r}:{lines}"
+            worst, worst_abs = max(worst, move), max(worst_abs, abs(u - v))
     if len(a.splitlines()) != len(b.splitlines()) or a.endswith("\n") != b.endswith("\n"):
-        return worst, _first_difference(a, b)
-    return worst, None
+        return worst, worst_abs, _first_difference(a, b)
+    return worst, worst_abs, None
 
 
 def _fields(result: dict):
@@ -198,6 +200,11 @@ def _fields(result: dict):
     yield from ((f"report file {name}", files[name]) for name in sorted(files))
 
 
+def _size(move: tuple[float, str]) -> float:
+    """The size of a (move, where) pair: max keeps the first of equal moves."""
+    return move[0]
+
+
 def compare(other: Path, rtol: float | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare-reports-") as tmp:
         work = Path(tmp)
@@ -205,34 +212,37 @@ def compare(other: Path, rtol: float | None = None) -> int:
         calls_file = work / "calls.json"
         calls_file.write_text(json.dumps(calls), encoding="utf-8")
         here, there = _side(ROOT, work, calls_file, "this"), _side(other, work, calls_file, "other")
-    worst, worst_at = 0.0, ""
+    # [relative, absolute] x (largest move, where): over all calls, and per call
+    worst = [(0.0, ""), (0.0, "")]
     for a, b in zip(here, there):
-        moved, moved_at = 0.0, ""
+        moved = [(0.0, ""), (0.0, "")]
         # the file names come before the files, so the files pair up by name
         for (field, x), (_, y) in zip(_fields(a), _fields(b)):
             if x == y:
                 continue
             if rtol is not None and isinstance(x, str) and isinstance(y, str):
-                move, mismatch = _moved(x, y, rtol)
+                *moves, mismatch = _moved(x, y, rtol)
                 if mismatch is None:
-                    if move > moved:
-                        moved, moved_at = move, field
+                    moved = [max(m, (move, field), key=_size) for m, move in zip(moved, moves)]
                     continue
             else:
                 mismatch = _first_difference(x, y)
             print(f"differs: {a['label']}: {field}, {mismatch}")
             return 1
-        if moved:
-            print(f"moved: {a['label']}: {moved:.3g} relative, in {moved_at}")
-            if moved > worst:
-                worst, worst_at = moved, f", in {a['label']}: {moved_at}"
+        if moved[0][0]:
+            (rel, rel_at), (abs_, abs_at) = moved
+            print(f"moved: {a['label']}: {rel:.3g} relative, in {rel_at}; "
+                  f"{abs_:.3g} absolute, in {abs_at}")
+            worst = [max(w, (m, f", in {a['label']}: {at}"), key=_size)
+                     for w, (m, at) in zip(worst, moved)]
     outputs = (f"{len(calls)} calls x {len(FORMATS)} formats "
                "(exit code, stdout, stderr, report file)")
     if rtol is None:
         print(f"identical: {outputs}")
     else:
         print(f"within rtol {rtol:g}: {outputs}")
-        print(f"largest relative move: {worst:.3g}{worst_at}")
+        for kind, (move, at) in zip(("relative", "absolute"), worst):
+            print(f"largest {kind} move: {move:.3g}{at}")
     return 0
 
 

@@ -7,15 +7,13 @@ per-shell magnitudes for tail work.  The direct side is the series over
 couple a run of leading tuples to a run of m_r are read from one strided
 window per form over its 1/f^k table, one mask per tile sends each term
 to its row's or its column's shell, and the factors of each run alone
-come from _weights.  For r = 2 and M large enough, _direct_shells
-instead sums each shell's row and column in O(M) work per pole order
-(_r2_shells): the inner summand is a rational function whose poles scale
-with the outer coordinate, so exact partial fractions turn each line sum
-into differences of tabulated suffix sums.  For r >= 3 it sums one
-coordinate of each shell face the same way, row by row, with
-coefficients vectorised over the rows (_face_shells): O(M^(r-1)) work
-per pole order.  On both routes, shells where the pieces cancel too much
-come from the box.  The reduced side is, per nonempty
+come from _weights.  For r >= 2 and a large enough box, _direct_shells
+instead sums one coordinate of each shell face in closed form
+(_face_shells): along a row the summand is a rational function of that
+coordinate, so partial fractions, vectorised over the rows, turn its sum
+into differences of tabulated suffix sums, in O(M^(r-1)) work per pole
+order.  Shells where the pieces cancel too much come from the box.  The
+reduced side is, per nonempty
 subset J, the outer sum over [1, M_outer]^|Jbar| of G's top coefficient,
 each block of outer tuples weighed by _weights.  Partial sums are then
 refined by fitting the shell decay (a + b log n)/n^w on a trailing
@@ -195,10 +193,6 @@ def _weights(rows: np.ndarray, h, twists, forms) -> tuple[np.ndarray, np.ndarray
 
 # The direct side walks the box [1, M]^r in blocks of at most this many terms.
 _DIRECT_BLOCK = 2**14
-# An r = 2 box of side M below this is summed term by term: under it the
-# partial-fraction route's fixed cost (exact coefficients, per-order numpy
-# calls) outweighs the M^2 terms it saves.
-_ROUTE_MIN_M = 256
 
 
 def _parts(spec: SeriesSpec) -> int:
@@ -286,128 +280,12 @@ def _box_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
     return shells, sums[0][1:]
 
 
-def _partial_fractions(h: int, forms) -> dict[tuple[int, int], list[Fraction]]:
-    """u^-h prod (a + b u)^-k over forms (a, b, k), as sum of d_j (a' + b' u)^-j.
-
-    Returns {(a', b'): [d_1, ..., d_mu]}, one entry per pole u = -a'/b', with
-    a' >= 0 and b' > 0 coprime, and mu the pole's order.  Proportional forms
-    share a pole, a form with a = 0 joins the pole (0, 1) at u = 0, and a
-    form with b = 0 is a constant a^-k.  Near its pole, in v = a' + b' u,
-    every other factor (c + d u)^-nu is b'^nu (delta + d v)^-nu with delta
-    = c b' - d a' != 0, and delta^(nu + mu - 1) (delta + d v)^-nu is, to
-    order mu - 1, the integer series sum_i C(nu + i - 1, i) (-d)^i
-    delta^(mu - 1 - i) v^i.  d_j is the coefficient of v^(mu - j) in the
-    product of these series, over the product of the scalings.
-    """
-    scale = Fraction(1)
-    order = {(0, 1): h}
-    for a, b, k in forms:
-        g = math.gcd(a, b)
-        scale /= g**k
-        if b:
-            pole = (a // g, b // g)
-            order[pole] = order.get(pole, 0) + k
-    poles = {}
-    for (a, b), mu in order.items():
-        series, numerator, denominator = [1] + [0] * (mu - 1), scale.numerator, scale.denominator
-        for (c, d), nu in order.items():
-            if (c, d) == (a, b):
-                continue
-            delta = c * b - d * a
-            numerator *= b**nu
-            denominator *= delta ** (nu + mu - 1)
-            factor = [
-                math.comb(nu + i - 1, i) * (-d) ** i * delta ** (mu - 1 - i) for i in range(mu)
-            ]
-            series = [sum(series[i] * factor[e - i] for i in range(e + 1)) for e in range(mu)]
-        poles[a, b] = [Fraction(numerator * c, denominator) for c in reversed(series)]
-    return poles
-
-
 def _suffix_sums(x: np.ndarray, b: int) -> np.ndarray:
     """S[i] = x[i] + x[i + b] + x[i + 2b] + ..., summed from the large end; b divides len(x)."""
     runs = x.reshape(-1, b)
     out = np.empty_like(runs)
     np.cumsum(runs[::-1], axis=0, out=out[::-1])
     return out.reshape(-1)
-
-
-def _line_sums(h_t, h_n, y_t, y_n, forms, M: int, last: int, parts: int):
-    """Sums over t = 1..n - last of e(t y_t + n y_n) t^-h_t n^-h_n prod (a n + b t)^-k.
-
-    forms are (a, b, k); n runs over 1..M.  Returns, per n, the sum (None
-    when parts is 1: the terms are their magnitudes), the same sum at
-    y = 0, and the magnitude of the pieces it is made of: the sum of
-    |d_j| n^(j - W) times the two suffix sums at y = 0 it subtracts.  The
-    inner factor is n^-W f(t/n), W the weight h_t + sum k, and f(u) =
-    sum_p sum_j d_j (a_p + b_p u)^-j by _partial_fractions, so each piece
-    is d_j n^(j - W) times a line sum of e(t y_t) (a_p n + b_p t)^-j.  With
-    s = a_p n + b_p t that is e(-floor(a_p n / b_p) y_t) times the
-    difference of two suffix sums of s^-j e(floor(s / b_p) y_t) in steps
-    of b_p, at s = a_p n + b_p and s = a_p n + b_p (n - last + 1): every
-    phase is a twist table entry, and the tables hold one pole order at a
-    time.
-    """
-    n = np.arange(1, M + 1)
-    n_float = n.astype(float)
-    weight = h_t + sum(k for _, _, k in forms)
-    sums = np.zeros(M, dtype=complex if parts == 3 else float) if parts > 1 else None
-    abs_sums, pieces = np.zeros(M), np.zeros(M)
-    for (a, b), coefficients in _partial_fractions(h_t, forms).items():
-        runs = a * M // b + M + 1  # values of floor(s / b) from 1 on
-        inverse = 1.0 / np.arange(b, b * (runs + 1), dtype=float)
-        lo, hi = a * n, a * n + b * (n - last)  # positions of s - b
-        twisted, shift = sums is not None and y_t != 0, 1.0
-        if twisted:
-            phase = _twist_table(y_t, runs)[1:, None]
-            shift = _twist_table(-y_t, a * M // b)[a * n // b]
-            if parts == 2:
-                phase, shift = phase.real, shift.real
-        x = inverse
-        for j, d in enumerate(coefficients, start=1):
-            scale = float(d) * n_float ** (j - weight)
-            total = _suffix_sums(x, b)
-            at_lo, at_hi = total[lo], total[hi]
-            abs_sums += scale * (at_lo - at_hi)
-            pieces += abs(scale) * (at_lo + at_hi)
-            if twisted:
-                total = _suffix_sums((x.reshape(-1, b) * phase).reshape(-1), b)
-            if sums is not None:
-                sums += scale * shift * (total[lo] - total[hi])
-            x = x * inverse
-    outer = n_float**-h_n
-    if sums is not None:
-        twist = _twist_table(y_n, M)[1:]
-        sums = sums * outer * (twist.real if parts == 2 else twist)
-    return sums, abs_sums * outer, pieces * outer
-
-
-def _r2_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """_box_shells of an r = 2 spec, by partial fractions over suffix sums.
-
-    Shell n is the row m_1 = n (m_2 = 1..n) plus the column m_2 = n
-    (m_1 = 1..n-1), and each is a _line_sums over its inner coordinate.
-    Rounding in the pieces of a shell's sums costs up to about 2 * 2^-53
-    times their magnitude (measured on 65 instances, up to G2 and h = k =
-    (12, 12)).  Where that magnitude is over 2^10 times the abs shell, the
-    error could pass 2^-42 ~ 2.3e-13 of it, so shells 1..n0, n0 the last
-    such shell, come from _box_shells over [1, n0]^2 instead.
-    """
-    (h1, h2), (y1, y2) = spec.h, spec.y
-    parts = _parts(spec)
-    forms = [(a1, a2, k) for (a1, a2), k in zip(spec.A, spec.k)]
-    try:
-        row = _line_sums(h2, h1, y2, y1, forms, M, 0, parts)
-        col = _line_sums(h1, h2, y1, y2, [(a2, a1, k) for a1, a2, k in forms], M, 1, parts)
-    except OverflowError:  # a partial-fraction coefficient beyond the float range
-        return _box_shells(spec, M)
-    abs_shells = row[1] + col[1]
-    shells = np.array(abs_shells if parts == 1 else row[0] + col[0], dtype=complex)
-    (ill,) = np.nonzero(~(row[2] + col[2] <= 2**10 * abs_shells))  # NaN counts as ill
-    if ill.size:
-        n0 = int(ill[-1]) + 1
-        shells[:n0], abs_shells[:n0] = _box_shells(spec, n0)
-    return shells, abs_shells
 
 
 def _series(scale, c, mu, factors):
@@ -462,15 +340,15 @@ def _pole_coefficients(poles, scale) -> list[list]:
     return out
 
 
-# The r >= 3 route walks its rows in blocks of at most this many.  Timed on
+# The face route walks its rows in blocks of at most this many.  Timed on
 # a3 and mt_r3 at M 200, 2^12 rows ran 1.2-1.4 times faster than 2^14.
 _FACE_BLOCK = 2**12
-# An r >= 3 box is summed term by term (_box_shells) while a face holds
-# fewer rows, M^(r - 1), than this or than 32 times the largest row sum of
-# A, the entries per unit of M of each of the route's suffix tables.  Timed
-# break-evens lay at M 25-44 for seven r = 3 specs and 10-24 for three r =
-# 4 specs, and near M 40 and 150-200 for r = 3 row sums of 102 and 1002.
-_FACE_MIN_ROWS = 2**10
+# A box of fewer terms, M^r, than this is summed term by term (_box_shells):
+# below it the face route's fixed cost (per-pole-order numpy calls and
+# tables) outweighs the terms it saves.  Timed break-evens lay at M 128-160
+# for the bundled r = 2 specs, M 24-28 for mt_r3 and a3, and near M 11 for
+# two r = 4 specs.
+_FACE_MIN_TERMS = 2**15
 
 
 def _face(spec: SeriesSpec, u: int):
@@ -485,14 +363,15 @@ def _face(spec: SeriesSpec, u: int):
     coincide where c_j L_i - c_i L_j = 0, never if its coefficients are
     nonzero and of one sign, as every m_j >= 1.
     """
-    A = np.array(spec.A, dtype=np.int64)
+    # in Python ints: A is small, and numpy's per-call cost would dominate
     others = [j for j in range(spec.r) if j != u]
-    c = A[:, u].tolist()
-    rest = [[(a, p) for p, a in enumerate(A[i, others].tolist()) if a] for i in range(spec.ell)]
+    c = [row[u] for row in spec.A]
+    rest = [[(row[j], p) for p, j in enumerate(others) if row[j]] for row in spec.A]
     moving = [i for i in range(spec.ell) if c[i] and rest[i]]
     meet = [
         (a, b) for a, i in enumerate(moving) for b, j in enumerate(moving[:a])
-        if not (w := c[j] * A[i, others] - c[i] * A[j, others]).any() or w.min() < 0 < w.max()
+        if not any(w := [c[j] * spec.A[i][o] - c[i] * spec.A[j][o] for o in others])
+        or min(w) < 0 < max(w)
     ]
     alone = [i for i in range(spec.ell) if not rest[i]]
     mu = spec.h[u] + sum(spec.k[i] for i in alone)
@@ -500,27 +379,28 @@ def _face(spec: SeriesSpec, u: int):
 
 
 def _face_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """_box_shells of an r >= 3 spec, with one coordinate of every term in closed form.
+    """_box_shells of an r >= 2 spec, with one coordinate of every term in closed form.
 
     Shell n is split into r faces, face j holding the terms whose first
     coordinate equal to n is m_j.  Faces 1..r-1 together are the leading
     tuples (m_1, ..., m_(r-1)) of max n, with u = m_r summed over [1, n];
     face r is the tuples (m_1, ..., m_(r-2), n) below n, with u = m_(r-1)
-    summed over [1, n - 1] at m_r = n.  Both walk [1, M]^(r-1) in blocks
-    of about _FACE_BLOCK rows, face r keeping the rows whose last entry is
-    above the rest.  On a row the summand is e(u y) u^-h prod (c_i u +
-    L_i)^-k_i with integer L_i (_face): forms free of u are constant on
-    the row, forms in u alone join the pole at 0, and the rows where some
-    other poles coincide are grouped by which.  Per group, partial
-    fractions (_pole_coefficients) make each row's sum a combination of
-    differences of suffix sums (table) at s = L + c and s = L + c (top +
-    1), each times e(-floor(L / c) y), since floor(s / c) - floor(L / c) =
-    u on s = c u + L.  Rounding in the pieces of a shell costs up to about
-    7 * 2^-53 times their magnitude (measured against exact sums on 340
-    instances, r = 3 and 4, h and k up to 6).  The guard is _r2_shells':
-    shells 1..n0 whose pieces pass 2^10 times the abs shell, where the
-    error could pass 2^-40 ~ 9.1e-13 of it, come from _box_shells over [1,
-    n0]^r, and a coefficient past the float range sends the whole box there.
+    summed over [1, n - 1] at m_r = n.  At r = 2 these are the row m_1 =
+    n and the column m_2 = n.  Both walk [1, M]^(r-1) in blocks of about
+    _FACE_BLOCK rows, face r keeping the rows whose last entry is above
+    the rest.  On a row the summand is e(u y) u^-h prod (c_i u + L_i)^-k_i
+    with integer L_i (_face): forms free of u are constant on the row,
+    forms in u alone join the pole at 0, and the rows where some other
+    poles coincide are grouped by which.  Per group, partial fractions
+    (_pole_coefficients) make each row's sum a combination of differences
+    of suffix sums (table) at s = L + c and s = L + c (top + 1), each
+    times e(-floor(L / c) y), since floor(s / c) - floor(L / c) = u on s =
+    c u + L.  Rounding in the pieces of a shell costs up to about 7 * 2^-53
+    times their magnitude (measured against exact sums on 760 instances, r
+    = 2, 3 and 4, h and k up to 6).  So shells 1..n0 whose pieces pass 2^10
+    times the abs shell, where the error could pass 2^-40 ~ 9.1e-13 of it,
+    come from _box_shells over [1, n0]^r, and a coefficient past the float
+    range sends the whole box there.
     """
     r, parts = spec.r, _parts(spec)
     faces = {u: _face(spec, u) for u in (r - 1, r - 2)}
@@ -618,7 +498,7 @@ def _face_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
                 prefix = _box_rows(start, min(start + count, M ** (r - 2)), M, r - 2)
                 rows = [np.repeat(col, M) for col in prefix.T]
                 last = np.tile(np.arange(1, M + 1), len(prefix))
-                below = np.repeat(prefix.max(axis=1), M)
+                below = np.repeat(prefix.max(axis=1, initial=0), M)
                 shell = np.maximum(below, last)
                 lines(r - 1, rows + [last], shell, shell)
                 (above,) = np.nonzero(last > below)
@@ -641,28 +521,20 @@ def _face_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
 def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Sum and abs-sum of the terms over each shell max(m) = n of [1, M]^r.
 
-    Returns two arrays indexed by n - 1.  An r = 2 box is summed by
-    _r2_shells when M is at least _ROUTE_MIN_M and at least four times the
-    sum over poles of mu (a + b) in both directions, the entries per unit
-    of M of its suffix tables: the route's work grows with that sum, and
-    timed break-evens lay at M between 1.5 and 10 times it.  An r >= 3 box
-    is summed by _face_shells when a face has at least _FACE_MIN_ROWS rows,
-    M^(r-1), at least 32 times the largest row sum of A, and at least as
-    many as the points at which its phase tables call unit_phase: from M 32
-    at r = 3 and M 11 at r = 4 for row sums up to 32.  Every other box is
-    summed term by term (_box_shells).
+    Returns two arrays indexed by n - 1.  A box of r >= 2 is summed by
+    _face_shells when it has at least _FACE_MIN_TERMS terms, M^r, and its
+    faces hold M^(r-1) rows, at least 16 times the largest row sum of A
+    (the entries per unit of M of each suffix table, which the route's
+    work per row grows with) and at least as many as the points at which
+    its phase tables call unit_phase: from M 182 at r = 2, M 32 at r = 3
+    and M 14 at r = 4 for row sums up to 11, 64 and 171.  Every other box
+    is summed term by term (_box_shells).
     """
-    if spec.r == 2:
-        entries = sum(spec.h) + sum(
-            k * (a + b) // math.gcd(a, b) * ((a > 0) + (b > 0)) for (a, b), k in zip(spec.A, spec.k)
-        )
-        if M >= max(_ROUTE_MIN_M, 4 * entries):
-            return _r2_shells(spec, M)
-    elif spec.r > 2:
+    if spec.r > 1 and M**spec.r >= _FACE_MIN_TERMS:
         # the route's phase tables call unit_phase at up to min(q, size) points
         size = spec.max_row_sum * M
         phases = max((min(v.denominator, size) for v in spec.y[-2:] if v), default=0)
-        if M ** (spec.r - 1) >= max(_FACE_MIN_ROWS, 32 * spec.max_row_sum, phases):
+        if M ** (spec.r - 1) >= max(16 * spec.max_row_sum, phases):
             return _face_shells(spec, M)
     return _box_shells(spec, M)
 

@@ -1,6 +1,5 @@
-"""The direct side by partial fractions over suffix sums: each r = 2 shell's
-row and column (evaluator._r2_shells), and one closed coordinate per r >= 3
-shell face (evaluator._face_shells)."""
+"""The direct side by partial fractions over suffix sums: one closed
+coordinate per shell face (evaluator._face_shells), for every r >= 2."""
 
 import math
 from fractions import Fraction
@@ -37,7 +36,7 @@ def route_instances(draw, r):
 
 @given(route_instances(2), st.integers(1, 80))
 def test_route_matches_per_shell_sums(spec, M):
-    _assert_matches_reference(evaluator._r2_shells(spec, M), spec, M)
+    _assert_matches_reference(evaluator._face_shells(spec, M), spec, M)
 
 
 @given(route_instances(3), st.integers(1, 40), st.sampled_from([1, 7, 64, 2**12]))
@@ -65,7 +64,7 @@ def test_face_route_matches_per_shell_sums_at_r4(spec, M):
 )
 def test_ill_conditioned_shells_take_the_route_and_the_box_below_n0(data, M):
     spec = model.parse_spec(data)
-    with mock.patch.object(evaluator, "_r2_shells", wraps=evaluator._r2_shells) as route, \
+    with mock.patch.object(evaluator, "_face_shells", wraps=evaluator._face_shells) as route, \
             mock.patch.object(evaluator, "_box_shells", wraps=evaluator._box_shells) as box:
         got = evaluator._direct_shells(spec, M)
     route.assert_called_once_with(spec, M)
@@ -98,30 +97,42 @@ def test_ill_conditioned_faces_take_the_route_and_the_box_below_n0(data, M):
     _assert_matches_reference(got, spec, M)
 
 
-def test_faces_take_the_route_from_break_even_rows():
-    def called(spec, M):
-        with mock.patch.object(evaluator, "_face_shells", wraps=evaluator._face_shells) as route:
-            evaluator._direct_shells(spec, M)
-        return route.called
+# Per r, (spec, M, whether _direct_shells takes the face route), in pairs
+# on each side of one term of the rule: at least 2^15 terms M^r; at least
+# 16 times the largest row sum of A rows M^(r-1) per face; and at least as
+# many rows as the points min(q, row sum x M) where the phase tables of
+# m_(r-1) and m_r call unit_phase, for a twist of denominator q there.
+MT = {r: {"h": [1] * r, "k": [2], "y": ["0"] * r, "A": [[1] * r]} for r in (2, 3, 4)}
+SELECTION = {
+    2: [
+        (MT[2], 181, False), (MT[2], 182, True),  # 182^2 = 33124
+        ({**MT[2], "A": [[1, 40]]}, 655, False), ({**MT[2], "A": [[1, 40]]}, 656, True),
+        ({**MT[2], "y": ["1/200", "0"]}, 199, False), ({**MT[2], "y": ["1/200", "0"]}, 200, True),
+    ],
+    3: [
+        (MT[3], 31, False), (MT[3], 32, True),  # 32^3 = 2^15
+        ({**MT[3], "A": [[1, 1, 100]]}, 40, False), ({**MT[3], "A": [[1, 1, 100]]}, 41, True),
+        ({**MT[3], "y": ["0", "0", "1/4096"], "A": [[100, 1, 1]]}, 63, False),
+        ({**MT[3], "y": ["0", "0", "1/4096"], "A": [[100, 1, 1]]}, 64, True),
+        # m_1 is never summed in closed form: its table runs to M only
+        ({**MT[3], "y": ["1/100003", "0", "0"], "A": [[100, 1, 1]]}, 64, True),
+    ],
+    4: [
+        (MT[4], 13, False), (MT[4], 14, True),  # 14^4 = 38416
+        ({**MT[4], "A": [[1, 1, 1, 169]]}, 14, False), ({**MT[4], "A": [[1, 1, 1, 169]]}, 15, True),
+        ({**MT[4], "y": ["0", "0", "0", "1/4914"], "A": [[287, 1, 1, 1]]}, 17, False),
+        ({**MT[4], "y": ["0", "0", "0", "1/4913"], "A": [[287, 1, 1, 1]]}, 17, True),  # 17^3
+    ],
+}
 
-    # M^(r-1) rows per face, at least 2^10: from M 32 for r = 3 and M 11 (1331) for r = 4
-    mt_r3 = model.parse_spec({"h": [1, 1, 1], "k": [2], "y": ["0"] * 3, "A": [[1, 1, 1]]})
-    assert not called(mt_r3, 31)
-    assert called(mt_r3, 32) and called(mt_r3, 60)
-    mt_r4 = model.parse_spec({"h": [1] * 4, "k": [2], "y": ["0"] * 4, "A": [[1] * 4]})
-    assert not called(mt_r4, 10)
-    assert called(mt_r4, 11)
-    # and 32 times the largest row sum, the route's table entries per unit of M
-    wide = model.parse_spec({"h": [1, 1, 1], "k": [2], "y": ["0"] * 3, "A": [[1, 1, 100]]})
-    assert not called(wide, 57)  # 57^2 < 32 * 102
-    assert called(wide, 58)
-    # and the points where the phase tables of m_2 and m_3 call unit_phase,
-    # min(q, 102 M): 6528 > 64^2 at q = 100003
-    heavy = {"h": [1, 1, 1], "k": [2], "A": [[100, 1, 1]]}
-    assert called(model.parse_spec({**heavy, "y": ["1/100003", "0", "1/3"]}), 64)
-    assert not called(model.parse_spec({**heavy, "y": ["0", "0", "1/100003"]}), 64)
-    mt_r2 = model.parse_spec({"h": [1, 1], "k": [1], "y": ["0"] * 2, "A": [[1, 1]]})
-    assert not called(mt_r2, 2000)
+
+@pytest.mark.parametrize("r", sorted(SELECTION))
+def test_direct_shells_take_the_route_by_one_rule(r):
+    for data, M, route in SELECTION[r]:
+        spec = model.parse_spec(data)
+        with mock.patch.object(evaluator, "_face_shells", return_value="route"), \
+                mock.patch.object(evaluator, "_box_shells", return_value="box"):
+            assert evaluator._direct_shells(spec, M) == ("route" if route else "box"), (data, M)
 
 
 @pytest.mark.parametrize(
@@ -160,30 +171,11 @@ def test_face_route_keeps_the_conjugate_of_a_negated_twist_bitwise():
     assert minus.partial.shells.tobytes() == independent.partial.shells.tobytes()
 
 
-def test_small_boxes_and_heavy_poles_keep_the_box():
-    def called(spec, M):
-        with mock.patch.object(evaluator, "_r2_shells", wraps=evaluator._r2_shells) as route:
-            evaluator._direct_shells(spec, M)
-        return route.called
-
-    twisted = model.parse_spec({"h": [2, 2], "k": [2], "y": ["1/2", "0"], "A": [[1, 1]]})
-    assert not called(twisted, evaluator._ROUTE_MIN_M - 1)
-    assert called(twisted, evaluator._ROUTE_MIN_M)
-    # sum over poles of mu (a + b), both directions: 4 + 2 * 41 * 2 = 168
-    wide = model.parse_spec({"h": [2, 2], "k": [2], "y": ["0", "0"], "A": [[1, 40]]})
-    assert not called(wide, 4 * 168 - 1)
-    assert called(wide, 4 * 168)
-    r3 = model.parse_spec({"h": [2, 2, 2], "k": [2], "y": ["0"] * 3, "A": [[1, 1, 1]]})
-    assert not called(r3, 300)
-
-
 def test_a_coefficient_past_the_float_range_sends_the_box():
     # near the pole of 1 + 200 u, the factor u^-150 brings 200^150 ~ 1.4e345
     spec = model.parse_spec({"h": [1, 150], "k": [1], "y": ["0", "1/3"], "A": [[1, 200]]})
-    with pytest.raises(OverflowError):
-        [float(d) for ds in evaluator._partial_fractions(150, [(1, 200, 1)]).values() for d in ds]
     with mock.patch.object(evaluator, "_box_shells", wraps=evaluator._box_shells) as box:
-        got = evaluator._r2_shells(spec, 30)
+        got = evaluator._face_shells(spec, 30)
     box.assert_called_once_with(spec, 30)
     _assert_matches_reference(got, spec, 30)
 
@@ -194,7 +186,7 @@ def test_mt_r2_box_sum_is_pinned_by_exact_fractions():
     M = 60
     box = range(1, M + 1)
     exact = float(sum(Fraction(1, m1 * m2 * (m1 + m2)) for m1 in box for m2 in box))
-    for shells, _ in (evaluator._direct_shells(spec, M), evaluator._r2_shells(spec, M)):
+    for shells, _ in (evaluator._direct_shells(spec, M), evaluator._face_shells(spec, M)):
         value = evaluator._fsum(shells)
         assert value.imag == 0
         assert abs(value.real - exact) <= 1e-15 * exact
@@ -203,7 +195,7 @@ def test_mt_r2_box_sum_is_pinned_by_exact_fractions():
 def test_route_keeps_the_conjugate_of_a_negated_twist_bitwise():
     spec = model.parse_spec({"h": [2, 1], "k": [2], "y": ["1/3", "1/4"], "A": [[1, 2]]})
     M = 300
-    with mock.patch.object(evaluator, "_r2_shells", wraps=evaluator._r2_shells) as route:
+    with mock.patch.object(evaluator, "_face_shells", wraps=evaluator._face_shells) as route:
         plus = evaluator.zeta_refined(spec, M)
         independent = evaluator.zeta_refined(spec.negated_twist(), M)
     assert route.call_count == 2
@@ -215,24 +207,66 @@ def test_route_keeps_the_conjugate_of_a_negated_twist_bitwise():
     assert minus.partial.shells.tobytes() == independent.partial.shells.tobytes()
 
 
+def _exact_coefficients(poles, scale):
+    """[d_1, ..., d_mu] per pole of scale * prod (c u + L)^-mu, in Fractions.
+
+    Near the pole, in v = c u + L, another pole's factor is c^nu (delta +
+    c' v)^-nu with delta = c L' - c' L, expanded as a binomial series.
+    """
+    out = []
+    for p, (c, L, mu) in enumerate(poles):
+        series = [Fraction(scale)] + [Fraction(0)] * (mu - 1)  # in v^0, v^1, ...
+        for q, (c2, L2, nu) in enumerate(poles):
+            if q != p:
+                delta = c * L2 - c2 * L
+                factor = [
+                    Fraction(c**nu * math.comb(nu + i - 1, i) * (-c2) ** i, delta ** (nu + i))
+                    for i in range(mu)
+                ]
+                series = [sum(series[i] * factor[e - i] for i in range(e + 1)) for e in range(mu)]
+        out.append(series[::-1])
+    return out
+
+
 @pytest.mark.parametrize(
-    "h, forms",
+    "poles, scale",
     [
-        (1, [(1, 1, 1)]),
-        (2, [(1, 1, 2), (1, 2, 2), (1, 3, 2), (2, 3, 2)]),
-        (3, [(0, 2, 2), (4, 2, 1), (2, 1, 2), (3, 0, 1), (1, 3, 2)]),
-        (12, [(1, 1, 12), (2, 2, 12)]),
+        # u^-1 (1 + u)^-1
+        ([(1, 0, 1), (1, 1, 1)], Fraction(1)),
+        # G2's forms (1 + u), (1 + 2u), (1 + 3u), (2 + 3u), each squared, and u^-2
+        ([(1, 0, 2), (1, 1, 2), (2, 1, 2), (3, 1, 2), (3, 2, 2)], Fraction(1)),
+        # u^-3 (2u)^-2 (4 + 2u)^-1 (2 + u)^-2 3^-1 (1 + 3u)^-2: the form in u alone
+        # joins the pole at 0, (2 + u)^2 = (4 + 2u)^2 / 4 merges into 4 + 2u
+        ([(1, 0, 5), (2, 4, 3), (3, 1, 2)], Fraction(4, 4 * 3)),
+        # u^-12 (1 + u)^-12 (2 + 2u)^-12, the proportional forms merged
+        ([(1, 0, 12), (1, 1, 24)], Fraction(1, 2**12)),
+        # u^-3 (2u)^-2 3^-1: the pole at 0 alone, d_1..d_4 None
+        ([(1, 0, 5)], Fraction(1, 12)),
     ],
+    ids=["one-pole", "G2", "mixed-forms", "proportional-forms", "u-alone"],
 )
-def test_partial_fractions_are_exact(h, forms):
-    poles = evaluator._partial_fractions(h, forms)
-    # proportional forms share a pole, and a = 0 joins the pole at 0
-    assert all(b > 0 and math.gcd(a, b) == 1 for a, b in poles)
-    directions = {(a // math.gcd(a, b), b // math.gcd(a, b)) for a, b, _ in forms if a and b}
-    assert len(poles) == len(directions) + 1
-    for u in (Fraction(1, 3), Fraction(7, 2), Fraction(5)):
-        want = u**-h * math.prod((a + b * u) ** -k for a, b, k in forms)
-        got = sum(
-            d * (a + b * u) ** -j for (a, b), ds in poles.items() for j, d in enumerate(ds, 1)
-        )
-        assert got == want
+def test_pole_coefficients_match_the_product(poles, scale):
+    # three rows, the moving poles' L scaled by t: distinct poles on each
+    t = np.array([1, 2, 5])
+    rows = [(c, 0 if p == 0 else L * t, mu) for p, (c, L, mu) in enumerate(poles)]
+    got = evaluator._pole_coefficients(rows, np.full(3, float(scale)))
+    for row, ti in enumerate(t.tolist()):
+        row_poles = [(c, 0 if p == 0 else L * ti, mu) for p, (c, L, mu) in enumerate(poles)]
+        exact = _exact_coefficients(row_poles, scale)
+        pairs = [[(d, m) if d is None else (d[row], m[row]) for d, m in ds] for ds in got]
+        for ds, es in zip(pairs, exact):
+            for (d, m), e in zip(ds, es):
+                # None marks an exact zero; G2's d_1 at u = -1/2 is one by
+                # cancellation, and comes back as a rounding of 0.  The
+                # rounding grows with the factors multiplied: up to 22 ulps
+                # of m for the proportional forms
+                assert e == 0 if d is None else abs(Fraction(float(d)) - e) <= 2**-48 * m
+        for u in (Fraction(1, 3), Fraction(7, 2), Fraction(5)):
+            want = scale * math.prod((c * u + L) ** -mu for c, L, mu in row_poles)
+            total, bound = Fraction(0), Fraction(0)
+            for (c, L, _), ds in zip(row_poles, pairs):
+                for j, (d, m) in enumerate(ds, start=1):
+                    if d is not None:
+                        total += Fraction(float(d)) * (c * u + L) ** -j
+                        bound += Fraction(float(m)) * (c * u + L) ** -j
+            assert abs(total - want) <= 2**-50 * bound

@@ -24,14 +24,15 @@ and so is an MDZETA_OUTPUT_DIR that cannot be made a directory or a report
 file in it that cannot be written.
 Box sizes --M and --M-outer below 1 are invalid input, and so are a --tol
 that is negative or not finite (nan, inf) and a negative --rho-variant.
-So are boxes over the work budget: more than WORK_BUDGET direct terms
-(M**r) or direct form values (the largest row sum of A times M), refused
-by the pre-flight, or, for some subset J, coset representatives times
-outer tuples (the plan's coset_count, the sum of |det B| over the bases
-B of Lambda_J, times M_outer**(r-|J|)), refused by evaluator.rhs_total
-when it builds its plans: after MDZETA_OUTPUT_DIR is made, but before
-any coset is enumerated or any shell summed.  A reduced side cannot be assembled when a pole does not
-cancel, the exact layer fails, or it needs a Bernoulli order past float
+So are boxes over the work budget: direct work (by the engine
+evaluator.direct_cost picks) or direct form values (the largest row sum
+of A times M) over WORK_BUDGET, refused by the pre-flight, or, for some
+subset J, coset representatives times outer tuples (the plan's
+coset_count, the sum of |det B| over the bases B of Lambda_J, times
+M_outer**(r-|J|)), refused by evaluator.rhs_total as it builds its plans,
+after MDZETA_OUTPUT_DIR is made but before any coset or shell.  A reduced
+side cannot be assembled when a pole does not cancel, the exact layer
+fails, or it needs a Bernoulli order past float
 range (above 170).  Every refusal raises an exception that main turns
 into one error: line and exit 2, with nothing on stdout and no traceback;
 the pre-flight's refusals come before any summation and create nothing.
@@ -145,11 +146,11 @@ def _spec_line(spec) -> str:
 
 def _check_budget(spec, M: int) -> None:
     """Raise SpecError when a direct box does not fit WORK_BUDGET."""
+    engine, work = evaluator.direct_cost(spec, M)
     # the direct side tabulates 1/f^k for every form value f up to values
-    row_sum = spec.max_row_sum
-    terms, values = M**spec.r, row_sum * M
+    r, row_sum, values = spec.r, spec.max_row_sum, spec.max_row_sum * M
     for work, what in (
-        (terms, f"at r={spec.r} gives {M}^{spec.r} = {terms} direct terms"),
+        (work, f"at r={r} gives {M}^{r} = {M**r} direct terms, a work of {work} ({engine})"),
         (values, f"with a largest row sum of A of {row_sum} gives {values} direct form values"),
     ):
         if work > WORK_BUDGET:
@@ -179,7 +180,6 @@ def cmd_eval(args) -> int:
         "parameters": {"M": args.M},
         "partial_sum": _cnum(partial.value),
         "tail_estimate": _fnum(partial.tail_estimate),
-        "slow": partial.slow,
         "correction": _cnum(refined.correction),
         "value": _cnum(v),
         "uncertainty": _fnum(refined.uncertainty),
@@ -189,7 +189,7 @@ def cmd_eval(args) -> int:
     text = [
         _spec_line(spec),
         f"box sum (M={args.M}, {partial.terms} terms): {_ctext(partial.value)}",
-        f"tail heuristic: {partial.tail_estimate:.3g}" + ("  [slow decay]" if partial.slow else ""),
+        f"tail heuristic: {partial.tail_estimate:.3g}",
         f"fitted correction: {_ctext(refined.correction, 6)}"
         + ("" if refined.fitted else "  [no reliable fit]"),
         f"value: {_ctext(v)}  (+- {refined.uncertainty:.3g})",

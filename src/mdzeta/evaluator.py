@@ -7,15 +7,15 @@ per-shell magnitudes for tail work.  The direct side is the series over
 couple a run of leading tuples to a run of m_r are read from one strided
 window per form over its 1/f^k table, one mask per tile sends each term
 to its row's or its column's shell, and the factors of each run alone
-come from _weights.  For r >= 2 and a large enough box, _direct_shells
-instead sums one coordinate of each shell face in closed form
-(_face_shells): along a row the summand is a rational function of that
-coordinate, so partial fractions, vectorised over the rows, turn its sum
-into differences of tabulated suffix sums, in O(M^(r-1)) work per pole
-order.  Shells where the pieces cancel too much come from the box.  The
-reduced side is, per nonempty
-subset J, the outer sum over [1, M_outer]^|Jbar| of G's top coefficient,
-each block of outer tuples weighed by _weights.  Partial sums are then
+come from _weights.  For r >= 2, _face_shells instead sums one
+coordinate of each shell face in closed form: along a row the summand is
+a rational function of that coordinate, so partial fractions, vectorised
+over the rows, turn its sum into differences of tabulated suffix sums,
+in O(M^(r-1)) work per pole order.  Shells where the pieces cancel too
+much come from the box.  _direct_shells runs the engine direct_cost
+counts cheaper.  The reduced side is, per nonempty subset J, the outer
+sum over [1, M_outer]^|Jbar| of G's top coefficient, each block of outer
+tuples weighed by _weights.  Partial sums are then
 refined by fitting the shell decay (a + b log n)/n^w on a trailing
 window and integrating the fit past the box; the fit is attempted only
 when a component is decaying with a fixed sign, and every correction
@@ -56,7 +56,6 @@ class PartialSum:
     M: int
     terms: int
     tail_estimate: float
-    slow: bool
     # the sum over each shell max(m) = n, n = 1..M, kept for the tail fit
     shells: np.ndarray = field(
         default_factory=lambda: np.zeros(0, complex), repr=False, compare=False
@@ -123,23 +122,13 @@ def _fsum(values) -> complex:
     return complex(math.fsum(values.real.tolist()), math.fsum(values.imag.tolist()))
 
 
-def _partial(shells, abs_shells, M: int, terms: int, w) -> PartialSum:
-    """Correctly rounded total of the shells, with the one-shell tail heuristic.
-
-    The heuristic scales the last shell's magnitude by M / (w - 1) when the
-    decay power w is above 1, and flags the sum as slow otherwise.
-    """
+def _summed(shells, abs_shells, terms: int, w) -> RefinedSum:
+    """Correctly rounded total of the shells, with fit_tail's correction; its fallback band
+    is the last shell's magnitude, times n / (w - 1) for n shells of decay power w > 1."""
     last = float(abs_shells[-1]) if len(abs_shells) else 0.0
-    if w is not None and w > 1:
-        est, slow = last * len(abs_shells) / (w - 1), False
-    else:
-        est, slow = last, True
-    return PartialSum(_fsum(shells), M, terms, est, slow, np.asarray(shells))
-
-
-def _refine(partial: PartialSum, w) -> RefinedSum:
-    correction, uncertainty, fitted = fit_tail(partial.shells, w=w, band=partial.tail_estimate)
-    return RefinedSum(partial, correction, uncertainty, fitted)
+    est = last * len(abs_shells) / (w - 1) if w is not None and w > 1 else last
+    partial = PartialSum(_fsum(shells), len(shells), terms, est, np.asarray(shells))
+    return RefinedSum(partial, *fit_tail(partial.shells, w=w, band=est))
 
 
 # ------------------------------------------------------- box rows and weights
@@ -224,8 +213,12 @@ def _box_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
     max(L, m_r), L its leading tuple's max: one mask m_r > L per tile sends
     each term either to a contraction over the columns, whose per-row sums
     are bucketed by L, or to a contraction over the rows, which gives the
-    columns' shells.
+    columns' shells.  A box whose _box_work passes WORK_BUDGET, which the
+    face route may hand back, is refused (SpecError) before it is built.
     """
+    if (work := _box_work(spec, M)) > WORK_BUDGET:
+        raise SpecError(f"the box [1, {M}]^{spec.r} needs a work of {work}, over the work budget "
+                        f"of {WORK_BUDGET}")
     r = spec.r
     cols = min(M, max(math.isqrt(_DIRECT_BLOCK), _DIRECT_BLOCK // M ** (r - 1)))
     rows = max(1, _DIRECT_BLOCK // cols)
@@ -343,12 +336,8 @@ def _pole_coefficients(poles, scale) -> list[list]:
 # The face route walks its rows in blocks of at most this many.  Timed on
 # a3 and mt_r3 at M 200, 2^12 rows ran 1.2-1.4 times faster than 2^14.
 _FACE_BLOCK = 2**12
-# A box of fewer terms, M^r, than this is summed term by term (_box_shells):
-# below it the face route's fixed cost (per-pole-order numpy calls and
-# tables) outweighs the terms it saves.  Timed break-evens lay at M 128-160
-# for the bundled r = 2 specs, M 24-28 for mt_r3 and a3, and near M 11 for
-# two r = 4 specs.
-_FACE_MIN_TERMS = 2**15
+# A unit_phase call (~2.2 us) in terms of _box_shells (~4.4 ns at M 2400), for direct_cost.
+_PHASE_COST = 500
 
 
 def _face(spec: SeriesSpec, u: int):
@@ -518,25 +507,42 @@ def _face_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
     return shells, abs_shells
 
 
-def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and abs-sum of the terms over each shell max(m) = n of [1, M]^r.
+def _box_work(spec: SeriesSpec, M: int) -> int:
+    """_box_shells' work: M^r terms, and _PHASE_COST per point its twist tables compute."""
+    return M**spec.r + _PHASE_COST * sum(min(v.denominator, M + 1) for v in spec.y if v)
 
-    Returns two arrays indexed by n - 1.  A box of r >= 2 is summed by
-    _face_shells when it has at least _FACE_MIN_TERMS terms, M^r, and its
-    faces hold M^(r-1) rows, at least 16 times the largest row sum of A
-    (the entries per unit of M of each suffix table, which the route's
-    work per row grows with) and at least as many as the points at which
-    its phase tables call unit_phase: from M 182 at r = 2, M 32 at r = 3
-    and M 14 at r = 4 for row sums up to 11, 64 and 171.  Every other box
-    is summed term by term (_box_shells).
+
+def direct_cost(spec: SeriesSpec, M: int) -> tuple[str, int]:
+    """("box" or "faces", work): the cheaper engine for [1, M]^r, and its work.
+
+    Work counts terms of the box (_box_work).  The route by faces (r >= 2)
+    costs 0.3 per row (blocks of _FACE_BLOCK rows, however few) times the
+    pole orders times the poles a row of each face expands into, 2 per
+    suffix-table entry, and _PHASE_COST per twist-table point.  Fitted to
+    min-of-9 timings of both engines on a 2-core Xeon (480 boxes, r = 2 to
+    5): the engine picked ran 1.0 % longer than the faster on average, and
+    at most 1.6 times as long.
     """
-    if spec.r > 1 and M**spec.r >= _FACE_MIN_TERMS:
-        # the route's phase tables call unit_phase at up to min(q, size) points
-        size = spec.max_row_sum * M
-        phases = max((min(v.denominator, size) for v in spec.y[-2:] if v), default=0)
-        if M ** (spec.r - 1) >= max(16 * spec.max_row_sum, phases):
-            return _face_shells(spec, M)
-    return _box_shells(spec, M)
+    if M < 1:
+        raise ValueError("M must be >= 1")
+    box, size = _box_work(spec, M), spec.max_row_sum * M + 1  # form values are below size
+    if spec.r == 1:
+        return "box", box
+    expanded, tables = 0, set()
+    for u in (spec.r - 1, spec.r - 2):
+        _, c, _, moving, _, mu, _ = _face(spec, u)
+        poles = [(1, mu)] + [(c[i], spec.k[i]) for i in moving]
+        expanded += sum(order for _, order in poles) * len(poles)
+        tables |= {(a, j, y) for a, order in poles for j in range(order) for y in {0, spec.y[u]}}
+    points = sum(min(v.denominator, (size if v in spec.y[-2:] else M) + 1) for v in {*spec.y} - {0})
+    route = 3 * expanded * max(M ** (spec.r - 1), _FACE_BLOCK) // 10 + 2 * len(tables) * size
+    route += _PHASE_COST * points
+    return ("faces", route) if route < box else ("box", box)
+
+
+def _direct_shells(spec: SeriesSpec, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and abs-sum of each shell max(m) = n of [1, M]^r by the engine direct_cost picks."""
+    return (_face_shells if direct_cost(spec, M)[0] == "faces" else _box_shells)(spec, M)
 
 
 def _direct_power(spec: SeriesSpec) -> int:
@@ -546,23 +552,17 @@ def _direct_power(spec: SeriesSpec) -> int:
     k_i over the forms meeting S) - |S| + 1.  Adding a variable to S adds
     h_j - 1 >= 0 or more, so the minimum is at a single variable.
     """
-    return min(
-        h + sum(k for k, row in zip(spec.k, spec.A) if row[j])
-        for j, h in enumerate(spec.h)
-    )
+    return min(h + sum(k for k, row in zip(spec.k, spec.A) if row[j]) for j, h in enumerate(spec.h))
 
 
 def zeta_direct(spec: SeriesSpec, M: int) -> PartialSum:
-    """Compensated sum of the series over the box [1, M]^r."""
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    shells, abs_shells = _direct_shells(spec, M)
-    return _partial(shells, abs_shells, M, M**spec.r, _direct_power(spec))
+    """Compensated sum of the series over the box [1, M]^r: zeta_refined's partial sum."""
+    return zeta_refined(spec, M).partial
 
 
 def zeta_refined(spec: SeriesSpec, M: int) -> RefinedSum:
     """Direct sum plus fitted tail; the honest estimate of the series value."""
-    return _refine(zeta_direct(spec, M), _direct_power(spec))
+    return _summed(*_direct_shells(spec, M), M**spec.r, _direct_power(spec))
 
 
 # ------------------------------------------------------------------ tail fits
@@ -656,8 +656,7 @@ def term_T(plan: GeneratingFunctionPlan, M_outer: int) -> TermSummary:
     factorials = math.prod(math.factorial(c) for c in plan.caps)
     if not ctx.Jbar:
         value = complex(plan.top_coefficients(np.zeros((1, 0), dtype=np.int64))[0])
-        partial = PartialSum(value=value, M=0, terms=1, tail_estimate=0.0, slow=False)
-        refined = RefinedSum(partial, 0.0 + 0.0j, 0.0, True)
+        refined = RefinedSum(PartialSum(value, M=0, terms=1, tail_estimate=0.0), 0j, 0.0, True)
         return TermSummary(ctx.J, ctx.I, sign, refined, plan.rho, True, value * factorials)
     if M_outer < 1:
         raise ValueError("M_outer must be >= 1")
@@ -682,7 +681,7 @@ def term_T(plan: GeneratingFunctionPlan, M_outer: int) -> TermSummary:
     shells.real, shells.imag = sums[1, 1:], sums[2, 1:]
     abs_shells = sums[0, 1:]
     w = _power_estimate(abs_shells)
-    refined = _refine(_partial(shells, abs_shells, M_outer, M_outer**f, w), w)
+    refined = _summed(shells, abs_shells, M_outer**f, w)
     return TermSummary(ctx.J, ctx.I, sign, refined, plan.rho, False, unit_raw * factorials)
 
 

@@ -522,13 +522,13 @@ def test_term_does_not_depend_on_block_size(monkeypatch):
 )
 def test_term_shells_match_the_per_tuple_reference(monkeypatch, data):
     spec = model.parse_spec(data)
-    seen, partial = [], evaluator._partial
+    seen, summed = [], evaluator._summed
 
     def record(shells, abs_shells, *args):
         seen.append((shells, abs_shells))
-        return partial(shells, abs_shells, *args)
+        return summed(shells, abs_shells, *args)
 
-    monkeypatch.setattr(evaluator, "_partial", record)
+    monkeypatch.setattr(evaluator, "_summed", record)
     for J in model.nonempty_subsets(spec.r)[:-1]:  # every J with an outer sum
         seen.clear()
         evaluator.term_T(genfun.GeneratingFunctionPlan(spec, J), M_outer=12)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -527,10 +528,11 @@ def test_zero_tolerance_is_accepted():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["eval", "--spec", MT_PATH, "--M", "100000"],
-        ["verify", "--spec", MT_PATH, "--M", "100000", "--M-outer", "50"],
+        # mt_r2 by faces is admitted up to M 1562499 (see below)
+        ["eval", "--spec", MT_PATH, "--M", "1562500"],
+        ["verify", "--spec", MT_PATH, "--M", "1562500", "--M-outer", "50"],
         ["verify", "--spec", str(SPECS / "mt_r3.json"), "--M", "50", "--M-outer", "4000"],
-        ["reduce", "--spec", MT_PATH, "--M", "4000", "--M-outer", "50"],
+        ["reduce", "--spec", MT_PATH, "--M", "1562500", "--M-outer", "50"],
         ["reduce", "--spec", str(SPECS / "mt_r3.json"), "--M", "50", "--M-outer", "4000"],
     ],
 )
@@ -553,22 +555,49 @@ def test_oversized_boxes_are_rejected_before_any_work(capsys, monkeypatch, argv)
     assert err.startswith("error: --M") and f"work budget of {cli.WORK_BUDGET}" in err
 
 
-def test_r3_direct_budget_is_unchanged_by_the_face_route(capsys, monkeypatch):
-    # the r >= 3 route sums M^(r-1) rows, but the pre-flight still counts
-    # the M^r terms of the box: mt_r3 is admitted up to M 215 and no further
+def test_r3_direct_budget_counts_the_face_route(capsys, monkeypatch):
+    # the pre-flight admits by the work of the engine direct_cost picks:
+    # mt_r3 by faces, 0.3 x 12 pole orders times poles per row over M^2
+    # rows plus 2 x two suffix tables of 3 M + 1 entries, up to M 1665
     def no_work(*args, **kwargs):
         raise AssertionError("summation started")
 
+    mt_r3 = model.load_spec(str(SPECS / "mt_r3.json"))
+    assert evaluator.direct_cost(mt_r3, 1665) == ("faces", 9999994)
     for name in ("_direct_shells", "zeta_direct", "zeta_refined", "rhs_total", "term_T"):
         monkeypatch.setattr(evaluator, name, no_work)
-    argv = ["verify", "--spec", str(SPECS / "mt_r3.json"), "--M", "216", "--M-outer", "4"]
+    argv = ["verify", "--spec", str(SPECS / "mt_r3.json"), "--M", "1666", "--M-outer", "4"]
     code, out, err = _run(capsys, argv)
     assert code == 2 and out == ""
     assert err == (
-        f"error: --M 216 at r=3 gives 216^3 = 10077696 direct terms, over the work budget of "
+        f"error: --M 1666 at r=3 gives 1666^3 = 4624076296 direct terms, a work of 10011997 "
+        f"(faces), over the work budget of {cli.WORK_BUDGET}\n"
+    )
+    # mt_r2 by faces: 0.3 x 8 per row and 2 x one table of 2 M + 1 entries
+    assert evaluator.direct_cost(model.load_spec(MT_PATH), 1562499) == ("faces", 9999995)
+
+
+def test_a_guard_box_over_the_work_budget_exits_2_before_it_is_built(capsys, monkeypatch, tmp_path):
+    # A3 at h = k = [4, 4, 4]: the route's pieces pass 2^10 times every
+    # shell, so its guard hands all of [1, M]^3 back to the box; the count
+    # admits the route at M 216, but not 216^3 box terms, which the box
+    # refuses before its windows, the first thing it builds
+    data = {"h": [4] * 3, "k": [4] * 3, "y": ["0"] * 3, "A": [[1, 1, 0], [0, 1, 1], [1, 1, 1]]}
+    path = tmp_path / "a3_weight4.json"
+    path.write_text(json.dumps(data))
+    assert evaluator.direct_cost(model.parse_spec(data), 216) == ("faces", 1404872)
+    monkeypatch.setattr(evaluator, "sliding_window_view", _no_work)
+    route = mock.Mock(wraps=evaluator._face_shells)
+    box = mock.Mock(wraps=evaluator._box_shells)
+    monkeypatch.setattr(evaluator, "_face_shells", route)
+    monkeypatch.setattr(evaluator, "_box_shells", box)
+    code, out, err = _run(capsys, ["eval", "--spec", str(path), "--M", "216"])
+    assert route.call_count == 1 and [c.args[1] for c in box.call_args_list] == [216]
+    assert code == 2 and out == ""
+    assert err == (
+        f"error: the box [1, 216]^3 needs a work of 10077696, over the work budget of "
         f"{cli.WORK_BUDGET}\n"
     )
-    assert 215**3 <= cli.WORK_BUDGET < 216**3
 
 
 def _coset_work(spec, M_outer: int) -> int:
@@ -581,7 +610,8 @@ def test_work_budget_admits_boxes_up_to_the_limit(capsys, monkeypatch):
     # the largest sizes the benchmark, demos and tests use fit the real budget
     mt_r2, mt_r3 = model.load_spec(MT_PATH), model.load_spec(str(SPECS / "mt_r3.json"))
     cli._check_budget(mt_r2, 3000)
-    cli._check_budget(mt_r3, 120)
+    cli._check_budget(mt_r3, 400)  # the defaults, by faces
+    cli._check_budget(model.load_spec(str(SPECS / "a3.json")), 400)
     assert _coset_work(mt_r2, 3000) <= evaluator.WORK_BUDGET
     assert _coset_work(mt_r3, 2000) <= evaluator.WORK_BUDGET
     monkeypatch.setattr(cli, "WORK_BUDGET", 400)

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mdzeta import evaluator, model
-from test_direct import _assert_matches_reference
+from test_direct import SHELL_RTOL, _assert_matches_reference
 
 TWISTS = ("0", "1/2", "1/3", "1/4", "5/12")
 G2 = {"h": [2, 2], "k": [2, 2, 2, 2], "A": [[1, 1], [1, 2], [1, 3], [2, 3]]}
@@ -54,10 +54,10 @@ def test_face_route_matches_per_shell_sums_at_r4(spec, M):
 @pytest.mark.parametrize(
     "data, M",
     [
-        ({**G2, "y": ["0", "0"]}, 300),  # G2 at s = 2: pieces 1e8 times the first shell
-        ({**G2, "y": ["1/3", "5/12"]}, 300),
-        ({"h": [12, 12], "k": [12, 12], "y": ["0", "1/3"], "A": [[1, 1], [1, 1]]}, 500),
-        ({"h": [12, 12], "k": [12], "y": ["1/4", "0"], "A": [[1, 1]]}, 300),
+        ({**G2, "y": ["0", "0"]}, 600),  # G2 at s = 2: pieces 1e8 times the first shell
+        ({**G2, "y": ["1/3", "5/12"]}, 600),
+        ({"h": [12, 12], "k": [12, 12], "y": ["0", "1/3"], "A": [[1, 1], [1, 1]]}, 700),
+        ({"h": [12, 12], "k": [12], "y": ["1/4", "0"], "A": [[1, 1]]}, 500),
         ({"h": [2, 2], "k": [2], "y": ["0", "0"], "A": [[1, 40]]}, 700),
     ],
     ids=["G2", "G2-twisted", "h12-k12-k12", "h12-k12", "A-1-40"],
@@ -81,7 +81,7 @@ def test_ill_conditioned_shells_take_the_route_and_the_box_below_n0(data, M):
         ({"h": [2, 2, 2], "k": [2], "y": ["0", "0", "1/4"], "A": [[1, 1, 40]]}, 80),
         ({"h": [2, 2, 2], "k": [2, 2], "y": ["0", "0", "0"], "A": [[1, 1, 40], [1, 2, 3]]}, 80),
         # the poles of proportional forms coincide on every row
-        ({"h": [12] * 3, "k": [12, 12], "y": ["5/12", "0", "0"], "A": [[1, 1, 1], [2, 2, 2]]}, 60),
+        ({"h": [12] * 3, "k": [12, 12], "y": ["5/12", "0", "0"], "A": [[1, 1, 1], [2, 2, 2]]}, 80),
         ({"h": [2] * 3, "k": [2] * 3, "y": ["0"] * 3, "A": [[1, 1, 0], [0, 1, 1], [1, 1, 1]]}, 60),
     ],
     ids=["h12-k12", "A-1-1-40-twisted", "A-1-1-40-and-1-2-3", "proportional-forms", "A3-s2"],
@@ -98,30 +98,35 @@ def test_ill_conditioned_faces_take_the_route_and_the_box_below_n0(data, M):
 
 
 # Per r, (spec, M, whether _direct_shells takes the face route), in pairs
-# on each side of one term of the rule: at least 2^15 terms M^r; at least
-# 16 times the largest row sum of A rows M^(r-1) per face; and at least as
-# many rows as the points min(q, row sum x M) where the phase tables of
+# on each side of where direct_cost's count of the route drops below the
+# box's M^r terms (plus 500 per unit_phase point of either).  The count
+# grows with the pole orders times poles a row expands into (12 for
+# MT[2], 0.3 x 12 x 4096 ~ 14 745 for one block of rows), with the
+# suffix tables' entries (4 tables of 41 M + 1 for A = [[1, 40]]) and
+# with the points min(q, row sum x M + 1) where the phase tables of
 # m_(r-1) and m_r call unit_phase, for a twist of denominator q there.
 MT = {r: {"h": [1] * r, "k": [2], "y": ["0"] * r, "A": [[1] * r]} for r in (2, 3, 4)}
 SELECTION = {
     2: [
-        (MT[2], 181, False), (MT[2], 182, True),  # 182^2 = 33124
-        ({**MT[2], "A": [[1, 40]]}, 655, False), ({**MT[2], "A": [[1, 40]]}, 656, True),
-        ({**MT[2], "y": ["1/200", "0"]}, 199, False), ({**MT[2], "y": ["1/200", "0"]}, 200, True),
+        (MT[2], 125, False), (MT[2], 126, True),
+        ({**MT[2], "A": [[1, 40]]}, 368, False), ({**MT[2], "A": [[1, 40]]}, 369, True),
+        ({**MT[2], "y": ["1/100003", "0"]}, 544, False), ({**MT[2], "y": ["1/100003", "0"]}, 545, True),
     ],
     3: [
-        (MT[3], 31, False), (MT[3], 32, True),  # 32^3 = 2^15
-        ({**MT[3], "A": [[1, 1, 100]]}, 40, False), ({**MT[3], "A": [[1, 1, 100]]}, 41, True),
-        ({**MT[3], "y": ["0", "0", "1/4096"], "A": [[100, 1, 1]]}, 63, False),
-        ({**MT[3], "y": ["0", "0", "1/4096"], "A": [[100, 1, 1]]}, 64, True),
-        # m_1 is never summed in closed form: its table runs to M only
-        ({**MT[3], "y": ["1/100003", "0", "0"], "A": [[100, 1, 1]]}, 64, True),
+        (MT[3], 24, False), (MT[3], 25, True),
+        ({**MT[3], "A": [[1, 1, 100]]}, 35, False), ({**MT[3], "A": [[1, 1, 100]]}, 36, True),
+        ({**MT[3], "y": ["0", "0", "1/100003"]}, 37, False),
+        ({**MT[3], "y": ["0", "0", "1/100003"]}, 38, True),
+        # m_1 is never summed in closed form: its table runs to M only,
+        # as the box's does
+        ({**MT[3], "y": ["1/100003", "0", "0"]}, 24, False),
+        ({**MT[3], "y": ["1/100003", "0", "0"]}, 25, True),
     ],
     4: [
-        (MT[4], 13, False), (MT[4], 14, True),  # 14^4 = 38416
-        ({**MT[4], "A": [[1, 1, 1, 169]]}, 14, False), ({**MT[4], "A": [[1, 1, 1, 169]]}, 15, True),
-        ({**MT[4], "y": ["0", "0", "0", "1/4914"], "A": [[287, 1, 1, 1]]}, 17, False),
-        ({**MT[4], "y": ["0", "0", "0", "1/4913"], "A": [[287, 1, 1, 1]]}, 17, True),  # 17^3
+        (MT[4], 11, False), (MT[4], 12, True),
+        ({**MT[4], "A": [[1, 1, 1, 169]]}, 13, False), ({**MT[4], "A": [[1, 1, 1, 169]]}, 14, True),
+        ({**MT[4], "y": ["0", "0", "0", "1/100003"]}, 13, False),
+        ({**MT[4], "y": ["0", "0", "0", "1/100003"]}, 14, True),
     ],
 }
 
@@ -133,6 +138,36 @@ def test_direct_shells_take_the_route_by_one_rule(r):
         with mock.patch.object(evaluator, "_face_shells", return_value="route"), \
                 mock.patch.object(evaluator, "_box_shells", return_value="box"):
             assert evaluator._direct_shells(spec, M) == ("route" if route else "box"), (data, M)
+
+
+# (spec, M, engine) where one engine is well ahead of the other: box /
+# route time in ms, min of 9 on a 2-core Xeon
+ENGINES = [
+    ({"h": [1, 1], "k": [1], "y": ["1/100003", "0"], "A": [[1, 1]]}, 2400, "faces"),  # 38 / 11.7
+    ({"h": [2, 2], "k": [2], "y": ["0", "0"], "A": [[1, 40]]}, 500, "faces"),  # 1.51 / 1.00
+    ({**G2, "y": ["0", "0"]}, 200, "box"),  # 0.58 / 1.32
+    ({"h": [2, 2], "k": [3], "y": ["0", "0"], "A": [[1, 200]]}, 1000, "box"),  # 7.3 / 17.1
+    ({**MT[3], "y": ["0", "0", "1/1000003"], "A": [[1000, 1, 1]]}, 200, "box"),  # 66 / 502
+]
+
+
+@pytest.mark.parametrize(
+    "data, M, engine", ENGINES, ids=["twist-q-above-M", "A-1-40", "G2", "A-1-200", "A-1000-1-1"]
+)
+def test_direct_shells_take_the_cheaper_engine(data, M, engine):
+    spec = model.parse_spec(data)
+    with mock.patch.object(evaluator, "_face_shells", wraps=evaluator._face_shells) as route, \
+            mock.patch.object(evaluator, "_box_shells", wraps=evaluator._box_shells) as box:
+        shells, abs_shells = evaluator._direct_shells(spec, M)
+    if engine == "box":
+        route.assert_not_called()
+        box.assert_called_once_with(spec, M)
+        return
+    route.assert_called_once_with(spec, M)
+    assert all(n0 < M for _, n0 in (c.args for c in box.call_args_list))  # a guard's head only
+    want, want_abs = evaluator._box_shells(spec, M)
+    assert np.all(np.abs(shells - want) <= SHELL_RTOL * want_abs)
+    assert np.all(np.abs(abs_shells - want_abs) <= SHELL_RTOL * want_abs)
 
 
 @pytest.mark.parametrize(
@@ -178,6 +213,18 @@ def test_a_coefficient_past_the_float_range_sends_the_box():
         got = evaluator._face_shells(spec, 30)
     box.assert_called_once_with(spec, 30)
     _assert_matches_reference(got, spec, 30)
+
+
+def test_a_box_past_the_work_budget_is_refused_before_it_is_built(monkeypatch):
+    # the fallback past the float range above: 30^2 terms and 500 for each
+    # of the 3 phases of y_2 = 1/3, a work of 2400; the box's windows are
+    # the first thing it builds
+    spec = model.parse_spec({"h": [1, 150], "k": [1], "y": ["0", "1/3"], "A": [[1, 200]]})
+    monkeypatch.setattr(evaluator, "WORK_BUDGET", 2399)
+    with mock.patch.object(evaluator, "sliding_window_view") as windows:
+        with pytest.raises(model.SpecError, match=r"box \[1, 30\]\^2 needs a work of 2400,"):
+            evaluator._face_shells(spec, 30)
+    windows.assert_not_called()
 
 
 def test_mt_r2_box_sum_is_pinned_by_exact_fractions():

@@ -33,7 +33,10 @@ M_outer**(r-|J|)), refused by evaluator.rhs_total as it builds its plans,
 after MDZETA_OUTPUT_DIR is made but before any coset or shell.  A reduced
 side cannot be assembled when a pole does not cancel, the exact layer
 fails, or it needs a Bernoulli order past float
-range (above 170).  Every refusal raises an exception that main turns
+range (above 170), refused as a plan is built or, for a cap a singular
+pattern widens, as that pattern's table is built; a J = [r] term that
+evaluator.full_lattice_vanishes skips builds no table, so that late
+refusal never comes from it.  Every refusal raises an exception that main turns
 into one error: line and exit 2, with nothing on stdout and no traceback;
 the pre-flight's refusals come before any summation and create nothing.
 """

@@ -648,14 +648,40 @@ def term_sign(spec: SeriesSpec, ctx) -> int:
     return -1 if (outer_h + outer_k + spec.r + len(ctx.I)) % 2 else 1
 
 
+def full_lattice_vanishes(spec: SeriesSpec) -> bool:
+    """Whether the J = [r] term is 0 by m -> -m: every 2 y_j is an
+    integer and the weight is odd.
+
+    The J = [r] term is the full-lattice sum P(y), over m in Z^r with no
+    m_j and no a_i.m zero, of e(m.y) prod m_j^-h_j prod (a_i.m)^-k_i.
+    1. P converges absolutely for every valid spec, by power counting over
+       the flats of the forms: on a flat of dimension d >= 1 at least d
+       coordinates are nonzero, and if only d are, some form meets them,
+       as no column of A is zero; so the exponents that do not vanish
+       there sum to more than d.
+    2. term_T at J = [r] is P: tests pin it at h = [2,2], k = [2],
+       A = [[1,1]], y = 0 (6 W(2,2,2) = 2 pi^6/945), at mt_r2_null
+       (-2 pi^4/45) and by box sums over Z^r on twisted specs.
+    3. Summing over -m in place of m gives P(y) = (-1)^weight P(-y), and
+       P(-y) = conj P(y), so P is real at even weight and imaginary at
+       odd weight.  When 2y is integral, -y = y mod Z^r, so
+       P = (-1)^weight P.
+    """
+    return spec.weight % 2 == 1 and all((2 * v).denominator == 1 for v in spec.y)
+
+
 def term_T(plan: GeneratingFunctionPlan, M_outer: int) -> TermSummary:
     """The contribution of the plan's subset J to the reduced side: its
-    outer sum over [1, M_outer]^|Jbar|, or G's top coefficient at J = [r]."""
+    outer sum over [1, M_outer]^|Jbar|, or G's top coefficient at J = [r],
+    an exact 0 without any table where full_lattice_vanishes."""
     spec, ctx = plan.spec, plan.ctx
     sign = term_sign(spec, ctx)
     factorials = math.prod(math.factorial(c) for c in plan.caps)
     if not ctx.Jbar:
-        value = complex(plan.top_coefficients(np.zeros((1, 0), dtype=np.int64))[0])
+        if full_lattice_vanishes(spec):
+            value = 0j
+        else:
+            value = complex(plan.top_coefficients(np.zeros((1, 0), dtype=np.int64))[0])
         refined = RefinedSum(PartialSum(value, M=0, terms=1, tail_estimate=0.0), 0j, 0.0, True)
         return TermSummary(ctx.J, ctx.I, sign, refined, plan.rho, True, value * factorials)
     if M_outer < 1:

@@ -350,13 +350,19 @@ def test_spec_that_is_not_utf8_exits_2(capsys, tmp_path):
     assert err.startswith("error: 'utf-8' codec can't decode") and err.count("\n") == 1
 
 
+# each twist y_1 = 1/3 keeps the J = [r] term, which is 0 at y = 0 and odd
+# weight (evaluator.full_lattice_vanishes) and so is never tabulated there
+H170 = {"h": [170], "k": [1], "A": [[1]]}
+H90_90 = {"h": [90, 90], "k": [1], "A": [[1, 1]]}
+H169_1 = {"h": [169, 1], "k": [1], "A": [[1, 1]]}
+WIDENED_SIZES = ["--M", "2000", "--M-outer", "10"]
+
+
 @pytest.mark.parametrize(
     "data, argv",
     [
-        ({"h": [170], "k": [1], "y": ["0"], "A": [[1]]},
-         ["verify", "--M", "10", "--M-outer", "10"]),
-        ({"h": [90, 90], "k": [1], "y": ["0", "0"], "A": [[1, 1]]},
-         ["reduce", "--M", "3", "--M-outer", "2"]),
+        ({**H170, "y": ["1/3"]}, ["verify", "--M", "10", "--M-outer", "10"]),
+        ({**H90_90, "y": ["1/3", "0"]}, ["reduce", "--M", "3", "--M-outer", "2"]),
     ],
 )
 def test_bernoulli_orders_past_float_range_exit_2(capsys, tmp_path, data, argv):
@@ -370,10 +376,7 @@ def test_bernoulli_orders_past_float_range_exit_2(capsys, tmp_path, data, argv):
 @pytest.mark.parametrize("command", ["verify", "reduce"])
 @pytest.mark.parametrize(
     "data",
-    [
-        {"h": [170], "k": [1], "y": ["0"], "A": [[1]]},
-        {"h": [169, 1], "k": [1], "y": ["0", "0"], "A": [[1, 1]]},
-    ],
+    [{**H170, "y": ["1/3"]}, {**H169_1, "y": ["1/3", "0"]}],
     ids=["h170", "h169-1"],
 )
 def test_widened_cap_past_float_range_exits_2_before_the_direct_side(
@@ -388,10 +391,43 @@ def test_widened_cap_past_float_range_exits_2_before_the_direct_side(
     monkeypatch.setattr(evaluator, "_direct_shells", no_work)
     path = tmp_path / "widened_cap.json"
     path.write_text(json.dumps(data))
-    argv = [command, "--spec", str(path), "--M", "2000", "--M-outer", "10"]
-    code, out, err = _run(capsys, argv)
+    code, out, err = _run(capsys, [command, "--spec", str(path), *WIDENED_SIZES])
     assert code == 2 and out == ""
     assert err.startswith("error: Bernoulli order 172") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "data, argv, want",
+    [
+        (H170, ["verify", "--M", "10", "--M-outer", "10"], 0),
+        (H90_90, ["reduce", "--M", "3", "--M-outer", "2"], 0),
+        (H170, ["verify", *WIDENED_SIZES], 0),
+        (H170, ["reduce", *WIDENED_SIZES], 0),
+        # J = {1}'s outer sum at M_outer 10 is 9.5e-4 off, within its tail
+        (H169_1, ["verify", *WIDENED_SIZES], 3),
+        (H169_1, ["reduce", *WIDENED_SIZES], 0),
+    ],
+    ids=["h170-verify-M10", "h90-90-reduce", "h170-verify", "h170-reduce", "h169-1-verify",
+         "h169-1-reduce"],
+)
+def test_high_orders_at_y_0_and_odd_weight_finish_with_a_zero_full_lattice_term(
+    capsys, tmp_path, data, argv, want
+):
+    # the refusals above, untwisted: the J = [r] term that needed order 172
+    # (182 for h = [90, 90]) is 0 by m -> -m and no table of it is built
+    path = tmp_path / "high_order.json"
+    path.write_text(json.dumps({**data, "y": ["0"] * len(data["h"])}))
+    code, out, err = _run(capsys, [*argv, "--spec", str(path), "--output", "json"])
+    assert code == want and err == ""
+    payload = json.loads(out)
+    if argv[0] == "verify":
+        top = payload["rhs"]["per_J"][-1]
+        assert (top["value_re"], top["value_im"], top["tail"]) == ("0", "0", "0")
+    else:
+        top = payload["terms"][-1]
+        assert top["T"] == top["D_at_unit_outer"] == {"re": "0", "im": "0"}
+        assert top["outer_sum_exact"] is True
+    assert top["J"] == list(range(1, len(data["h"]) + 1))
 
 
 def _no_space(*args, **kwargs):

@@ -22,15 +22,17 @@ that cannot be assembled, 3 inconclusive.
 A spec file that is missing, not UTF-8 or not valid JSON is invalid input,
 and so is an MDZETA_OUTPUT_DIR that cannot be made a directory or a report
 file in it that cannot be written.
-Box sizes --M and --M-outer below 1 are invalid input, and so are a --tol
-that is negative or not finite (nan, inf) and a negative --rho-variant.
+Box sizes --M and --M-outer below 1 are invalid input, and so is a --tol
+that is negative or not finite (nan, inf).
 So are boxes over the work budget: direct work (by the engine
 evaluator.direct_cost picks) or direct form values (the largest row sum
 of A times M) over WORK_BUDGET, refused by the pre-flight, or, for some
 subset J, coset representatives times outer tuples (the plan's
 coset_count, the sum of |det B| over the bases B of Lambda_J, times
 M_outer**(r-|J|)), refused by evaluator.rhs_total as it builds its plans,
-after MDZETA_OUTPUT_DIR is made but before any coset or shell.  A reduced
+after MDZETA_OUTPUT_DIR is made but before any coset or shell; a J = [r]
+term that evaluator.full_lattice_vanishes makes 0 enumerates no coset,
+and its count is not budgeted.  A reduced
 side cannot be assembled when a pole does not cancel, the exact layer
 fails, or it needs a Bernoulli order past float
 range (above 170), refused as a plan is built or, for a cap a singular
@@ -39,6 +41,9 @@ evaluator.full_lattice_vanishes skips builds no table, so that late
 refusal never comes from it.  Every refusal raises an exception that main turns
 into one error: line and exit 2, with nothing on stdout and no traceback;
 the pre-flight's refusals come before any summation and create nothing.
+There is no option for the direction rho: each plan takes the first
+certified one (exact.choose_rho), as the reduced side does not depend on
+it.
 """
 
 from __future__ import annotations
@@ -59,13 +64,6 @@ def _box_size(value: str) -> int:
     n = int(value)
     if n < 1:
         raise argparse.ArgumentTypeError(f"box size must be >= 1, got {n}")
-    return n
-
-
-def _rho_variant(value: str) -> int:
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"rho variant must be >= 0, got {n}")
     return n
 
 
@@ -212,9 +210,7 @@ def cmd_eval(args) -> int:
 
 def cmd_verify(args) -> int:
     spec, verdict = _prepare(args, args.M)
-    report = evaluator.verify_parity(
-        spec, M=args.M, M_outer=args.M_outer, tol=args.tol, rho_variant=args.rho_variant
-    )
+    report = evaluator.verify_parity(spec, M=args.M, M_outer=args.M_outer, tol=args.tol)
     zp, zm, rhs = report.zeta_plus, report.zeta_minus, report.rhs
     lhs = report.lhs_value
     text = [
@@ -256,10 +252,7 @@ def cmd_verify(args) -> int:
     csv.append(f"residual,,,,{_fnum(report.residual)},,{report.verdict}")
     payload = {
         **_report_header(spec, verdict),
-        "parameters": {
-            "M": args.M, "M_outer": args.M_outer, "tol": _fnum(args.tol),
-            "rho_variant": args.rho_variant,
-        },
+        "parameters": {"M": args.M, "M_outer": args.M_outer, "tol": _fnum(args.tol)},
         "lhs": {
             "parity_sign": report.parity_sign,
             "case": report.parity_case,
@@ -285,7 +278,7 @@ def cmd_verify(args) -> int:
 def cmd_reduce(args) -> int:
     spec, verdict = _prepare(args, args.M)
     # verify's two sums in its order, the reduced side first; no verdict
-    rhs = evaluator.rhs_total(spec, args.M_outer, rho_variant=args.rho_variant)
+    rhs = evaluator.rhs_total(spec, args.M_outer)
     series = evaluator.zeta_refined(spec, args.M).value
     cor = evaluator.corollary(evaluator.parity_sign(spec), series, rhs.total)
     text = [
@@ -419,14 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=_box_size, default=400, help="direct-side box size")
     p.add_argument("--M-outer", type=_box_size, default=400, help="reduced-side box size")
     p.add_argument("--tol", type=_tolerance, default=1e-6, help="residual tolerance, finite and >= 0")
-    p.add_argument("--rho-variant", type=_rho_variant, default=0)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("reduce", help="tabulate the reduced side")
     add_common(p)
     p.add_argument("--M", type=_box_size, default=400, help="box size for the corollary check")
     p.add_argument("--M-outer", type=_box_size, default=400)
-    p.add_argument("--rho-variant", type=_rho_variant, default=0)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("selftest", help="internal consistency checks")

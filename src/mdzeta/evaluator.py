@@ -711,23 +711,26 @@ def term_T(plan: GeneratingFunctionPlan, M_outer: int) -> TermSummary:
     return TermSummary(ctx.J, ctx.I, sign, refined, plan.rho, False, unit_raw * factorials)
 
 
-def rhs_total(spec: SeriesSpec, M_outer: int, rho_variant: int = 0) -> RhsBreakdown:
+def rhs_total(spec: SeriesSpec, M_outer: int) -> RhsBreakdown:
     """Sum of the reduced-side contributions over all nonempty subsets J.
 
     Terms come in nonempty_subsets order.  Subsets whose data agree up to
     relabelling (model.subset_classes) share one evaluation: the first
     member of each class gets a plan, and the first plan whose coset
     representatives times outer tuples pass WORK_BUDGET is refused before
-    any coset is enumerated.  term_T then sums each plan, dropped once its
-    term is in, and every other member takes that term (sign, rho, refined
-    sum, exact flag, unit_D) under its own J and I.
+    any coset is enumerated; the J = [r] plan is not counted where
+    full_lattice_vanishes, as term_T enumerates none of its cosets.
+    term_T then sums each plan, dropped once its term is in, and every
+    other member takes that term (sign, rho, refined sum, exact flag,
+    unit_D) under its own J and I.
     """
     classes = subset_classes(spec)
     plans = {}
     for first, *_ in classes:
-        plan = GeneratingFunctionPlan(spec, first, rho_variant=rho_variant)
+        plan = GeneratingFunctionPlan(spec, first)
         count, outer = plan.coset_count, len(plan.ctx.Jbar)
-        if (work := count * M_outer**outer) > WORK_BUDGET:
+        vanishes = not outer and full_lattice_vanishes(spec)
+        if (work := count * M_outer**outer) > WORK_BUDGET and not vanishes:
             raise SpecError(
                 f"--M-outer {M_outer} at J={set(first)} gives {count} coset representatives "
                 f"times {M_outer}^{outer} outer tuples = {work}, over the work budget of "
@@ -797,7 +800,6 @@ def verify_parity(
     M: int,
     M_outer: int,
     tol: float = 1e-6,
-    rho_variant: int = 0,
 ) -> VerificationReport:
     """Evaluate both sides of the parity identity and compare.
 
@@ -806,7 +808,7 @@ def verify_parity(
     otherwise.
     """
     # the reduced side first: when it cannot be assembled, no direct sum has run
-    rhs = rhs_total(spec, M_outer, rho_variant=rho_variant)
+    rhs = rhs_total(spec, M_outer)
     zp = zeta_refined(spec, M)
     zm = zp.conjugate()  # h, k and A are real: zeta(-y) is termwise conj(zeta(y))
     sign = parity_sign(spec)

@@ -120,6 +120,10 @@ def coset_representatives(vectors) -> CosetSet:
     )
 
 
+# choose_rho tries this many rungs of _rho_ladder before it gives up
+RHO_CANDIDATES = 64
+
+
 def _rho_ladder(m: int):
     yield tuple(range(1, m + 1))
     s = 1
@@ -129,8 +133,8 @@ def _rho_ladder(m: int):
         s += 1
 
 
-def choose_rho(normals, variant: int = 0, max_candidates: int = 64) -> tuple[int, ...]:
-    """The (variant+1)-th direction of a fixed ladder off every normal.
+def choose_rho(normals) -> tuple[int, ...]:
+    """The first direction of a fixed ladder off every normal.
 
     normals are the dual rows of every basis of a spanning family, as
     enumerate_bases returns them; a direction pairing to nonzero with each
@@ -138,28 +142,21 @@ def choose_rho(normals, variant: int = 0, max_candidates: int = 64) -> tuple[int
     members: some member completes those m-1 to a basis, and that member's
     dual row is orthogonal to them, so it is the hyperplane's normal.  The
     ladder starts at (1, 2, ..., m) and continues with geometric candidates
-    (1, t, t^2, ...), t = m+1, m+2, ...; for m = 1 every rung is (1,), so
-    all variants agree there.
+    (1, t, t^2, ...), t = m+1, m+2, ....  One certified direction is
+    enough: rho only decides on which side of a hyperplane a boundary
+    lattice point counts, and the reduced side does not depend on it (the
+    tests evaluate plans under later certified rungs and compare).
     """
-    if variant < 0:
-        raise ExactError("variant must be nonnegative")
     normals = list(normals)
     if not normals:
         raise ExactError("no normals to avoid")
     m = len(normals[0])
     if any(len(v) != m for v in normals):
         raise ExactError("ragged normals")
-    found = 0
-    for idx, cand in enumerate(_rho_ladder(m)):
-        if idx >= max_candidates:
-            break
+    for cand in itertools.islice(_rho_ladder(m), RHO_CANDIDATES):
         if all(dot(cand, normal) != 0 for normal in normals):
-            if found == variant:
-                return cand
-            found += 1
-    raise ExhaustedCandidates(
-        f"no certified direction within {max_candidates} candidates (variant {variant})"
-    )
+            return cand
+    raise ExhaustedCandidates(f"no certified direction within {RHO_CANDIDATES} candidates")
 
 
 def directed_residue(num: int, den: int, p) -> int:

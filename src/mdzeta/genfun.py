@@ -157,7 +157,7 @@ class GeneratingFunctionPlan:
     times the phases, with the pattern's compiled rows (_tables).
     """
 
-    def __init__(self, spec: SeriesSpec, J, rho_variant: int = 0):
+    def __init__(self, spec: SeriesSpec, J):
         self.spec = spec
         self.ctx = subset_context(spec, tuple(J))
         ctx = self.ctx
@@ -180,9 +180,7 @@ class GeneratingFunctionPlan:
         )
         self._dot_cols = tuple(zip(*dots))  # per j in Jbar: its coefficient in each member
         duals = enumerate_bases(self.vecs)
-        self.rho = exact.choose_rho(
-            [row for _, rows in duals.values() for row in rows], variant=rho_variant
-        )
+        self.rho = exact.choose_rho([row for _, rows in duals.values() for row in rows])
         # the coset representatives every basis term reads: sum of |det B|
         self.coset_count = sum(abs(det) for det, _ in duals.values())
         # each dual is integer rows over den = |det|, and so are L_g and d_g
@@ -204,7 +202,16 @@ class GeneratingFunctionPlan:
         self.space = mpseries.dense_space(self.caps, self.total_cap)
         self.top = self.space.size - 1  # total_cap is sum(caps): the caps key comes last
         # d_g = (tuples @ _d_rows[:, k]) / den at the outer tuples, for the
-        # complement entry (k, g, _) of a basis of denominator den
+        # complement entry (k, g, _) of a basis of denominator den.  That
+        # product stays inside int64 at every outer coordinate rhs_total
+        # admits, up to WORK_BUDGET // coset_count, and at 1 in any case
+        reach = max(1, WORK_BUDGET // self.coset_count)
+        bound = max((abs(v) for row in d_rows for v in row), default=0)
+        if len(ctx.Jbar) * reach * bound > np.iinfo(np.int64).max:
+            raise exact.ExactError(
+                f"d_g coefficient {bound} for J = {ctx.J} is too large: its values could "
+                f"leave int64 at outer coordinates up to {reach}"
+            )
         self._d_rows = np.array(d_rows, dtype=np.int64).reshape(len(d_rows), len(ctx.Jbar)).T
         self._phase_memo: dict[int, dict[int, complex]] = {}  # q -> residue -> e(res/q)
         self._bernoulli_memo: dict[tuple[int, int], list[complex]] = {}  # (residue, fden) -> row

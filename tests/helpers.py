@@ -3,17 +3,19 @@ code paths they check: a fast exact series for zeta(3), Bernoulli numbers by
 the explicit double sum (no recurrence), Taylor coefficients via the Cauchy
 integral on a roots-of-unity grid, exact lattice membership through the
 integer dual, Leibniz determinants and Cramer duals, the rho-directed
-fractional part, a generating-function plan's exact data in Fractions from
-the definitions, its tables built with the dict series algebra of
-dictseries, the Horner product with a geometric factor and the numerator
-it gives, G assembled over the full simplex, the tuples of a shell of
-a box and the shells of an outer sum summed one tuple at a time, the dict
-series truncation, geometric factor and full phase table that the library
-itself no longer needs, the family Lambda with its outer tuple frozen, and
-the box partial sum over Z^m that the distribution value is the limit of."""
+fractional part, plans built under a later certified rho, a
+generating-function plan's exact data in Fractions from the definitions,
+its tables built with the dict series algebra of dictseries, the Horner
+product with a geometric factor and the numerator it gives, G assembled
+over the full simplex, the tuples of a shell of a box and the shells of an
+outer sum summed one tuple at a time, the dict series truncation,
+geometric factor and full phase table that the library itself no longer
+needs, the family Lambda with its outer tuple frozen, and the box partial
+sum over Z^m that the distribution value is the limit of."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
@@ -21,6 +23,7 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 import dictseries as ds
 import rowmajor
@@ -174,6 +177,29 @@ def reference_rho(vectors):
         ) and all(leibniz_det([*sub, cand]) != 0 for sub in planes):
             return cand, idx, len(bases), len(planes)
     raise AssertionError("no certified direction on the ladder")
+
+
+@contextlib.contextmanager
+def certified_rung(n: int, flip: bool = False):
+    """Plans built inside take the (n+1)-th certified rung of the ladder as
+    rho, where exact.choose_rho takes the first: the ladder is walked as
+    choose_rho walks it, certified rungs are counted and the n-th (from 0)
+    is returned, within the same exact.RHO_CANDIDATES rungs.  With flip,
+    rho is that rung's negation, certified too, which moves every boundary
+    lattice point to the other side of its hyperplane, where the ladder's
+    rungs often lie in one chamber and move none."""
+
+    def choose(normals):
+        normals = list(normals)
+        ladder = itertools.islice(exact._rho_ladder(len(normals[0])), exact.RHO_CANDIDATES)
+        certified = (c for c in ladder if all(exact.dot(c, v) != 0 for v in normals))
+        rho = next(itertools.islice(certified, n, None), None)
+        assert rho is not None, f"fewer than {n + 1} certified rungs"
+        return tuple(-c for c in rho) if flip else rho
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "choose_rho", choose)
+        yield
 
 
 def reference_plan_data(plan):

@@ -200,18 +200,28 @@ def test_exact_algebra_properties(capsys):
 
 
 def test_rho_invariance(capsys):
-    runs = [evaluator.rhs_total(MT, 500, rho_variant=v) for v in range(3)]
-    rhos = {run.terms[-1].rho for run in runs}
-    totals = [run.total for run in runs]
-    scale = max(abs(t) for t in totals)
-    spread = max(abs(t - totals[0]) for t in totals)
-    ok = len(rhos) == 3 and spread <= 1e-10 * scale
+    # plans built under the 1st, 2nd and 3rd certified rungs of the ladder
+    # and under the 1st one negated, which moves every boundary lattice
+    # point to the other side.  MT's J = [r] term is an exact 0 by parity
+    # under any rho; at k = [2] (weight 4) it is tabulated under each
+    even = model.parse_spec({"h": [1, 1], "k": [2], "y": ["0", "0"], "A": [[1, 1]]})
+    rhos, spreads = set(), []
+    for spec in (MT, even):
+        runs = []
+        for rung, flip in ((0, False), (1, False), (2, False), (0, True)):
+            with helpers.certified_rung(rung, flip):
+                runs.append(evaluator.rhs_total(spec, 500))
+        rhos.update(run.terms[-1].rho for run in runs)
+        totals = [run.total for run in runs]
+        scale = max(abs(t) for t in totals)
+        spreads.append(max(abs(t - totals[0]) for t in totals) / scale)
+    ok = len(rhos) == 4 and max(spreads) <= 1e-10
     _announce(
         capsys, 7, "rho-invariance", ok,
-        f"directions {sorted(rhos)}, relative spread {spread / scale:.2e}",
+        f"directions {sorted(rhos)}, relative spreads {', '.join(f'{s:.2e}' for s in spreads)}",
     )
-    assert len(rhos) == 3
-    assert spread <= 1e-10 * scale
+    assert len(rhos) == 4
+    assert max(spreads) <= 1e-10
 
 
 def test_symmetric_partial_sum_trend(capsys):

@@ -543,17 +543,18 @@ def test_tolerance_must_be_finite_and_nonnegative(capsys, monkeypatch, tol):
 
 
 @pytest.mark.parametrize("command", ["verify", "reduce"])
-def test_negative_rho_variant_is_rejected_before_any_work(capsys, monkeypatch, command):
+def test_rho_variant_is_not_an_option(capsys, monkeypatch, command):
+    # every plan takes the first certified rho; there is no option to pick another
     def no_work(*args, **kwargs):
         raise AssertionError("summation started")
 
     for name in ("_direct_shells", "zeta_direct", "zeta_refined", "rhs_total", "term_T"):
         monkeypatch.setattr(evaluator, name, no_work)
     with pytest.raises(SystemExit) as exc:
-        cli.main([command, "--spec", MT_PATH, "--M", "50", "--M-outer", "50", "--rho-variant", "-1"])
+        cli.main([command, "--spec", MT_PATH, "--M", "50", "--M-outer", "50", "--rho-variant", "1"])
     assert exc.value.code == 2
-    assert "rho variant must be >= 0, got -1" in capsys.readouterr().err
-    assert cli._parser().parse_args([command, "--spec", MT_PATH, "--rho-variant", "0"]).rho_variant == 0
+    assert "unrecognized arguments: --rho-variant 1" in capsys.readouterr().err
+    assert not hasattr(cli._parser().parse_args([command, "--spec", MT_PATH]), "rho_variant")
 
 
 def test_zero_tolerance_is_accepted():
@@ -745,6 +746,50 @@ def test_large_entry_bases_are_refused_from_python(capsys, monkeypatch, tmp_path
     assert calls == []
 
 
+def test_d_g_coefficient_beyond_int64_exits_2_with_one_error_line(capsys, tmp_path):
+    # J = {1, 2} has a d_g coefficient of about 2.7e19, past int64, and
+    # about 2.7e19 coset representatives; the plan refuses the coefficient
+    # as it is built, before rhs_total reads the coset count
+    path = tmp_path / "wide_d_g.json"
+    path.write_text(json.dumps({
+        "h": [1, 1, 1, 1], "k": [1, 1, 1], "y": ["0", "0", "0", "0"],
+        "A": [[3000000, 1, 0, 1], [0, 3000000, 1, 1], [1, 0, 3000000, 1]],
+    }))
+    for command in ("verify", "reduce"):
+        code, out, err = _run(capsys, [command, "--spec", str(path), "--M", "1", "--M-outer", "1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: d_g coefficient 27000000000000000001 for J = (1, 2)")
+        assert err.count("\n") == 1
+
+
+def _entries_4000(tmp_path, h):
+    # J = {1, 2} has 16 008 002 coset representatives, over the work budget
+    path = tmp_path / "entries_4000.json"
+    path.write_text(json.dumps({"h": h, "k": [2, 2], "y": ["0", "0"],
+                                "A": [[1, 4000], [4000, 1]]}))
+    return str(path)
+
+
+def test_vanishing_full_lattice_term_is_not_refused_by_its_coset_count(capsys, tmp_path):
+    # at weight 7 and y = 0 the J = {1, 2} term is an exact 0 that enumerates
+    # no coset, so its count is not budgeted; the other terms have few
+    path = _entries_4000(tmp_path, [2, 1])
+    argv = ["verify", "--spec", path, "--M", "50", "--M-outer", "20", "--output", "json"]
+    code, out, err = _run(capsys, argv)
+    assert err == "" and code in (0, 3)
+    report = json.loads(out)
+    assert code == {"pass": 0, "inconclusive": 3}[report["verdict"]]
+    full = [t for t in report["rhs"]["per_J"] if t["J"] == [1, 2]]
+    assert [(t["value_re"], t["value_im"]) for t in full] == [("0", "0")]
+    # the weight-8 twin's J = {1, 2} term is summed, and refused by that count
+    code, out, err = _run(capsys, argv[:2] + [_entries_4000(tmp_path, [2, 2])] + argv[3:])
+    assert code == 2 and out == ""
+    assert err == (
+        "error: --M-outer 20 at J={1, 2} gives 16008002 coset representatives times 20^0 "
+        "outer tuples = 16008002, over the work budget of 10000000\n"
+    )
+
+
 def _steep_pole_spec(tmp_path, entry):
     # J = {1, 2} divides by t1 + entry * t2 - t3, whose weight of entry is
     # the pivot of the division
@@ -931,12 +976,12 @@ def test_consecutive_calls_share_the_parser_but_not_their_options(capsys, monkey
 
     monkeypatch.setattr(cli.evaluator, "verify_parity", record)
     small = ["--M", "20", "--M-outer", "20"]
-    explicit = ["verify", "--spec", MT_PATH, *small, "--tol", "1e-3", "--rho-variant", "1"]
+    explicit = ["verify", "--spec", MT_PATH, *small, "--tol", "1e-3"]
     assert _run(capsys, explicit)[0] in (0, 3)
     assert _run(capsys, ["eval", "--spec", MT_PATH, "--M", "20", "--output", "csv"])[0] == 0
     assert _run(capsys, ["verify", "--spec", MT_PATH, *small])[0] in (0, 3)
     assert cli._parser() is cli._parser()
-    assert [(kw["tol"], kw["rho_variant"]) for kw in seen] == [(1e-3, 1), (1e-6, 0)]
+    assert [kw["tol"] for kw in seen] == [1e-3, 1e-6]
     # the output format of the csv call does not leak into the next call
     code, out, _ = _run(capsys, ["validate", "--spec", MT_PATH])
     assert code == 0 and out.startswith("instance:")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import helpers
+from mdzeta import exact
 from mdzeta.exact import (
     ExactError,
     ExhaustedCandidates,
@@ -233,10 +234,15 @@ def test_choose_rho_skips_uncertifiable_candidates():
 
 
 def test_choose_rho_variants_walk_the_ladder():
+    # choose_rho takes the first certified rung; the tests reach later ones
+    # through helpers.certified_rung, which walks the same ladder
     normals = _normals([(1, 0), (0, 1), (1, 1)])
-    assert choose_rho(normals, variant=1) == (1, 3)
-    assert choose_rho(normals, variant=2) == (1, 4)
-    assert choose_rho(_normals([(1,)]), variant=2) == (1,)
+    assert choose_rho(normals) == (1, 2)
+    for n, rho in ((1, (1, 3)), (2, (1, 4))):
+        with helpers.certified_rung(n):
+            assert exact.choose_rho(normals) == rho
+    with helpers.certified_rung(2):
+        assert exact.choose_rho(_normals([(1,)])) == (1,)  # every rung is (1,) at m = 1
 
 
 def test_choose_rho_guards():
@@ -244,10 +250,9 @@ def test_choose_rho_guards():
         choose_rho([])
     with pytest.raises(ExactError):
         choose_rho([(1, 0), (1,)])
-    with pytest.raises(ExactError):
-        choose_rho(_normals([(1, 0), (0, 1)]), variant=-1)
-    with pytest.raises(ExhaustedCandidates):
-        choose_rho(_normals([(1, 0), (0, 1)]), variant=3, max_candidates=3)
+    # every rung pairs to zero with the zero normal
+    with pytest.raises(ExhaustedCandidates, match=f"within {exact.RHO_CANDIDATES} candidates"):
+        choose_rho([(1, 0), (0, 0)])
 
 
 def test_fractional_part_examples():

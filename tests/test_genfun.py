@@ -136,12 +136,16 @@ def test_rho_variants_give_identical_series():
     spec = model.parse_spec(
         {"h": [1, 1], "k": [1, 1, 1], "y": ["0", "0"], "A": [[1, 0], [0, 1], [1, 1]]}
     )
-    coords, series = [], []
-    for variant in range(3):
-        plan = genfun.GeneratingFunctionPlan(spec, (1, 2), rho_variant=variant)
+    # the negated first rung moves each boundary point across
+    coords, residues, series = [], [], []
+    for rung, flip in ((0, False), (1, False), (2, False), (0, True)):
+        with helpers.certified_rung(rung, flip):
+            plan = genfun.GeneratingFunctionPlan(spec, (1, 2))
         coords.append(plan.rho)
+        residues.append([b.residues for b in plan.bases])
         series.append(_series(plan))
-    assert len(set(coords)) == 3
+    assert len(set(coords)) == 4
+    assert residues[0] != residues[3]
     assert ds.max_abs(series[0]) > 1
     for other in series[1:]:
         assert helpers.series_max_diff(series[0], other) <= 1e-10
@@ -254,8 +258,9 @@ def test_singular_path_on_steep_forms(spec):
         if genfun.GeneratingFunctionPlan(spec, J).coset_count > 2000:
             continue
         tops = []
-        for variant in (0, 1):
-            plan = genfun.GeneratingFunctionPlan(spec, J, rho_variant=variant)
+        for rung in (0, 1):
+            with helpers.certified_rung(rung):
+                plan = genfun.GeneratingFunctionPlan(spec, J)
             try:
                 tops.append(plan.evaluate_batch(tuples[:, :len(plan.ctx.Jbar)])[:, plan.top])
             except SingularConfiguration:
